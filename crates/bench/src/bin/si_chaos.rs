@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use si_bench::netfuzz;
 use si_bench::run_report::{experiments_dir, RunReport};
-use si_service::http::{http_drop_mid_body, http_request, HttpConfig, HttpServer};
+use si_service::http::{HttpClient, HttpConfig, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::service::{ServiceConfig, SiService};
 use si_service::{
@@ -229,7 +229,8 @@ impl ChaosClient {
                 let _ = http_drop_mid_body(addr, "/v1/jobs", &body, body.len() / 2);
             }
         }
-        let (status, payload) = http_request(addr, "POST", "/v1/jobs", Some(&body))
+        let (status, payload) = HttpClient::new(addr)
+            .request_text("POST", "/v1/jobs", Some(&body))
             .map_err(|e| ServiceError::Internal(format!("http: {e}")))?;
         if status == 200 {
             Ok(())
@@ -305,7 +306,7 @@ fn submit_via_router(
 ) -> Result<String, String> {
     let mut attempt = 0u32;
     loop {
-        match http_request(addr, "POST", "/v1/jobs", Some(body)) {
+        match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(body)) {
             Ok((200, payload)) => return Ok(payload),
             Ok((status, payload)) if !(500..=599).contains(&status) => {
                 return Err(format!("status {status}: {payload}"));
@@ -648,14 +649,16 @@ fn run_stream_kill(args: &Args) {
 
     // The poster blocks inside the long POST; the kill cuts it off with a
     // transport error, which is the expected outcome of this phase.
-    let poster = std::thread::spawn(move || http_request(addr, "POST", "/v1/jobs", Some(&body)));
+    let poster = std::thread::spawn(move || {
+        HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(&body))
+    });
 
     // Poll progress until at least two chunks completed — so at least two
     // checkpoints exist — then SIGKILL the worker process mid-run.
     let mut observed_done = 0.0_f64;
     let poll_deadline = Instant::now() + Duration::from_secs(120);
     while observed_done < 2.0 && Instant::now() < poll_deadline {
-        if let Ok((202, payload)) = http_request(addr, "GET", &path, None) {
+        if let Ok((202, payload)) = HttpClient::new(addr).request_text("GET", &path, None) {
             if let Some(v) = si_service::json::parse(&payload).ok().and_then(|v| {
                 v.get("chunks_done")
                     .and_then(si_service::json::Json::as_f64)
@@ -680,8 +683,7 @@ fn run_stream_kill(args: &Args) {
     // SIGKILL (atomic rename), so the resubmission resumes.
     let restarted = spawn_replica_at(&serve_bin, cache_dir.clone());
     let resume_started = Instant::now();
-    let resumed_payload = match http_request(
-        restarted.addr,
+    let resumed_payload = match HttpClient::new(restarted.addr).request_text(
         "POST",
         "/v1/jobs",
         Some(&spec.to_json().to_string_compact()),
@@ -715,7 +717,9 @@ fn run_stream_kill(args: &Args) {
     // The restarted replica must report an actual resume, and fewer chunk
     // solves than a full second run (it picked up past work, not redid it).
     let (mut stream_resumed, mut stream_chunks) = (0.0, f64::NAN);
-    if let Ok((200, metrics)) = http_request(restarted.addr, "GET", "/metrics", None) {
+    if let Ok((200, metrics)) =
+        HttpClient::new(restarted.addr).request_text("GET", "/metrics", None)
+    {
         if let Ok(m) = si_service::json::parse(&metrics) {
             let get = |key: &str| {
                 m.get("service")
@@ -775,6 +779,29 @@ fn run_stream_kill(args: &Args) {
         std::process::exit(1);
     }
     println!("stream-kill run survived: all gates passed");
+}
+
+/// Chaos-harness client fault: sends a request that *promises*
+/// `body.len()` bytes but transmits only the first `sent_bytes` before
+/// dropping the connection. The server must count a dropped-mid-request
+/// connection and move on — no response is expected.
+fn http_drop_mid_body(
+    addr: std::net::SocketAddr,
+    path: &str,
+    body: &str,
+    sent_bytes: usize,
+) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut stream = std::net::TcpStream::connect(addr)?;
+    let partial = &body[..sent_bytes.min(body.len())];
+    write!(
+        stream,
+        "POST {path} HTTP/1.1\r\nHost: si-serve\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{partial}",
+        body.len()
+    )?;
+    stream.flush()?;
+    // Dropping the stream here closes the socket mid-body.
+    Ok(())
 }
 
 fn main() {
@@ -1079,7 +1106,8 @@ fn main() {
             },
             Some(a) => {
                 let body = spec.to_json().to_string_compact();
-                http_request(a, "POST", "/v1/jobs", Some(&body))
+                HttpClient::new(a)
+                    .request_text("POST", "/v1/jobs", Some(&body))
                     .map(|(status, _)| status)
                     .map_err(|e| format!("http: {e}"))
             }

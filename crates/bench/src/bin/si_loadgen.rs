@@ -86,7 +86,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use si_bench::run_report::{experiments_dir, RunReport};
-use si_service::http::{http_request, HttpServer};
+use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::service::{ServiceConfig, SiService};
 use si_service::ServiceError;
@@ -226,7 +226,8 @@ impl Client for OverHttp {
     fn submit(&self, spec: &JobSpec) -> Result<(Duration, bool), ServiceError> {
         let body = spec.to_json().to_string_compact();
         let start = Instant::now();
-        let (status, payload) = http_request(self.0, "POST", "/v1/jobs", Some(&body))
+        let (status, payload) = HttpClient::new(self.0)
+            .request_text("POST", "/v1/jobs", Some(&body))
             .map_err(|e| ServiceError::Analysis(format!("http: {e}")))?;
         let elapsed = start.elapsed();
         // Load shedding (admission control or the connection cap) is a
@@ -331,7 +332,8 @@ fn resolve(addr: &str) -> std::net::SocketAddr {
 /// One counter out of a remote `/metrics` snapshot; 0.0 when the scrape
 /// or the key is missing.
 fn scrape(addr: std::net::SocketAddr, section: &str, key: &str) -> f64 {
-    http_request(addr, "GET", "/metrics", None)
+    HttpClient::new(addr)
+        .request_text("GET", "/metrics", None)
         .ok()
         .and_then(|(status, body)| (status == 200).then_some(body))
         .and_then(|body| si_service::json::parse(&body).ok())
@@ -357,7 +359,7 @@ fn submit_cluster(addr: std::net::SocketAddr, body: &str, seed: u64) -> Result<S
     };
     let mut attempt = 0u32;
     loop {
-        match http_request(addr, "POST", "/v1/jobs", Some(body)) {
+        match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(body)) {
             Ok((200, payload)) => return Ok(payload),
             Ok((status, payload)) if !(500..=599).contains(&status) && status != 429 => {
                 return Err(format!("status {status}: {payload}"));
@@ -469,8 +471,9 @@ fn run_cluster(args: &Args) {
     // The ring must be complete before affinity means anything.
     let ring_deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let (status, body) =
-            http_request(router, "GET", "/readyz", None).unwrap_or((0, String::new()));
+        let (status, body) = HttpClient::new(router)
+            .request_text("GET", "/readyz", None)
+            .unwrap_or((0, String::new()));
         let ready = si_service::json::parse(&body)
             .ok()
             .and_then(|v| {
@@ -511,7 +514,8 @@ fn run_cluster(args: &Args) {
     // replicas routinely lands 7/4/1) and an ownership-blind workload
     // would measure the busiest shard, not the cluster.
     let shard_forwards = |router: std::net::SocketAddr| -> Vec<f64> {
-        http_request(router, "GET", "/metrics", None)
+        HttpClient::new(router)
+            .request_text("GET", "/metrics", None)
             .ok()
             .and_then(|(status, body)| (status == 200).then_some(body))
             .and_then(|body| si_service::json::parse(&body).ok())

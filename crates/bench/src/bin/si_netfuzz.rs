@@ -16,6 +16,11 @@
 //! 4. **Budget precedes factorization** — an over-budget netlist submitted
 //!    to a fresh service leaves the engine's solve counter at zero.
 //!
+//! `--http` sends every case twice: to a loopback replica, and through an
+//! in-process `RouterServer` in front of it. The router decodes and
+//! fingerprints each netlist before forwarding it, so its path gets the
+//! same four gates.
+//!
 //! ```text
 //! si_netfuzz [--http] [--iters N] [--seed N] [--workers N] [--queue N]
 //!            [--max-case-ms N]
@@ -31,8 +36,9 @@ use std::time::{Duration, Instant};
 
 use si_bench::netfuzz::{self, NASTY_CORPUS};
 use si_bench::run_report::{experiments_dir, RunReport};
-use si_service::http::{http_request, HttpServer};
+use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::JobSpec;
+use si_service::router::{RouterConfig, RouterServer};
 use si_service::service::{ServiceConfig, SiService};
 use si_service::ServiceError;
 
@@ -93,6 +99,87 @@ enum Outcome {
     Panicked,
 }
 
+/// Outcome counts for one submission path (in-process, the replica, or
+/// the router), plus its slowest case.
+#[derive(Debug, Default)]
+struct Tally {
+    solved: u64,
+    cache_hits: u64,
+    rejected_parse: u64,
+    rejected_budget: u64,
+    analysis_failed: u64,
+    invalid_spec: u64,
+    untyped: u64,
+    panics: u64,
+    hangs: u64,
+    max_case_wall: Duration,
+}
+
+impl Tally {
+    /// Counts one case; returns the artifact tag of a failing outcome.
+    fn record(
+        &mut self,
+        outcome: Outcome,
+        wall: Duration,
+        max_case: Duration,
+    ) -> Vec<&'static str> {
+        let mut failed = Vec::new();
+        self.max_case_wall = self.max_case_wall.max(wall);
+        if wall > max_case {
+            self.hangs += 1;
+            failed.push("hang");
+        }
+        match outcome {
+            Outcome::Solved { cached } => {
+                self.solved += 1;
+                self.cache_hits += u64::from(cached);
+            }
+            Outcome::RejectedParse => self.rejected_parse += 1,
+            Outcome::RejectedBudget => self.rejected_budget += 1,
+            Outcome::AnalysisFailed => self.analysis_failed += 1,
+            Outcome::InvalidSpec => {
+                self.invalid_spec += 1;
+                failed.push("invalid_spec");
+            }
+            Outcome::Untyped => {
+                self.untyped += 1;
+                failed.push("untyped");
+            }
+            Outcome::Panicked => {
+                self.panics += 1;
+                failed.push("panic");
+            }
+        }
+        failed
+    }
+
+    /// Cases outside the typed surface. A netlist spec can never be
+    /// `InvalidSpec` (that bucket is for malformed job documents, which
+    /// the generators do not emit), so it counts as untyped here.
+    fn escaped(&self) -> u64 {
+        self.untyped + self.invalid_spec
+    }
+
+    /// The no-panic, no-hang, and typed-outcome gates.
+    fn gate(&self, path: &str, max_case_ms: u64, failures: &mut Vec<String>) {
+        if self.panics > 0 {
+            failures.push(format!("{path}: {} cases panicked", self.panics));
+        }
+        if self.hangs > 0 {
+            failures.push(format!(
+                "{path}: {} cases exceeded {max_case_ms} ms",
+                self.hangs
+            ));
+        }
+        if self.escaped() > 0 {
+            failures.push(format!(
+                "{path}: {} cases escaped the typed 200/413/422 surface",
+                self.escaped()
+            ));
+        }
+    }
+}
+
 /// One counter out of a live `/metrics` snapshot.
 fn svc_counter(service: &SiService, section: &str, key: &str) -> f64 {
     service
@@ -101,6 +188,17 @@ fn svc_counter(service: &SiService, section: &str, key: &str) -> f64 {
         .and_then(|s| s.get(key))
         .and_then(si_service::json::Json::as_f64)
         .unwrap_or(0.0)
+}
+
+/// The service's netlist counters, in report order.
+const NETLIST_COUNTERS: [&str; 3] = [
+    "netlist_submitted",
+    "netlist_rejected_parse",
+    "netlist_rejected_budget",
+];
+
+fn netlist_counters(service: &SiService) -> [f64; 3] {
+    NETLIST_COUNTERS.map(|key| svc_counter(service, "service", key))
 }
 
 fn classify(result: Result<(Arc<si_service::JobOutput>, bool), ServiceError>) -> Outcome {
@@ -118,7 +216,7 @@ fn classify(result: Result<(Arc<si_service::JobOutput>, bool), ServiceError>) ->
 /// outcome. Only `200`, `400`, `413`, `422` count as typed.
 fn classify_http(addr: std::net::SocketAddr, spec: &JobSpec) -> Outcome {
     let body = spec.to_json().to_string_compact();
-    match http_request(addr, "POST", "/v1/jobs", Some(&body)) {
+    match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(&body)) {
         Ok((200, payload)) => Outcome::Solved {
             cached: payload.contains("\"cached\":true"),
         },
@@ -149,14 +247,43 @@ fn main() {
         queue_capacity: args.queue,
         ..ServiceConfig::default()
     }));
-    let mut server = None;
-    let addr = if args.http {
+    // Submission paths: in-process, or the replica and a router over it.
+    let mut servers = None;
+    let mut paths: Vec<(&str, Option<std::net::SocketAddr>)> = vec![("in_process", None)];
+    if args.http {
         let srv = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
-        let a = srv.local_addr();
-        server = Some(srv);
-        Some(a)
-    } else {
-        None
+        let router = RouterServer::bind(
+            "127.0.0.1:0",
+            RouterConfig {
+                replicas: vec![srv.local_addr().to_string()],
+                ..RouterConfig::default()
+            },
+        )
+        .expect("bind router");
+        paths = vec![
+            ("replica", Some(srv.local_addr())),
+            ("router", Some(router.local_addr())),
+        ];
+        servers = Some((srv, router));
+    }
+    let submit = |addr: Option<std::net::SocketAddr>, spec: &JobSpec| match addr {
+        None => classify(service.submit_blocking(spec, None)),
+        Some(a) => classify_http(a, spec),
+    };
+    // Both paths end at the same service, so its netlist counters are
+    // read as deltas around the first path's submissions only: the report
+    // describes that path, as it did before the router path existed.
+    let mut first_path_counters = [0.0f64; 3];
+    let mut count_first = |first: bool, submit: &mut dyn FnMut() -> Outcome| {
+        let before = first.then(|| netlist_counters(&service));
+        let outcome = submit();
+        if let Some(before) = before {
+            let after = netlist_counters(&service);
+            for ((sum, a), b) in first_path_counters.iter_mut().zip(after).zip(before) {
+                *sum += a - b;
+            }
+        }
+        outcome
     };
 
     let mut failures: Vec<String> = Vec::new();
@@ -179,14 +306,13 @@ fn main() {
     let big_spec = JobSpec::Netlist {
         netlist: big.clone(),
     };
-    let big_outcome = match addr {
-        None => classify(service.submit_blocking(&big_spec, None)),
-        Some(a) => classify_http(a, &big_spec),
-    };
-    if big_outcome != Outcome::RejectedBudget {
-        failures.push(format!(
-            "oversized netlist was not budget-rejected: {big_outcome:?}"
-        ));
+    for (p, &(path, addr)) in paths.iter().enumerate() {
+        let big_outcome = count_first(p == 0, &mut || submit(addr, &big_spec));
+        if big_outcome != Outcome::RejectedBudget {
+            failures.push(format!(
+                "{path}: oversized netlist was not budget-rejected: {big_outcome:?}"
+            ));
+        }
     }
     let solves_after_reject = svc_counter(&service, "engine", "solves");
     if solves_after_reject != 0.0 {
@@ -198,88 +324,46 @@ fn main() {
     // ---- The fuzz loop: nasty corpus first, then the seeded mix.
     let started = Instant::now();
     let max_case = Duration::from_millis(args.max_case_ms);
-    let mut solved = 0u64;
-    let mut cache_hits = 0u64;
-    let mut rejected_parse = 0u64;
-    let mut rejected_budget = 0u64;
-    let mut analysis_failed = 0u64;
-    let mut invalid_spec = 0u64;
-    let mut untyped = 0u64;
-    let mut panics = 0u64;
-    let mut hangs = 0u64;
-    let mut max_case_wall = Duration::ZERO;
+    let mut tallies: Vec<Tally> = paths.iter().map(|_| Tally::default()).collect();
     for i in 0..args.iters {
         let text = netfuzz::case(args.seed, i);
         let spec = JobSpec::Netlist {
             netlist: text.clone(),
         };
-        let case_started = Instant::now();
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| match addr {
-            None => classify(service.submit_blocking(&spec, None)),
-            Some(a) => classify_http(a, &spec),
-        }))
-        .unwrap_or(Outcome::Panicked);
-        let case_wall = case_started.elapsed();
-        max_case_wall = max_case_wall.max(case_wall);
-        if case_wall > max_case {
-            hangs += 1;
-            save_artifact(i, "hang", &text);
-            if hangs <= 3 {
-                eprintln!("case {i} took {case_wall:?} (> {max_case:?})");
-            }
-        }
-        match outcome {
-            Outcome::Solved { cached } => {
-                solved += 1;
-                if cached {
-                    cache_hits += 1;
-                }
-            }
-            Outcome::RejectedParse => rejected_parse += 1,
-            Outcome::RejectedBudget => rejected_budget += 1,
-            Outcome::AnalysisFailed => analysis_failed += 1,
-            Outcome::InvalidSpec => {
-                invalid_spec += 1;
-                save_artifact(i, "invalid_spec", &text);
-            }
-            Outcome::Untyped => {
-                untyped += 1;
-                save_artifact(i, "untyped", &text);
-                if untyped <= 3 {
-                    eprintln!("case {i} produced an untyped outcome:\n{text}");
-                }
-            }
-            Outcome::Panicked => {
-                panics += 1;
-                save_artifact(i, "panic", &text);
-                if panics <= 3 {
-                    eprintln!("case {i} panicked:\n{text}");
+        for (p, (&(path, addr), tally)) in paths.iter().zip(&mut tallies).enumerate() {
+            let mut case_wall = Duration::ZERO;
+            let outcome = count_first(p == 0, &mut || {
+                let case_started = Instant::now();
+                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| submit(addr, &spec)))
+                    .unwrap_or(Outcome::Panicked);
+                case_wall = case_started.elapsed();
+                outcome
+            });
+            for kind in tally.record(outcome, case_wall, max_case) {
+                save_artifact(i, kind, &text);
+                let count = match kind {
+                    "hang" => tally.hangs,
+                    "panic" => tally.panics,
+                    _ => tally.escaped(),
+                };
+                if count <= 3 {
+                    eprintln!("{path}: case {i} {kind} ({outcome:?}, {case_wall:?}):\n{text}");
                 }
             }
         }
     }
     let wall = started.elapsed();
 
-    // ---- Gates. A netlist spec can never be `InvalidSpec` (that bucket
-    // is for malformed job documents, which the generators do not emit),
-    // so it counts as untyped here.
-    if panics > 0 {
-        failures.push(format!("{panics} cases panicked"));
-    }
-    if hangs > 0 {
-        failures.push(format!("{hangs} cases exceeded {} ms", args.max_case_ms));
-    }
-    if untyped + invalid_spec > 0 {
-        failures.push(format!(
-            "{} cases escaped the typed 200/413/422 surface",
-            untyped + invalid_spec
-        ));
+    // ---- Gates.
+    for (&(path, _), tally) in paths.iter().zip(&tallies) {
+        tally.gate(path, args.max_case_ms, &mut failures);
     }
     // Sanity: the mix must actually exercise both sides of the boundary.
-    if solved == 0 {
+    let first = &tallies[0];
+    if first.solved == 0 {
         failures.push("no generated netlist ever solved".to_string());
     }
-    if rejected_parse == 0 {
+    if first.rejected_parse == 0 {
         failures.push("no generated netlist was ever parse-rejected".to_string());
     }
 
@@ -295,27 +379,27 @@ fn main() {
         ),
     );
     report.metric("cases", args.iters as f64);
-    report.metric("solved", solved as f64);
-    report.metric("cache_hits", cache_hits as f64);
-    report.metric("rejected_parse", rejected_parse as f64);
-    report.metric("rejected_budget", rejected_budget as f64);
-    report.metric("analysis_failed", analysis_failed as f64);
-    report.metric("panics", panics as f64);
-    report.metric("hangs", hangs as f64);
-    report.metric("untyped", (untyped + invalid_spec) as f64);
-    report.metric(
-        "netlist_submitted",
-        svc_counter(&service, "service", "netlist_submitted"),
-    );
-    report.metric(
-        "netlist_rejected_parse",
-        svc_counter(&service, "service", "netlist_rejected_parse"),
-    );
-    report.metric(
-        "netlist_rejected_budget",
-        svc_counter(&service, "service", "netlist_rejected_budget"),
-    );
-    report.metric("max_case_us", max_case_wall.as_micros() as f64);
+    report.metric("solved", first.solved as f64);
+    report.metric("cache_hits", first.cache_hits as f64);
+    report.metric("rejected_parse", first.rejected_parse as f64);
+    report.metric("rejected_budget", first.rejected_budget as f64);
+    report.metric("analysis_failed", first.analysis_failed as f64);
+    report.metric("panics", first.panics as f64);
+    report.metric("hangs", first.hangs as f64);
+    report.metric("untyped", first.escaped() as f64);
+    for (key, value) in NETLIST_COUNTERS.into_iter().zip(first_path_counters) {
+        report.metric(key, value);
+    }
+    report.metric("max_case_us", first.max_case_wall.as_micros() as f64);
+    if let Some(router) = tallies.get(1) {
+        report.metric("router_panics", router.panics as f64);
+        report.metric("router_hangs", router.hangs as f64);
+        report.metric("router_untyped", router.escaped() as f64);
+        report.metric(
+            "router_max_case_us",
+            router.max_case_wall.as_micros() as f64,
+        );
+    }
     report.metric("wall_s", wall.as_secs_f64());
     report.set_solver(service.engine_stats());
 
@@ -324,18 +408,30 @@ fn main() {
         Ok(path) => println!("report: {}", path.display()),
         Err(e) => eprintln!("could not write report: {e}"),
     }
-    println!(
-        "netfuzz: {} cases | {solved} solved ({cache_hits} cached), {rejected_parse} parse-rejected, \
-         {rejected_budget} budget-rejected, {analysis_failed} analysis-failed | \
-         {panics} panics, {hangs} hangs, {} untyped | slowest case {max_case_wall:?}",
-        args.iters,
-        untyped + invalid_spec,
-    );
+    for (&(path, _), t) in paths.iter().zip(&tallies) {
+        println!(
+            "netfuzz[{path}]: {} cases | {} solved ({} cached), {} parse-rejected, \
+             {} budget-rejected, {} analysis-failed | \
+             {} panics, {} hangs, {} untyped | slowest case {:?}",
+            args.iters,
+            t.solved,
+            t.cache_hits,
+            t.rejected_parse,
+            t.rejected_budget,
+            t.analysis_failed,
+            t.panics,
+            t.hangs,
+            t.escaped(),
+            t.max_case_wall,
+        );
+    }
 
-    if let Some(mut srv) = server.take() {
-        srv.shutdown();
-    } else {
-        service.shutdown();
+    match servers.take() {
+        Some((mut srv, mut router)) => {
+            router.shutdown();
+            srv.shutdown();
+        }
+        None => service.shutdown(),
     }
 
     if !failures.is_empty() {

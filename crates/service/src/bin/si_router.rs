@@ -7,9 +7,10 @@
 //!           [--max-in-flight N] [--jitter-seed N] [--no-warm]
 //! ```
 //!
-//! Speaks the same HTTP API as `si_serve` and forwards each job to the
-//! replica that owns its circuit topology on the hash ring (see
-//! [`si_service::router`]). Prints the bound address on stdout
+//! Speaks the same HTTP API as `si_serve`, on the same hardened event
+//! loop with the default [`HttpConfig`](si_service::http::HttpConfig)
+//! limits, and forwards each job to the replica that owns its circuit
+//! topology on the hash ring (see [`si_service::router`]). Prints the bound address on stdout
 //! (`listening on <addr>`) once ready, so scripts can bind port 0 and
 //! scrape the real port. Runs until killed.
 //!

@@ -1,42 +1,48 @@
 //! A hand-rolled, readiness-driven HTTP/1.1 front end over
-//! `std::net::TcpListener`.
+//! `std::net::TcpListener`, and the one HTTP client the workspace uses.
 //!
 //! The build environment carries no network crates, and the service's
 //! needs are narrow: small JSON bodies, `Content-Length` framing,
-//! keep-alive, four routes. PR 5's thread-per-connection model was
-//! bounded but paid one thread per *open* connection; a fleet of idle
-//! keep-alive clients is exactly the workload the ROADMAP's north star
-//! promises, and threads are the wrong currency for idleness. This
-//! version runs **one event-loop thread** over nonblocking sockets:
+//! keep-alive, a handful of routes. Both front ends — `si_serve` over a
+//! [`SiService`] and `si-router` over a [`crate::router::Router`] — run
+//! the same **event loop**, generic over a small `Handler` trait:
 //!
 //! - every connection is a slot in a `poll(2)` set (hand-declared FFI on
 //!   unix — std links the platform C library; elsewhere a short-tick
 //!   scan loop stands in) driving a per-connection state machine:
 //!   **Reading** (accumulate request bytes) → **Waiting** (a handler
-//!   thread runs the blocking solve) → **Writing** (drain the response)
+//!   thread runs a blocking route) → **Writing** (drain the response)
 //!   → back to Reading on keep-alive,
-//! - only in-flight `POST /v1/jobs` requests occupy a thread; `GET`s,
-//!   errors, and idle connections are serviced entirely on the loop,
+//! - `Handler::inline` answers cheap routes on the loop thread;
+//!   whatever it declines runs through `Handler::blocking` on a
+//!   handler thread, so only in-flight blocking requests occupy a thread,
 //! - a wake pipe lets handler threads hand finished responses back to
 //!   the loop without waiting out a poll tick.
 //!
-//! Every limit from the threaded listener survives, enforced by the loop
-//! instead of socket options:
+//! The loop enforces every limit for both front ends:
 //!
 //! - a global connection cap ([`HttpConfig::max_connections`]); excess
 //!   connections are shed immediately with `503` + `Retry-After`,
 //! - a per-request read deadline **fixed when the request cycle starts**
-//!   — a client trickling bytes (slowloris) can no longer reset the
-//!   timer with each byte; expiry yields a typed `408`,
+//!   — a client trickling bytes (slowloris) cannot reset the timer with
+//!   each byte; expiry on a partial request yields a typed `408`, while
+//!   an idle keep-alive connection is closed silently (a `408` there
+//!   would be read by a pooled client as the answer to its next request),
 //! - a write deadline per response; a peer that stops draining its
 //!   socket is disconnected,
 //! - a body-size cap enforced from the `Content-Length` header, before
 //!   the body arrives (typed `413`),
 //! - malformed framing (missing or garbage `Content-Length` on a POST,
 //!   a non-UTF-8 body, a garbled request line, an oversized header
-//!   section) gets a typed `400` instead of a silent hang-up.
+//!   section) gets a typed `400` instead of a silent hang-up,
+//! - every `503` carries `Retry-After`,
+//! - a connection the server closes (a `Connection: close` answer, a
+//!   typed error, a shed `503`) lingers briefly, draining the peer's
+//!   unread bytes, so the close never turns into a reset that destroys
+//!   the answer before the client reads it.
 //!
-//! Routes:
+//! The service's routes (memory-tier job hits and every `GET` answer
+//! inline; job misses and warm pulls block):
 //!
 //! | Method | Path             | Behavior                                  |
 //! |--------|------------------|-------------------------------------------|
@@ -52,9 +58,9 @@
 //! spec; admission-control rejections surface as `503` with `Retry-After`
 //! and a JSON error body, deadline misses as `504`.
 //!
-//! `/healthz` and `/readyz` split liveness from readiness (ISSUE 9): the
-//! former answers `200` for as long as the event loop runs, the latter
-//! consults [`SiService::readiness`] — a drained pool or a degraded cache
+//! `/healthz` and `/readyz` split liveness from readiness: the former
+//! answers `200` for as long as the event loop runs, the latter consults
+//! [`SiService::readiness`] — a drained pool or a degraded cache
 //! directory turns it into a `503` so the `si-router` ring (and CI) can
 //! tell "up" from "serving". `GET /v1/cache/:key` serves the disk tier's
 //! validated `.sic` bytes as `application/octet-stream` — the transfer
@@ -62,8 +68,9 @@
 //! (`{"peer":"host:port","keys":["16-hex",…]}`) makes this replica pull
 //! those entries from a peer.
 
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -81,9 +88,13 @@ const MAX_HEADER_BYTES: usize = 64 * 1024;
 /// Upper bound on one poll wait; deadline sweeps happen at least this
 /// often even with no I/O (shutdown is faster: the wake pipe interrupts).
 const MAX_POLL_WAIT_MS: i32 = 1000;
+/// How long a closing connection drains the peer's unread bytes before
+/// the socket is dropped (see [`ConnState::Closing`]).
+const LINGER: Duration = Duration::from_millis(500);
 
 /// Listener hardening knobs. The defaults suit tests and small
-/// deployments; `si_serve` exposes each as a flag.
+/// deployments; `si_serve` exposes each as a flag, `si-router` runs on
+/// the defaults.
 #[derive(Debug, Clone, Copy)]
 pub struct HttpConfig {
     /// Per-request read deadline (request line, headers, and body),
@@ -138,6 +149,9 @@ pub struct HttpStats {
     /// Gauge: open connections idle between keep-alive requests — the
     /// population that used to cost a thread each and now costs none.
     pub idle_keepalive: AtomicU64,
+    /// Gauge: answered connections draining the peer's unread bytes
+    /// before the socket is dropped; never above `max_connections`.
+    pub closing_connections: AtomicU64,
 }
 
 impl HttpStats {
@@ -156,8 +170,69 @@ impl HttpStats {
             ("responses".to_string(), num(&self.responses)),
             ("open_connections".to_string(), num(&self.open_connections)),
             ("idle_keepalive".to_string(), num(&self.idle_keepalive)),
+            (
+                "closing_connections".to_string(),
+                num(&self.closing_connections),
+            ),
         ])
     }
+}
+
+/// A `/metrics` document with the listener's `"http"` section appended —
+/// what both front ends serve.
+pub(crate) fn metrics_with_http(mut doc: Json, http: &HttpStats) -> String {
+    if let Json::Object(pairs) = &mut doc {
+        pairs.push(("http".to_string(), http.to_json()));
+    }
+    doc.to_string_compact()
+}
+
+/// One parsed request, as a [`Handler`] sees it.
+#[derive(Debug)]
+pub(crate) struct Request {
+    pub(crate) method: String,
+    pub(crate) path: String,
+    pub(crate) body: String,
+    /// Whether the client keeps the connection open after the response.
+    pub(crate) keep_alive: bool,
+}
+
+/// One answer. The loop adds the framing, the `Connection` header, and
+/// `Retry-After` on a `503`.
+#[derive(Debug)]
+pub(crate) struct Response {
+    status: u16,
+    body: Vec<u8>,
+    content_type: &'static str,
+}
+
+impl Response {
+    /// An `application/json` response.
+    pub(crate) fn json(status: u16, body: impl Into<String>) -> Response {
+        Response {
+            status,
+            body: body.into().into_bytes(),
+            content_type: "application/json",
+        }
+    }
+
+    /// A typed error response: `{"error": code, "message": …}` with the
+    /// error's own status.
+    fn error(err: &ServiceError) -> Response {
+        Response::json(err.http_status(), error_body(err))
+    }
+}
+
+/// The routes behind an event loop. `inline` runs on the loop thread
+/// and must not block; it answers, or returns `None` to hand the request
+/// to `blocking`, which runs on a handler thread of its own. `http` is
+/// the loop's own counters, for the `"http"` section of `/metrics`.
+pub(crate) trait Handler: Send + Sync + 'static {
+    /// Answers `request` on the event-loop thread, or declines with
+    /// `None`.
+    fn inline(&self, request: &Request, http: &HttpStats) -> Option<Response>;
+    /// Answers a request `inline` declined; may block.
+    fn blocking(&self, request: &Request, http: &HttpStats) -> Response;
 }
 
 /// Hand-declared `poll(2)`. The environment vendors no libc crate, but
@@ -230,11 +305,11 @@ impl Waker {
     }
 }
 
-/// A finished `POST /v1/jobs` handed back from a handler thread.
+/// A finished blocking request handed back from a handler thread.
+#[derive(Debug)]
 struct Completion {
     token: usize,
-    status: u16,
-    body: String,
+    response: Response,
     keep_alive: bool,
 }
 
@@ -263,22 +338,13 @@ impl Completions {
     }
 }
 
-impl std::fmt::Debug for Completion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Completion")
-            .field("token", &self.token)
-            .field("status", &self.status)
-            .finish_non_exhaustive()
-    }
-}
-
 /// Per-connection state machine position.
 enum ConnState {
     /// Accumulating request bytes; `deadline` is the fixed per-request
     /// read deadline (the slowloris clock).
     Reading,
     /// A handler thread owns the request; the loop neither polls nor
-    /// times out this connection — the service's own deadlines govern.
+    /// times out this connection — the handler's own deadlines govern.
     Waiting,
     /// Draining a response; `deadline` is the write deadline.
     Writing {
@@ -286,6 +352,13 @@ enum ConnState {
         pos: usize,
         keep_alive: bool,
     },
+    /// Answered, write side shut: discarding whatever the peer still
+    /// sends until it closes or `deadline` ([`LINGER`]) passes. Closing
+    /// a socket with unread bytes would send a reset, and the peer's
+    /// kernel would discard our answer unread. Closing connections do not
+    /// count against the connection cap; they have a bound of their own,
+    /// also `max_connections`, past which a socket is dropped at once.
+    Closing,
 }
 
 struct Conn {
@@ -295,7 +368,7 @@ struct Conn {
     state: ConnState,
     deadline: Instant,
     /// Responses completed on this connection (drives the
-    /// `idle_keepalive` gauge).
+    /// `idle_keepalive` gauge and the idle-close rule).
     served: u64,
 }
 
@@ -306,13 +379,28 @@ enum FlushResult {
 }
 
 impl Conn {
-    fn start_write(&mut self, out: Vec<u8>, keep_alive: bool, write_timeout: Duration) {
+    /// Between requests on a kept-alive connection: nothing buffered,
+    /// at least one response already served.
+    fn is_idle(&self) -> bool {
+        matches!(self.state, ConnState::Reading) && self.buf.is_empty() && self.served > 0
+    }
+
+    /// Shuts the write side (the answer is fully written) and starts the
+    /// linger.
+    fn start_close(&mut self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
+        self.buf = Vec::new();
+        self.state = ConnState::Closing;
+        self.deadline = Instant::now() + LINGER;
+    }
+
+    fn start_write(&mut self, response: &Response, keep_alive: bool, config: &HttpConfig) {
         self.state = ConnState::Writing {
-            out,
+            out: response_bytes(response, keep_alive, config.retry_after_secs),
             pos: 0,
             keep_alive,
         };
-        self.deadline = Instant::now() + write_timeout;
+        self.deadline = Instant::now() + config.write_timeout;
     }
 
     /// Writes as much of the pending response as the socket accepts.
@@ -346,25 +434,89 @@ impl Conn {
 /// What the loop should do with a connection after driving it.
 enum Disposition {
     Keep,
-    Close { dropped: bool },
+    /// Answered with `Connection: close`: linger if the bound allows.
+    Linger,
+    Close {
+        dropped: bool,
+    },
 }
 
 /// Everything the event loop and its handler threads share.
-struct LoopCtx {
-    service: Arc<SiService>,
+struct LoopCtx<H> {
+    handler: Arc<H>,
     stats: Arc<HttpStats>,
     config: HttpConfig,
     completions: Arc<Completions>,
 }
 
-/// A running HTTP server bound to a local address.
-pub struct HttpServer {
-    addr: SocketAddr,
+/// A running event loop: the bound listener, its thread, and its
+/// counters. Both front ends ([`HttpServer`] and
+/// [`crate::router::RouterServer`]) own one.
+pub(crate) struct EventLoop {
+    pub(crate) addr: SocketAddr,
+    pub(crate) stats: Arc<HttpStats>,
     stop: Arc<AtomicBool>,
     loop_thread: Option<thread::JoinHandle<()>>,
-    service: Arc<SiService>,
-    stats: Arc<HttpStats>,
     completions: Arc<Completions>,
+}
+
+impl EventLoop {
+    /// Binds `addr` (port 0 for an ephemeral port) and starts serving
+    /// `handler`.
+    pub(crate) fn start<H: Handler>(
+        addr: &str,
+        handler: Arc<H>,
+        config: HttpConfig,
+    ) -> std::io::Result<EventLoop> {
+        let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
+        let local = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let stats = Arc::new(HttpStats::default());
+        let completions = Arc::new(Completions {
+            queue: Mutex::new(Vec::new()),
+            waker: Waker::new()?,
+        });
+        let ctx = LoopCtx {
+            handler,
+            stats: Arc::clone(&stats),
+            config,
+            completions: Arc::clone(&completions),
+        };
+        let loop_stop = Arc::clone(&stop);
+        let loop_thread = thread::Builder::new()
+            .name("si-http-loop".to_string())
+            .spawn(move || event_loop(&listener, &loop_stop, &ctx))?;
+        Ok(EventLoop {
+            addr: local,
+            stop,
+            loop_thread: Some(loop_thread),
+            stats,
+            completions,
+        })
+    }
+
+    /// Stops and joins the loop thread; idempotent.
+    pub(crate) fn stop(&mut self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.completions.waker.wake();
+        if let Some(handle) = self.loop_thread.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for EventLoop {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
+/// The job service's HTTP front end: the shared event loop over a
+/// [`SiService`].
+pub struct HttpServer {
+    front: EventLoop,
+    service: Arc<SiService>,
 }
 
 impl HttpServer {
@@ -388,55 +540,26 @@ impl HttpServer {
         service: Arc<SiService>,
         config: HttpConfig,
     ) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(HttpStats::default());
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(Vec::new()),
-            waker: Waker::new()?,
-        });
-        let ctx = LoopCtx {
-            service: Arc::clone(&service),
-            stats: Arc::clone(&stats),
-            config,
-            completions: Arc::clone(&completions),
-        };
-        let loop_stop = Arc::clone(&stop);
-        let loop_thread = thread::Builder::new()
-            .name("si-http-loop".to_string())
-            .spawn(move || event_loop(&listener, &loop_stop, &ctx))?;
-        Ok(HttpServer {
-            addr: local,
-            stop,
-            loop_thread: Some(loop_thread),
-            service,
-            stats,
-            completions,
-        })
+        let front = EventLoop::start(addr, Arc::clone(&service), config)?;
+        Ok(HttpServer { front, service })
     }
 
     /// The bound address (resolves ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr
     }
 
     /// Listener counter snapshot (shared with the event loop).
     #[must_use]
     pub fn http_stats(&self) -> &HttpStats {
-        &self.stats
+        &self.front.stats
     }
 
     /// Stops the event loop and drains the service workers. In-flight
     /// solves finish; new submissions are rejected.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.completions.waker.wake();
-        if let Some(handle) = self.loop_thread.take() {
-            let _ = handle.join();
-        }
+        self.front.stop();
         self.service.shutdown();
     }
 }
@@ -482,7 +605,7 @@ fn poll_wait(
     for (token, slot) in conns.iter().enumerate() {
         let Some(conn) = slot else { continue };
         let events = match conn.state {
-            ConnState::Reading => POLLIN,
+            ConnState::Reading | ConnState::Closing => POLLIN,
             ConnState::Writing { .. } => POLLOUT,
             ConnState::Waiting => continue,
         };
@@ -533,7 +656,7 @@ fn poll_wait(
     }
 }
 
-fn event_loop(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx) {
+fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx<H>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -549,24 +672,13 @@ fn event_loop(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx) {
         // Finished handler threads first: their connections move from
         // Waiting to Writing and start draining this same iteration.
         for completion in ctx.completions.drain() {
-            let Some(slot) = conns.get_mut(completion.token) else {
+            let Some(conn) = conns.get_mut(completion.token).and_then(Option::as_mut) else {
                 continue;
             };
-            let Some(conn) = slot.as_mut() else { continue };
             if !matches!(conn.state, ConnState::Waiting) {
                 continue;
             }
-            let retry_after = (completion.status == 503).then_some(ctx.config.retry_after_secs);
-            conn.start_write(
-                response_bytes(
-                    completion.status,
-                    &completion.body,
-                    completion.keep_alive,
-                    retry_after,
-                ),
-                completion.keep_alive,
-                ctx.config.write_timeout,
-            );
+            conn.start_write(&completion.response, completion.keep_alive, &ctx.config);
             let disposition = drive(conn, completion.token, ctx);
             settle(&mut conns, completion.token, disposition, ctx);
         }
@@ -580,7 +692,7 @@ fn event_loop(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx) {
                 continue;
             };
             let disposition = match conn.state {
-                ConnState::Reading => handle_readable(conn, token, ctx),
+                ConnState::Reading | ConnState::Closing => handle_readable(conn, token, ctx),
                 ConnState::Writing { .. } => drive(conn, token, ctx),
                 ConnState::Waiting => continue,
             };
@@ -608,41 +720,37 @@ fn next_timeout_ms(conns: &[Option<Conn>]) -> i32 {
     timeout.max(0)
 }
 
-fn accept_ready(listener: &TcpListener, conns: &mut Vec<Option<Conn>>, ctx: &LoopCtx) {
+fn accept_ready<H>(listener: &TcpListener, conns: &mut Vec<Option<Conn>>, ctx: &LoopCtx<H>) {
     loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-            Err(_) => return,
+        let Ok((stream, _)) = listener.accept() else {
+            return; // WouldBlock: the backlog is drained
         };
         if stream.set_nonblocking(true).is_err() {
             continue;
         }
-        let open = conns.iter().filter(|c| c.is_some()).count();
-        if open >= ctx.config.max_connections {
-            // Shed *before* taking a slot. One best-effort write: a
-            // fresh socket's send buffer always has room for ~200 bytes.
-            ctx.stats.shed_connections.fetch_add(1, Ordering::Relaxed);
-            let err = ServiceError::Overloaded {
-                queue_capacity: ctx.config.max_connections,
-            };
-            let bytes = response_bytes(
-                503,
-                &error_body(&err),
-                false,
-                Some(ctx.config.retry_after_secs),
-            );
-            let _ = (&stream).write(&bytes);
-            continue;
-        }
-        ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn {
+        let mut conn = Conn {
             stream,
             buf: Vec::new(),
             state: ConnState::Reading,
             deadline: Instant::now() + ctx.config.read_timeout,
             served: 0,
         };
+        if open_count(conns) >= ctx.config.max_connections {
+            // Shed without reading a byte. One best-effort write: a
+            // fresh socket's send buffer always has room for ~200 bytes.
+            ctx.stats.shed_connections.fetch_add(1, Ordering::Relaxed);
+            let err = ServiceError::Overloaded {
+                queue_capacity: ctx.config.max_connections,
+            };
+            let bytes = response_bytes(&Response::error(&err), false, ctx.config.retry_after_secs);
+            let _ = (&conn.stream).write(&bytes);
+            if closing_count(conns) >= ctx.config.max_connections {
+                continue; // lingering is full: drop the socket now
+            }
+            conn.start_close();
+        } else {
+            ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        }
         match conns.iter_mut().find(|slot| slot.is_none()) {
             Some(slot) => *slot = Some(conn),
             None => conns.push(Some(conn)),
@@ -650,16 +758,18 @@ fn accept_ready(listener: &TcpListener, conns: &mut Vec<Option<Conn>>, ctx: &Loo
     }
 }
 
-/// Reads whatever the socket holds, then advances the state machine.
-fn handle_readable(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition {
+/// Reads whatever the socket holds, then advances the state machine (a
+/// closing connection's bytes are read only to be discarded).
+fn handle_readable<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposition {
     let mut chunk = [0u8; 8192];
+    let reading = matches!(conn.state, ConnState::Reading);
     loop {
         match (&conn.stream).read(&mut chunk) {
             Ok(0) => {
                 // EOF. Between requests it's a clean close; mid-request
                 // the peer vanished with bytes outstanding.
                 return Disposition::Close {
-                    dropped: !conn.buf.is_empty(),
+                    dropped: reading && !conn.buf.is_empty(),
                 };
             }
             Ok(n) => {
@@ -670,7 +780,7 @@ fn handle_readable(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition 
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Disposition::Close { dropped: true },
+            Err(_) => return Disposition::Close { dropped: reading },
         }
     }
     drive(conn, token, ctx)
@@ -678,89 +788,48 @@ fn handle_readable(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition 
 
 /// Advances a connection's state machine as far as it will go without
 /// blocking: parse → dispatch → write → (keep-alive) parse again.
-fn drive(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition {
+fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposition {
     loop {
         match conn.state {
             ConnState::Waiting => return Disposition::Keep,
-            ConnState::Reading => {
-                match try_parse(&conn.buf, ctx.config.max_body_bytes) {
-                    Parse::NeedMore => return Disposition::Keep,
-                    Parse::Bad(msg) => {
-                        ctx.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
-                        let err = ServiceError::InvalidSpec(msg);
-                        // Framing is unreliable after a parse failure:
-                        // answer and close.
-                        conn.start_write(
-                            response_bytes(400, &error_body(&err), false, None),
-                            false,
-                            ctx.config.write_timeout,
-                        );
-                    }
-                    Parse::TooLarge => {
-                        ctx.stats.too_large.fetch_add(1, Ordering::Relaxed);
-                        let err = ServiceError::InvalidSpec(format!(
-                            "request body exceeds {} bytes",
-                            ctx.config.max_body_bytes
-                        ));
-                        // The unread body is still in the pipe: close.
-                        conn.start_write(
-                            response_bytes(413, &error_body(&err), false, None),
-                            false,
-                            ctx.config.write_timeout,
-                        );
-                    }
-                    Parse::Request { request, consumed } => {
-                        conn.buf.drain(..consumed);
-                        if request.method == "POST" && request.path == "/v1/warm" {
-                            // Warming pulls entries over the network from
-                            // a peer replica — blocking by nature, so it
-                            // runs on a handler thread like a solve.
-                            conn.state = ConnState::Waiting;
-                            let body = request.body;
-                            spawn_blocking(token, request.keep_alive, ctx, move |service| {
-                                warm_job(&body, service)
-                            });
-                            return Disposition::Keep;
+            ConnState::Closing => {
+                conn.buf.clear();
+                return Disposition::Keep;
+            }
+            ConnState::Reading => match try_parse(&conn.buf, ctx.config.max_body_bytes) {
+                Parse::NeedMore => return Disposition::Keep,
+                Parse::Bad(msg) => {
+                    ctx.stats.bad_requests.fetch_add(1, Ordering::Relaxed);
+                    // Framing is unreliable after a parse failure:
+                    // answer and close.
+                    let err = ServiceError::InvalidSpec(msg);
+                    conn.start_write(&Response::error(&err), false, &ctx.config);
+                }
+                Parse::TooLarge => {
+                    ctx.stats.too_large.fetch_add(1, Ordering::Relaxed);
+                    let err = ServiceError::InvalidSpec(format!(
+                        "request body exceeds {} bytes",
+                        ctx.config.max_body_bytes
+                    ));
+                    // The unread body is still in the pipe: close.
+                    conn.start_write(&Response::json(413, error_body(&err)), false, &ctx.config);
+                }
+                Parse::Request { request, consumed } => {
+                    conn.buf.drain(..consumed);
+                    match ctx.handler.inline(&request, &ctx.stats) {
+                        Some(response) => {
+                            conn.start_write(&response, request.keep_alive, &ctx.config);
                         }
-                        if request.method == "GET" && request.path.starts_with("/v1/cache/") {
-                            // Binary route: the validated `.sic` bytes go
-                            // out as octet-stream, straight from the loop
-                            // (one local file read).
-                            let out = cache_entry_response(&request, ctx);
-                            conn.start_write(out, request.keep_alive, ctx.config.write_timeout);
-                            continue;
-                        }
-                        if request.method == "POST" && request.path == "/v1/jobs" {
-                            // Hits already resident in the memory tier are
-                            // answered right here on the loop — no handler
-                            // thread, no completion round trip. Everything
-                            // else (misses, disk probes, netlists, bad
-                            // bodies) parks the connection and lets a
-                            // handler thread run the blocking path.
-                            if let Some((status, body)) = try_post_inline(&request.body, ctx) {
-                                conn.start_write(
-                                    response_bytes(status, &body, request.keep_alive, None),
-                                    request.keep_alive,
-                                    ctx.config.write_timeout,
-                                );
-                                continue;
-                            }
+                        None => {
                             // The blocking route: park the connection and
-                            // let a handler thread run the solve.
+                            // let a handler thread answer.
                             conn.state = ConnState::Waiting;
-                            spawn_post(token, request, ctx);
+                            spawn_blocking(token, request, ctx);
                             return Disposition::Keep;
                         }
-                        let (status, body) = route_inline(&request, ctx);
-                        let retry_after = (status == 503).then_some(ctx.config.retry_after_secs);
-                        conn.start_write(
-                            response_bytes(status, &body, request.keep_alive, retry_after),
-                            request.keep_alive,
-                            ctx.config.write_timeout,
-                        );
                     }
                 }
-            }
+            },
             ConnState::Writing { .. } => match conn.flush_some() {
                 FlushResult::Pending => return Disposition::Keep,
                 FlushResult::Failed => return Disposition::Close { dropped: true },
@@ -768,7 +837,7 @@ fn drive(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition {
                     ctx.stats.responses.fetch_add(1, Ordering::Relaxed);
                     conn.served += 1;
                     if !keep_alive {
-                        return Disposition::Close { dropped: false };
+                        return Disposition::Linger;
                     }
                     // Next request cycle: a fresh fixed read deadline,
                     // and any pipelined bytes parse immediately.
@@ -780,22 +849,37 @@ fn drive(conn: &mut Conn, token: usize, ctx: &LoopCtx) -> Disposition {
     }
 }
 
-/// Applies a [`Disposition`], freeing the slot and counting drops.
-fn settle(conns: &mut [Option<Conn>], token: usize, disposition: Disposition, ctx: &LoopCtx) {
-    if let Disposition::Close { dropped } = disposition {
-        if dropped {
-            ctx.stats
-                .dropped_mid_request
-                .fetch_add(1, Ordering::Relaxed);
+/// Applies a [`Disposition`], freeing the slot and counting drops. At
+/// most `max_connections` connections linger; past that a closing socket
+/// is dropped at once, so a client that never closes cannot pin
+/// descriptors beyond twice the cap.
+fn settle<H>(conns: &mut [Option<Conn>], token: usize, disposition: Disposition, ctx: &LoopCtx<H>) {
+    match disposition {
+        Disposition::Keep => {}
+        Disposition::Linger => {
+            if closing_count(conns) >= ctx.config.max_connections {
+                conns[token] = None;
+            } else if let Some(conn) = conns[token].as_mut() {
+                conn.start_close();
+            }
         }
-        conns[token] = None;
+        Disposition::Close { dropped } => {
+            if dropped {
+                ctx.stats
+                    .dropped_mid_request
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            conns[token] = None;
+        }
     }
 }
 
-/// Enforces the fixed read deadline (`408`) and the write deadline
-/// (disconnect). Waiting connections are exempt: the service's own
-/// deadline machinery governs in-flight solves.
-fn sweep_deadlines(conns: &mut [Option<Conn>], ctx: &LoopCtx) {
+/// Enforces the fixed read deadline and the write deadline (disconnect).
+/// A partial request, or a connection that never sent one, gets a `408`;
+/// an idle keep-alive connection is closed silently, so a pooled client
+/// never reads an unsolicited `408` as the answer to its next request.
+/// Waiting connections are exempt: the handler's own deadlines govern.
+fn sweep_deadlines<H: Handler>(conns: &mut [Option<Conn>], ctx: &LoopCtx<H>) {
     let now = Instant::now();
     for token in 0..conns.len() {
         let Some(conn) = conns[token].as_mut() else {
@@ -804,44 +888,47 @@ fn sweep_deadlines(conns: &mut [Option<Conn>], ctx: &LoopCtx) {
         if matches!(conn.state, ConnState::Waiting) || now < conn.deadline {
             continue;
         }
+        if conn.is_idle() || matches!(conn.state, ConnState::Closing) {
+            settle(conns, token, Disposition::Close { dropped: false }, ctx);
+            continue;
+        }
         match conn.state {
             ConnState::Reading => {
                 ctx.stats.timeouts.fetch_add(1, Ordering::Relaxed);
                 let err = ServiceError::InvalidSpec("request not received in time".to_string());
-                conn.start_write(
-                    response_bytes(408, &error_body(&err), false, None),
-                    false,
-                    ctx.config.write_timeout,
-                );
+                conn.start_write(&Response::json(408, error_body(&err)), false, &ctx.config);
                 let disposition = drive(conn, token, ctx);
                 settle(conns, token, disposition, ctx);
             }
             ConnState::Writing { .. } => {
                 settle(conns, token, Disposition::Close { dropped: true }, ctx);
             }
-            ConnState::Waiting => {}
+            ConnState::Waiting | ConnState::Closing => {}
         }
     }
+}
+
+/// Connections counted against the cap: every slot but the closing ones.
+fn open_count(conns: &[Option<Conn>]) -> usize {
+    conns.iter().flatten().count() - closing_count(conns)
+}
+
+fn closing_count(conns: &[Option<Conn>]) -> usize {
+    conns
+        .iter()
+        .flatten()
+        .filter(|c| matches!(c.state, ConnState::Closing))
+        .count()
 }
 
 fn update_gauges(conns: &[Option<Conn>], stats: &HttpStats) {
-    let mut open = 0u64;
-    let mut idle = 0u64;
-    for conn in conns.iter().flatten() {
-        open += 1;
-        if matches!(conn.state, ConnState::Reading) && conn.buf.is_empty() && conn.served > 0 {
-            idle += 1;
-        }
-    }
+    let open = open_count(conns) as u64;
+    let idle = conns.iter().flatten().filter(|c| c.is_idle()).count() as u64;
     stats.open_connections.store(open, Ordering::Relaxed);
     stats.idle_keepalive.store(idle, Ordering::Relaxed);
-}
-
-struct Request {
-    method: String,
-    path: String,
-    body: String,
-    keep_alive: bool,
+    stats
+        .closing_connections
+        .store(closing_count(conns) as u64, Ordering::Relaxed);
 }
 
 /// What one attempt to parse the buffered bytes produced.
@@ -946,35 +1033,26 @@ fn try_parse(buf: &[u8], max_body_bytes: usize) -> Parse {
     }
 }
 
-/// Runs the blocking `POST /v1/jobs` route on its own thread and hands
-/// the response back through the completion queue.
-fn spawn_post(token: usize, request: Request, ctx: &LoopCtx) {
-    let body = request.body;
-    spawn_blocking(token, request.keep_alive, ctx, move |service| {
-        post_job(&body, service)
-    });
-}
-
-/// Runs `handler` on its own thread against the service and hands the
-/// response back through the completion queue — the dispatch shared by
-/// every route too blocking for the event loop (`POST /v1/jobs`,
-/// `POST /v1/warm`).
-fn spawn_blocking(
-    token: usize,
-    keep_alive: bool,
-    ctx: &LoopCtx,
-    handler: impl FnOnce(&SiService) -> (u16, String) + Send + 'static,
-) {
-    let service = Arc::clone(&ctx.service);
+/// Runs [`Handler::blocking`] on its own thread and hands the response
+/// back through the completion queue. A panicking handler answers `500`
+/// instead of leaving the connection parked forever.
+fn spawn_blocking<H: Handler>(token: usize, request: Request, ctx: &LoopCtx<H>) {
+    let handler = Arc::clone(&ctx.handler);
+    let stats = Arc::clone(&ctx.stats);
     let completions = Arc::clone(&ctx.completions);
+    let keep_alive = request.keep_alive;
     let spawned = thread::Builder::new()
-        .name("si-http-post".to_string())
+        .name("si-http-handler".to_string())
         .spawn(move || {
-            let (status, body) = handler(&service);
+            let response =
+                std::panic::catch_unwind(AssertUnwindSafe(|| handler.blocking(&request, &stats)))
+                    .unwrap_or_else(|_| {
+                        let err = ServiceError::Internal("request handler panicked".to_string());
+                        Response::error(&err)
+                    });
             completions.push(Completion {
                 token,
-                status,
-                body,
+                response,
                 keep_alive,
             });
         });
@@ -982,38 +1060,15 @@ fn spawn_blocking(
         let err = ServiceError::Internal("could not spawn a request handler".to_string());
         ctx.completions.push(Completion {
             token,
-            status: 500,
-            body: error_body(&err),
+            response: Response::error(&err),
             keep_alive: false,
         });
     }
 }
 
-fn response_bytes(
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    retry_after_secs: Option<u64>,
-) -> Vec<u8> {
-    response_bytes_typed(
-        status,
-        body.as_bytes(),
-        "application/json",
-        keep_alive,
-        retry_after_secs,
-    )
-}
-
-/// [`response_bytes`] generalized over the body encoding: the
-/// `GET /v1/cache/:key` route ships raw `.sic` entries as
-/// `application/octet-stream`, everything else stays JSON.
-fn response_bytes_typed(
-    status: u16,
-    body: &[u8],
-    content_type: &str,
-    keep_alive: bool,
-    retry_after_secs: Option<u64>,
-) -> Vec<u8> {
+/// Frames `response`; every `503` carries `Retry-After`.
+fn response_bytes(response: &Response, keep_alive: bool, retry_after_secs: u64) -> Vec<u8> {
+    let status = response.status;
     let reason = match status {
         200 => "OK",
         202 => "Accepted",
@@ -1031,15 +1086,18 @@ fn response_bytes_typed(
         _ => "Unknown",
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let retry_after = retry_after_secs
-        .map(|s| format!("Retry-After: {s}\r\n"))
-        .unwrap_or_default();
+    let retry_after = if status == 503 {
+        format!("Retry-After: {retry_after_secs}\r\n")
+    } else {
+        String::new()
+    };
     let mut out = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
-        body.len()
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
+        response.content_type,
+        response.body.len()
     )
     .into_bytes();
-    out.extend_from_slice(body);
+    out.extend_from_slice(&response.body);
     out
 }
 
@@ -1051,25 +1109,10 @@ pub(crate) fn error_body(err: &ServiceError) -> String {
     .to_string_compact()
 }
 
-/// Every route except the blocking `POST /v1/jobs`, all cheap enough to
-/// run on the loop thread.
-fn route_inline(request: &Request, ctx: &LoopCtx) -> (u16, String) {
-    let service = ctx.service.as_ref();
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/metrics") => (200, metrics_with_http(ctx)),
-        ("GET", "/healthz") => (200, r#"{"status":"ok"}"#.to_string()),
-        ("GET", "/readyz") => {
-            // Liveness ≠ readiness: the loop answering at all proves the
-            // process is up; this verdict says whether a router should
-            // *send jobs* here. 503 lets probes distinguish the two with
-            // the status code alone.
-            let status = if service.is_ready() { 200 } else { 503 };
-            (status, service.readiness().to_string_compact())
-        }
-        ("GET", path) if path.starts_with("/v1/jobs/") => {
-            get_job(&path["/v1/jobs/".len()..], service)
-        }
-        ("POST" | "GET", _) => (
+/// The answer both front ends give a route they do not serve.
+pub(crate) fn unknown_route(method: &str) -> (u16, String) {
+    match method {
+        "GET" | "POST" => (
             404,
             r#"{"error":"not_found","message":"unknown route"}"#.to_string(),
         ),
@@ -1080,14 +1123,42 @@ fn route_inline(request: &Request, ctx: &LoopCtx) -> (u16, String) {
     }
 }
 
-/// The service `/metrics` document with the listener's `"http"` section
-/// appended.
-fn metrics_with_http(ctx: &LoopCtx) -> String {
-    let mut doc = ctx.service.metrics();
-    if let Json::Object(pairs) = &mut doc {
-        pairs.push(("http".to_string(), ctx.stats.to_json()));
+/// The service's routes: memory-tier hits, lookups, the cache endpoint,
+/// and the probes answer on the loop; job misses and warm pulls block.
+impl Handler for SiService {
+    fn inline(&self, request: &Request, http: &HttpStats) -> Option<Response> {
+        let path = request.path.as_str();
+        let (status, body) = match (request.method.as_str(), path) {
+            ("POST", "/v1/jobs") => return post_cached(&request.body, self),
+            ("POST", "/v1/warm") => return None,
+            ("GET", _) if path.starts_with("/v1/cache/") => {
+                return Some(cache_entry(&path["/v1/cache/".len()..], self))
+            }
+            ("GET", "/metrics") => (200, metrics_with_http(self.metrics(), http)),
+            ("GET", "/healthz") => (200, r#"{"status":"ok"}"#.to_string()),
+            ("GET", "/readyz") => {
+                // Liveness ≠ readiness: the loop answering at all proves
+                // the process is up; this verdict says whether a router
+                // should *send jobs* here. 503 lets probes distinguish the
+                // two with the status code alone.
+                let status = if self.is_ready() { 200 } else { 503 };
+                (status, self.readiness().to_string_compact())
+            }
+            ("GET", _) if path.starts_with("/v1/jobs/") => {
+                get_job(&path["/v1/jobs/".len()..], self)
+            }
+            (method, _) => unknown_route(method),
+        };
+        Some(Response::json(status, body))
     }
-    doc.to_string_compact()
+
+    fn blocking(&self, request: &Request, _http: &HttpStats) -> Response {
+        if request.path == "/v1/warm" {
+            warm_job(&request.body, self)
+        } else {
+            post_job(&request.body, self)
+        }
+    }
 }
 
 /// Serves a `POST /v1/jobs` inline when the answer is already resident
@@ -1096,28 +1167,16 @@ fn metrics_with_http(ctx: &LoopCtx) -> String {
 /// a netlist (whose admission gauntlet parses the full text), or a body
 /// the blocking path should diagnose (its error answer is identical,
 /// just off-loop).
-fn try_post_inline(body: &str, ctx: &LoopCtx) -> Option<(u16, String)> {
-    let parsed = json::parse(body).ok()?;
-    let spec = JobSpec::from_json(&parsed).ok()?;
-    let out = ctx.service.serve_cached(&spec)?;
-    let id = SiService::job_id(&spec);
-    Some((
-        200,
-        job_response_body(&id, spec.kind(), true, &out).to_string_compact(),
-    ))
+fn post_cached(body: &str, service: &SiService) -> Option<Response> {
+    let (_, spec) = decode_job(body).ok()?;
+    let out = service.serve_cached(&spec)?;
+    Some(job_answer(&spec, true, &out))
 }
 
-fn post_job(body: &str, service: &SiService) -> (u16, String) {
-    let parsed = match json::parse(body) {
-        Ok(v) => v,
-        Err(msg) => {
-            let err = ServiceError::InvalidSpec(format!("body is not JSON: {msg}"));
-            return (err.http_status(), error_body(&err));
-        }
-    };
-    let spec = match JobSpec::from_json(&parsed) {
-        Ok(s) => s,
-        Err(err) => return (err.http_status(), error_body(&err)),
+fn post_job(body: &str, service: &SiService) -> Response {
+    let (parsed, spec) = match decode_job(body) {
+        Ok(decoded) => decoded,
+        Err(err) => return Response::error(&err),
     };
     let deadline = parsed
         .get("timeout_ms")
@@ -1125,39 +1184,44 @@ fn post_job(body: &str, service: &SiService) -> (u16, String) {
         .filter(|ms| *ms > 0.0)
         .map(|ms| Duration::from_secs_f64(ms / 1000.0));
     match service.submit_blocking(&spec, deadline) {
-        Ok((out, cached)) => {
-            let id = SiService::job_id(&spec);
-            let body = job_response_body(&id, spec.kind(), cached, &out).to_string_compact();
-            (200, body)
-        }
-        Err(err) => (err.http_status(), error_body(&err)),
+        Ok((out, cached)) => job_answer(&spec, cached, &out),
+        Err(err) => Response::error(&err),
     }
+}
+
+/// Decodes a `POST /v1/jobs` body into its JSON document and job spec.
+pub(crate) fn decode_job(body: &str) -> Result<(Json, JobSpec), ServiceError> {
+    let parsed = json::parse(body)
+        .map_err(|msg| ServiceError::InvalidSpec(format!("body is not JSON: {msg}")))?;
+    let spec = JobSpec::from_json(&parsed)?;
+    Ok((parsed, spec))
+}
+
+fn job_answer(spec: &JobSpec, cached: bool, out: &crate::jobspec::JobOutput) -> Response {
+    let id = SiService::job_id(spec);
+    let body = job_response_body(&id, spec.kind(), cached, out).to_string_compact();
+    Response::json(200, body)
 }
 
 /// `GET /v1/cache/:key`: the sending half of the warming protocol. Only
 /// checksummed-valid entries leave the process — `read_validated`
 /// quarantines anything torn or corrupt (counted in `corrupt_evicted`)
 /// and the response degrades to a 404, so a peer can trust every byte it
-/// ingests. Returns complete response bytes (the one binary route).
-fn cache_entry_response(request: &Request, ctx: &LoopCtx) -> Vec<u8> {
-    let id = &request.path["/v1/cache/".len()..];
+/// ingests. The one binary route.
+fn cache_entry(id: &str, service: &SiService) -> Response {
     let Some(key) = SiService::parse_job_id(id) else {
         let err = ServiceError::InvalidSpec("cache keys are 16 hex digits".to_string());
-        return response_bytes(400, &error_body(&err), request.keep_alive, None);
+        return Response::error(&err);
     };
-    match ctx.service.disk_cache().and_then(|d| d.read_validated(key)) {
-        Some(bytes) => response_bytes_typed(
-            200,
-            &bytes,
-            "application/octet-stream",
-            request.keep_alive,
-            None,
-        ),
-        None => response_bytes(
+    match service.disk_cache().and_then(|d| d.read_validated(key)) {
+        Some(bytes) => Response {
+            status: 200,
+            body: bytes,
+            content_type: "application/octet-stream",
+        },
+        None => Response::json(
             404,
             r#"{"error":"not_found","message":"no valid cache entry for key"}"#,
-            request.keep_alive,
-            None,
         ),
     }
 }
@@ -1166,11 +1230,8 @@ fn cache_entry_response(request: &Request, ctx: &LoopCtx) -> Vec<u8> {
 /// this replica pull the listed entries from `peer`'s cache endpoint
 /// into its own disk tier. Warming is best-effort — the response reports
 /// `pulled`/`failed` and a failed key just re-solves locally later.
-fn warm_job(body: &str, service: &SiService) -> (u16, String) {
-    let invalid = |msg: &str| {
-        let err = ServiceError::InvalidSpec(msg.to_string());
-        (err.http_status(), error_body(&err))
-    };
+fn warm_job(body: &str, service: &SiService) -> Response {
+    let invalid = |msg: &str| Response::error(&ServiceError::InvalidSpec(msg.to_string()));
     let Ok(parsed) = json::parse(body) else {
         return invalid("body is not JSON");
     };
@@ -1193,7 +1254,7 @@ fn warm_job(body: &str, service: &SiService) -> (u16, String) {
         ("failed".to_string(), Json::Number(failed as f64)),
     ])
     .to_string_compact();
-    (200, body)
+    Response::json(200, body)
 }
 
 fn get_job(id: &str, service: &SiService) -> (u16, String) {
@@ -1237,97 +1298,202 @@ fn get_job(id: &str, service: &SiService) -> (u16, String) {
     }
 }
 
-/// A minimal blocking HTTP/1.1 client for tests and the load generator:
-/// one request per call, `Connection: close`.
+/// The workspace's HTTP/1.1 client: router forwarding, probes, metrics
+/// scrapes, replica warm pulls, the load and chaos harnesses, and the
+/// tests all use it.
 ///
-/// # Errors
-///
-/// Propagates socket errors; malformed responses yield
-/// `io::ErrorKind::InvalidData`.
-pub fn http_request(
+/// Every request runs under one **hard deadline** — connect, write, and
+/// read together, fixed when the request starts — so a dead or dripping
+/// peer can never hold a caller past it. A client built with
+/// [`HttpClient::keep_alive`] keeps a stack of idle connections (at most
+/// `max_idle`) and reuses them; a reused connection that fails before
+/// the first response byte (the peer closed it while idle) is retried
+/// once on a fresh connection. Without it, every request opens a fresh
+/// `Connection: close` connection.
+#[derive(Debug)]
+pub struct HttpClient {
     addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, String)> {
-    let (status, payload) = http_request_bytes(addr, method, path, body)?;
-    let payload = String::from_utf8(payload).map_err(|_| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response body")
-    })?;
-    Ok((status, payload))
+    timeout: Duration,
+    max_idle: usize,
+    idle: Mutex<Vec<TcpStream>>,
 }
 
-/// [`http_request`] without the UTF-8 assumption on the response body:
-/// the warming path fetches raw `.sic` entries (`GET /v1/cache/:key`),
-/// whose bytes are a checksummed binary format, not text.
-///
-/// # Errors
-///
-/// Propagates socket errors; malformed response framing yields
-/// `io::ErrorKind::InvalidData`.
-pub fn http_request_bytes(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> std::io::Result<(u16, Vec<u8>)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: si-serve\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-    let mut response = Vec::new();
-    BufReader::new(stream).read_to_end(&mut response)?;
-    let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
-    let split = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(bad)?;
-    let head = std::str::from_utf8(&response[..split]).map_err(|_| bad())?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(bad)?;
-    Ok((status, response[split + 4..].to_vec()))
+impl HttpClient {
+    /// A one-shot client for `addr` with a 60 s deadline per request.
+    #[must_use]
+    pub fn new(addr: SocketAddr) -> HttpClient {
+        HttpClient {
+            addr,
+            timeout: Duration::from_secs(60),
+            max_idle: 0,
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Sets the per-request deadline.
+    #[must_use]
+    pub fn timeout(mut self, timeout: Duration) -> HttpClient {
+        self.timeout = timeout.max(Duration::from_millis(1));
+        self
+    }
+
+    /// Reuses connections, keeping at most `max_idle` idle ones.
+    #[must_use]
+    pub fn keep_alive(mut self, max_idle: usize) -> HttpClient {
+        self.max_idle = max_idle;
+        self
+    }
+
+    /// Sends one request and returns the status and the raw body.
+    ///
+    /// # Errors
+    ///
+    /// Socket errors, `TimedOut` past the deadline, and `InvalidData`
+    /// for a malformed response.
+    pub fn request(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        let deadline = Instant::now() + self.timeout;
+        let body = body.unwrap_or("");
+        let connection = if self.max_idle > 0 {
+            "keep-alive"
+        } else {
+            "close"
+        };
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: si-service\r\nConnection: {connection}\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let reused = self.lock_idle().pop();
+        if let Some(stream) = reused {
+            let mut response = Vec::new();
+            match self.exchange(stream, message.as_bytes(), deadline, &mut response) {
+                // Closed while idle: one retry on a fresh connection.
+                Err(_) if response.is_empty() => {}
+                result => return result,
+            }
+        }
+        let stream = TcpStream::connect_timeout(&self.addr, remaining(deadline)?)?;
+        stream.set_nodelay(true)?;
+        self.exchange(stream, message.as_bytes(), deadline, &mut Vec::new())
+    }
+
+    /// [`HttpClient::request`] for a text body.
+    ///
+    /// # Errors
+    ///
+    /// As [`HttpClient::request`]; a non-UTF-8 body is `InvalidData`.
+    pub fn request_text(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<(u16, String)> {
+        let (status, bytes) = self.request(method, path, body)?;
+        let text = String::from_utf8(bytes).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response body")
+        })?;
+        Ok((status, text))
+    }
+
+    fn lock_idle(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
+        self.idle
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Writes `message` and reads one `Content-Length`-framed response
+    /// into `buf` (which shows the caller whether any byte arrived), then
+    /// returns the stream to the idle stack if the peer keeps it open.
+    fn exchange(
+        &self,
+        mut stream: TcpStream,
+        message: &[u8],
+        deadline: Instant,
+        buf: &mut Vec<u8>,
+    ) -> std::io::Result<(u16, Vec<u8>)> {
+        let mut sent = 0;
+        while sent < message.len() {
+            stream.set_write_timeout(Some(remaining(deadline)?))?;
+            match stream.write(&message[sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        let head_end = loop {
+            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+                break pos + 4;
+            }
+            read_some(&mut stream, buf, deadline)?;
+        };
+        let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
+        let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad())?;
+        let status: u16 = head
+            .split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(bad)?;
+        let (mut length, mut close) = (None, false);
+        for (name, value) in head.lines().filter_map(|line| line.split_once(':')) {
+            if name.eq_ignore_ascii_case("content-length") {
+                length = value.trim().parse::<usize>().ok();
+            } else if name.eq_ignore_ascii_case("connection") {
+                close = value.trim().eq_ignore_ascii_case("close");
+            }
+        }
+        let body_end = head_end + length.ok_or_else(bad)?;
+        while buf.len() < body_end {
+            read_some(&mut stream, buf, deadline)?;
+        }
+        // Bytes past the body mean broken framing: never reuse those.
+        if !close && buf.len() == body_end {
+            let mut idle = self.lock_idle();
+            if idle.len() < self.max_idle {
+                idle.push(stream);
+            }
+        }
+        Ok((status, buf[head_end..body_end].to_vec()))
+    }
 }
 
-/// Chaos-harness client fault: sends a request that *promises*
-/// `body.len()` bytes but transmits only the first `sent_bytes` before
-/// dropping the connection. The server must count a dropped-mid-request
-/// connection and move on — no response is expected.
-///
-/// # Errors
-///
-/// Propagates connect/write errors (the deliberate drop itself is not an
-/// error).
-pub fn http_drop_mid_body(
-    addr: SocketAddr,
-    path: &str,
-    body: &str,
-    sent_bytes: usize,
-) -> std::io::Result<()> {
-    let mut stream = TcpStream::connect(addr)?;
-    let partial = &body[..sent_bytes.min(body.len())];
-    write!(
-        stream,
-        "POST {path} HTTP/1.1\r\nHost: si-serve\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{partial}",
-        body.len()
-    )?;
-    stream.flush()?;
-    // Dropping the stream here closes the socket mid-body.
-    Ok(())
+/// One read into `buf` under the deadline; EOF is `UnexpectedEof`.
+fn read_some(stream: &mut TcpStream, buf: &mut Vec<u8>, deadline: Instant) -> std::io::Result<()> {
+    let mut chunk = [0u8; 8192];
+    loop {
+        stream.set_read_timeout(Some(remaining(deadline)?))?;
+        match stream.read(&mut chunk) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf.extend_from_slice(&chunk[..n]);
+                return Ok(());
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Time left before `deadline`, or `TimedOut` once it has passed.
+fn remaining(deadline: Instant) -> std::io::Result<Duration> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        Err(std::io::ErrorKind::TimedOut.into())
+    } else {
+        Ok(left)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::router::{Router, RouterConfig};
     use crate::service::ServiceConfig;
-    use std::io::BufRead;
+    use std::io::{BufRead, BufReader};
 
     fn serve() -> HttpServer {
         serve_with(HttpConfig::default())
@@ -1342,13 +1508,73 @@ mod tests {
         HttpServer::bind_with("127.0.0.1:0", service, config).expect("bind loopback")
     }
 
+    /// One request on a fresh connection; the text answer.
+    fn call(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> (u16, String) {
+        HttpClient::new(addr)
+            .request_text(method, path, body)
+            .expect("request")
+    }
+
+    /// A front end under test: the service itself, or a router over one
+    /// default-configured replica. Both run the same event loop, so the
+    /// listener hardening tests run against each.
+    enum Front {
+        Service(HttpServer),
+        Router {
+            router: EventLoop,
+            _replica: HttpServer,
+        },
+    }
+
+    impl Front {
+        fn addr(&self) -> SocketAddr {
+            match self {
+                Front::Service(server) => server.local_addr(),
+                Front::Router { router, .. } => router.addr,
+            }
+        }
+
+        fn stats(&self) -> &HttpStats {
+            match self {
+                Front::Service(server) => server.http_stats(),
+                Front::Router { router, .. } => &router.stats,
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            match self {
+                Front::Service(_) => "service",
+                Front::Router { .. } => "router",
+            }
+        }
+    }
+
+    /// Both front ends, each listening with `config`.
+    fn fronts(config: HttpConfig) -> [Front; 2] {
+        let replica = serve();
+        let router = Router::new(RouterConfig {
+            replicas: vec![replica.local_addr().to_string()],
+            ..RouterConfig::default()
+        })
+        .expect("router over the replica");
+        let router =
+            EventLoop::start("127.0.0.1:0", Arc::new(router), config).expect("bind router");
+        [
+            Front::Service(serve_with(config)),
+            Front::Router {
+                router,
+                _replica: replica,
+            },
+        ]
+    }
+
     #[test]
     fn health_and_404() {
         let mut server = serve();
         let addr = server.local_addr();
-        let (status, body) = http_request(addr, "GET", "/healthz", None).unwrap();
+        let (status, body) = call(addr, "GET", "/healthz", None);
         assert_eq!((status, body.as_str()), (200, r#"{"status":"ok"}"#));
-        let (status, _) = http_request(addr, "GET", "/nope", None).unwrap();
+        let (status, _) = call(addr, "GET", "/nope", None);
         assert_eq!(status, 404);
         server.shutdown();
     }
@@ -1358,24 +1584,24 @@ mod tests {
         let mut server = serve();
         let addr = server.local_addr();
         let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
-        let (status, body) = http_request(addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (status, body) = call(addr, "POST", "/v1/jobs", Some(spec));
         assert_eq!(status, 200, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(parsed.get("cached"), Some(&Json::Bool(false)));
         let id = parsed.get("id").unwrap().as_str().unwrap().to_string();
 
         // Second POST of the same spec: served from cache.
-        let (_, body2) = http_request(addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (_, body2) = call(addr, "POST", "/v1/jobs", Some(spec));
         let parsed2 = json::parse(&body2).unwrap();
         assert_eq!(parsed2.get("cached"), Some(&Json::Bool(true)));
         assert_eq!(parsed2.get("values"), parsed.get("values"));
 
         // GET by id finds the cached job.
-        let (status, got) = http_request(addr, "GET", &format!("/v1/jobs/{id}"), None).unwrap();
+        let (status, got) = call(addr, "GET", &format!("/v1/jobs/{id}"), None);
         assert_eq!(status, 200, "{got}");
         // Metrics reflect one miss and one hit, and carry the listener
         // section.
-        let (_, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+        let (_, metrics) = call(addr, "GET", "/metrics", None);
         let m = json::parse(&metrics).unwrap();
         assert_eq!(
             m.get("cache").unwrap().get("hits").unwrap().as_f64(),
@@ -1394,7 +1620,7 @@ mod tests {
         let addr = server.local_addr();
         let spec =
             r#"{"kind":"delay_line_dc_batch","stages":3,"bias_ua":20,"inputs_ua":[0.5,1,2]}"#;
-        let (status, body) = http_request(addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (status, body) = call(addr, "POST", "/v1/jobs", Some(spec));
         assert_eq!(status, 200, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(
@@ -1409,7 +1635,7 @@ mod tests {
             metrics.get("values_per_scenario").unwrap().as_f64(),
             Some(3.0)
         );
-        let (_, m) = http_request(addr, "GET", "/metrics", None).unwrap();
+        let (_, m) = call(addr, "GET", "/metrics", None);
         let m = json::parse(&m).unwrap();
         let service = m.get("service").unwrap();
         assert_eq!(service.get("batch_submitted").unwrap().as_f64(), Some(1.0));
@@ -1460,16 +1686,14 @@ mod tests {
         let body = spec.to_json().to_string_compact();
 
         // Truly unknown key: 404 with the not_found body.
-        let (status, missing) = http_request(addr, "GET", &format!("/v1/jobs/{id}"), None).unwrap();
+        let (status, missing) = call(addr, "GET", &format!("/v1/jobs/{id}"), None);
         assert_eq!(status, 404);
         assert!(missing.contains("not_found"), "{missing}");
 
-        let poster = std::thread::spawn(move || {
-            http_request(addr, "POST", "/v1/jobs", Some(&body)).unwrap()
-        });
+        let poster = std::thread::spawn(move || call(addr, "POST", "/v1/jobs", Some(&body)));
         let mut pending_with_progress = None;
         for _ in 0..2000 {
-            let (status, got) = http_request(addr, "GET", &format!("/v1/jobs/{id}"), None).unwrap();
+            let (status, got) = call(addr, "GET", &format!("/v1/jobs/{id}"), None);
             if status == 202 {
                 let parsed = json::parse(&got).unwrap();
                 assert_eq!(parsed.get("status").unwrap().as_str(), Some("running"));
@@ -1490,7 +1714,7 @@ mod tests {
         let (status, _) = poster.join().unwrap();
         assert_eq!(status, 200);
         // Done: polling now serves the finished job.
-        let (status, done) = http_request(addr, "GET", &format!("/v1/jobs/{id}"), None).unwrap();
+        let (status, done) = call(addr, "GET", &format!("/v1/jobs/{id}"), None);
         assert_eq!(status, 200, "{done}");
         server.shutdown();
     }
@@ -1499,13 +1723,12 @@ mod tests {
     fn invalid_bodies_get_400() {
         let mut server = serve();
         let addr = server.local_addr();
-        let (status, _) = http_request(addr, "POST", "/v1/jobs", Some("not json")).unwrap();
+        let (status, _) = call(addr, "POST", "/v1/jobs", Some("not json"));
         assert_eq!(status, 400);
-        let (status, _) =
-            http_request(addr, "POST", "/v1/jobs", Some(r#"{"kind":"mystery"}"#)).unwrap();
+        let (status, _) = call(addr, "POST", "/v1/jobs", Some(r#"{"kind":"mystery"}"#));
         assert_eq!(status, 400);
         let bad_range = r#"{"kind":"delay_line_dc","stages":0,"bias_ua":20,"input_ua":1}"#;
-        let (status, _) = http_request(addr, "POST", "/v1/jobs", Some(bad_range)).unwrap();
+        let (status, _) = call(addr, "POST", "/v1/jobs", Some(bad_range));
         assert_eq!(status, 400);
         server.shutdown();
     }
@@ -1528,34 +1751,37 @@ mod tests {
     /// parsed as a zero-length body; now it is a typed `400`.
     #[test]
     fn post_without_content_length_is_400() {
-        let mut server = serve();
-        let addr = server.local_addr();
-        let status = raw_request(
-            addr,
-            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
-        );
-        assert_eq!(status, Some(400));
-        assert_eq!(server.http_stats().bad_requests.load(Ordering::Relaxed), 1);
-        server.shutdown();
+        for front in fronts(HttpConfig::default()) {
+            let status = raw_request(
+                front.addr(),
+                b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            );
+            assert_eq!(status, Some(400), "{}", front.name());
+            assert_eq!(
+                front.stats().bad_requests.load(Ordering::Relaxed),
+                1,
+                "{}",
+                front.name()
+            );
+        }
     }
 
     /// Regression (ISSUE 5): garbage `Content-Length` used to be treated
     /// as zero; now it is a typed `400`.
     #[test]
     fn garbage_content_length_is_400() {
-        let mut server = serve();
-        let addr = server.local_addr();
-        let status = raw_request(
-            addr,
-            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: banana\r\nConnection: close\r\n\r\n",
-        );
-        assert_eq!(status, Some(400));
-        let status = raw_request(
-            addr,
-            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -3\r\nConnection: close\r\n\r\n",
-        );
-        assert_eq!(status, Some(400));
-        server.shutdown();
+        for front in fronts(HttpConfig::default()) {
+            let status = raw_request(
+                front.addr(),
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: banana\r\nConnection: close\r\n\r\n",
+            );
+            assert_eq!(status, Some(400), "{}", front.name());
+            let status = raw_request(
+                front.addr(),
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: -3\r\nConnection: close\r\n\r\n",
+            );
+            assert_eq!(status, Some(400), "{}", front.name());
+        }
     }
 
     /// Regression (ISSUE 5): an oversized `Content-Length` used to close
@@ -1563,37 +1789,45 @@ mod tests {
     /// byte is read.
     #[test]
     fn oversized_body_is_413() {
-        let mut server = serve_with(HttpConfig {
+        for front in fronts(HttpConfig {
             max_body_bytes: 64,
             ..HttpConfig::default()
-        });
-        let addr = server.local_addr();
-        let status = raw_request(
-            addr,
-            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048576\r\nConnection: close\r\n\r\n",
-        );
-        assert_eq!(status, Some(413));
-        assert_eq!(server.http_stats().too_large.load(Ordering::Relaxed), 1);
-        server.shutdown();
+        }) {
+            let status = raw_request(
+                front.addr(),
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048576\r\nConnection: close\r\n\r\n",
+            );
+            assert_eq!(status, Some(413), "{}", front.name());
+            assert_eq!(
+                front.stats().too_large.load(Ordering::Relaxed),
+                1,
+                "{}",
+                front.name()
+            );
+        }
     }
 
     /// Regression (ISSUE 5): a slow client that never finishes its body
     /// gets a typed `408` when the read deadline expires.
     #[test]
     fn truncated_body_past_timeout_is_408() {
-        let mut server = serve_with(HttpConfig {
+        for front in fronts(HttpConfig {
             read_timeout: Duration::from_millis(100),
             ..HttpConfig::default()
-        });
-        let addr = server.local_addr();
-        // Promise 100 bytes, send 5, keep the socket open.
-        let status = raw_request(
-            addr,
-            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\nConnection: close\r\n\r\nhello",
-        );
-        assert_eq!(status, Some(408));
-        assert_eq!(server.http_stats().timeouts.load(Ordering::Relaxed), 1);
-        server.shutdown();
+        }) {
+            // Promise 100 bytes, send 5, keep the socket open.
+            let status = raw_request(
+                front.addr(),
+                b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\nConnection: close\r\n\r\nhello",
+            );
+            assert_eq!(status, Some(408), "{}", front.name());
+            assert_eq!(
+                front.stats().timeouts.load(Ordering::Relaxed),
+                1,
+                "{}",
+                front.name()
+            );
+        }
     }
 
     /// ISSUE 8 satellite (slowloris): the read deadline is fixed when the
@@ -1603,44 +1837,50 @@ mod tests {
     /// the fixed deadline lapses, while the drip is still in progress.
     #[test]
     fn slowloris_drip_hits_fixed_deadline() {
-        let mut server = serve_with(HttpConfig {
+        for front in fronts(HttpConfig {
             read_timeout: Duration::from_millis(300),
             ..HttpConfig::default()
-        });
-        let addr = server.local_addr();
-        let started = Instant::now();
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        // Drip one byte every 25 ms from a second thread — far faster
-        // than the 300 ms timeout, so a per-read timer would never fire.
-        let drip = {
-            let stream = stream.try_clone().unwrap();
-            thread::spawn(move || {
-                let raw = b"POST /v1/jobs HTTP/1.1\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
-                for byte in raw {
-                    if (&stream).write_all(&[*byte]).is_err() {
-                        return; // server closed on us: exactly the point
+        }) {
+            let started = Instant::now();
+            let stream = TcpStream::connect(front.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            // Drip one byte every 25 ms from a second thread — far faster
+            // than the 300 ms timeout, so a per-read timer would never fire.
+            let drip = {
+                let stream = stream.try_clone().unwrap();
+                thread::spawn(move || {
+                    let raw = b"POST /v1/jobs HTTP/1.1\r\nX-Pad: aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa";
+                    for byte in raw {
+                        if (&stream).write_all(&[*byte]).is_err() {
+                            return; // server closed on us: exactly the point
+                        }
+                        thread::sleep(Duration::from_millis(25));
                     }
-                    thread::sleep(Duration::from_millis(25));
-                }
-            })
-        };
-        let mut response = String::new();
-        BufReader::new(&stream).read_to_string(&mut response).ok();
-        let elapsed = started.elapsed();
-        drip.join().unwrap();
-        assert!(
-            response.starts_with("HTTP/1.1 408"),
-            "expected 408, got: {response:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(1600),
-            "408 must arrive near the fixed deadline, took {elapsed:?}"
-        );
-        assert_eq!(server.http_stats().timeouts.load(Ordering::Relaxed), 1);
-        server.shutdown();
+                })
+            };
+            let mut response = String::new();
+            BufReader::new(&stream).read_to_string(&mut response).ok();
+            let elapsed = started.elapsed();
+            drip.join().unwrap();
+            assert!(
+                response.starts_with("HTTP/1.1 408"),
+                "{}: expected 408, got: {response:?}",
+                front.name()
+            );
+            assert!(
+                elapsed < Duration::from_millis(1600),
+                "{}: 408 must arrive near the fixed deadline, took {elapsed:?}",
+                front.name()
+            );
+            assert_eq!(
+                front.stats().timeouts.load(Ordering::Relaxed),
+                1,
+                "{}",
+                front.name()
+            );
+        }
     }
 
     /// ISSUE 8: one connection serves several requests back-to-back
@@ -1648,13 +1888,6 @@ mod tests {
     /// in between.
     #[test]
     fn keep_alive_and_pipelined_requests_share_one_connection() {
-        let mut server = serve();
-        let addr = server.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
         let read_one = |reader: &mut BufReader<TcpStream>| -> (u16, String) {
             let mut status_line = String::new();
             reader.read_line(&mut status_line).unwrap();
@@ -1682,27 +1915,35 @@ mod tests {
             reader.read_exact(&mut body).unwrap();
             (status, String::from_utf8(body).unwrap())
         };
-        // Two sequential keep-alive requests.
-        write!(stream, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
-        assert_eq!(read_one(&mut reader).0, 200);
-        write!(stream, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
-        assert_eq!(read_one(&mut reader).0, 200);
-        // Two pipelined in a single write.
-        write!(
-            stream,
-            "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\nGET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
-        )
-        .unwrap();
-        assert_eq!(read_one(&mut reader).0, 200);
-        let (status, metrics) = read_one(&mut reader);
-        assert_eq!(status, 200);
-        // All four responses rode one accepted connection.
-        let m = json::parse(&metrics).unwrap();
-        assert_eq!(
-            m.get("http").unwrap().get("accepted").unwrap().as_f64(),
-            Some(1.0)
-        );
-        server.shutdown();
+        for front in fronts(HttpConfig::default()) {
+            let mut stream = TcpStream::connect(front.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            // Two sequential keep-alive requests.
+            write!(stream, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+            assert_eq!(read_one(&mut reader).0, 200, "{}", front.name());
+            write!(stream, "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n").unwrap();
+            assert_eq!(read_one(&mut reader).0, 200, "{}", front.name());
+            // Two pipelined in a single write.
+            write!(
+                stream,
+                "GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\nGET /metrics HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+            )
+            .unwrap();
+            assert_eq!(read_one(&mut reader).0, 200, "{}", front.name());
+            let (status, metrics) = read_one(&mut reader);
+            assert_eq!(status, 200, "{}", front.name());
+            // All four responses rode one accepted connection.
+            let m = json::parse(&metrics).unwrap();
+            assert_eq!(
+                m.get("http").unwrap().get("accepted").unwrap().as_f64(),
+                Some(1.0),
+                "{}",
+                front.name()
+            );
+        }
     }
 
     /// ISSUE 8: idle keep-alive connections are visible as gauges — a
@@ -1731,7 +1972,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         let (mut open, mut idle) = (0.0, 0.0);
         while Instant::now() < deadline {
-            let (_, metrics) = http_request(addr, "GET", "/metrics", None).unwrap();
+            let (_, metrics) = call(addr, "GET", "/metrics", None);
             let m = json::parse(&metrics).unwrap();
             let http = m.get("http").unwrap();
             open = http.get("open_connections").unwrap().as_f64().unwrap();
@@ -1754,7 +1995,16 @@ mod tests {
         let mut server = serve();
         let addr = server.local_addr();
         let body = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
-        http_drop_mid_body(addr, "/v1/jobs", body, body.len() / 2).unwrap();
+        // Promise the whole body, send half, hang up.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(
+            stream,
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{}",
+            body.len(),
+            &body[..body.len() / 2]
+        )
+        .unwrap();
+        drop(stream);
         // The drop is asynchronous; poll the counter briefly.
         let mut dropped = 0;
         for _ in 0..200 {
@@ -1769,7 +2019,7 @@ mod tests {
         }
         assert_eq!(dropped, 1);
         // The server still answers.
-        let (status, _) = http_request(addr, "GET", "/healthz", None).unwrap();
+        let (status, _) = call(addr, "GET", "/healthz", None);
         assert_eq!(status, 200);
         server.shutdown();
     }
@@ -1778,54 +2028,124 @@ mod tests {
     /// `503` + `Retry-After` instead of occupying poll slots unboundedly.
     #[test]
     fn connection_cap_sheds_with_503() {
-        let mut server = serve_with(HttpConfig {
+        for front in fronts(HttpConfig {
             max_connections: 1,
             retry_after_secs: 7,
             // Keep the held connection parked (and its slot occupied)
             // for the whole probing window.
             read_timeout: Duration::from_secs(120),
             ..HttpConfig::default()
-        });
-        let addr = server.local_addr();
-        // Hold one connection open (no request yet) to occupy the cap,
-        // and wait until the loop has registered it.
-        let held = TcpStream::connect(addr).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while server.http_stats().accepted.load(Ordering::Relaxed) == 0 {
-            assert!(Instant::now() < deadline, "held connection never accepted");
-            thread::sleep(Duration::from_millis(5));
-        }
-        // Generous fresh deadline: under a fully loaded test machine the
-        // loop can be starved for seconds at a time.
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut shed = None;
-        while Instant::now() < deadline {
-            let mut stream = TcpStream::connect(addr).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(5)))
-                .unwrap();
-            stream
-                .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
-                .unwrap();
-            let mut response = String::new();
-            if BufReader::new(stream).read_to_string(&mut response).is_ok() {
-                if let Some(code) = response.split_whitespace().nth(1) {
-                    if code == "503" {
-                        assert!(
-                            response.contains("Retry-After: 7"),
-                            "503 without Retry-After: {response}"
-                        );
-                        shed = Some(());
-                        break;
+        }) {
+            let addr = front.addr();
+            // Hold one connection open (no request yet) to occupy the
+            // cap, and wait until the loop has registered it.
+            let held = TcpStream::connect(addr).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while front.stats().accepted.load(Ordering::Relaxed) == 0 {
+                assert!(Instant::now() < deadline, "held connection never accepted");
+                thread::sleep(Duration::from_millis(5));
+            }
+            // Generous fresh deadline: under a fully loaded test machine
+            // the loop can be starved for seconds at a time.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            let mut shed = None;
+            while Instant::now() < deadline {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                stream
+                    .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                let mut response = String::new();
+                if BufReader::new(stream).read_to_string(&mut response).is_ok() {
+                    if let Some(code) = response.split_whitespace().nth(1) {
+                        if code == "503" {
+                            assert!(
+                                response.contains("Retry-After: 7"),
+                                "{}: 503 without Retry-After: {response}",
+                                front.name()
+                            );
+                            shed = Some(());
+                            break;
+                        }
                     }
                 }
+                thread::sleep(Duration::from_millis(10));
             }
-            thread::sleep(Duration::from_millis(10));
+            assert!(
+                shed.is_some(),
+                "{}: cap of 1 never shed a connection",
+                front.name()
+            );
+            assert!(front.stats().shed_connections.load(Ordering::Relaxed) >= 1);
+            drop(held);
         }
-        assert!(shed.is_some(), "cap of 1 never shed a connection");
-        assert!(server.http_stats().shed_connections.load(Ordering::Relaxed) >= 1);
-        drop(held);
-        server.shutdown();
+    }
+
+    /// Lingering after an answer is bounded: clients that never close,
+    /// whether shed at the cap or answered with `Connection: close`, pin
+    /// at most `max_connections` closing sockets; the rest are dropped at
+    /// once.
+    #[test]
+    fn lingering_connections_stay_bounded() {
+        const FLOOD: u64 = 32;
+        for front in fronts(HttpConfig {
+            max_connections: 1,
+            read_timeout: Duration::from_secs(120),
+            ..HttpConfig::default()
+        }) {
+            let stats = front.stats();
+            // Polls `done`, checking both bounds at every sample.
+            let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+                let deadline = Instant::now() + Duration::from_secs(20);
+                loop {
+                    let closing = stats.closing_connections.load(Ordering::Relaxed);
+                    assert!(
+                        closing <= 1,
+                        "{}: {closing} closing connections under a cap of 1",
+                        front.name()
+                    );
+                    assert!(stats.open_connections.load(Ordering::Relaxed) <= 1);
+                    if done() {
+                        return;
+                    }
+                    assert!(Instant::now() < deadline, "{}: {what}", front.name());
+                    thread::sleep(Duration::from_millis(2));
+                }
+            };
+            // Shed path: one held connection fills the cap, the flood is
+            // shed with 503s and never closed from this side.
+            let held = TcpStream::connect(front.addr()).unwrap();
+            wait_for("held connection never accepted", &|| {
+                stats.accepted.load(Ordering::Relaxed) >= 1
+            });
+            let mut clients: Vec<TcpStream> = (0..FLOOD)
+                .map(|_| TcpStream::connect(front.addr()).unwrap())
+                .collect();
+            wait_for("flood never shed", &|| {
+                stats.shed_connections.load(Ordering::Relaxed) >= FLOOD
+            });
+            // Close path: each request asks for `Connection: close`, and
+            // the client keeps its end open after the answer.
+            drop(held);
+            wait_for("held connection never closed", &|| {
+                stats.open_connections.load(Ordering::Relaxed) == 0
+            });
+            for answered in 1..=8 {
+                let mut stream = TcpStream::connect(front.addr()).unwrap();
+                stream
+                    .write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                    .unwrap();
+                clients.push(stream);
+                wait_for("close answer never written", &|| {
+                    stats.responses.load(Ordering::Relaxed) >= answered
+                });
+            }
+            let settled = Instant::now() + Duration::from_millis(20);
+            wait_for("gauges never settled", &|| Instant::now() >= settled);
+            drop(clients);
+        }
     }
 
     /// ISSUE 9 satellite: `/healthz` is liveness, `/readyz` is readiness.
@@ -1841,7 +2161,7 @@ mod tests {
         let mut server =
             HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
         let addr = server.local_addr();
-        let (status, body) = http_request(addr, "GET", "/readyz", None).unwrap();
+        let (status, body) = call(addr, "GET", "/readyz", None);
         assert_eq!(status, 200, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(parsed.get("ready"), Some(&Json::Bool(true)));
@@ -1849,9 +2169,9 @@ mod tests {
 
         // Drain the pool only: the process (and loop) are still alive.
         service.shutdown();
-        let (status, _) = http_request(addr, "GET", "/healthz", None).unwrap();
+        let (status, _) = call(addr, "GET", "/healthz", None);
         assert_eq!(status, 200, "liveness must survive a drained pool");
-        let (status, body) = http_request(addr, "GET", "/readyz", None).unwrap();
+        let (status, body) = call(addr, "GET", "/readyz", None);
         assert_eq!(status, 503, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(parsed.get("ready"), Some(&Json::Bool(false)));
@@ -1905,7 +2225,7 @@ mod tests {
         let (mut server, service, dir) = serve_with_disk("valid");
         let addr = server.local_addr();
         let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
-        let (status, body) = http_request(addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (status, body) = call(addr, "POST", "/v1/jobs", Some(spec));
         assert_eq!(status, 200, "{body}");
         let id = json::parse(&body)
             .unwrap()
@@ -1917,16 +2237,17 @@ mod tests {
         wait_disk_writes(&service, 1.0);
 
         // Valid entry: raw bytes, identical to the on-disk file.
-        let (status, bytes) =
-            http_request_bytes(addr, "GET", &format!("/v1/cache/{id}"), None).unwrap();
+        let (status, bytes) = HttpClient::new(addr)
+            .request("GET", &format!("/v1/cache/{id}"), None)
+            .unwrap();
         assert_eq!(status, 200);
         let on_disk = std::fs::read(dir.join(format!("{id}.sic"))).unwrap();
         assert_eq!(bytes, on_disk, "endpoint must ship the exact .sic bytes");
 
         // Bogus key shape → 400; absent key → 404.
-        let (status, _) = http_request(addr, "GET", "/v1/cache/nope", None).unwrap();
+        let (status, _) = call(addr, "GET", "/v1/cache/nope", None);
         assert_eq!(status, 400);
-        let (status, _) = http_request(addr, "GET", "/v1/cache/00000000000000ff", None).unwrap();
+        let (status, _) = call(addr, "GET", "/v1/cache/00000000000000ff", None);
         assert_eq!(status, 404);
 
         // Corrupt the entry: the endpoint must refuse and quarantine.
@@ -1935,7 +2256,7 @@ mod tests {
         let mid = raw.len() / 2;
         raw[mid] ^= 0x20;
         std::fs::write(&path, &raw).unwrap();
-        let (status, _) = http_request(addr, "GET", &format!("/v1/cache/{id}"), None).unwrap();
+        let (status, _) = call(addr, "GET", &format!("/v1/cache/{id}"), None);
         assert_eq!(status, 404, "corrupt entries must never be served");
         assert!(!path.exists(), "corrupt entry must be quarantined");
         let m = service.metrics();
@@ -1962,7 +2283,7 @@ mod tests {
         let repl_addr = repl_srv.local_addr();
 
         let spec = r#"{"kind":"delay_line_dc","stages":4,"bias_ua":20,"input_ua":1.5}"#;
-        let (status, body) = http_request(peer_addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (status, body) = call(peer_addr, "POST", "/v1/jobs", Some(spec));
         assert_eq!(status, 200, "{body}");
         let peer_resp = json::parse(&body).unwrap();
         let id = peer_resp.get("id").unwrap().as_str().unwrap().to_string();
@@ -1970,7 +2291,7 @@ mod tests {
 
         // Warm the replica: one real key plus one the peer doesn't have.
         let warm = format!(r#"{{"peer":"{peer_addr}","keys":["{id}","00000000000000aa"]}}"#);
-        let (status, body) = http_request(repl_addr, "POST", "/v1/warm", Some(&warm)).unwrap();
+        let (status, body) = call(repl_addr, "POST", "/v1/warm", Some(&warm));
         assert_eq!(status, 200, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(parsed.get("pulled").unwrap().as_f64(), Some(1.0));
@@ -1978,7 +2299,7 @@ mod tests {
 
         // The replica now answers the job from its own disk tier — no
         // solve, values bit-identical to the peer's response.
-        let (status, body) = http_request(repl_addr, "POST", "/v1/jobs", Some(spec)).unwrap();
+        let (status, body) = call(repl_addr, "POST", "/v1/jobs", Some(spec));
         assert_eq!(status, 200, "{body}");
         let repl_resp = json::parse(&body).unwrap();
         assert_eq!(repl_resp.get("cached"), Some(&Json::Bool(true)));

@@ -28,7 +28,8 @@
 //!   counter, visible in `/metrics`.
 //! - **Bounded in-flight per backend** — the router refuses with 503
 //!   rather than queueing without bound, mirroring the replica's own
-//!   admission policy.
+//!   admission policy. The same bound caps each replica's stack of idle
+//!   keep-alive connections, which forwards reuse.
 //! - **Failover** — on a transport error the replica is marked unready
 //!   immediately (not at the next probe tick) and the request walks the
 //!   ring to the next distinct replica. Jobs are content-addressed and
@@ -39,18 +40,24 @@
 //!   entries from the old owner's disk tier (`POST /v1/warm`, which
 //!   fetches `GET /v1/cache/:key` and re-validates checksums before
 //!   persisting).
+//! - **One front end** — [`RouterServer`] runs the hardened event loop
+//!   of [`crate::http`] with [`Router`] as its `Handler`: `/healthz`
+//!   and `/readyz` answer on the loop thread, everything else (forwards,
+//!   lookups, metrics scrapes) on a handler thread.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Read, Write as IoWrite};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use crate::error::ServiceError;
-use crate::http::error_body;
-use crate::jobspec::{Fnv1a, JobSpec};
+use crate::http::{
+    decode_job, error_body, metrics_with_http, unknown_route, EventLoop, Handler, HttpClient,
+    HttpConfig, HttpStats, Request, Response,
+};
+use crate::jobspec::Fnv1a;
 use crate::json::{self, Json};
 use crate::retry::{splitmix64, RetryPolicy};
 use crate::service::SiService;
@@ -67,12 +74,13 @@ pub struct RouterConfig {
     /// How often the background probe re-checks each replica's
     /// `/readyz`.
     pub probe_interval: Duration,
-    /// Socket timeout for readiness probes and metrics scrapes.
+    /// Deadline for readiness probes and metrics scrapes.
     pub probe_timeout: Duration,
-    /// Socket timeout for forwarded jobs (covers the replica's solve).
+    /// Deadline for forwarded jobs (covers the replica's solve).
     pub forward_timeout: Duration,
     /// Maximum concurrently forwarded requests per replica; beyond this
-    /// the router sheds with 503 instead of queueing.
+    /// the router sheds with 503 instead of queueing. Also the most idle
+    /// keep-alive connections kept per replica.
     pub max_in_flight: usize,
     /// Backoff schedule between failover sweeps when no replica could
     /// take a job. Seed its jitter ([`RetryPolicy::with_jitter_seed`])
@@ -114,7 +122,12 @@ struct ReplicaState {
     /// Normalized `host:port`, used as the ring identity and as the
     /// `peer` handed to `/v1/warm`.
     name: String,
-    addr: SocketAddr,
+    /// Keep-alive client for forwards, lookups, and warm requests
+    /// (`forward_timeout`).
+    forward: HttpClient,
+    /// One-shot client for readiness probes and metrics scrapes
+    /// (`probe_timeout`).
+    probe: HttpClient,
     ready: AtomicBool,
     in_flight: AtomicUsize,
     forwards: AtomicU64,
@@ -144,6 +157,18 @@ struct Tracked {
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
+
+/// `(name, section, key)`: the replica `/metrics` values each shard
+/// entry of the router's `/metrics` copies.
+const SHARD_METRICS: [(&str, &str, &str); 7] = [
+    ("completed", "service", "completed"),
+    ("cache_hits", "cache", "hits"),
+    ("cache_misses", "cache", "misses"),
+    ("cache_hit_ratio", "cache", "hit_ratio"),
+    ("disk_hits", "cache", "disk_hits"),
+    ("symbolic_cache_hits", "engine", "symbolic_cache_hits"),
+    ("symbolic_cache_misses", "engine", "symbolic_cache_misses"),
+];
 
 /// A replica's position(s) on the ring: FNV-1a of its name and the
 /// vnode index, matching the fingerprint hashing family.
@@ -192,7 +217,10 @@ impl Router {
                 .ok_or_else(|| format!("replica {name:?} resolves to no address"))?;
             replicas.push(ReplicaState {
                 name,
-                addr,
+                forward: HttpClient::new(addr)
+                    .timeout(config.forward_timeout)
+                    .keep_alive(config.max_in_flight),
+                probe: HttpClient::new(addr).timeout(config.probe_timeout),
                 ready: AtomicBool::new(false),
                 in_flight: AtomicUsize::new(0),
                 forwards: AtomicU64::new(0),
@@ -222,16 +250,7 @@ impl Router {
     pub fn probe_once(&self) -> bool {
         let mut changed = false;
         for replica in &self.replicas {
-            let ready_now = matches!(
-                fetch(
-                    replica.addr,
-                    "GET",
-                    "/readyz",
-                    None,
-                    self.config.probe_timeout,
-                ),
-                Ok((200, _))
-            );
+            let ready_now = matches!(replica.probe.request("GET", "/readyz", None), Ok((200, _)));
             let was = replica.ready.swap(ready_now, Ordering::SeqCst);
             if was != ready_now {
                 changed = true;
@@ -353,17 +372,13 @@ impl Router {
             ])
             .to_string_compact();
             self.counters.warm_requests.fetch_add(1, Ordering::Relaxed);
-            let pulled = fetch(
-                self.replicas[new_owner].addr,
-                "POST",
-                "/v1/warm",
-                Some(&body),
-                self.config.forward_timeout,
-            )
-            .ok()
-            .filter(|(status, _)| *status == 200)
-            .and_then(|(_, bytes)| json::parse(&String::from_utf8_lossy(&bytes)).ok())
-            .and_then(|j| j.get("pulled").and_then(Json::as_f64));
+            let pulled = self.replicas[new_owner]
+                .forward
+                .request("POST", "/v1/warm", Some(&body))
+                .ok()
+                .filter(|(status, _)| *status == 200)
+                .and_then(|(_, bytes)| json::parse(&String::from_utf8_lossy(&bytes)).ok())
+                .and_then(|j| j.get("pulled").and_then(Json::as_f64));
             match pulled {
                 Some(n) => {
                     let n = n as u64;
@@ -383,14 +398,14 @@ impl Router {
         }
     }
 
-    /// Routes one request. Same API surface as a replica: job
-    /// submission and lookup are forwarded, `/metrics`, `/healthz`, and
-    /// `/readyz` are answered by the router itself.
+    /// Routes one request: job submission and lookup are forwarded,
+    /// `/healthz` and `/readyz` are answered by the router itself.
+    /// `/metrics` is served by the HTTP front end (see the [`Handler`]
+    /// impl), which appends the listener's `"http"` section.
     #[must_use]
     pub fn handle(&self, method: &str, path: &str, body: &str) -> (u16, String) {
         match (method, path) {
             ("POST", "/v1/jobs") => self.forward_job(body),
-            ("GET", "/metrics") => (200, self.metrics().to_string_compact()),
             ("GET", "/healthz") => (200, r#"{"status":"ok"}"#.to_string()),
             ("GET", "/readyz") => {
                 let ready_count = self.ready_count();
@@ -410,14 +425,7 @@ impl Router {
                 (status, body)
             }
             ("GET", _) if path.starts_with("/v1/jobs/") => self.lookup_job(path),
-            ("GET" | "POST", _) => (
-                404,
-                r#"{"error":"not_found","message":"unknown route"}"#.to_string(),
-            ),
-            _ => (
-                405,
-                r#"{"error":"method_not_allowed","message":"use GET or POST"}"#.to_string(),
-            ),
+            _ => unknown_route(method),
         }
     }
 
@@ -432,11 +440,8 @@ impl Router {
     /// the ring on transport errors and backing off (with jitter)
     /// between sweeps while replicas recover.
     fn forward_job(&self, body: &str) -> (u16, String) {
-        let spec = match json::parse(body)
-            .map_err(ServiceError::InvalidSpec)
-            .and_then(|v| JobSpec::from_json(&v))
-        {
-            Ok(spec) => spec,
+        let spec = match decode_job(body) {
+            Ok((_, spec)) => spec,
             Err(err) => return (err.http_status(), error_body(&err)),
         };
         let fp = spec.structure_fingerprint();
@@ -456,13 +461,7 @@ impl Router {
                             .to_string(),
                     );
                 }
-                let result = fetch(
-                    replica.addr,
-                    "POST",
-                    "/v1/jobs",
-                    Some(body),
-                    self.config.forward_timeout,
-                );
+                let result = replica.forward.request("POST", "/v1/jobs", Some(body));
                 replica.in_flight.fetch_sub(1, Ordering::SeqCst);
                 match result {
                     Ok((status, bytes)) => {
@@ -504,7 +503,9 @@ impl Router {
     }
 
     /// `GET /v1/jobs/:id` — tries the tracked owner first, then sweeps
-    /// every ready replica (the id alone doesn't encode the shard).
+    /// every ready replica (the id alone doesn't encode the shard). A
+    /// finished job (`200`) and a running one (`202` with its progress)
+    /// both pass through.
     fn lookup_job(&self, path: &str) -> (u16, String) {
         let id = &path["/v1/jobs/".len()..];
         let Some(key) = SiService::parse_job_id(id) else {
@@ -523,10 +524,8 @@ impl Router {
             if !replica.ready.load(Ordering::SeqCst) {
                 continue;
             }
-            if let Ok((200, bytes)) =
-                fetch(replica.addr, "GET", path, None, self.config.forward_timeout)
-            {
-                return (200, String::from_utf8_lossy(&bytes).into_owned());
+            if let Ok((status @ (200 | 202), bytes)) = replica.forward.request("GET", path, None) {
+                return (status, String::from_utf8_lossy(&bytes).into_owned());
             }
         }
         (
@@ -584,33 +583,15 @@ impl Router {
                 ("errors".to_string(), count(&replica.errors)),
             ];
             if replica.ready.load(Ordering::SeqCst) {
-                if let Ok((200, bytes)) = fetch(
-                    replica.addr,
-                    "GET",
-                    "/metrics",
-                    None,
-                    self.config.probe_timeout,
-                ) {
-                    if let Ok(m) = json::parse(&String::from_utf8_lossy(&bytes)) {
-                        let pick = |section: &str, name: &str| {
-                            m.get(section)
-                                .and_then(|s| s.get(name))
-                                .cloned()
-                                .unwrap_or(Json::Null)
-                        };
-                        entry.push(("completed".to_string(), pick("service", "completed")));
-                        entry.push(("cache_hits".to_string(), pick("cache", "hits")));
-                        entry.push(("cache_misses".to_string(), pick("cache", "misses")));
-                        entry.push(("cache_hit_ratio".to_string(), pick("cache", "hit_ratio")));
-                        entry.push(("disk_hits".to_string(), pick("cache", "disk_hits")));
-                        entry.push((
-                            "symbolic_cache_hits".to_string(),
-                            pick("engine", "symbolic_cache_hits"),
-                        ));
-                        entry.push((
-                            "symbolic_cache_misses".to_string(),
-                            pick("engine", "symbolic_cache_misses"),
-                        ));
+                let scraped = replica.probe.request("GET", "/metrics", None);
+                if let Some(m) = scraped
+                    .ok()
+                    .filter(|(status, _)| *status == 200)
+                    .and_then(|(_, bytes)| json::parse(&String::from_utf8_lossy(&bytes)).ok())
+                {
+                    for (name, section, key) in SHARD_METRICS {
+                        let value = m.get(section).and_then(|s| s.get(key)).cloned();
+                        entry.push((name.to_string(), value.unwrap_or(Json::Null)));
                     }
                 }
             }
@@ -623,149 +604,41 @@ impl Router {
     }
 }
 
-/// A minimal blocking HTTP client with a hard deadline on connect,
-/// read, and write — the router must never hang on a dead replica.
-fn fetch(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-    timeout: Duration,
-) -> std::io::Result<(u16, Vec<u8>)> {
-    let timeout = timeout.max(Duration::from_millis(1));
-    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    stream.set_write_timeout(Some(timeout))?;
-    let body = body.unwrap_or("");
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: si-router\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()?;
-    let mut response = Vec::new();
-    BufReader::new(stream).read_to_end(&mut response)?;
-    let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
-    let split = response
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(bad)?;
-    let head = std::str::from_utf8(&response[..split]).map_err(|_| bad())?;
-    let status: u16 = head
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(bad)?;
-    Ok((status, response[split + 4..].to_vec()))
-}
-
-/// One parsed front-end request.
-struct FrontRequest {
-    method: String,
-    path: String,
-    body: String,
-    keep_alive: bool,
-}
-
-/// Reads one HTTP/1.1 request off a front-end connection. `Ok(None)`
-/// is a clean EOF before any bytes (client done with keep-alive).
-fn read_front_request(stream: &mut TcpStream) -> std::io::Result<Option<FrontRequest>> {
-    const MAX_HEAD: usize = 16 * 1024;
-    const MAX_BODY: usize = 4 * 1024 * 1024;
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD {
-            return Err(bad("request head too large"));
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            if buf.is_empty() {
-                return Ok(None);
+/// The router's routes: the probes answer on the loop thread; forwards,
+/// lookups, and `/metrics` (which scrapes every replica) block.
+impl Handler for Router {
+    fn inline(&self, request: &Request, _http: &HttpStats) -> Option<Response> {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz" | "/readyz") => {
+                let (status, body) = self.handle(&request.method, &request.path, "");
+                Some(Response::json(status, body))
             }
-            return Err(bad("connection closed mid-head"));
-        }
-        buf.extend_from_slice(&chunk[..n]);
-    };
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("non-UTF-8 head"))?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or_else(|| bad("empty request"))?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| bad("missing method"))?
-        .to_string();
-    let path = parts.next().ok_or_else(|| bad("missing path"))?.to_string();
-    let mut content_length = 0usize;
-    let mut keep_alive = true;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            continue;
-        };
-        let value = value.trim();
-        if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.parse().map_err(|_| bad("bad content-length"))?;
-        } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
-            keep_alive = false;
+            _ => None,
         }
     }
-    if content_length > MAX_BODY {
-        return Err(bad("body too large"));
-    }
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    let body = String::from_utf8(body).map_err(|_| bad("non-UTF-8 body"))?;
-    Ok(Some(FrontRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
 
-fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        408 => "Request Timeout",
-        413 => "Payload Too Large",
-        422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
-        500 => "Internal Server Error",
-        502 => "Bad Gateway",
-        503 => "Service Unavailable",
-        _ => "Error",
+    fn blocking(&self, request: &Request, http: &HttpStats) -> Response {
+        if request.method == "GET" && request.path == "/metrics" {
+            return Response::json(200, metrics_with_http(self.metrics(), http));
+        }
+        let (status, body) = self.handle(&request.method, &request.path, &request.body);
+        Response::json(status, body)
     }
 }
 
-/// The HTTP front end for a [`Router`]: a listener plus the background
-/// readiness probe. Connections are handled thread-per-connection —
-/// forwarding is blocking I/O, and the replica pool behind the router
-/// is the real concurrency bound.
+/// The HTTP front end for a [`Router`]: the shared event loop plus the
+/// background readiness probe.
 pub struct RouterServer {
     router: Arc<Router>,
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept_thread: Option<thread::JoinHandle<()>>,
+    front: EventLoop,
+    stop_probe: Arc<AtomicBool>,
     probe_thread: Option<thread::JoinHandle<()>>,
 }
 
 impl RouterServer {
-    /// Binds the front end, probes the replicas once, and starts the
-    /// accept and probe threads. Bind to port 0 to let the OS pick.
+    /// Binds the front end with the default [`HttpConfig`], probes the
+    /// replicas once, and starts the event loop and the probe thread.
+    /// Bind to port 0 to let the OS pick.
     ///
     /// # Errors
     ///
@@ -777,12 +650,10 @@ impl RouterServer {
             Router::new(config)
                 .map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidInput, msg))?,
         );
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-
+        let front = EventLoop::start(addr, Arc::clone(&router), HttpConfig::default())?;
+        let stop_probe = Arc::new(AtomicBool::new(false));
         let probe_router = Arc::clone(&router);
-        let probe_stop = Arc::clone(&shutdown);
+        let probe_stop = Arc::clone(&stop_probe);
         let probe_thread = thread::Builder::new()
             .name("si-router-probe".to_string())
             .spawn(move || {
@@ -797,29 +668,10 @@ impl RouterServer {
                     }
                 }
             })?;
-
-        let accept_router = Arc::clone(&router);
-        let accept_stop = Arc::clone(&shutdown);
-        let accept_thread = thread::Builder::new()
-            .name("si-router-accept".to_string())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if accept_stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    let router = Arc::clone(&accept_router);
-                    let _ = thread::Builder::new()
-                        .name("si-router-conn".to_string())
-                        .spawn(move || handle_connection(stream, &router));
-                }
-            })?;
-
         Ok(RouterServer {
             router,
-            local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            front,
+            stop_probe,
             probe_thread: Some(probe_thread),
         })
     }
@@ -827,7 +679,7 @@ impl RouterServer {
     /// The bound front-end address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.front.addr
     }
 
     /// The routing core, for in-process inspection (metrics, probes).
@@ -836,14 +688,10 @@ impl RouterServer {
         &self.router
     }
 
-    /// Stops the probe and accept threads and joins them.
+    /// Stops the event loop and the probe thread and joins them.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Nudge the blocking accept loop awake.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.front.stop();
+        self.stop_probe.store(true, Ordering::SeqCst);
         if let Some(t) = self.probe_thread.take() {
             let _ = t.join();
         }
@@ -853,41 +701,6 @@ impl RouterServer {
 impl Drop for RouterServer {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-fn handle_connection(mut stream: TcpStream, router: &Router) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        match read_front_request(&mut stream) {
-            Ok(Some(request)) => {
-                let (status, body) = router.handle(&request.method, &request.path, &request.body);
-                let connection = if request.keep_alive {
-                    "keep-alive"
-                } else {
-                    "close"
-                };
-                let response = format!(
-                    "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
-                    status_text(status),
-                    body.len()
-                );
-                if stream.write_all(response.as_bytes()).is_err() || !request.keep_alive {
-                    return;
-                }
-            }
-            Ok(None) => return,
-            Err(_) => {
-                let body = r#"{"error":"bad_request","message":"malformed request"}"#;
-                let _ = write!(
-                    stream,
-                    "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-                    body.len()
-                );
-                return;
-            }
-        }
     }
 }
 
@@ -1028,5 +841,48 @@ mod tests {
         // Malformed specs are rejected before touching the ring.
         let (status, response) = router.handle("POST", "/v1/jobs", "{nope");
         assert_eq!(status, 400, "{response}");
+    }
+
+    /// POSTs `body` to `addr` and returns the whole raw response.
+    fn raw_post(addr: SocketAddr, body: &str) -> String {
+        use std::io::{Read, Write};
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(
+            stream,
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    /// The router's own 503s — `no_backend` and `router_overloaded` —
+    /// carry `Retry-After`, like every 503 the shared loop frames.
+    #[test]
+    fn router_503s_carry_retry_after() {
+        let body = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
+        let no_replica =
+            RouterServer::bind("127.0.0.1:0", test_config(vec!["127.0.0.1:1".to_string()]))
+                .unwrap();
+        let response = raw_post(no_replica.local_addr(), body);
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("no_backend"), "{response}");
+        assert!(response.contains("Retry-After: 1\r\n"), "{response}");
+
+        let service = Arc::new(SiService::new(crate::service::ServiceConfig::default()));
+        let replica = crate::http::HttpServer::bind("127.0.0.1:0", service).unwrap();
+        let mut config = test_config(vec![replica.local_addr().to_string()]);
+        config.max_in_flight = 0;
+        let full = RouterServer::bind("127.0.0.1:0", config).unwrap();
+        assert_eq!(full.router().ready_count(), 1);
+        let response = raw_post(full.local_addr(), body);
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("router_overloaded"), "{response}");
+        assert!(response.contains("Retry-After: 1\r\n"), "{response}");
     }
 }

@@ -272,29 +272,26 @@ impl SiService {
     /// fail checksum validation all count as failed — warming is
     /// best-effort and a failed pull just means the job re-solves here.
     pub fn warm_from_peer(&self, peer: &str, keys: &[u64]) -> (u64, u64) {
-        let Some(disk) = self.disk_cache().cloned() else {
-            // Memory-only replicas have nowhere durable to put entries.
-            self.counters
-                .warm_failed
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
-            return (0, keys.len() as u64);
-        };
-        let Ok(addrs) = std::net::ToSocketAddrs::to_socket_addrs(&peer) else {
-            self.counters
-                .warm_failed
-                .fetch_add(keys.len() as u64, Ordering::Relaxed);
-            return (0, keys.len() as u64);
-        };
-        let Some(addr) = addrs.into_iter().next() else {
+        // Memory-only replicas have nowhere durable to put entries, and
+        // an unresolvable peer has nothing to give.
+        let target = self.disk_cache().cloned().and_then(|disk| {
+            let addr = std::net::ToSocketAddrs::to_socket_addrs(&peer)
+                .ok()?
+                .next()?;
+            Some((disk, addr))
+        });
+        let Some((disk, addr)) = target else {
             self.counters
                 .warm_failed
                 .fetch_add(keys.len() as u64, Ordering::Relaxed);
             return (0, keys.len() as u64);
         };
         let (mut pulled, mut failed) = (0u64, 0u64);
+        let client = crate::http::HttpClient::new(addr).keep_alive(1);
         for &key in keys {
             let path = format!("/v1/cache/{key:016x}");
-            let landed = crate::http::http_request_bytes(addr, "GET", &path, None)
+            let landed = client
+                .request("GET", &path, None)
                 .ok()
                 .filter(|(status, _)| *status == 200)
                 .is_some_and(|(_, bytes)| disk.ingest(key, &bytes));

@@ -23,7 +23,7 @@ use si_analog::dc::DcSolver;
 use si_analog::netlist::Circuit;
 use si_analog::parse::{parse_netlist_canonical, to_netlist};
 use si_analog::units::{Amps, Ohms, Volts};
-use si_service::http::{http_request, HttpServer};
+use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::json::{parse, Json};
 use si_service::service::{normalize_timings, ServiceConfig, SiService};
@@ -113,7 +113,9 @@ fn netlist_body(text: &str) -> String {
 }
 
 fn service_counter(addr: std::net::SocketAddr, section: &str, key: &str) -> f64 {
-    let (status, payload) = http_request(addr, "GET", "/metrics", None).unwrap();
+    let (status, payload) = HttpClient::new(addr)
+        .request_text("GET", "/metrics", None)
+        .unwrap();
     assert_eq!(status, 200);
     parse(&payload)
         .ok()
@@ -140,12 +142,16 @@ fn user_topologies_match_golden_snapshots() {
         ("netlist_gilbert.json", GOLDEN_GILBERT, GILBERT),
     ] {
         let body = netlist_body(text);
-        let (status, payload) = http_request(addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+        let (status, payload) = HttpClient::new(addr)
+            .request_text("POST", "/v1/jobs", Some(&body))
+            .unwrap();
         assert_eq!(status, 200, "{name}: {payload}");
         check_or_update(name, golden, &normalized_compact(&payload));
 
         // Resubmission must serve the same bytes from cache.
-        let (status, repeat) = http_request(addr, "POST", "/v1/jobs", Some(&body)).unwrap();
+        let (status, repeat) = HttpClient::new(addr)
+            .request_text("POST", "/v1/jobs", Some(&body))
+            .unwrap();
         assert_eq!(status, 200);
         assert_eq!(
             repeat.replace("\"cached\":true", "\"cached\":false"),
@@ -269,11 +275,13 @@ R1  vdd ref 150k
 V1 vdd 0 3.3
 .end
 ";
-    let (status, first) =
-        http_request(addr, "POST", "/v1/jobs", Some(&netlist_body(WIDLAR))).unwrap();
+    let (status, first) = HttpClient::new(addr)
+        .request_text("POST", "/v1/jobs", Some(&netlist_body(WIDLAR)))
+        .unwrap();
     assert_eq!(status, 200, "{first}");
-    let (status, second) =
-        http_request(addr, "POST", "/v1/jobs", Some(&netlist_body(permuted))).unwrap();
+    let (status, second) = HttpClient::new(addr)
+        .request_text("POST", "/v1/jobs", Some(&netlist_body(permuted)))
+        .unwrap();
     assert_eq!(status, 200, "{second}");
     assert!(
         second.contains("\"cached\":true"),
@@ -307,8 +315,9 @@ fn over_budget_netlist_is_rejected_before_factorization_over_http() {
     for k in 0..20 {
         ladder.push_str(&format!("R{k} n{k} n{} 1k\n", k + 1));
     }
-    let (status, payload) =
-        http_request(addr, "POST", "/v1/jobs", Some(&netlist_body(&ladder))).unwrap();
+    let (status, payload) = HttpClient::new(addr)
+        .request_text("POST", "/v1/jobs", Some(&netlist_body(&ladder)))
+        .unwrap();
     assert_eq!(status, 413, "{payload}");
     assert!(payload.contains("\"budget_exceeded\""), "{payload}");
     assert!(payload.contains("nodes"), "{payload}");

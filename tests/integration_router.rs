@@ -15,13 +15,19 @@
 //! - **Warming** — when a replica joins, the keys it now owns are
 //!   pulled from the old owner's disk tier and served as cache hits;
 //! - **Readiness** — a drained replica leaves the ring via `/readyz`,
-//!   not by timing out jobs.
+//!   not by timing out jobs;
+//! - **Pass-through** — polling a running streaming job through the
+//!   router gets the replica's `202` progress answer;
+//! - **Connection reuse** — a pooled replica connection the replica
+//!   closed while idle is replaced silently: no reroute, no ring change,
+//!   no replica timeout.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_service::http::{http_request, HttpServer};
+use si_service::fault::{FaultInjector, FaultPlan};
+use si_service::http::{HttpClient, HttpConfig, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::json::{self, Json};
 use si_service::retry::RetryPolicy;
@@ -64,7 +70,9 @@ fn router_over(addrs: &[SocketAddr], warm: bool) -> RouterServer {
 }
 
 fn get_json(addr: SocketAddr, path: &str) -> (u16, Json) {
-    let (status, body) = http_request(addr, "GET", path, None).expect("GET");
+    let (status, body) = HttpClient::new(addr)
+        .request_text("GET", path, None)
+        .expect("GET");
     (status, json::parse(&body).unwrap_or(Json::Null))
 }
 
@@ -116,7 +124,9 @@ fn cluster_shards_by_topology_with_affine_caching() {
     for stages in 3..3 + TOPOLOGIES {
         let spec = dc_spec(stages);
         for repeat in 0..=REPEATS {
-            let (status, body) = http_request(front, "POST", "/v1/jobs", Some(&spec)).unwrap();
+            let (status, body) = HttpClient::new(front)
+                .request_text("POST", "/v1/jobs", Some(&spec))
+                .unwrap();
             assert_eq!(status, 200, "{body}");
             let cached = json::parse(&body).unwrap().get("cached").cloned();
             assert_eq!(
@@ -196,7 +206,9 @@ fn failover_completes_jobs_bit_identically_after_replica_death() {
     let generation_before = router.router().ring_generation();
 
     let spec = dc_spec(5);
-    let (status, body) = http_request(front, "POST", "/v1/jobs", Some(&spec)).unwrap();
+    let (status, body) = HttpClient::new(front)
+        .request_text("POST", "/v1/jobs", Some(&spec))
+        .unwrap();
     assert_eq!(status, 200, "{body}");
     let first = json::parse(&body).unwrap();
     let first_values = first.get("values").cloned().expect("values");
@@ -211,7 +223,9 @@ fn failover_completes_jobs_bit_identically_after_replica_death() {
 
     // Resubmit: the router must reroute to the survivor and the fresh
     // solve must be bit-identical (deterministic engine).
-    let (status, body) = http_request(front, "POST", "/v1/jobs", Some(&spec)).unwrap();
+    let (status, body) = HttpClient::new(front)
+        .request_text("POST", "/v1/jobs", Some(&spec))
+        .unwrap();
     assert_eq!(status, 200, "failover submit failed: {body}");
     let second = json::parse(&body).unwrap();
     assert_eq!(
@@ -232,7 +246,9 @@ fn failover_completes_jobs_bit_identically_after_replica_death() {
         "replica death did not bump the ring generation"
     );
     // The cluster is degraded but still ready.
-    let (status, _) = http_request(front, "GET", "/readyz", None).unwrap();
+    let (status, _) = HttpClient::new(front)
+        .request_text("GET", "/readyz", None)
+        .unwrap();
     assert_eq!(status, 200);
 
     router.shutdown();
@@ -264,8 +280,9 @@ fn ring_change_warms_new_owner_from_peer_disk() {
     wait_for("replica a in the ring", || ready_replicas(front) == 1.0);
 
     for stages in 3..3 + TOPOLOGIES {
-        let (status, body) =
-            http_request(front, "POST", "/v1/jobs", Some(&dc_spec(stages))).unwrap();
+        let (status, body) = HttpClient::new(front)
+            .request_text("POST", "/v1/jobs", Some(&dc_spec(stages)))
+            .unwrap();
         assert_eq!(status, 200, "{body}");
     }
     wait_for("disk writes on replica a", || {
@@ -299,8 +316,9 @@ fn ring_change_warms_new_owner_from_peer_disk() {
     // Every topology resubmission is a hit somewhere — the moved ones
     // from b's warmed disk tier, without recomputation.
     for stages in 3..3 + TOPOLOGIES {
-        let (status, body) =
-            http_request(front, "POST", "/v1/jobs", Some(&dc_spec(stages))).unwrap();
+        let (status, body) = HttpClient::new(front)
+            .request_text("POST", "/v1/jobs", Some(&dc_spec(stages)))
+            .unwrap();
         assert_eq!(status, 200, "{body}");
         let parsed = json::parse(&body).unwrap();
         assert_eq!(
@@ -340,7 +358,9 @@ fn drained_replica_leaves_the_ring_via_readyz() {
     // 200) but readiness flips, and the probe must evict it.
     r.service.shutdown();
     wait_for("replica evicted from the ring", || {
-        let (status, _) = http_request(front, "GET", "/readyz", None).unwrap();
+        let (status, _) = HttpClient::new(front)
+            .request_text("GET", "/readyz", None)
+            .unwrap();
         status == 503
     });
     let (_, metrics) = get_json(front, "/metrics");
@@ -358,4 +378,127 @@ fn drained_replica_leaves_the_ring_via_readyz() {
     } = r;
     server.shutdown();
     service.shutdown();
+}
+
+/// A running `tran_stream` job polled through the router answers the
+/// replica's `202 {status:"running",chunks_done,chunks_total}`, not a
+/// 404, and the finished job then answers 200.
+#[test]
+fn polling_in_flight_stream_through_router_gets_202() {
+    let r = replica(1, None);
+    // Stall every per-chunk fault draw 20 ms so the job is observably in
+    // flight while we poll.
+    r.service
+        .install_fault_injector(Arc::new(FaultInjector::new(FaultPlan {
+            seed: 0,
+            panic_pm: 0,
+            stall_pm: 1000,
+            transient_pm: 0,
+            drop_pm: 0,
+            panic_mid_chunk_pm: 0,
+            stall: Duration::from_millis(20),
+            max_faults: u64::MAX,
+        })));
+    let mut router = router_over(&[r.server.local_addr()], false);
+    let front = router.local_addr();
+    wait_for("replica in the ring", || ready_replicas(front) == 1.0);
+
+    let spec = JobSpec::TranStream {
+        stages: 3,
+        bias_ua: 20.0,
+        input_ua: 2.0,
+        steps: 900,
+        dt_ns: 50.0,
+        clock_hz: 2.0e6,
+        chunk_steps: 128,
+        seg_len: 256,
+    };
+    let path = format!("/v1/jobs/{}", SiService::job_id(&spec));
+    let body = spec.to_json().to_string_compact();
+    let poster = std::thread::spawn(move || {
+        HttpClient::new(front)
+            .request_text("POST", "/v1/jobs", Some(&body))
+            .unwrap()
+    });
+    let mut progress = None;
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while progress.is_none() && Instant::now() < deadline {
+        let (status, got) = get_json(front, &path);
+        match status {
+            202 if got.get("chunks_total").is_some() => progress = Some(got),
+            200 => break, // raced past completion without seeing progress
+            _ => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+    let pending = progress.expect("never observed a 202 with chunk progress through the router");
+    assert_eq!(
+        pending.get("status").and_then(Json::as_str),
+        Some("running")
+    );
+    assert_eq!(
+        pending.get("chunks_total").and_then(Json::as_f64),
+        Some(8.0)
+    );
+    assert!(pending.get("chunks_done").and_then(Json::as_f64).unwrap() < 8.0);
+
+    let (status, _) = poster.join().unwrap();
+    assert_eq!(status, 200);
+    let (status, _) = get_json(front, &path);
+    assert_eq!(status, 200);
+    router.shutdown();
+}
+
+/// A replica closes idle keep-alive connections silently at its read
+/// deadline. The router's pooled connection to it has gone stale by the
+/// second forward; the client retries once on a fresh connection, so the
+/// forward succeeds with no reroute, no ring change, and no `408` on the
+/// replica.
+#[test]
+fn stale_pooled_connection_is_replaced_without_reroute() {
+    let service = Arc::new(SiService::new(ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        ..ServiceConfig::default()
+    }));
+    let replica = HttpServer::bind_with(
+        "127.0.0.1:0",
+        Arc::clone(&service),
+        HttpConfig {
+            read_timeout: Duration::from_millis(200),
+            ..HttpConfig::default()
+        },
+    )
+    .expect("bind replica");
+    let mut router = router_over(&[replica.local_addr()], false);
+    let front = router.local_addr();
+    wait_for("replica in the ring", || ready_replicas(front) == 1.0);
+    let generation = router.router().ring_generation();
+
+    let forward = |stages: usize| {
+        HttpClient::new(front)
+            .request_text("POST", "/v1/jobs", Some(&dc_spec(stages)))
+            .unwrap()
+    };
+    let (status, body) = forward(3);
+    assert_eq!(status, 200, "{body}");
+    std::thread::sleep(Duration::from_millis(400));
+    let (status, body) = forward(4);
+    assert_eq!(status, 200, "{body}");
+
+    let reroutes = router
+        .router()
+        .metrics()
+        .get("router")
+        .and_then(|r| r.get("reroutes"))
+        .and_then(Json::as_f64);
+    assert_eq!(reroutes, Some(0.0));
+    assert_eq!(router.router().ring_generation(), generation);
+    assert_eq!(
+        replica
+            .http_stats()
+            .timeouts
+            .load(std::sync::atomic::Ordering::Relaxed),
+        0
+    );
+    router.shutdown();
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use si_service::http::{http_request, HttpServer};
+use si_service::http::{HttpClient, HttpServer};
 use si_service::json::{parse, Json};
 use si_service::service::{normalize_timings, ServiceConfig, SiService};
 
@@ -89,7 +89,9 @@ fn post_and_metrics_match_golden_snapshots() {
     let addr = server.local_addr();
 
     // First submission: a real solve, pinned as the job-response snapshot.
-    let (status, payload) = http_request(addr, "POST", "/v1/jobs", Some(JOB_BODY)).unwrap();
+    let (status, payload) = HttpClient::new(addr)
+        .request_text("POST", "/v1/jobs", Some(JOB_BODY))
+        .unwrap();
     assert_eq!(status, 200, "unexpected response: {payload}");
     check_or_update(
         "service_job_response.json",
@@ -99,7 +101,9 @@ fn post_and_metrics_match_golden_snapshots() {
 
     // Second submission of the same body must be served from cache, and
     // must match the first byte-for-byte except for the cached flag.
-    let (status, repeat) = http_request(addr, "POST", "/v1/jobs", Some(JOB_BODY)).unwrap();
+    let (status, repeat) = HttpClient::new(addr)
+        .request_text("POST", "/v1/jobs", Some(JOB_BODY))
+        .unwrap();
     assert_eq!(status, 200);
     assert_eq!(
         repeat.replace("\"cached\":true", "\"cached\":false"),
@@ -112,7 +116,9 @@ fn post_and_metrics_match_golden_snapshots() {
     let metrics = {
         let mut last = String::new();
         for _ in 0..500 {
-            let (status, payload) = http_request(addr, "GET", "/metrics", None).unwrap();
+            let (status, payload) = HttpClient::new(addr)
+                .request_text("GET", "/metrics", None)
+                .unwrap();
             assert_eq!(status, 200);
             if pool_metric(&payload, "in_flight") == 0.0 && pool_metric(&payload, "executed") == 1.0
             {
