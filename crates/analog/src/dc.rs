@@ -264,7 +264,7 @@ pub fn sweep_current_source_with<T>(
     for (k, &value) in values.iter().enumerate() {
         set_current_source(&mut ckt, source_name, value)?;
         if k > 0 {
-            ws.probe_event(crate::telemetry::Probe::warm_start);
+            ws.probe_event(crate::telemetry::EngineStats::warm_start);
         }
         let sol = match solver.solve_from_with(&ckt, &guess, ws) {
             Ok(sol) => sol,
@@ -273,7 +273,7 @@ pub fn sweep_current_source_with<T>(
             {
                 // The previous point's solution was a bad seed here; retry
                 // from cold rather than failing the sweep.
-                ws.probe_event(crate::telemetry::Probe::warm_start_rejected);
+                ws.probe_event(crate::telemetry::EngineStats::warm_start_rejected);
                 solver.solve_from_with(&ckt, &cold, ws)?
             }
             Err(e) => return Err(e),

@@ -35,7 +35,7 @@ use crate::device::switch::TwoPhaseClock;
 use crate::mna::{CapStep, Solution, StampContext};
 use crate::netlist::Circuit;
 use crate::solver::{BackendPolicy, ComplexSolver, ComplexTarget, RealSolver};
-use crate::telemetry::{EngineStats, Probe, SolveKind, SolveOutcome};
+use crate::telemetry::{EngineStats, SolveKind, SolveOutcome};
 use crate::units::Seconds;
 use crate::AnalogError;
 use std::time::{Duration, Instant};
@@ -77,12 +77,12 @@ pub struct StampSpec<'a> {
 /// The convenience entry points without a workspace argument create a
 /// short-lived one internally, so both paths run the identical kernels.
 ///
-/// Telemetry: install a [`Probe`] with [`Self::set_probe`] (or the
-/// [`Self::enable_stats`] shorthand for [`EngineStats`]) and every solve
-/// driven through this workspace reports its events. A probe only
-/// observes — it never alters a floating-point operation, so the
-/// bit-identity contract above holds with telemetry on or off.
-#[derive(Debug, Default)]
+/// Telemetry: install an [`EngineStats`] collector with
+/// [`Self::enable_stats`] and every solve driven through this workspace
+/// reports its events. The collector only observes — it never alters a
+/// floating-point operation, so the bit-identity contract above holds
+/// with telemetry on or off.
+#[derive(Debug, Default, Clone)]
 pub struct EngineWorkspace {
     /// Real linear solver (dense and sparse backends, cached structure).
     pub(crate) real: RealSolver,
@@ -103,32 +103,14 @@ pub struct EngineWorkspace {
     /// Backend-selection policy applied to every solve driven through
     /// this workspace.
     policy: BackendPolicy,
-    /// Installed telemetry probe; `None` means disabled (one branch per
-    /// engine event, nothing on the per-element stamping path).
-    probe: Option<Box<dyn Probe>>,
+    /// Installed telemetry collector; `None` means disabled (one branch
+    /// per engine event, nothing on the per-element stamping path).
+    probe: Option<Box<EngineStats>>,
     /// Per-iteration update norms of the most recent Newton solve, in
     /// iteration order (cleared at the start of each solve). Always
     /// recorded — this is what a failing solve attaches to
     /// [`AnalogError::NoConvergence`].
     residual_log: Vec<f64>,
-}
-
-impl Clone for EngineWorkspace {
-    fn clone(&self) -> Self {
-        EngineWorkspace {
-            real: self.real.clone(),
-            rhs: self.rhs.clone(),
-            x: self.x.clone(),
-            voltages: self.voltages.clone(),
-            branches: self.branches.clone(),
-            complex: self.complex.clone(),
-            crhs: self.crhs.clone(),
-            cx: self.cx.clone(),
-            policy: self.policy,
-            probe: self.probe.as_ref().map(|p| p.box_clone()),
-            residual_log: self.residual_log.clone(),
-        }
-    }
 }
 
 impl EngineWorkspace {
@@ -150,12 +132,6 @@ impl EngineWorkspace {
         ws.voltages.reserve(circuit.node_count());
         ws.branches.reserve(circuit.branch_count());
         ws
-    }
-
-    /// Installs a telemetry probe; subsequent solves report their events
-    /// to it. Replaces any existing probe.
-    pub fn set_probe(&mut self, probe: Box<dyn Probe>) {
-        self.probe = Some(probe);
     }
 
     /// Sets the backend-selection policy for every subsequent solve
@@ -181,42 +157,22 @@ impl EngineWorkspace {
         &self.real
     }
 
-    /// Removes and returns the installed probe, disabling telemetry.
-    pub fn clear_probe(&mut self) -> Option<Box<dyn Probe>> {
-        self.probe.take()
-    }
-
-    /// Installs a fresh [`EngineStats`] collector (the built-in probe) —
-    /// shorthand for `set_probe(Box::new(EngineStats::new()))`.
+    /// Installs a fresh [`EngineStats`] collector; subsequent solves
+    /// report their events to it. Replaces any existing collector.
     pub fn enable_stats(&mut self) {
-        self.set_probe(Box::new(EngineStats::new()));
+        self.probe = Some(Box::default());
     }
 
-    /// The installed [`EngineStats`] collector, if that is what the probe
-    /// is.
+    /// The installed [`EngineStats`] collector, if any.
     #[must_use]
     pub fn stats(&self) -> Option<&EngineStats> {
-        self.probe
-            .as_deref()
-            .and_then(|p| p.as_any().downcast_ref::<EngineStats>())
+        self.probe.as_deref()
     }
 
-    /// Removes the probe if it is an [`EngineStats`] collector and returns
-    /// the accumulated statistics; any other probe kind is left installed.
+    /// Removes the collector and returns the accumulated statistics,
+    /// disabling telemetry.
     pub fn take_stats(&mut self) -> Option<EngineStats> {
-        if self
-            .probe
-            .as_deref()
-            .is_some_and(|p| p.as_any().is::<EngineStats>())
-        {
-            let mut boxed = self.probe.take().expect("probe checked above");
-            let stats = boxed
-                .as_any_mut()
-                .downcast_mut::<EngineStats>()
-                .expect("probe checked above");
-            return Some(std::mem::take(stats));
-        }
-        None
+        self.probe.take().map(|stats| *stats)
     }
 
     /// Per-iteration update norms of the most recent Newton solve, in
@@ -226,16 +182,16 @@ impl EngineWorkspace {
         &self.residual_log
     }
 
-    /// Reports an event to the probe, if one is installed. Crate-internal
-    /// hook for analyses that drive workspace buffers directly (the AC and
-    /// noise front-ends, the DC gmin ladder).
-    pub(crate) fn probe_event(&mut self, event: impl FnOnce(&mut dyn Probe)) {
+    /// Reports an event to the collector, if one is installed.
+    /// Crate-internal hook for analyses that drive workspace buffers
+    /// directly (the AC and noise front-ends, the DC gmin ladder).
+    pub(crate) fn probe_event(&mut self, event: impl FnOnce(&mut EngineStats)) {
         if let Some(p) = self.probe.as_deref_mut() {
             event(p);
         }
     }
 
-    /// Reports a solve's end to the probe, folding in elapsed wall time
+    /// Reports a solve's end to the collector, folding in elapsed wall time
     /// when the solve was timed.
     fn probe_solve_end(&mut self, outcome: SolveOutcome, iterations: usize, t0: Option<Instant>) {
         if let Some(p) = self.probe.as_deref_mut() {
@@ -295,7 +251,7 @@ impl EngineWorkspace {
         self.residual_log.clear();
         let mut last_delta = f64::INFINITY;
 
-        // Time only when someone is listening: with no probe the solve
+        // Time only when someone is listening: with no collector the solve
         // pays a single `Option` branch per event and no clock reads.
         let t0 = self.probe.is_some().then(Instant::now);
         let kind = if spec.cap_step.is_some() {
@@ -355,7 +311,7 @@ impl EngineWorkspace {
                 let new_v = self.x[i];
                 self.voltages[i + 1] += alpha * (new_v - self.voltages[i + 1]);
                 if !self.voltages[i + 1].is_finite() {
-                    self.probe_event(Probe::non_finite);
+                    self.probe_event(EngineStats::non_finite);
                     self.probe_solve_end(SolveOutcome::NonFinite, iter + 1, t0);
                     return Err(AnalogError::NoConvergence {
                         iterations: iter + 1,
@@ -422,7 +378,7 @@ impl EngineWorkspace {
         self.rhs.resize(dim, 0.0);
         fill(&mut self.rhs);
         self.real.solve(&self.rhs, &mut self.x)?;
-        self.probe_event(Probe::back_substitution);
+        self.probe_event(EngineStats::back_substitution);
         Ok(&self.x)
     }
 
@@ -463,7 +419,7 @@ impl EngineWorkspace {
     /// Propagates solve errors; must follow [`Self::complex_factorize`].
     pub(crate) fn complex_solve(&mut self, b: &[C64]) -> Result<&[C64], AnalogError> {
         self.complex.solve(b, &mut self.cx)?;
-        self.probe_event(Probe::complex_back_substitution);
+        self.probe_event(EngineStats::complex_back_substitution);
         Ok(&self.cx)
     }
 
@@ -476,7 +432,7 @@ impl EngineWorkspace {
     /// Propagates solve errors; must follow [`Self::complex_factorize`].
     pub(crate) fn complex_solve_own_rhs(&mut self) -> Result<&[C64], AnalogError> {
         self.complex.solve(&self.crhs, &mut self.cx)?;
-        self.probe_event(Probe::complex_back_substitution);
+        self.probe_event(EngineStats::complex_back_substitution);
         Ok(&self.cx)
     }
 }
@@ -656,13 +612,13 @@ impl BatchRun {
             };
             let sol = match warm {
                 Some(j) => {
-                    ws.probe_event(Probe::warm_start);
+                    ws.probe_event(EngineStats::warm_start);
                     match solve(&ckt, &seeds[j], ws) {
                         Ok(sol) => sol,
                         Err(
                             AnalogError::NoConvergence { .. } | AnalogError::SingularMatrix { .. },
                         ) => {
-                            ws.probe_event(Probe::warm_start_rejected);
+                            ws.probe_event(EngineStats::warm_start_rejected);
                             solve(&ckt, &cold, ws)?
                         }
                         Err(e) => return Err(e),

@@ -24,7 +24,7 @@
 //!   cell, GGA, Fig. 2 CMFF mirrors, class-A baseline),
 //! * [`headroom`] — the supply-voltage feasibility conditions of Eqs. (1)–(2),
 //! * [`telemetry`] — zero-cost-when-disabled solver observability
-//!   ([`telemetry::Probe`], [`telemetry::EngineStats`]) threaded through
+//!   ([`telemetry::EngineStats`]) threaded through
 //!   every analysis and the parallel sweep layer.
 //!
 //! # Example

@@ -22,7 +22,7 @@ use crate::linalg::Matrix;
 use crate::mna::{assemble_into_target, mna_pattern, StampContext};
 use crate::netlist::Circuit;
 use crate::sparse::{CscMatrix, RhsPanel, Scalar, SparseLu};
-use crate::telemetry::{BackendKind, Probe};
+use crate::telemetry::{BackendKind, EngineStats};
 use crate::AnalogError;
 
 /// How the backend is selected.
@@ -138,8 +138,8 @@ impl ComplexTarget<'_> {
 }
 
 /// What one backend factorization did, for telemetry. Returned by the
-/// solvers so the engine (which owns the probe) can report it without the
-/// backend layer holding a probe reference.
+/// solvers so the engine (which owns the collector) can report it without
+/// the backend layer holding a collector reference.
 #[derive(Debug, Clone, Copy)]
 pub struct FactorEvent {
     /// Which backend factored.
@@ -154,8 +154,8 @@ pub struct FactorEvent {
 }
 
 impl FactorEvent {
-    /// Reports this event to a probe.
-    pub fn report(&self, p: &mut dyn Probe) {
+    /// Reports this event to a telemetry collector.
+    pub fn report(&self, p: &mut EngineStats) {
         p.backend_factorization(self.kind, self.refactor);
         if let Some(hit) = self.cache {
             p.symbolic_cache(hit);

@@ -5,28 +5,25 @@
 //! engine quietly performing thousands of Newton solves. This module makes
 //! that work observable without perturbing it:
 //!
-//! * [`Probe`] — an event-sink trait the engine notifies about solves,
+//! * [`EngineStats`] — the collector the engine notifies about solves,
 //!   Newton iterations, LU factorizations, gmin ladder moves, and
-//!   non-finite rejections. A workspace with no probe installed pays one
-//!   `Option` branch per event (nothing on the per-element stamping path),
-//!   and a probe can only *observe*: enabling one never changes a solved
-//!   voltage bit for bit (property-tested in
-//!   `crates/analog/tests/properties.rs`).
-//! * [`EngineStats`] — the concrete collector: counters, per-solve peaks,
-//!   and wall-clock time, all chosen so that [`Merge::merge`] is
-//!   associative and commutative. Per-worker collectors from
+//!   non-finite rejections: counters, per-solve peaks, and wall-clock
+//!   time, all chosen so that [`Merge::merge`] is associative and
+//!   commutative. Per-worker collectors from
 //!   [`crate::sweep::parallel_map_with_stats`] therefore merge to the same
-//!   totals regardless of how points were scheduled.
+//!   totals regardless of how points were scheduled. A workspace with no
+//!   collector installed pays one `Option` branch per event (nothing on
+//!   the per-element stamping path), and the collector can only
+//!   *observe*: enabling it never changes a solved voltage bit for bit
+//!   (property-tested in `crates/analog/tests/properties.rs`).
 //! * [`Merge`] — the deterministic reduction used by the parallel sweep
 //!   layer.
 //!
 //! Failure forensics (the per-iteration residual trajectory of a diverging
 //! solve) ride on [`crate::AnalogError::NoConvergence`] itself rather than
-//! on a probe, so a crashed sweep point explains itself even with
+//! on the collector, so a crashed sweep point explains itself even with
 //! telemetry disabled.
 
-use std::any::Any;
-use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -72,103 +69,6 @@ pub enum SolveOutcome {
     NonFinite,
     /// Assembly or factorization failed (singular matrix, bad element).
     Aborted,
-}
-
-/// An observer of engine events.
-///
-/// All methods default to no-ops so a probe implements only what it cares
-/// about. Install one with [`crate::engine::EngineWorkspace::set_probe`]
-/// (or [`crate::engine::EngineWorkspace::enable_stats`] for the built-in
-/// [`EngineStats`]); the engine then reports events from every analysis
-/// driven through that workspace.
-pub trait Probe: Any + Send + fmt::Debug {
-    /// A Newton solve is starting.
-    fn solve_begin(&mut self, kind: SolveKind) {
-        let _ = kind;
-    }
-
-    /// One Newton iteration finished with voltage-update norm `delta`.
-    fn newton_iteration(&mut self, delta: f64) {
-        let _ = delta;
-    }
-
-    /// The Newton solve ended after `iterations` iterations taking
-    /// `elapsed` wall-clock time (zero when timing is unavailable).
-    fn solve_end(&mut self, outcome: SolveOutcome, iterations: usize, elapsed: Duration) {
-        let _ = (outcome, iterations, elapsed);
-    }
-
-    /// The DC solver moved to gmin ladder level `gmin` (siemens).
-    fn gmin_level(&mut self, gmin: f64) {
-        let _ = gmin;
-    }
-
-    /// A real-matrix LU factorization completed (first factorization of a
-    /// solve, or a standalone small-signal linearization).
-    fn factorization(&mut self) {}
-
-    /// A real-matrix LU re-factorization completed (Newton iterations
-    /// after the first restamp and refactor the same system).
-    fn refactorization(&mut self) {}
-
-    /// A real-matrix back-substitution completed.
-    fn back_substitution(&mut self) {}
-
-    /// A complex-matrix LU factorization completed (AC / noise).
-    fn complex_factorization(&mut self) {}
-
-    /// A complex-matrix back-substitution completed (AC / noise).
-    fn complex_back_substitution(&mut self) {}
-
-    /// A non-finite Newton iterate was rejected.
-    fn non_finite(&mut self) {}
-
-    /// A backend performed a factorization. `refactor` is true for a
-    /// sparse numeric replay of cached structure (dense backends always
-    /// factor from scratch). Fires *in addition to* the legacy
-    /// [`Probe::factorization`] / [`Probe::refactorization`] /
-    /// [`Probe::complex_factorization`] events, which keep their original
-    /// engine-level meaning (first-vs-later Newton iteration).
-    fn backend_factorization(&mut self, backend: BackendKind, refactor: bool) {
-        let _ = (backend, refactor);
-    }
-
-    /// The sparse backend consulted its symbolic-structure cache: `hit`
-    /// means the cached pivot order and fill pattern were replayed, a miss
-    /// means a full symbolic + numeric factorization ran.
-    fn symbolic_cache(&mut self, hit: bool) {
-        let _ = hit;
-    }
-
-    /// Structure of the system just factored: structural nonzeros of the
-    /// assembled matrix and nonzeros of its triangular factors (fill-in).
-    fn matrix_structure(&mut self, nonzeros: u64, factor_nonzeros: u64) {
-        let _ = (nonzeros, factor_nonzeros);
-    }
-
-    /// A batched scenario run ([`crate::engine::BatchRun`]) started,
-    /// covering `scenarios` scenarios over one topology.
-    fn batch_run(&mut self, scenarios: u64) {
-        let _ = scenarios;
-    }
-
-    /// A batch scenario's Newton solve was warm-started from an already
-    /// converged neighbour's solution instead of the cold start.
-    fn warm_start(&mut self) {}
-
-    /// A warm-started solve diverged; the scenario was retried from the
-    /// cold operating point instead of failing the batch.
-    fn warm_start_rejected(&mut self) {}
-
-    /// Clones the probe behind the trait object (used when a workspace is
-    /// cloned).
-    fn box_clone(&self) -> Box<dyn Probe>;
-
-    /// The probe as [`Any`], for downcasting to a concrete collector.
-    fn as_any(&self) -> &dyn Any;
-
-    /// The probe as mutable [`Any`].
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// A deterministic, order-independent reduction.
@@ -436,8 +336,12 @@ impl Merge for EngineStats {
     }
 }
 
-impl Probe for EngineStats {
-    fn solve_begin(&mut self, kind: SolveKind) {
+/// Engine events. The engine calls these on the workspace's installed
+/// collector ([`crate::engine::EngineWorkspace::enable_stats`]); they only
+/// count, so collecting never changes a result.
+impl EngineStats {
+    /// A Newton solve is starting.
+    pub fn solve_begin(&mut self, kind: SolveKind) {
         self.solves += 1;
         match kind {
             SolveKind::Dc => self.dc_solves += 1,
@@ -445,11 +349,14 @@ impl Probe for EngineStats {
         }
     }
 
-    fn newton_iteration(&mut self, _delta: f64) {
+    /// One Newton iteration finished with voltage-update norm `delta`.
+    pub fn newton_iteration(&mut self, _delta: f64) {
         self.newton_iterations += 1;
     }
 
-    fn solve_end(&mut self, outcome: SolveOutcome, iterations: usize, elapsed: Duration) {
+    /// The Newton solve ended after `iterations` iterations taking
+    /// `elapsed` wall-clock time (zero when timing is unavailable).
+    pub fn solve_end(&mut self, outcome: SolveOutcome, iterations: usize, elapsed: Duration) {
         self.max_newton_iterations = self.max_newton_iterations.max(iterations as u64);
         self.solve_time += elapsed;
         if outcome != SolveOutcome::Converged {
@@ -457,36 +364,51 @@ impl Probe for EngineStats {
         }
     }
 
-    fn gmin_level(&mut self, gmin: f64) {
+    /// The DC solver moved to gmin ladder level `gmin` (siemens).
+    pub fn gmin_level(&mut self, gmin: f64) {
         self.gmin_steps += 1;
         self.min_gmin = self.min_gmin.min(gmin);
     }
 
-    fn factorization(&mut self) {
+    /// A real-matrix LU factorization completed (first factorization of a
+    /// solve, or a standalone small-signal linearization).
+    pub fn factorization(&mut self) {
         self.factorizations += 1;
     }
 
-    fn refactorization(&mut self) {
+    /// A real-matrix LU re-factorization completed (Newton iterations
+    /// after the first restamp and refactor the same system).
+    pub fn refactorization(&mut self) {
         self.refactorizations += 1;
     }
 
-    fn back_substitution(&mut self) {
+    /// A real-matrix back-substitution completed.
+    pub fn back_substitution(&mut self) {
         self.back_substitutions += 1;
     }
 
-    fn complex_factorization(&mut self) {
+    /// A complex-matrix LU factorization completed (AC / noise).
+    pub fn complex_factorization(&mut self) {
         self.complex_factorizations += 1;
     }
 
-    fn complex_back_substitution(&mut self) {
+    /// A complex-matrix back-substitution completed (AC / noise).
+    pub fn complex_back_substitution(&mut self) {
         self.complex_back_substitutions += 1;
     }
 
-    fn non_finite(&mut self) {
+    /// A non-finite Newton iterate was rejected.
+    pub fn non_finite(&mut self) {
         self.non_finite_rejections += 1;
     }
 
-    fn backend_factorization(&mut self, backend: BackendKind, refactor: bool) {
+    /// A backend performed a factorization. `refactor` is true for a
+    /// sparse numeric replay of cached structure (dense backends always
+    /// factor from scratch). Fires *in addition to* the legacy
+    /// [`EngineStats::factorization`] / [`EngineStats::refactorization`] /
+    /// [`EngineStats::complex_factorization`] events, which keep their original
+    /// engine-level meaning (first-vs-later Newton iteration).
+    pub fn backend_factorization(&mut self, backend: BackendKind, refactor: bool) {
         match (backend, refactor) {
             (BackendKind::DenseReal, _) => self.dense_real_factorizations += 1,
             (BackendKind::DenseComplex, _) => self.dense_complex_factorizations += 1,
@@ -497,7 +419,10 @@ impl Probe for EngineStats {
         }
     }
 
-    fn symbolic_cache(&mut self, hit: bool) {
+    /// The sparse backend consulted its symbolic-structure cache: `hit`
+    /// means the cached pivot order and fill pattern were replayed, a miss
+    /// means a full symbolic + numeric factorization ran.
+    pub fn symbolic_cache(&mut self, hit: bool) {
         if hit {
             self.symbolic_cache_hits += 1;
         } else {
@@ -505,34 +430,30 @@ impl Probe for EngineStats {
         }
     }
 
-    fn matrix_structure(&mut self, nonzeros: u64, factor_nonzeros: u64) {
+    /// Structure of the system just factored: structural nonzeros of the
+    /// assembled matrix and nonzeros of its triangular factors (fill-in).
+    pub fn matrix_structure(&mut self, nonzeros: u64, factor_nonzeros: u64) {
         self.max_matrix_nonzeros = self.max_matrix_nonzeros.max(nonzeros);
         self.max_factor_nonzeros = self.max_factor_nonzeros.max(factor_nonzeros);
     }
 
-    fn batch_run(&mut self, scenarios: u64) {
+    /// A batched scenario run ([`crate::engine::BatchRun`]) started,
+    /// covering `scenarios` scenarios over one topology.
+    pub fn batch_run(&mut self, scenarios: u64) {
         self.batch_runs += 1;
         self.batch_scenarios += scenarios;
     }
 
-    fn warm_start(&mut self) {
+    /// A batch scenario's Newton solve was warm-started from an already
+    /// converged neighbour's solution instead of the cold start.
+    pub fn warm_start(&mut self) {
         self.warm_starts += 1;
     }
 
-    fn warm_start_rejected(&mut self) {
+    /// A warm-started solve diverged; the scenario was retried from the
+    /// cold operating point instead of failing the batch.
+    pub fn warm_start_rejected(&mut self) {
         self.warm_start_rejected += 1;
-    }
-
-    fn box_clone(&self) -> Box<dyn Probe> {
-        Box::new(self.clone())
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -275,10 +275,11 @@ pub fn run_from(
 }
 
 /// Runs a transient analysis from a supplied initial solution, reusing the
-/// caller's workspace buffers. Once the result vectors reach their final
-/// capacity (reserved up front), the per-step loop performs no heap
-/// allocation: assembly, factorization, and back-substitution all happen
-/// in place inside `ws`.
+/// caller's workspace buffers: the whole run as a single
+/// [`run_chunk_with`] chunk from step 0. Once the result vectors reach
+/// their final capacity (reserved up front), the per-step loop performs
+/// no heap allocation: assembly, factorization, and back-substitution all
+/// happen in place inside `ws`.
 ///
 /// # Errors
 ///
@@ -289,54 +290,8 @@ pub fn run_from_with(
     initial: Solution,
     ws: &mut EngineWorkspace,
 ) -> Result<TranResult, AnalogError> {
-    let n_nodes = circuit.node_count();
-    let n_branches = circuit.branch_count();
     let steps = (params.t_stop.0 / params.dt.0).round() as usize;
-
-    let mut times = Vec::with_capacity(steps + 1);
-    let mut node_voltages = Vec::with_capacity((steps + 1) * n_nodes);
-    let mut branch_currents = Vec::with_capacity((steps + 1) * n_branches);
-
-    let mut prev = initial.node_voltages();
-    times.push(0.0);
-    node_voltages.extend_from_slice(&prev);
-    branch_currents.extend((0..n_branches).map(|k| initial.branch_current(k).0));
-
-    let settings = NewtonSettings {
-        max_iterations: params.max_iterations,
-        vtol: params.vtol,
-        max_step: 0.5,
-    };
-
-    for step in 1..=steps {
-        let t = step as f64 * params.dt.0;
-        // Newton at this time point, warm-started from the previous step.
-        let spec = StampSpec {
-            time: Some(Seconds(t)),
-            clock: params.clock.as_ref(),
-            phi1_high: false,
-            phi2_high: false,
-            cap_step: Some(CapStep {
-                h: params.dt.0,
-                prev_voltages: &prev,
-            }),
-        };
-        ws.newton(circuit, &spec, &settings, params.gmin, &prev)?;
-        times.push(t);
-        node_voltages.extend_from_slice(ws.node_voltages());
-        branch_currents.extend_from_slice(ws.branch_currents());
-        prev.clear();
-        prev.extend_from_slice(ws.node_voltages());
-    }
-
-    Ok(TranResult {
-        times,
-        n_nodes,
-        n_branches,
-        node_voltages,
-        branch_currents,
-        clock: params.clock,
-    })
+    run_chunk_with(circuit, params, 0, steps, &initial, ws).map(|(result, _)| result)
 }
 
 /// Runs one chunk of a transient analysis: the `chunk_steps` steps after
@@ -350,7 +305,7 @@ pub fn run_from_with(
 /// into chunks — including one resumed from a checkpointed `initial` —
 /// is bit-identical to an uninterrupted [`run_from_with`] over the same
 /// steps. The `t = 0` initial point is recorded only when
-/// `start_step == 0`, mirroring [`run_from_with`]'s output layout.
+/// `start_step == 0`, which is the one-shot [`run_from_with`] layout.
 ///
 /// # Errors
 ///

@@ -57,6 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use si_bench::gate::svc_counter;
 use si_bench::netfuzz;
 use si_bench::run_report::{experiments_dir, RunReport};
 use si_service::http::{HttpClient, HttpConfig, HttpServer};
@@ -148,16 +149,6 @@ fn job(args: &Args, k: usize) -> JobSpec {
         dt_ns: 50.0,
         clock_hz: 1e6,
     }
-}
-
-/// One counter out of a live `/metrics` snapshot.
-fn svc_counter(service: &SiService, section: &str, key: &str) -> f64 {
-    service
-        .metrics()
-        .get(section)
-        .and_then(|s| s.get(key))
-        .and_then(si_service::json::Json::as_f64)
-        .unwrap_or(0.0)
 }
 
 /// Maps a non-200 HTTP error body back to a typed error so the client
@@ -822,22 +813,8 @@ fn main() {
         return;
     }
 
-    // Injected worker panics are expected by the hundred; keep their
-    // backtraces out of the report while letting real panics print.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected fault"))
-            || info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    // Injected worker panics are expected by the hundred.
+    si_bench::gate::quiet_injected_panics();
 
     // The storm runs with the persistent disk tier enabled, so every
     // completed solve also exercises the atomic write-through path while

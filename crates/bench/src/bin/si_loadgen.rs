@@ -754,22 +754,8 @@ fn run_cluster(args: &Args) {
 fn run_stream(args: &Args) {
     use si_service::{FaultInjector, FaultPlan};
 
-    // A single injected mid-chunk panic is expected; keep its backtrace
-    // out of the report while letting real panics print.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|m| m.contains("injected fault"))
-            || info
-                .payload()
-                .downcast_ref::<String>()
-                .is_some_and(|m| m.contains("injected fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
+    // A single injected mid-chunk panic is expected.
+    si_bench::gate::quiet_injected_panics();
 
     let spec = JobSpec::TranStream {
         stages: 3,

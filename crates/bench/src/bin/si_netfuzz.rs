@@ -34,6 +34,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use si_bench::gate::svc_counter;
 use si_bench::netfuzz::{self, NASTY_CORPUS};
 use si_bench::run_report::{experiments_dir, RunReport};
 use si_service::http::{HttpClient, HttpServer};
@@ -178,16 +179,6 @@ impl Tally {
             ));
         }
     }
-}
-
-/// One counter out of a live `/metrics` snapshot.
-fn svc_counter(service: &SiService, section: &str, key: &str) -> f64 {
-    service
-        .metrics()
-        .get(section)
-        .and_then(|s| s.get(key))
-        .and_then(si_service::json::Json::as_f64)
-        .unwrap_or(0.0)
 }
 
 /// The service's netlist counters, in report order.

@@ -22,6 +22,7 @@
 // comparisons: unlike `x <= 0.0`, they reject NaN as well.
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 pub mod delay_line;
+pub mod gate;
 pub mod netfuzz;
 pub mod plot;
 pub mod report;

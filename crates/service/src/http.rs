@@ -1784,6 +1784,40 @@ mod tests {
         }
     }
 
+    /// A `POST /v1/jobs` body of 20,000 `[` (20 KB, far under the body
+    /// cap) used to overflow the stack of the thread decoding it, which
+    /// aborts the whole process. Both front ends now answer a typed `400`
+    /// and keep serving, and every document they emit still parses under
+    /// the nesting cap.
+    #[test]
+    fn deeply_nested_body_is_400() {
+        let nested = "[".repeat(20_000);
+        let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
+        for front in fronts(HttpConfig::default()) {
+            let (status, body) = call(front.addr(), "POST", "/v1/jobs", Some(&nested));
+            assert_eq!(status, 400, "{}: {body}", front.name());
+            assert!(
+                body.contains("nesting deeper than"),
+                "{}: {body}",
+                front.name()
+            );
+            for (method, path, body) in [
+                ("GET", "/healthz", None),
+                ("GET", "/readyz", None),
+                ("POST", "/v1/jobs", Some(spec)),
+                ("GET", "/metrics", None),
+            ] {
+                let (status, answer) = call(front.addr(), method, path, body);
+                assert_eq!(status, 200, "{} {path}: {answer}", front.name());
+                assert!(
+                    json::parse(&answer).is_ok(),
+                    "{} {path}: {answer}",
+                    front.name()
+                );
+            }
+        }
+    }
+
     /// Regression (ISSUE 5): an oversized `Content-Length` used to close
     /// the socket silently; now it is a typed `413` sent before any body
     /// byte is read.

@@ -9,14 +9,22 @@
 //! [`si_analog::netlist::Circuit::structure_fingerprint`], so identical
 //! jobs coalesce across clients and runs while a one-ULP change to any
 //! parameter yields a different key.
+//!
+//! Internally every spec is a *circuit* (the paper's delay line, or
+//! netlist text; none for the SNDR sweep) and an *analysis* (DC, DC
+//! batch, transient, AC, streaming transient, sweep). Validation, the
+//! key, the structure fingerprint, the wire form and the run each handle
+//! the circuit once and the analysis once, and a [`Prepared`] spec builds
+//! or parses its circuit at most once for all of them.
 
 use si_analog::ac::{AcAnalysis, AcProbe, AcStimulus};
-use si_analog::cells::DelayLineDesign;
+use si_analog::cells::{DelayLine, DelayLineDesign};
 use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::device::switch::TwoPhaseClock;
 use si_analog::engine::{BatchRun, EngineWorkspace};
 use si_analog::mna::Solution;
-use si_analog::parse::parse_netlist_canonical;
+use si_analog::netlist::Circuit;
+use si_analog::parse::{parse_netlist_canonical, to_netlist};
 use si_analog::tran::{self, TranParams};
 use si_analog::units::{Amps, Farads, Seconds, Volts};
 use si_dsp::welch::WelchAccumulator;
@@ -25,6 +33,7 @@ use si_modulator::arch::SecondOrderTopology;
 use si_modulator::ideal::IdealModulator;
 use si_modulator::measure::MeasurementConfig;
 use si_modulator::sweep::sndr_sweep;
+use std::cell::OnceCell;
 
 use crate::budget::{price_circuit, CircuitCost};
 use crate::error::ServiceError;
@@ -52,10 +61,7 @@ impl Fnv1a {
 
     /// Mixes a `u64` byte by byte (little-endian).
     pub fn mix_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.mix_bytes(&v.to_le_bytes());
     }
 
     /// Mixes a float through its bit pattern, so `-0.0 ≠ 0.0` and every
@@ -212,150 +218,7 @@ impl JobSpec {
     ///
     /// [`ServiceError::InvalidSpec`] naming the offending field.
     pub fn validate(&self) -> Result<(), ServiceError> {
-        let bad = |msg: &str| Err(ServiceError::InvalidSpec(msg.to_string()));
-        match self {
-            JobSpec::DelayLineDc {
-                stages, bias_ua, ..
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
-            }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                ..
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
-                if *steps == 0 || *steps > 100_000 {
-                    return bad("steps must be in 1..=100000");
-                }
-                if !(*dt_ns > 0.0) {
-                    return bad("dt_ns must be positive");
-                }
-                if !(*clock_hz > 0.0) {
-                    return bad("clock_hz must be positive");
-                }
-            }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-                ..
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
-                if !(*f_lo_hz > 0.0) || !(*f_hi_hz > *f_lo_hz) {
-                    return bad("need 0 < f_lo_hz < f_hi_hz");
-                }
-                if *points < 2 || *points > 10_000 {
-                    return bad("points must be in 2..=10000");
-                }
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                if !(*full_scale_ua > 0.0) {
-                    return bad("full_scale_ua must be positive");
-                }
-                if levels_db.len() < 2 || levels_db.len() > 256 {
-                    return bad("levels_db needs 2..=256 entries");
-                }
-                if levels_db.iter().any(|l| !l.is_finite()) {
-                    return bad("levels_db entries must be finite");
-                }
-            }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
-                if inputs_ua.is_empty() || inputs_ua.len() > 1024 {
-                    return bad("inputs_ua needs 1..=1024 entries");
-                }
-                if inputs_ua.iter().any(|i| !i.is_finite()) {
-                    return bad("inputs_ua entries must be finite");
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                // The strict parse *is* the validation: any malformed
-                // card, bad value, or unbuildable circuit comes back as a
-                // typed line/column error. Unlike the canned kinds, this
-                // maps to NetlistRejected (HTTP 422), not InvalidSpec —
-                // the request shape was fine, the circuit was not.
-                let circuit = parse_netlist_canonical(netlist)
-                    .map_err(|e| ServiceError::NetlistRejected(e.to_string()))?;
-                if circuit.elements().is_empty() {
-                    return Err(ServiceError::NetlistRejected(
-                        "netlist defines no elements".to_string(),
-                    ));
-                }
-            }
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-                ..
-            } => {
-                if *stages == 0 || *stages > 4096 {
-                    return bad("stages must be in 1..=4096");
-                }
-                if !(*bias_ua > 0.0) {
-                    return bad("bias_ua must be positive");
-                }
-                // Streaming exists for runs too long for one deadline, so
-                // the step cap is far above DelayLineTran's.
-                if *steps == 0 || *steps > 1_048_576 {
-                    return bad("steps must be in 1..=1048576");
-                }
-                if !(*dt_ns > 0.0) {
-                    return bad("dt_ns must be positive");
-                }
-                if !(*clock_hz > 0.0) {
-                    return bad("clock_hz must be positive");
-                }
-                if *chunk_steps == 0 || *chunk_steps > *steps {
-                    return bad("chunk_steps must be in 1..=steps");
-                }
-                if *seg_len < 2 || *seg_len > 65_536 || !seg_len.is_power_of_two() {
-                    return bad("seg_len must be a power of two in 2..=65536");
-                }
-                if *seg_len > *steps + 1 {
-                    return bad(
-                        "seg_len must not exceed steps + 1 (no complete segment would fit)",
-                    );
-                }
-            }
-        }
-        Ok(())
+        self.prepare().validate()
     }
 
     /// What this spec will cost to solve, priced *before* any
@@ -367,14 +230,7 @@ impl JobSpec {
     ///
     /// [`ServiceError::NetlistRejected`] when the netlist does not parse.
     pub fn admission_cost(&self) -> Result<Option<CircuitCost>, ServiceError> {
-        match self {
-            JobSpec::Netlist { netlist } => {
-                let circuit = parse_netlist_canonical(netlist)
-                    .map_err(|e| ServiceError::NetlistRejected(e.to_string()))?;
-                Ok(Some(price_circuit(&circuit)))
-            }
-            _ => Ok(None),
-        }
+        self.prepare().admission_cost()
     }
 
     /// The job's content address: identical specs — and only identical
@@ -388,140 +244,7 @@ impl JobSpec {
     /// mixed in afterwards.
     #[must_use]
     pub fn job_key(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                h.mix_u64(1);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    // Invalid specs still need a stable (never-cached) key.
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
-            }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-            } => {
-                h.mix_u64(2);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
-                h.mix_u64(*steps as u64);
-                h.mix_f64(*dt_ns);
-                h.mix_f64(*clock_hz);
-            }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-            } => {
-                h.mix_u64(3);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
-                h.mix_f64(*f_lo_hz);
-                h.mix_f64(*f_hi_hz);
-                h.mix_u64(*points as u64);
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                h.mix_u64(4);
-                h.mix_f64(*full_scale_ua);
-                h.mix_u64(levels_db.len() as u64);
-                for &l in levels_db {
-                    h.mix_f64(l);
-                }
-            }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                h.mix_u64(5);
-                // Fingerprint the shared topology once (input source at
-                // zero), then mix the per-scenario inputs explicitly.
-                if let Ok(line) = build_line(*stages, *bias_ua, 0.0) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                }
-                h.mix_u64(inputs_ua.len() as u64);
-                for &i in inputs_ua {
-                    h.mix_f64(i);
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                h.mix_u64(6);
-                // The canonical parse makes the key text-representation
-                // independent: permuting cards or editing comments lands
-                // in the same cache slot, and run() executes the same
-                // canonical circuit, so sharing the slot is sound.
-                if let Ok(circuit) = parse_netlist_canonical(netlist) {
-                    h.mix_u64(circuit.structure_fingerprint());
-                    h.mix_u64(circuit.value_fingerprint());
-                } else {
-                    // Unparsable text still needs a stable (never-cached)
-                    // key; hash the raw bytes.
-                    h.mix_u64(netlist.len() as u64);
-                    h.mix_bytes(netlist.as_bytes());
-                }
-            }
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-            } => {
-                h.mix_u64(7);
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(line.circuit.structure_fingerprint());
-                    h.mix_u64(line.circuit.value_fingerprint());
-                } else {
-                    h.mix_u64(*stages as u64);
-                    h.mix_f64(*bias_ua);
-                    h.mix_f64(*input_ua);
-                }
-                h.mix_u64(*steps as u64);
-                h.mix_f64(*dt_ns);
-                h.mix_f64(*clock_hz);
-                h.mix_u64(*chunk_steps as u64);
-                h.mix_u64(*seg_len as u64);
-            }
-        }
-        h.finish()
+        self.prepare().job_key()
     }
 
     /// The disk-tier key a streaming job's checkpoint lives under:
@@ -554,99 +277,7 @@ impl JobSpec {
     /// place them deterministically; they never reach a solver cache.
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
-        // Generator-built circuits are fingerprinted through the same
-        // canonical netlist round trip as user submissions: emit the
-        // circuit, re-parse it canonically, fingerprint that. Without
-        // the round trip the generator's element order would hash
-        // differently from the canonical card order, and a netlist twin
-        // would land on a different shard than its generator job.
-        let canonical = |circuit: &si_analog::netlist::Circuit| {
-            si_analog::parse::to_netlist(circuit)
-                .ok()
-                .and_then(|text| parse_netlist_canonical(&text).ok())
-                .map_or_else(
-                    || circuit.structure_fingerprint(),
-                    |canon| canon.structure_fingerprint(),
-                )
-        };
-        let mut h = Fnv1a::new();
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(1);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(2);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(3);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::SndrSweep { .. } => {
-                // No circuit behind it; all sweeps share one "structure".
-                h.mix_u64(4);
-            }
-            JobSpec::DelayLineDcBatch {
-                stages, bias_ua, ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, 0.0) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(5);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-            JobSpec::Netlist { netlist } => {
-                if let Ok(circuit) = parse_netlist_canonical(netlist) {
-                    h.mix_u64(circuit.structure_fingerprint());
-                } else {
-                    h.mix_u64(6);
-                    h.mix_u64(netlist.len() as u64);
-                    h.mix_bytes(netlist.as_bytes());
-                }
-            }
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
-                ..
-            } => {
-                if let Ok(line) = build_line(*stages, *bias_ua, *input_ua) {
-                    h.mix_u64(canonical(&line.circuit));
-                } else {
-                    h.mix_u64(7);
-                    h.mix_u64(*stages as u64);
-                }
-            }
-        }
-        h.finish()
+        self.prepare().structure_fingerprint()
     }
 
     /// The kind tag used on the wire.
@@ -717,6 +348,20 @@ impl JobSpec {
             }
             Ok(n as usize)
         };
+        let list = |key: &str| -> Result<Vec<f64>, ServiceError> {
+            v.get(key)
+                .and_then(Json::as_array)
+                .ok_or_else(|| invalid(format!("missing array \"{key}\"")))?
+                .iter()
+                .map(|x| {
+                    x.as_f64()
+                        .ok_or_else(|| invalid(format!("{key} entries must be numbers")))
+                })
+                .collect()
+        };
+        // Each public variant is built by name. A list is read before its
+        // kind's scalar fields, so a document missing both reports the
+        // list.
         let spec = match kind {
             "delay_line_dc" => JobSpec::DelayLineDc {
                 stages: int("stages")?,
@@ -740,34 +385,14 @@ impl JobSpec {
                 points: int("points")?,
             },
             "sndr_sweep" => {
-                let levels = v
-                    .get("levels_db")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| invalid("missing array \"levels_db\"".to_string()))?;
-                let levels_db = levels
-                    .iter()
-                    .map(|l| {
-                        l.as_f64()
-                            .ok_or_else(|| invalid("levels_db entries must be numbers".to_string()))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let levels_db = list("levels_db")?;
                 JobSpec::SndrSweep {
                     full_scale_ua: num("full_scale_ua")?,
                     levels_db,
                 }
             }
             "delay_line_dc_batch" => {
-                let inputs = v
-                    .get("inputs_ua")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| invalid("missing array \"inputs_ua\"".to_string()))?;
-                let inputs_ua = inputs
-                    .iter()
-                    .map(|l| {
-                        l.as_f64()
-                            .ok_or_else(|| invalid("inputs_ua entries must be numbers".to_string()))
-                    })
-                    .collect::<Result<Vec<f64>, _>>()?;
+                let inputs_ua = list("inputs_ua")?;
                 JobSpec::DelayLineDcBatch {
                     stages: int("stages")?,
                     bias_ua: num("bias_ua")?,
@@ -809,93 +434,15 @@ impl JobSpec {
     /// Serializes the spec back to its wire form.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![("kind".to_string(), Json::String(self.kind().to_string()))];
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-            }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("steps".to_string(), Json::Number(*steps as f64)));
-                pairs.push(("dt_ns".to_string(), Json::Number(*dt_ns)));
-                pairs.push(("clock_hz".to_string(), Json::Number(*clock_hz)));
-            }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("f_lo_hz".to_string(), Json::Number(*f_lo_hz)));
-                pairs.push(("f_hi_hz".to_string(), Json::Number(*f_hi_hz)));
-                pairs.push(("points".to_string(), Json::Number(*points as f64)));
-            }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                pairs.push(("full_scale_ua".to_string(), Json::Number(*full_scale_ua)));
-                pairs.push((
-                    "levels_db".to_string(),
-                    Json::Array(levels_db.iter().map(|&l| Json::Number(l)).collect()),
-                ));
-            }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push((
-                    "inputs_ua".to_string(),
-                    Json::Array(inputs_ua.iter().map(|&l| Json::Number(l)).collect()),
-                ));
-            }
-            JobSpec::Netlist { netlist } => {
-                pairs.push(("netlist".to_string(), Json::String(netlist.clone())));
-            }
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-            } => {
-                pairs.push(("stages".to_string(), Json::Number(*stages as f64)));
-                pairs.push(("bias_ua".to_string(), Json::Number(*bias_ua)));
-                pairs.push(("input_ua".to_string(), Json::Number(*input_ua)));
-                pairs.push(("steps".to_string(), Json::Number(*steps as f64)));
-                pairs.push(("dt_ns".to_string(), Json::Number(*dt_ns)));
-                pairs.push(("clock_hz".to_string(), Json::Number(*clock_hz)));
-                pairs.push(("chunk_steps".to_string(), Json::Number(*chunk_steps as f64)));
-                pairs.push(("seg_len".to_string(), Json::Number(*seg_len as f64)));
-            }
-        }
-        Json::Object(pairs)
+        let job = self.prepare();
+        let kind = ("kind".to_string(), Json::String(self.kind().to_string()));
+        let fields = job.circuit.iter().flat_map(|c| c.fields());
+        let fields = fields.chain(job.analysis.fields());
+        Json::Object(
+            std::iter::once(kind)
+                .chain(fields.map(|(name, value)| (name.to_string(), value.to_json())))
+                .collect(),
+        )
     }
 
     /// Executes the job on the given workspace. Deterministic: identical
@@ -927,25 +474,21 @@ impl JobSpec {
         ws: &mut EngineWorkspace,
         mut scenario_hook: Option<&mut dyn FnMut(usize)>,
     ) -> Result<JobOutput, ServiceError> {
-        self.validate()?;
-        // Newton budget exhaustion is the one analog failure a retry can
-        // plausibly clear (warmer workspace, different gmin path), so it
-        // gets the retryable variant; everything else is permanent.
-        let analysis = |e: si_analog::AnalogError| match &e {
-            si_analog::AnalogError::NoConvergence { .. } => ServiceError::Transient(e.to_string()),
-            _ => ServiceError::Analysis(e.to_string()),
+        let job = self.prepare();
+        job.validate()?;
+        let (circuit, analysis) = (job.circuit, job.analysis);
+        let line = match (circuit.map(|c| job.into_built(c)).transpose()?, analysis) {
+            (Some(Built::Line(line)), _) => line,
+            (Some(Built::Netlist(circuit)), _) => return run_netlist(&circuit, ws),
+            (None, Analysis::Sweep(sweep)) => return run_sweep(sweep),
+            (None, _) => unreachable!("only a sweep runs on no circuit"),
         };
-        match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
+        match analysis {
+            Analysis::Dc => {
                 let sol = DcSolver::new()
                     .with_initial_guess(line.initial_guess.clone())
                     .solve_with(&line.circuit, ws)
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let values: Vec<f64> = line.stage_nodes.iter().map(|&n| sol.voltage(n).0).collect();
                 let v_in = values.first().copied().unwrap_or(0.0);
                 let v_out = values.last().copied().unwrap_or(0.0);
@@ -961,22 +504,9 @@ impl JobSpec {
                     ],
                 })
             }
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-            } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
-                let dt = Seconds(dt_ns * 1e-9);
-                let t_stop = Seconds(dt.0 * (*steps as f64));
-                let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).map_err(analysis)?;
-                let params = TranParams::new(t_stop, dt)
-                    .map_err(analysis)?
-                    .with_clock(clock);
-                let result = tran::run_with(&line.circuit, &params, ws).map_err(analysis)?;
+            Analysis::Tran(tran) => {
+                let params = tran.params().map_err(analysis_error)?;
+                let result = tran::run_with(&line.circuit, &params, ws).map_err(analysis_error)?;
                 // The output stage's full waveform is the cached value
                 // vector; summary metrics describe the run size.
                 let last = *line.stage_nodes.last().expect("stages >= 1");
@@ -990,21 +520,13 @@ impl JobSpec {
                     ],
                 })
             }
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-            } => {
-                let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis)?;
+            Analysis::Ac(ac) => {
                 let op = DcSolver::new()
                     .with_initial_guess(line.initial_guess.clone())
                     .solve_with(&line.circuit, ws)
-                    .map_err(analysis)?;
-                let freqs = si_analog::ac::log_frequencies(*f_lo_hz, *f_hi_hz, *points)
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
+                let freqs = si_analog::ac::log_frequencies(ac.f_lo_hz, ac.f_hi_hz, ac.points)
+                    .map_err(analysis_error)?;
                 let resp = AcAnalysis::default()
                     .response_with(
                         &line.circuit,
@@ -1014,7 +536,7 @@ impl JobSpec {
                         &freqs,
                         ws,
                     )
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let values: Vec<f64> = resp.iter().map(|c| c.abs()).collect();
                 let dc_gain = values.first().copied().unwrap_or(0.0);
                 let bw = si_analog::ac::bandwidth_3db(&freqs, &resp).unwrap_or(f64::NAN);
@@ -1026,40 +548,15 @@ impl JobSpec {
                     ],
                 })
             }
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => {
-                let full_scale = full_scale_ua * 1e-6;
-                let config = MeasurementConfig::quick();
-                let sweep = sndr_sweep(
-                    || IdealModulator::new(SecondOrderTopology::default(), full_scale),
-                    levels_db,
-                    &config,
-                )
-                .map_err(|e| ServiceError::Analysis(e.to_string()))?;
-                let values: Vec<f64> = sweep.points.iter().map(|p| p.sinad_db).collect();
-                Ok(JobOutput {
-                    values,
-                    metrics: vec![
-                        ("dynamic_range_db".to_string(), sweep.dynamic_range_db),
-                        ("peak_sinad_db".to_string(), sweep.peak_sinad_db()),
-                    ],
-                })
-            }
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => {
-                // One topology for every scenario: build at zero input and
-                // let BatchRun retune the source per scenario, so the whole
-                // batch shares one symbolic factorization and each Newton
-                // loop warm-starts from the nearest input current.
-                let line = build_line(*stages, *bias_ua, 0.0).map_err(analysis)?;
+            Analysis::DcBatch(inputs_ua) => {
+                // One topology for every scenario: the line is built at
+                // zero input and BatchRun retunes the source per scenario,
+                // so the whole batch shares one symbolic factorization and
+                // each Newton loop warm-starts from the nearest input
+                // current.
                 let solver = DcSolver::new();
                 let sols = BatchRun::new(inputs_ua.len())
-                    .with_keys(inputs_ua.clone())
+                    .with_keys(inputs_ua.to_vec())
                     .with_cold_start(line.initial_guess.clone())
                     .run_with(
                         &line.circuit,
@@ -1072,7 +569,7 @@ impl JobSpec {
                         },
                         |ckt, start, ws| solver.solve_from_with(ckt, start, ws),
                     )
-                    .map_err(analysis)?;
+                    .map_err(analysis_error)?;
                 let per_scenario = line.stage_nodes.len();
                 let mut values = Vec::with_capacity(sols.len() * per_scenario);
                 for sol in &sols {
@@ -1094,39 +591,11 @@ impl JobSpec {
                     ],
                 })
             }
-            JobSpec::Netlist { netlist } => {
-                // User circuits never get the Transient (retryable)
-                // mapping: a netlist that exhausts the Newton budget would
-                // exhaust it again on every retry, and the retry loop is
-                // not a resource a submission should be able to spend.
-                // Every failure is a permanent, typed 4xx.
-                let circuit = parse_netlist_canonical(netlist)
-                    .map_err(|e| ServiceError::NetlistRejected(e.to_string()))?;
-                let sol = DcSolver::new()
-                    .solve_with(&circuit, ws)
-                    .map_err(|e| ServiceError::Analysis(e.to_string()))?;
-                // All non-ground node voltages, in node-intern order — the
-                // canonical parse makes that order deterministic for every
-                // text variant of the same circuit.
-                let values: Vec<f64> = sol.node_voltages().split_off(1);
-                let v_min = values.iter().copied().fold(f64::INFINITY, f64::min);
-                let v_max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-                Ok(JobOutput {
-                    values,
-                    metrics: vec![
-                        ("nodes".to_string(), circuit.node_count() as f64),
-                        ("devices".to_string(), circuit.elements().len() as f64),
-                        ("mna_dimension".to_string(), circuit.mna_dimension() as f64),
-                        ("v_min".to_string(), v_min),
-                        ("v_max".to_string(), v_max),
-                    ],
-                })
-            }
-            JobSpec::TranStream { .. } => {
+            Analysis::TranStream(stream) => {
                 // The uninterrupted path runs the exact same chunked
                 // executor the service uses, minus persistence — which is
                 // what makes a resumed run bit-identical to this one.
-                let mut state = self.stream_start(ws)?;
+                let mut state = StreamState::start(line, stream, ws)?;
                 while state.chunks_done() < state.chunks_total() {
                     if let Some(hook) = scenario_hook.as_deref_mut() {
                         hook(state.chunks_done());
@@ -1135,6 +604,7 @@ impl JobSpec {
                 }
                 self.stream_finish(&state)
             }
+            Analysis::Sweep(_) => unreachable!("a sweep runs on no circuit"),
         }
     }
 
@@ -1150,42 +620,17 @@ impl JobSpec {
         &self,
         ws: &mut EngineWorkspace,
     ) -> Result<StreamState, ServiceError> {
-        let JobSpec::TranStream {
-            stages,
-            bias_ua,
-            input_ua,
-            steps,
-            dt_ns,
-            clock_hz,
-            chunk_steps,
-            seg_len,
-        } = self
-        else {
+        let job = self.prepare();
+        let (Some(circuit), Analysis::TranStream(stream)) = (job.circuit, job.analysis) else {
             return Err(ServiceError::Internal(
                 "stream_start on a non-streaming spec".to_string(),
             ));
         };
-        self.validate()?;
-        let line = build_line(*stages, *bias_ua, *input_ua).map_err(analysis_error)?;
-        let dt = Seconds(dt_ns * 1e-9);
-        let t_stop = Seconds(dt.0 * (*steps as f64));
-        let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).map_err(analysis_error)?;
-        let params = TranParams::new(t_stop, dt)
-            .map_err(analysis_error)?
-            .with_clock(clock);
-        let solution =
-            tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
-        let acc = WelchAccumulator::new(*seg_len, STREAM_WINDOW)
-            .map_err(|e| ServiceError::InvalidSpec(e.to_string()))?;
-        Ok(StreamState {
-            line,
-            params,
-            steps: *steps,
-            chunk_steps: *chunk_steps,
-            solution,
-            acc,
-            chunks_done: 0,
-        })
+        job.validate()?;
+        let Built::Line(line) = job.into_built(circuit)? else {
+            unreachable!("a stream runs on the delay line")
+        };
+        StreamState::start(line, stream, ws)
     }
 
     /// Rebuilds a streaming run's state from a persisted checkpoint.
@@ -1193,17 +638,8 @@ impl JobSpec {
     /// the checkpoint does not match this spec: wrong version, wrong job
     /// key, wrong chunking or Welch geometry, or inconsistent lengths.
     pub(crate) fn stream_resume(&self, checkpoint: &JobOutput) -> Option<StreamState> {
-        let JobSpec::TranStream {
-            stages,
-            bias_ua,
-            input_ua,
-            steps,
-            dt_ns,
-            clock_hz,
-            chunk_steps,
-            seg_len,
-        } = self
-        else {
+        let job = self.prepare();
+        let (Some(circuit), Analysis::TranStream(stream)) = (job.circuit, job.analysis) else {
             return None;
         };
         let metric = |name: &str| {
@@ -1221,11 +657,11 @@ impl JobSpec {
         if int("ckpt_version")? != CHECKPOINT_VERSION {
             return None;
         }
-        let key = self.job_key();
+        let key = job.job_key();
         if int("key_hi")? != key >> 32 || int("key_lo")? != key & 0xffff_ffff {
             return None;
         }
-        let chunks_total = steps.div_ceil(*chunk_steps) as u64;
+        let chunks_total = stream.tran.steps.div_ceil(stream.chunk_steps) as u64;
         if int("chunks_total")? != chunks_total {
             return None;
         }
@@ -1233,25 +669,24 @@ impl JobSpec {
         if chunks_done == 0 || chunks_done as u64 > chunks_total {
             return None;
         }
-        if int("seg_len")? != *seg_len as u64 {
+        if int("seg_len")? != stream.seg_len as u64 {
             return None;
         }
         let state_len = int("state_len")? as usize;
         let segments = int("welch_segments")? as usize;
         let tail_len = int("welch_tail_len")? as usize;
-        let sum_len = seg_len / 2 + 1;
+        let sum_len = stream.seg_len / 2 + 1;
         if checkpoint.values.len() != state_len + sum_len + tail_len {
             return None;
         }
 
-        let line = build_line(*stages, *bias_ua, *input_ua).ok()?;
+        let Built::Line(line) = job.into_built(circuit).ok()? else {
+            unreachable!("a stream runs on the delay line")
+        };
         if state_len != line.circuit.mna_dimension() {
             return None;
         }
-        let dt = Seconds(dt_ns * 1e-9);
-        let t_stop = Seconds(dt.0 * (*steps as f64));
-        let clock = TwoPhaseClock::new(Seconds(1.0 / clock_hz), 0.0).ok()?;
-        let params = TranParams::new(t_stop, dt).ok()?.with_clock(clock);
+        let params = stream.tran.params().ok()?;
 
         let solution = Solution::new(
             checkpoint.values[..state_len].to_vec(),
@@ -1259,12 +694,13 @@ impl JobSpec {
         );
         let sum = checkpoint.values[state_len..state_len + sum_len].to_vec();
         let tail = checkpoint.values[state_len + sum_len..].to_vec();
-        let acc = WelchAccumulator::resume(*seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
+        let acc =
+            WelchAccumulator::resume(stream.seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
         Some(StreamState {
             line,
             params,
-            steps: *steps,
-            chunk_steps: *chunk_steps,
+            steps: stream.tran.steps,
+            chunk_steps: stream.chunk_steps,
             solution,
             acc,
             chunks_done,
@@ -1337,6 +773,551 @@ impl JobSpec {
             ],
         })
     }
+
+    /// The spec split into its circuit and analysis, the circuit not yet
+    /// built.
+    pub(crate) fn prepare(&self) -> Prepared<'_> {
+        let line = |stages: &usize, bias_ua: &f64, input_ua: Option<&f64>| {
+            Some(CircuitSpec::Line(LineSpec {
+                stages: *stages,
+                bias_ua: *bias_ua,
+                input_ua: input_ua.copied(),
+            }))
+        };
+        let tran = |steps: &usize, dt_ns: &f64, clock_hz: &f64| TranSpec {
+            steps: *steps,
+            dt_ns: *dt_ns,
+            clock_hz: *clock_hz,
+        };
+        let (tag, circuit, analysis) = match self {
+            JobSpec::DelayLineDc {
+                stages,
+                bias_ua,
+                input_ua,
+            } => (1, line(stages, bias_ua, Some(input_ua)), Analysis::Dc),
+            JobSpec::DelayLineTran {
+                stages,
+                bias_ua,
+                input_ua,
+                steps,
+                dt_ns,
+                clock_hz,
+            } => (
+                2,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::Tran(tran(steps, dt_ns, clock_hz)),
+            ),
+            JobSpec::DelayLineAc {
+                stages,
+                bias_ua,
+                input_ua,
+                f_lo_hz,
+                f_hi_hz,
+                points,
+            } => (
+                3,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::Ac(AcSpec {
+                    f_lo_hz: *f_lo_hz,
+                    f_hi_hz: *f_hi_hz,
+                    points: *points,
+                }),
+            ),
+            JobSpec::SndrSweep {
+                full_scale_ua,
+                levels_db,
+            } => (
+                4,
+                None,
+                Analysis::Sweep(SweepSpec {
+                    full_scale_ua: *full_scale_ua,
+                    levels_db,
+                }),
+            ),
+            JobSpec::DelayLineDcBatch {
+                stages,
+                bias_ua,
+                inputs_ua,
+            } => (5, line(stages, bias_ua, None), Analysis::DcBatch(inputs_ua)),
+            JobSpec::Netlist { netlist } => (6, Some(CircuitSpec::Netlist(netlist)), Analysis::Dc),
+            JobSpec::TranStream {
+                stages,
+                bias_ua,
+                input_ua,
+                steps,
+                dt_ns,
+                clock_hz,
+                chunk_steps,
+                seg_len,
+            } => (
+                7,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::TranStream(StreamSpec {
+                    tran: tran(steps, dt_ns, clock_hz),
+                    chunk_steps: *chunk_steps,
+                    seg_len: *seg_len,
+                }),
+            ),
+        };
+        Prepared {
+            tag,
+            circuit,
+            analysis,
+            built: OnceCell::new(),
+        }
+    }
+}
+
+/// The circuit half of a spec.
+#[derive(Clone, Copy)]
+enum CircuitSpec<'a> {
+    /// The paper's SI delay line from the cell generator.
+    Line(LineSpec),
+    /// Netlist dialect-v1 source text, parsed canonically.
+    Netlist(&'a str),
+}
+
+/// The delay line's knobs.
+#[derive(Clone, Copy)]
+struct LineSpec {
+    stages: usize,
+    bias_ua: f64,
+    /// `None` for a batch: its line is built at zero input and the
+    /// analysis retunes the source per scenario.
+    input_ua: Option<f64>,
+}
+
+/// The analysis half of a spec.
+#[derive(Clone, Copy)]
+enum Analysis<'a> {
+    Dc,
+    /// One DC operating point per input current, µA.
+    DcBatch(&'a [f64]),
+    Tran(TranSpec),
+    Ac(AcSpec),
+    /// A chunked transient feeding a Welch spectrum.
+    TranStream(StreamSpec),
+    /// The one analysis that runs on no circuit.
+    Sweep(SweepSpec<'a>),
+}
+
+/// A fixed-step clocked transient.
+#[derive(Clone, Copy)]
+struct TranSpec {
+    steps: usize,
+    dt_ns: f64,
+    clock_hz: f64,
+}
+
+/// Small-signal transimpedance over `points` log-spaced frequencies.
+#[derive(Clone, Copy)]
+struct AcSpec {
+    f_lo_hz: f64,
+    f_hi_hz: f64,
+    points: usize,
+}
+
+/// A transient run in chunks of `chunk_steps`, its output stage feeding a
+/// Welch estimator of segment length `seg_len`.
+#[derive(Clone, Copy)]
+struct StreamSpec {
+    tran: TranSpec,
+    chunk_steps: usize,
+    seg_len: usize,
+}
+
+/// The ideal modulator's SNDR-vs-level sweep.
+#[derive(Clone, Copy)]
+struct SweepSpec<'a> {
+    full_scale_ua: f64,
+    levels_db: &'a [f64],
+}
+
+/// A spec parameter as it appears on the wire.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Count(usize),
+    Number(f64),
+    Numbers(&'a [f64]),
+    Text(&'a str),
+}
+
+/// A spec's circuit, built.
+enum Built {
+    /// The generator's delay line with its named nodes.
+    Line(DelayLine),
+    /// A canonically parsed netlist.
+    Netlist(Circuit),
+}
+
+/// A [`JobSpec`] split into what it simulates and how. The circuit is
+/// built (delay line) or canonically parsed (netlist) on first use and
+/// then shared by validation, pricing, the job key, the structure
+/// fingerprint and the run.
+pub(crate) struct Prepared<'a> {
+    /// The kind's fixed first word of its job key, 1–7.
+    tag: u64,
+    /// `None` only for the SNDR sweep, which runs no circuit.
+    circuit: Option<CircuitSpec<'a>>,
+    analysis: Analysis<'a>,
+    built: OnceCell<Result<Built, ServiceError>>,
+}
+
+impl Prepared<'_> {
+    /// See [`JobSpec::validate`].
+    pub(crate) fn validate(&self) -> Result<(), ServiceError> {
+        match self.circuit {
+            Some(CircuitSpec::Line(line)) => {
+                if line.stages == 0 || line.stages > 4096 {
+                    return invalid("stages must be in 1..=4096");
+                }
+                if !(line.bias_ua > 0.0) {
+                    return invalid("bias_ua must be positive");
+                }
+            }
+            // The strict parse *is* the validation: any malformed card,
+            // bad value, or unbuildable circuit comes back as a typed
+            // line/column error. Unlike the canned kinds, this maps to
+            // NetlistRejected (HTTP 422), not InvalidSpec — the request
+            // shape was fine, the circuit was not.
+            Some(netlist @ CircuitSpec::Netlist(_))
+                if self.built(netlist)?.circuit().elements().is_empty() =>
+            {
+                return Err(ServiceError::NetlistRejected(
+                    "netlist defines no elements".to_string(),
+                ));
+            }
+            _ => {}
+        }
+        self.analysis.validate()
+    }
+
+    /// See [`JobSpec::admission_cost`].
+    pub(crate) fn admission_cost(&self) -> Result<Option<CircuitCost>, ServiceError> {
+        match self.circuit {
+            Some(netlist @ CircuitSpec::Netlist(_)) => {
+                Ok(Some(price_circuit(self.built(netlist)?.circuit())))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// See [`JobSpec::job_key`]: the kind's tag, the built circuit's
+    /// fingerprints, then the analysis parameters in wire order.
+    pub(crate) fn job_key(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.mix_u64(self.tag);
+        if let Some(circuit) = self.circuit {
+            match self.built(circuit) {
+                // The canonical parse makes a netlist's key
+                // text-representation independent: permuting cards or
+                // editing comments lands in the same cache slot, and the
+                // run executes the same canonical circuit, so sharing the
+                // slot is sound.
+                Ok(built) => {
+                    h.mix_u64(built.circuit().structure_fingerprint());
+                    h.mix_u64(built.circuit().value_fingerprint());
+                }
+                // Invalid specs still need a stable (never-cached) key:
+                // the line's knobs, or the netlist's raw bytes.
+                Err(_) => circuit.fields().for_each(|(_, value)| value.mix(&mut h)),
+            }
+        }
+        for (_, value) in self.analysis.fields() {
+            value.mix(&mut h);
+        }
+        h.finish()
+    }
+
+    /// See [`JobSpec::structure_fingerprint`].
+    pub(crate) fn structure_fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        match self.circuit.map(|c| (c, self.built(c))) {
+            Some((_, Ok(built))) => h.mix_u64(built.canonical_structure()),
+            // No circuit behind a sweep: all sweeps share one "structure".
+            None => h.mix_u64(self.tag),
+            Some((CircuitSpec::Line(line), Err(_))) => {
+                h.mix_u64(self.tag);
+                h.mix_u64(line.stages as u64);
+            }
+            Some((CircuitSpec::Netlist(text), Err(_))) => {
+                h.mix_u64(self.tag);
+                Value::Text(text).mix(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    /// The circuit, built or parsed on the first call.
+    fn built(&self, circuit: CircuitSpec<'_>) -> Result<&Built, ServiceError> {
+        self.built
+            .get_or_init(|| circuit.build())
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The circuit, built or parsed unless an earlier call already did.
+    fn into_built(self, circuit: CircuitSpec<'_>) -> Result<Built, ServiceError> {
+        self.built.into_inner().unwrap_or_else(|| circuit.build())
+    }
+}
+
+impl<'a> CircuitSpec<'a> {
+    /// Builds the delay line with its input source set, or parses the
+    /// netlist canonically.
+    fn build(self) -> Result<Built, ServiceError> {
+        match self {
+            CircuitSpec::Line(spec) => {
+                let design = DelayLineDesign {
+                    stages: spec.stages,
+                    bias: Amps(spec.bias_ua * 1e-6),
+                    vov: Volts(0.25),
+                    hold_cap: Farads(0.5e-12),
+                };
+                let mut line = design.build().map_err(analysis_error)?;
+                let input = Amps(spec.input_ua.unwrap_or(0.0) * 1e-6);
+                set_current_source(&mut line.circuit, &line.input_source, input)
+                    .map_err(analysis_error)?;
+                Ok(Built::Line(line))
+            }
+            CircuitSpec::Netlist(text) => parse_netlist_canonical(text)
+                .map(Built::Netlist)
+                .map_err(|e| ServiceError::NetlistRejected(e.to_string())),
+        }
+    }
+
+    /// The circuit's wire fields, in wire order.
+    fn fields(self) -> impl Iterator<Item = (&'static str, Value<'a>)> {
+        let fields = match self {
+            CircuitSpec::Line(line) => [
+                Some(("stages", Value::Count(line.stages))),
+                Some(("bias_ua", Value::Number(line.bias_ua))),
+                line.input_ua.map(|i| ("input_ua", Value::Number(i))),
+            ],
+            CircuitSpec::Netlist(text) => [Some(("netlist", Value::Text(text))), None, None],
+        };
+        fields.into_iter().flatten()
+    }
+}
+
+impl<'a> Analysis<'a> {
+    fn validate(self) -> Result<(), ServiceError> {
+        match self {
+            Analysis::Dc => {}
+            Analysis::DcBatch(inputs_ua) => {
+                if inputs_ua.is_empty() || inputs_ua.len() > 1024 {
+                    return invalid("inputs_ua needs 1..=1024 entries");
+                }
+                if inputs_ua.iter().any(|i| !i.is_finite()) {
+                    return invalid("inputs_ua entries must be finite");
+                }
+            }
+            Analysis::Tran(tran) => tran.validate(100_000)?,
+            Analysis::Ac(ac) => {
+                if !(ac.f_lo_hz > 0.0) || !(ac.f_hi_hz > ac.f_lo_hz) {
+                    return invalid("need 0 < f_lo_hz < f_hi_hz");
+                }
+                if ac.points < 2 || ac.points > 10_000 {
+                    return invalid("points must be in 2..=10000");
+                }
+            }
+            Analysis::TranStream(StreamSpec {
+                tran,
+                chunk_steps,
+                seg_len,
+            }) => {
+                // Streaming exists for runs too long for one deadline, so
+                // the step cap is far above DelayLineTran's.
+                tran.validate(1_048_576)?;
+                if chunk_steps == 0 || chunk_steps > tran.steps {
+                    return invalid("chunk_steps must be in 1..=steps");
+                }
+                if !(2..=65_536).contains(&seg_len) || !seg_len.is_power_of_two() {
+                    return invalid("seg_len must be a power of two in 2..=65536");
+                }
+                if seg_len > tran.steps + 1 {
+                    return invalid(
+                        "seg_len must not exceed steps + 1 (no complete segment would fit)",
+                    );
+                }
+            }
+            Analysis::Sweep(sweep) => {
+                if !(sweep.full_scale_ua > 0.0) {
+                    return invalid("full_scale_ua must be positive");
+                }
+                if sweep.levels_db.len() < 2 || sweep.levels_db.len() > 256 {
+                    return invalid("levels_db needs 2..=256 entries");
+                }
+                if sweep.levels_db.iter().any(|l| !l.is_finite()) {
+                    return invalid("levels_db entries must be finite");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The analysis's wire fields, in wire order.
+    fn fields(self) -> Vec<(&'static str, Value<'a>)> {
+        let tran = |t: TranSpec| {
+            [
+                ("steps", Value::Count(t.steps)),
+                ("dt_ns", Value::Number(t.dt_ns)),
+                ("clock_hz", Value::Number(t.clock_hz)),
+            ]
+        };
+        match self {
+            Analysis::Dc => vec![],
+            Analysis::DcBatch(inputs_ua) => vec![("inputs_ua", Value::Numbers(inputs_ua))],
+            Analysis::Tran(t) => tran(t).to_vec(),
+            Analysis::Ac(ac) => vec![
+                ("f_lo_hz", Value::Number(ac.f_lo_hz)),
+                ("f_hi_hz", Value::Number(ac.f_hi_hz)),
+                ("points", Value::Count(ac.points)),
+            ],
+            Analysis::TranStream(stream) => {
+                let mut fields = tran(stream.tran).to_vec();
+                fields.push(("chunk_steps", Value::Count(stream.chunk_steps)));
+                fields.push(("seg_len", Value::Count(stream.seg_len)));
+                fields
+            }
+            Analysis::Sweep(sweep) => vec![
+                ("full_scale_ua", Value::Number(sweep.full_scale_ua)),
+                ("levels_db", Value::Numbers(sweep.levels_db)),
+            ],
+        }
+    }
+}
+
+impl TranSpec {
+    fn validate(self, max_steps: usize) -> Result<(), ServiceError> {
+        if self.steps == 0 || self.steps > max_steps {
+            return invalid(&format!("steps must be in 1..={max_steps}"));
+        }
+        if !(self.dt_ns > 0.0) {
+            return invalid("dt_ns must be positive");
+        }
+        if !(self.clock_hz > 0.0) {
+            return invalid("clock_hz must be positive");
+        }
+        Ok(())
+    }
+
+    /// The engine's parameters: `steps` fixed steps of `dt_ns`, switches
+    /// clocked at `clock_hz`.
+    fn params(self) -> Result<TranParams, si_analog::AnalogError> {
+        let dt = Seconds(self.dt_ns * 1e-9);
+        let t_stop = Seconds(dt.0 * (self.steps as f64));
+        let clock = TwoPhaseClock::new(Seconds(1.0 / self.clock_hz), 0.0)?;
+        Ok(TranParams::new(t_stop, dt)?.with_clock(clock))
+    }
+}
+
+impl Value<'_> {
+    fn to_json(self) -> Json {
+        match self {
+            Value::Count(n) => Json::Number(n as f64),
+            Value::Number(x) => Json::Number(x),
+            Value::Numbers(xs) => Json::Array(xs.iter().map(|&x| Json::Number(x)).collect()),
+            Value::Text(text) => Json::String(text.to_string()),
+        }
+    }
+
+    /// Mixes the value into a key: counts as `u64`, numbers by bit
+    /// pattern, lists and text length-prefixed.
+    fn mix(self, h: &mut Fnv1a) {
+        match self {
+            Value::Count(n) => h.mix_u64(n as u64),
+            Value::Number(x) => h.mix_f64(x),
+            Value::Numbers(xs) => {
+                h.mix_u64(xs.len() as u64);
+                xs.iter().for_each(|&x| h.mix_f64(x));
+            }
+            Value::Text(text) => {
+                h.mix_u64(text.len() as u64);
+                h.mix_bytes(text.as_bytes());
+            }
+        }
+    }
+}
+
+impl Built {
+    fn circuit(&self) -> &Circuit {
+        match self {
+            Built::Line(line) => &line.circuit,
+            Built::Netlist(circuit) => circuit,
+        }
+    }
+
+    /// The structure fingerprint of the circuit's canonical parse.
+    fn canonical_structure(&self) -> u64 {
+        match self {
+            // Generator-built circuits are fingerprinted through the same
+            // canonical netlist round trip as user submissions: emit the
+            // circuit, re-parse it canonically, fingerprint that. Without
+            // the round trip the generator's element order would hash
+            // differently from the canonical card order, and a netlist
+            // twin would land on a different shard than its generator job.
+            Built::Line(line) => to_netlist(&line.circuit)
+                .ok()
+                .and_then(|text| parse_netlist_canonical(&text).ok())
+                .map_or_else(
+                    || line.circuit.structure_fingerprint(),
+                    |canon| canon.structure_fingerprint(),
+                ),
+            Built::Netlist(circuit) => circuit.structure_fingerprint(),
+        }
+    }
+}
+
+/// The SNDR-vs-level sweep of the ideal second-order modulator.
+fn run_sweep(sweep: SweepSpec<'_>) -> Result<JobOutput, ServiceError> {
+    let full_scale = sweep.full_scale_ua * 1e-6;
+    let config = MeasurementConfig::quick();
+    let sweep = sndr_sweep(
+        || IdealModulator::new(SecondOrderTopology::default(), full_scale),
+        sweep.levels_db,
+        &config,
+    )
+    .map_err(|e| ServiceError::Analysis(e.to_string()))?;
+    let values: Vec<f64> = sweep.points.iter().map(|p| p.sinad_db).collect();
+    Ok(JobOutput {
+        values,
+        metrics: vec![
+            ("dynamic_range_db".to_string(), sweep.dynamic_range_db),
+            ("peak_sinad_db".to_string(), sweep.peak_sinad_db()),
+        ],
+    })
+}
+
+/// The DC operating point of a user circuit.
+fn run_netlist(circuit: &Circuit, ws: &mut EngineWorkspace) -> Result<JobOutput, ServiceError> {
+    // User circuits never get the Transient (retryable) mapping: a
+    // netlist that exhausts the Newton budget would exhaust it again on
+    // every retry, and the retry loop is not a resource a submission
+    // should be able to spend. Every failure is a permanent, typed 4xx.
+    let sol = DcSolver::new()
+        .solve_with(circuit, ws)
+        .map_err(|e| ServiceError::Analysis(e.to_string()))?;
+    // All non-ground node voltages, in node-intern order — the canonical
+    // parse makes that order deterministic for every text variant of the
+    // same circuit.
+    let values: Vec<f64> = sol.node_voltages().split_off(1);
+    let v_min = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let v_max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    Ok(JobOutput {
+        values,
+        metrics: vec![
+            ("nodes".to_string(), circuit.node_count() as f64),
+            ("devices".to_string(), circuit.elements().len() as f64),
+            ("mna_dimension".to_string(), circuit.mna_dimension() as f64),
+            ("v_min".to_string(), v_min),
+            ("v_max".to_string(), v_max),
+        ],
+    })
+}
+
+fn invalid(msg: &str) -> Result<(), ServiceError> {
+    Err(ServiceError::InvalidSpec(msg.to_string()))
 }
 
 /// Version tag written into every streaming checkpoint; bump when the
@@ -1362,7 +1343,7 @@ fn analysis_error(e: si_analog::AnalogError) -> ServiceError {
 /// accumulator's running state.
 #[derive(Debug)]
 pub struct StreamState {
-    line: si_analog::cells::DelayLine,
+    line: DelayLine,
     params: TranParams,
     steps: usize,
     chunk_steps: usize,
@@ -1372,6 +1353,29 @@ pub struct StreamState {
 }
 
 impl StreamState {
+    /// A fresh run: solves the DC initial condition and arms an empty
+    /// Welch accumulator. Chunk 0 has not run yet.
+    fn start(
+        line: DelayLine,
+        stream: StreamSpec,
+        ws: &mut EngineWorkspace,
+    ) -> Result<StreamState, ServiceError> {
+        let params = stream.tran.params().map_err(analysis_error)?;
+        let solution =
+            tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
+        let acc = WelchAccumulator::new(stream.seg_len, STREAM_WINDOW)
+            .map_err(|e| ServiceError::InvalidSpec(e.to_string()))?;
+        Ok(StreamState {
+            line,
+            params,
+            steps: stream.tran.steps,
+            chunk_steps: stream.chunk_steps,
+            solution,
+            acc,
+            chunks_done: 0,
+        })
+    }
+
     /// Chunks completed so far.
     #[must_use]
     pub fn chunks_done(&self) -> usize {
@@ -1409,23 +1413,6 @@ impl StreamState {
             ],
         }
     }
-}
-
-/// Builds the delay line for the given knobs with the input source set.
-fn build_line(
-    stages: usize,
-    bias_ua: f64,
-    input_ua: f64,
-) -> Result<si_analog::cells::DelayLine, si_analog::AnalogError> {
-    let design = DelayLineDesign {
-        stages,
-        bias: Amps(bias_ua * 1e-6),
-        vov: Volts(0.25),
-        hold_cap: Farads(0.5e-12),
-    };
-    let mut line = design.build()?;
-    set_current_source(&mut line.circuit, &line.input_source, Amps(input_ua * 1e-6))?;
-    Ok(line)
 }
 
 #[cfg(test)]

@@ -133,7 +133,15 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses a complete JSON document; trailing non-whitespace is an error.
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, and a stack overflow aborts the process
+/// (no unwind to catch), so a request body of nothing but `[` must be
+/// refused long before the stack runs out. The deepest document the
+/// service and router accept or emit nests a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses a complete JSON document; trailing non-whitespace is an error,
+/// and so is nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
@@ -142,7 +150,7 @@ fn write_string(s: &str, out: &mut String) {
 pub fn parse(input: &str) -> Result<Json, String> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -156,12 +164,17 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Json::String),
         Some(b't') => parse_literal(bytes, pos, b"true", Json::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, b"false", Json::Bool(false)),
@@ -246,7 +259,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -255,7 +268,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -268,7 +281,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -287,7 +300,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -330,6 +343,20 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, inner: &str, depth: usize| {
+            format!("{}{inner}{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close, inner) in [("[", "]", "1"), ("{\"a\":", "}", "1")] {
+            assert!(parse(&nested(open, close, inner, MAX_DEPTH)).is_ok());
+            let err = parse(&nested(open, close, inner, MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than 64"), "{err}");
+        }
+        // The body that used to overflow the stack: 20 KB of `[`.
+        assert!(parse(&"[".repeat(20_000)).is_err());
     }
 
     #[test]

@@ -444,8 +444,8 @@ impl Router {
             Ok((_, spec)) => spec,
             Err(err) => return (err.http_status(), error_body(&err)),
         };
-        let fp = spec.structure_fingerprint();
-        let key = spec.job_key();
+        let job = spec.prepare();
+        let (fp, key) = (job.structure_fingerprint(), job.job_key());
         let mut attempt: u32 = 0;
         loop {
             for idx in self.route_chain(fp) {

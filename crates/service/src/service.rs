@@ -468,7 +468,10 @@ impl SiService {
                 return Err(err);
             }
         }
-        if let Err(err) = spec.validate() {
+        // One build (delay line) or canonical parse (netlist) serves the
+        // validation, the price and the key below.
+        let job = spec.prepare();
+        if let Err(err) = job.validate() {
             if matches!(err, ServiceError::NetlistRejected(_)) {
                 self.counters
                     .netlist_rejected_parse
@@ -476,7 +479,7 @@ impl SiService {
             }
             return Err(err);
         }
-        if let Some(cost) = spec.admission_cost()? {
+        if let Some(cost) = job.admission_cost()? {
             if let Err(err) = self.budget.admit(&cost) {
                 self.counters
                     .netlist_rejected_budget
@@ -496,7 +499,7 @@ impl SiService {
                 .batch_scenarios
                 .fetch_add(scenarios, Ordering::Relaxed);
         }
-        let key = spec.job_key();
+        let key = job.job_key();
         lock_recover(&self.seen).insert(key, spec.kind());
 
         let guard = match self.cache.get_or_lead(key) {
