@@ -25,7 +25,9 @@
 //! * [`headroom`] — the supply-voltage feasibility conditions of Eqs. (1)–(2),
 //! * [`telemetry`] — zero-cost-when-disabled solver observability
 //!   ([`telemetry::EngineStats`]) threaded through
-//!   every analysis and the parallel sweep layer.
+//!   every analysis and the parallel sweep layer,
+//! * [`json`] — the workspace's one JSON value, parser and writer (engine
+//!   statistics, run reports and the job service's wire format).
 //!
 //! # Example
 //!
@@ -60,6 +62,7 @@ pub mod dc;
 pub mod device;
 pub mod engine;
 pub mod headroom;
+pub mod json;
 pub mod linalg;
 pub mod mna;
 pub mod netlist;

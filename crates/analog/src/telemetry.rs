@@ -24,7 +24,7 @@
 //! on the collector, so a crashed sweep point explains itself even with
 //! telemetry disabled.
 
-use std::fmt::Write as _;
+use crate::json::Json;
 use std::time::Duration;
 
 /// What kind of Newton solve the engine is starting.
@@ -220,84 +220,67 @@ impl EngineStats {
         }
     }
 
-    /// Serializes the collector as a stable-key-order JSON object.
+    /// The collector as a JSON object, keys in the stable order of the
+    /// field table below. A `min_gmin` with no gmin step (infinity) is
+    /// `null`; integer counters are exact up to 2⁵³.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        let _ = write!(
-            s,
-            "\"solves\":{},\"dc_solves\":{},\"transient_steps\":{},",
-            self.solves, self.dc_solves, self.transient_steps
-        );
-        let _ = write!(
-            s,
-            "\"newton_iterations\":{},\"max_newton_iterations\":{},",
-            self.newton_iterations, self.max_newton_iterations
-        );
-        let _ = write!(
-            s,
-            "\"factorizations\":{},\"refactorizations\":{},\"back_substitutions\":{},",
-            self.factorizations, self.refactorizations, self.back_substitutions
-        );
-        let _ = write!(
-            s,
-            "\"complex_factorizations\":{},\"complex_back_substitutions\":{},",
-            self.complex_factorizations, self.complex_back_substitutions
-        );
-        let min_gmin = if self.min_gmin.is_finite() {
-            format!("{:e}", self.min_gmin)
-        } else {
-            "null".to_string()
-        };
-        let _ = write!(
-            s,
-            "\"gmin_steps\":{},\"min_gmin\":{min_gmin},",
-            self.gmin_steps
-        );
-        let _ = write!(
-            s,
-            "\"non_finite_rejections\":{},\"convergence_failures\":{},",
-            self.non_finite_rejections, self.convergence_failures
-        );
-        let _ = write!(
-            s,
-            "\"dense_real_factorizations\":{},\"dense_complex_factorizations\":{},",
-            self.dense_real_factorizations, self.dense_complex_factorizations
-        );
-        let _ = write!(
-            s,
-            "\"sparse_real_factorizations\":{},\"sparse_real_refactorizations\":{},",
-            self.sparse_real_factorizations, self.sparse_real_refactorizations
-        );
-        let _ = write!(
-            s,
-            "\"sparse_complex_factorizations\":{},\"sparse_complex_refactorizations\":{},",
-            self.sparse_complex_factorizations, self.sparse_complex_refactorizations
-        );
-        let _ = write!(
-            s,
-            "\"symbolic_cache_hits\":{},\"symbolic_cache_misses\":{},",
-            self.symbolic_cache_hits, self.symbolic_cache_misses
-        );
-        let _ = write!(
-            s,
-            "\"max_matrix_nonzeros\":{},\"max_factor_nonzeros\":{},",
-            self.max_matrix_nonzeros, self.max_factor_nonzeros
-        );
-        let _ = write!(
-            s,
-            "\"batch_runs\":{},\"batch_scenarios\":{},",
-            self.batch_runs, self.batch_scenarios
-        );
-        let _ = write!(
-            s,
-            "\"warm_starts\":{},\"warm_start_rejected\":{},",
-            self.warm_starts, self.warm_start_rejected
-        );
-        let _ = write!(s, "\"workspace_resets\":{},", self.workspace_resets);
-        let _ = write!(s, "\"solve_time_ns\":{}", self.solve_time.as_nanos());
-        s.push('}');
-        s
+    pub fn to_json(&self) -> Json {
+        let fields = [
+            ("solves", self.solves as f64),
+            ("dc_solves", self.dc_solves as f64),
+            ("transient_steps", self.transient_steps as f64),
+            ("newton_iterations", self.newton_iterations as f64),
+            ("max_newton_iterations", self.max_newton_iterations as f64),
+            ("factorizations", self.factorizations as f64),
+            ("refactorizations", self.refactorizations as f64),
+            ("back_substitutions", self.back_substitutions as f64),
+            ("complex_factorizations", self.complex_factorizations as f64),
+            (
+                "complex_back_substitutions",
+                self.complex_back_substitutions as f64,
+            ),
+            ("gmin_steps", self.gmin_steps as f64),
+            ("min_gmin", self.min_gmin),
+            ("non_finite_rejections", self.non_finite_rejections as f64),
+            ("convergence_failures", self.convergence_failures as f64),
+            (
+                "dense_real_factorizations",
+                self.dense_real_factorizations as f64,
+            ),
+            (
+                "dense_complex_factorizations",
+                self.dense_complex_factorizations as f64,
+            ),
+            (
+                "sparse_real_factorizations",
+                self.sparse_real_factorizations as f64,
+            ),
+            (
+                "sparse_real_refactorizations",
+                self.sparse_real_refactorizations as f64,
+            ),
+            (
+                "sparse_complex_factorizations",
+                self.sparse_complex_factorizations as f64,
+            ),
+            (
+                "sparse_complex_refactorizations",
+                self.sparse_complex_refactorizations as f64,
+            ),
+            ("symbolic_cache_hits", self.symbolic_cache_hits as f64),
+            ("symbolic_cache_misses", self.symbolic_cache_misses as f64),
+            ("max_matrix_nonzeros", self.max_matrix_nonzeros as f64),
+            ("max_factor_nonzeros", self.max_factor_nonzeros as f64),
+            ("batch_runs", self.batch_runs as f64),
+            ("batch_scenarios", self.batch_scenarios as f64),
+            ("warm_starts", self.warm_starts as f64),
+            ("warm_start_rejected", self.warm_start_rejected as f64),
+            ("workspace_resets", self.workspace_resets as f64),
+            ("solve_time_ns", self.solve_time.as_nanos() as f64),
+        ];
+        let value = |v: f64| Some(Json::Number(v)).filter(|_| v.is_finite());
+        let pairs = fields.map(|(key, v)| (key.to_string(), value(v).unwrap_or(Json::Null)));
+        Json::Object(pairs.into())
     }
 }
 
@@ -531,7 +514,7 @@ mod tests {
 
     #[test]
     fn json_has_stable_keys_and_valid_shape() {
-        let json = sample(5).to_json();
+        let json = sample(5).to_json().to_string_compact();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "solves",
@@ -566,7 +549,7 @@ mod tests {
             );
         }
         // Infinity must not leak into JSON.
-        let empty = EngineStats::default().to_json();
+        let empty = EngineStats::default().to_json().to_string_compact();
         assert!(empty.contains("\"min_gmin\":null"));
         assert!(!empty.contains("inf"));
     }

@@ -638,3 +638,109 @@ proptest! {
         prop_assert_eq!(a.raw(), b.raw(), "cell-chain twin solve is not bit-identical");
     }
 }
+
+/// A splitmix64 stream: the shim has no recursive strategies, so JSON
+/// trees are grown from one drawn seed.
+struct TreeGen(u64);
+
+impl TreeGen {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) % n
+    }
+
+    fn number(&mut self) -> f64 {
+        match self.below(4) {
+            0 => self.below(2001) as f64 - 1000.0,
+            1 => -0.0,
+            _ => loop {
+                let v = f64::from_bits(self.below(u64::MAX));
+                if v.is_finite() {
+                    break v;
+                }
+            },
+        }
+    }
+
+    fn string(&mut self) -> String {
+        const CHARS: [char; 17] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é',
+            '→', '\u{ffff}', '😀',
+        ];
+        (0..self.below(8))
+            .map(|_| CHARS[self.below(CHARS.len() as u64) as usize])
+            .collect()
+    }
+
+    /// A tree whose deepest array or object nests exactly `depth` levels.
+    fn tree(&mut self, depth: usize) -> si_analog::json::Json {
+        use si_analog::json::Json;
+        if depth == 0 {
+            return match self.below(5) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 1),
+                2 | 3 => Json::Number(self.number()),
+                _ => Json::String(self.string()),
+            };
+        }
+        let width = 1 + self.below(3) as usize;
+        let spine = self.below(width as u64) as usize;
+        let mut children = Vec::with_capacity(width);
+        for i in 0..width {
+            let child_depth = if i == spine {
+                depth - 1
+            } else {
+                (depth - 1).min(self.below(2) as usize)
+            };
+            children.push(self.tree(child_depth));
+        }
+        if self.below(2) == 0 {
+            Json::Array(children)
+        } else {
+            Json::Object(children.into_iter().map(|c| (self.string(), c)).collect())
+        }
+    }
+}
+
+proptest! {
+    /// The JSON decoder returns `Ok` or `Err` for any input, never
+    /// panics, and whatever it accepts re-encodes to the same value.
+    /// Token soup reaches the escape, number and nesting paths that raw
+    /// bytes rarely do.
+    #[test]
+    fn json_parse_never_panics(
+        raw in prop::collection::vec(0u16..256, 0..256),
+        tokens in prop::collection::vec(0usize..24, 0..128),
+    ) {
+        use si_analog::json::parse;
+        const SOUP: [&str; 24] = [
+            "{", "}", "[", "]", "\"", "\\", "\\u", ":", ",", "0", "7", "e", "E", "-", "+",
+            ".", "true", "null", "fals", " ", "1e999", "00", "\u{1f}", "é",
+        ];
+        let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+        let soup: String = tokens.iter().map(|&t| SOUP[t]).collect();
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), soup] {
+            if let Ok(value) = parse(&text) {
+                prop_assert_eq!(parse(&value.to_string_compact()), Ok(value));
+            }
+        }
+    }
+
+    /// Encode → decode is the identity for trees of finite numbers,
+    /// escaped strings and duplicate keys, at every depth up to
+    /// `MAX_DEPTH`; one level more is refused.
+    #[test]
+    fn json_round_trips_generated_trees(seed in 0u64..u64::MAX, depth in 0usize..65) {
+        use si_analog::json::{parse, MAX_DEPTH};
+        let mut gen = TreeGen(seed);
+        for d in [depth.min(MAX_DEPTH), MAX_DEPTH] {
+            let tree = gen.tree(d);
+            prop_assert_eq!(parse(&tree.to_string_compact()), Ok(tree));
+        }
+        let too_deep = gen.tree(MAX_DEPTH + 1).to_string_compact();
+        prop_assert!(parse(&too_deep).is_err());
+    }
+}

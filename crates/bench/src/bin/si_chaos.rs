@@ -57,9 +57,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::gate::svc_counter;
+use si_bench::gate::{self, metric, same_bits, svc_counter, FlagValues};
 use si_bench::netfuzz;
-use si_bench::run_report::{experiments_dir, RunReport};
+use si_bench::run_report::RunReport;
 use si_service::http::{HttpClient, HttpConfig, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::service::{ServiceConfig, SiService};
@@ -104,51 +104,29 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut int = |name: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
-                .parse()
-                .map_err(|_| format!("{name} must be an integer"))
-        };
-        match flag.as_str() {
-            "--http" => args.http = true,
-            "--jobs" => args.jobs = int("--jobs")?.max(1),
-            "--clients" => args.clients = int("--clients")?.max(1),
-            "--seed" => args.seed = int("--seed")? as u64,
-            "--min-faults" => args.min_faults = int("--min-faults")? as u64,
-            "--stages" => args.stages = int("--stages")?.max(1),
-            "--steps" => args.steps = int("--steps")?.max(1),
-            "--workers" => args.workers = int("--workers")?.max(1),
-            "--queue" => args.queue = int("--queue")?.max(1),
-            "--replica-kill" => args.replica_kill = true,
-            "--serve-bin" => {
-                args.serve_bin = Some(
-                    it.next()
-                        .ok_or_else(|| "--serve-bin requires a value".to_string())?,
-                );
-            }
-            "--replicas" => args.replicas = int("--replicas")?.max(2),
-            "--stream-kill" => args.stream_kill = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+fn apply_flag(args: &mut Args, flag: &str, v: &mut FlagValues<'_>) -> Result<bool, String> {
+    match flag {
+        "--http" => args.http = true,
+        "--jobs" => args.jobs = v.int(flag)?.max(1),
+        "--clients" => args.clients = v.int(flag)?.max(1),
+        "--seed" => args.seed = v.int(flag)? as u64,
+        "--min-faults" => args.min_faults = v.int(flag)? as u64,
+        "--stages" => args.stages = v.int(flag)?.max(1),
+        "--steps" => args.steps = v.int(flag)?.max(1),
+        "--workers" => args.workers = v.int(flag)?.max(1),
+        "--queue" => args.queue = v.int(flag)?.max(1),
+        "--replica-kill" => args.replica_kill = true,
+        "--serve-bin" => args.serve_bin = Some(v.string(flag)?),
+        "--replicas" => args.replicas = v.int(flag)?.max(2),
+        "--stream-kill" => args.stream_kill = true,
+        _ => return Ok(false),
     }
-    Ok(args)
+    Ok(true)
 }
 
 /// The `k`-th distinct job of the working set.
 fn job(args: &Args, k: usize) -> JobSpec {
-    JobSpec::DelayLineTran {
-        stages: args.stages,
-        bias_ua: 20.0,
-        input_ua: 0.5 + 0.01 * k as f64,
-        steps: args.steps,
-        dt_ns: 50.0,
-        clock_hz: 1e6,
-    }
+    gate::tran_job(args.stages, args.steps, k)
 }
 
 /// Maps a non-200 HTTP error body back to a typed error so the client
@@ -243,10 +221,10 @@ struct SpawnedReplica {
 /// Spawns `si_serve --workers 1` on an ephemeral port with its own disk
 /// tier and scrapes the bound address off its first stdout line.
 fn spawn_replica(serve_bin: &std::path::Path, tag: usize) -> SpawnedReplica {
-    let cache_dir =
-        std::env::temp_dir().join(format!("si-chaos-replica-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
-    spawn_replica_at(serve_bin, cache_dir)
+    spawn_replica_at(
+        serve_bin,
+        gate::fresh_temp_dir(&format!("si-chaos-replica-{tag}")),
+    )
 }
 
 /// Like [`spawn_replica`] but over a caller-owned cache directory, which
@@ -279,39 +257,6 @@ fn spawn_replica_at(serve_bin: &std::path::Path, cache_dir: std::path::PathBuf) 
     }
 }
 
-/// One router-metrics number (`router.metrics()` is in-process Json).
-fn router_counter(metrics: &si_service::json::Json, key: &str) -> f64 {
-    metrics
-        .get("router")
-        .and_then(|r| r.get(key))
-        .and_then(si_service::json::Json::as_f64)
-        .unwrap_or(0.0)
-}
-
-/// Submits one serialized job through the router with seeded-jitter
-/// client retries on transport errors and 5xx shedding.
-fn submit_via_router(
-    addr: std::net::SocketAddr,
-    body: &str,
-    policy: &RetryPolicy,
-) -> Result<String, String> {
-    let mut attempt = 0u32;
-    loop {
-        match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(body)) {
-            Ok((200, payload)) => return Ok(payload),
-            Ok((status, payload)) if !(500..=599).contains(&status) => {
-                return Err(format!("status {status}: {payload}"));
-            }
-            Ok(_) | Err(_) => {}
-        }
-        match policy.delay(attempt) {
-            Some(delay) => std::thread::sleep(delay),
-            None => return Err("retries exhausted".to_string()),
-        }
-        attempt += 1;
-    }
-}
-
 /// Resolves the `si_serve` binary next to this one (or `--serve-bin`).
 fn serve_bin_path(args: &Args) -> std::path::PathBuf {
     let serve_bin = args.serve_bin.as_ref().map_or_else(
@@ -330,20 +275,6 @@ fn serve_bin_path(args: &Args) -> std::path::PathBuf {
         serve_bin.display()
     );
     serve_bin
-}
-
-/// Extracts the `values` array of a `/v1/jobs` response payload.
-fn payload_values(payload: &str) -> Vec<f64> {
-    si_service::json::parse(payload)
-        .ok()
-        .and_then(|v| match v.get("values") {
-            Some(si_service::json::Json::Array(items)) => items
-                .iter()
-                .map(si_service::json::Json::as_f64)
-                .collect::<Option<Vec<f64>>>(),
-            _ => None,
-        })
-        .unwrap_or_default()
 }
 
 /// The `--replica-kill` run: real `si_serve` children behind an
@@ -378,7 +309,7 @@ fn run_replica_kill(args: &Args) {
 
     // All replicas must join the ring before the storm starts.
     let ready_deadline = Instant::now() + Duration::from_secs(30);
-    while router_counter(&router.metrics(), "ready_replicas") < args.replicas as f64 {
+    while metric(&router.metrics(), "router", "ready_replicas") < args.replicas as f64 {
         assert!(
             Instant::now() < ready_deadline,
             "replicas never all became ready"
@@ -401,14 +332,6 @@ fn run_replica_kill(args: &Args) {
         .iter()
         .map(|s| s.to_json().to_string_compact())
         .collect();
-    let policy = RetryPolicy {
-        max_retries: 10,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(500),
-        multiplier: 2,
-        jitter_seed: Some(args.seed.wrapping_add(7)),
-    };
-
     let completed = AtomicU64::new(0);
     let lost = AtomicU64::new(0);
     let killed_name = std::sync::Mutex::new(String::new());
@@ -425,25 +348,10 @@ fn run_replica_kill(args: &Args) {
             {
                 std::thread::sleep(Duration::from_millis(5));
             }
-            let metrics = router.metrics();
-            let busiest = match metrics.get("shards") {
-                Some(si_service::json::Json::Array(shards)) => shards
-                    .iter()
-                    .filter_map(|s| {
-                        let name = match s.get("replica") {
-                            Some(si_service::json::Json::String(n)) => n.clone(),
-                            _ => return None,
-                        };
-                        let forwards = s
-                            .get("forwards")
-                            .and_then(si_service::json::Json::as_f64)
-                            .unwrap_or(0.0);
-                        Some((name, forwards))
-                    })
-                    .max_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(name, _)| name),
-                _ => None,
-            };
+            let busiest = gate::shard_forwards(&router.metrics())
+                .into_iter()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .map(|(name, _)| name);
             let Some(victim) = busiest else {
                 eprintln!("killer found no shard to target");
                 return;
@@ -463,10 +371,9 @@ fn run_replica_kill(args: &Args) {
             let responses = &responses;
             let completed = &completed;
             let lost = &lost;
-            let policy = &policy;
             scope.spawn(move || {
                 for (k, body) in bodies.iter().enumerate().skip(c).step_by(args.clients) {
-                    match submit_via_router(router_addr, body, policy) {
+                    match gate::post_job(router_addr, body, args.seed.wrapping_add(7)) {
                         Ok(payload) => {
                             *responses[k].lock().unwrap() = Some(payload);
                         }
@@ -499,15 +406,15 @@ fn run_replica_kill(args: &Args) {
     // bumps the generation) while the survivors keep serving.
     let leave_deadline = Instant::now() + Duration::from_secs(10);
     while !killed.is_empty()
-        && router_counter(&router.metrics(), "ready_replicas") >= args.replicas as f64
+        && metric(&router.metrics(), "router", "ready_replicas") >= args.replicas as f64
         && Instant::now() < leave_deadline
     {
         std::thread::sleep(Duration::from_millis(10));
     }
     let metrics = router.metrics();
-    let ready_after = router_counter(&metrics, "ready_replicas");
-    let reroutes = router_counter(&metrics, "reroutes");
-    let no_backend = router_counter(&metrics, "no_backend");
+    let ready_after = metric(&metrics, "router", "ready_replicas");
+    let reroutes = metric(&metrics, "router", "reroutes");
+    let no_backend = metric(&metrics, "router", "no_backend");
     if !killed.is_empty() && ready_after >= args.replicas as f64 {
         failures.push(format!(
             "killed replica {killed} never left the ring ({ready_after} still ready)"
@@ -527,14 +434,9 @@ fn run_replica_kill(args: &Args) {
         let Some(payload) = slot.lock().unwrap().clone() else {
             continue; // already counted as lost
         };
-        let values = payload_values(&payload);
+        let values = gate::response_values(&payload).unwrap_or_default();
         let fresh = specs[k].run(&mut fresh_ws).expect("fresh solve");
-        let identical = values.len() == fresh.values.len()
-            && values
-                .iter()
-                .zip(fresh.values.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        if !identical {
+        if !same_bits(&values, &fresh.values) {
             bit_mismatches += 1;
         }
     }
@@ -565,13 +467,8 @@ fn run_replica_kill(args: &Args) {
     report.metric("no_backend", no_backend);
     report.metric("ready_after_kill", ready_after);
     report.metric("ring_generation", router.ring_generation() as f64);
-    report.metric("router_routed", router_counter(&metrics, "routed"));
+    report.metric("router_routed", metric(&metrics, "router", "routed"));
     report.metric("storm_wall_s", storm_wall.as_secs_f64());
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     println!(
         "replica kill: {} of {} jobs lost | killed {} | {reroutes} reroutes | \
          {bit_mismatches} bit mismatches",
@@ -592,14 +489,11 @@ fn run_replica_kill(args: &Args) {
         }
         let _ = std::fs::remove_dir_all(&replica.cache_dir);
     }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("replica-kill run survived: all gates passed");
+    gate::finish(
+        &report,
+        &failures,
+        Some("replica-kill run survived: all gates passed"),
+    );
 }
 
 // ---- stream-kill fault class (ISSUE 10) -------------------------------
@@ -610,16 +504,7 @@ fn run_replica_kill(args: &Args) {
 /// checkpoint and finishes bit-identical to an uninterrupted run.
 fn run_stream_kill(args: &Args) {
     let serve_bin = serve_bin_path(args);
-    let spec = JobSpec::TranStream {
-        stages: 3,
-        bias_ua: 20.0,
-        input_ua: 2.0,
-        steps: 1 << 16, // the 64K-sample acceptance workload
-        dt_ns: 50.0,
-        clock_hz: 2.0e6,
-        chunk_steps: 4096, // 16 chunks
-        seg_len: 4096,
-    };
+    let spec = gate::stream_64k();
     let chunks_total = spec.stream_chunk_count().expect("streaming spec") as f64;
     let id = SiService::job_id(&spec);
     let body = spec.to_json().to_string_compact();
@@ -631,8 +516,7 @@ fn run_stream_kill(args: &Args) {
         .run(&mut si_analog::engine::EngineWorkspace::new())
         .expect("uninterrupted reference solve");
 
-    let cache_dir = std::env::temp_dir().join(format!("si-chaos-stream-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cache_dir = gate::fresh_temp_dir("si-chaos-stream");
     let replica = spawn_replica_at(&serve_bin, cache_dir.clone());
     let addr = replica.addr;
 
@@ -650,10 +534,8 @@ fn run_stream_kill(args: &Args) {
     let poll_deadline = Instant::now() + Duration::from_secs(120);
     while observed_done < 2.0 && Instant::now() < poll_deadline {
         if let Ok((202, payload)) = HttpClient::new(addr).request_text("GET", &path, None) {
-            if let Some(v) = si_service::json::parse(&payload).ok().and_then(|v| {
-                v.get("chunks_done")
-                    .and_then(si_service::json::Json::as_f64)
-            }) {
+            let progress = si_service::json::parse(&payload).ok();
+            if let Some(v) = progress.and_then(|v| v.get("chunks_done")?.as_f64()) {
                 observed_done = v;
             }
         }
@@ -691,12 +573,8 @@ fn run_stream_kill(args: &Args) {
     };
     let resume_wall = resume_started.elapsed();
 
-    let values = payload_values(&resumed_payload);
-    let bit_identical = values.len() == reference.values.len()
-        && values
-            .iter()
-            .zip(reference.values.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
+    let values = gate::response_values(&resumed_payload).unwrap_or_default();
+    let bit_identical = same_bits(&values, &reference.values);
     if !resumed_payload.is_empty() && !bit_identical {
         failures.push(format!(
             "resumed spectrum differs from the uninterrupted run ({} vs {} values)",
@@ -707,21 +585,13 @@ fn run_stream_kill(args: &Args) {
 
     // The restarted replica must report an actual resume, and fewer chunk
     // solves than a full second run (it picked up past work, not redid it).
-    let (mut stream_resumed, mut stream_chunks) = (0.0, f64::NAN);
-    if let Ok((200, metrics)) =
-        HttpClient::new(restarted.addr).request_text("GET", "/metrics", None)
-    {
-        if let Ok(m) = si_service::json::parse(&metrics) {
-            let get = |key: &str| {
-                m.get("service")
-                    .and_then(|s| s.get(key))
-                    .and_then(si_service::json::Json::as_f64)
-                    .unwrap_or(0.0)
-            };
-            stream_resumed = get("stream_resumed");
-            stream_chunks = get("stream_chunks");
-        }
-    }
+    let (stream_resumed, stream_chunks) =
+        gate::fetch_metrics(restarted.addr).map_or((0.0, f64::NAN), |m| {
+            (
+                metric(&m, "service", "stream_resumed"),
+                metric(&m, "service", "stream_chunks"),
+            )
+        });
     if stream_resumed < 1.0 {
         failures.push("restarted replica never resumed from a checkpoint".to_string());
     }
@@ -747,11 +617,6 @@ fn run_stream_kill(args: &Args) {
     report.metric("stream_resumed", stream_resumed);
     report.metric("bit_identical", f64::from(u8::from(bit_identical)));
     report.metric("resume_wall_s", resume_wall.as_secs_f64());
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     println!(
         "stream kill: killed after {observed_done} chunks | resumed {stream_resumed} time(s), \
          {stream_chunks} chunk solves of {chunks_total} | bit-identical: {bit_identical}"
@@ -762,14 +627,11 @@ fn run_stream_kill(args: &Args) {
         let _ = child.wait();
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("stream-kill run survived: all gates passed");
+    gate::finish(
+        &report,
+        &failures,
+        Some("stream-kill run survived: all gates passed"),
+    );
 }
 
 /// Chaos-harness client fault: sends a request that *promises*
@@ -796,13 +658,7 @@ fn http_drop_mid_body(
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args: Args = gate::parse_args_or_exit(apply_flag);
 
     if args.replica_kill {
         run_replica_kill(&args);
@@ -819,8 +675,7 @@ fn main() {
     // The storm runs with the persistent disk tier enabled, so every
     // completed solve also exercises the atomic write-through path while
     // workers are panicking and stalling around it.
-    let cache_dir = std::env::temp_dir().join(format!("si-chaos-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&cache_dir);
+    let cache_dir = gate::fresh_temp_dir("si-chaos-cache");
     let service = Arc::new(SiService::new(ServiceConfig {
         workers: args.workers,
         queue_capacity: args.queue,
@@ -928,12 +783,7 @@ fn main() {
     // Gate: the pool drains — nothing is stuck on a worker.
     let drain_deadline = Instant::now() + Duration::from_secs(30);
     let in_flight = loop {
-        let m = service.metrics();
-        let in_flight = m
-            .get("pool")
-            .and_then(|p| p.get("in_flight"))
-            .and_then(si_service::json::Json::as_f64)
-            .unwrap_or(f64::NAN);
+        let in_flight = svc_counter(&service, "pool", "in_flight");
         if in_flight == 0.0 || Instant::now() > drain_deadline {
             break in_flight;
         }
@@ -966,13 +816,7 @@ fn main() {
             Ok((out, _)) => {
                 verified += 1;
                 let fresh = spec.run(&mut fresh_ws).expect("fresh solve");
-                let identical = out.values.len() == fresh.values.len()
-                    && out
-                        .values
-                        .iter()
-                        .zip(fresh.values.iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !identical {
+                if !same_bits(&out.values, &fresh.values) {
                     bit_mismatches += 1;
                 }
             }
@@ -1050,13 +894,7 @@ fn main() {
             if !re_cached {
                 failures.push("complete batch was not cached".to_string());
             }
-            let identical = resolved.values.len() == fresh.values.len()
-                && resolved
-                    .values
-                    .iter()
-                    .zip(fresh.values.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !identical {
+            if !same_bits(&resolved.values, &fresh.values) {
                 failures.push("cached batch differs bitwise from a fresh solve".to_string());
             }
         }
@@ -1156,13 +994,7 @@ fn main() {
                 torn_served += 1;
                 failures.push("a torn disk entry was served from cache".to_string());
             }
-            let identical = out.values.len() == expected.values.len()
-                && out
-                    .values
-                    .iter()
-                    .zip(expected.values.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !identical {
+            if !same_bits(&out.values, &expected.values) {
                 torn_served += 1;
                 failures.push("re-solve after a torn disk entry is not bit-identical".to_string());
             }
@@ -1177,8 +1009,7 @@ fn main() {
     // Kill point 2: killed *before* the atomic rename — only a `.tmp-`
     // leftover exists. The next startup must sweep it, and the key must
     // read as absent (a half-written entry is never half-visible).
-    let sweep_dir = std::env::temp_dir().join(format!("si-chaos-sweep-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&sweep_dir);
+    let sweep_dir = gate::fresh_temp_dir("si-chaos-sweep");
     DiskTier::plant_tmp_leftover_for_test(&sweep_dir, torn_spec.job_key());
     let swept_tier = DiskTier::open(DiskTierConfig::at(&sweep_dir)).expect("reopen swept tier");
     let disk_tmp_swept = swept_tier.tmp_swept();
@@ -1218,13 +1049,7 @@ fn main() {
     }
 
     let metrics = service.metrics();
-    let svc_metric = |section: &str, key: &str| {
-        metrics
-            .get(section)
-            .and_then(|s| s.get(key))
-            .and_then(si_service::json::Json::as_f64)
-            .unwrap_or(0.0)
-    };
+    let svc_metric = |section: &str, key: &str| metric(&metrics, section, key);
 
     let mut report = RunReport::new("si_chaos");
     report.note("mode", if args.http { "http" } else { "in_process" });
@@ -1286,11 +1111,6 @@ fn main() {
     report.metric("chaos_wall_s", chaos_wall.as_secs_f64());
     report.set_solver(service.engine_stats());
 
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     println!(
         "chaos: {total_injected} faults injected ({} panics, {} stalls, {} transients, {} drops) \
          | {} jobs, {} unrecovered | {verified} keys verified, {bit_mismatches} bit mismatches",
@@ -1308,12 +1128,9 @@ fn main() {
         service.shutdown();
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("chaos run survived: all gates passed");
+    gate::finish(
+        &report,
+        &failures,
+        Some("chaos run survived: all gates passed"),
+    );
 }

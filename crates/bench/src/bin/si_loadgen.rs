@@ -85,7 +85,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::run_report::{experiments_dir, RunReport};
+use si_bench::gate::{self, metric, same_bits, scrape, FlagValues};
+use si_bench::run_report::RunReport;
 use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::JobSpec;
 use si_service::service::{ServiceConfig, SiService};
@@ -135,48 +136,28 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut int = |name: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
-                .parse()
-                .map_err(|_| format!("{name} must be an integer"))
-        };
-        match flag.as_str() {
-            "--http" => args.http = true,
-            "--clients" => args.clients = int("--clients")?.max(1),
-            "--cold" => args.cold = int("--cold")?.max(1),
-            "--hot" => args.hot = int("--hot")?.max(1),
-            "--stages" => args.stages = int("--stages")?.max(1),
-            "--steps" => args.steps = int("--steps")?.max(1),
-            "--workers" => args.workers = int("--workers")?.max(1),
-            "--queue" => args.queue = int("--queue")?.max(1),
-            "--batch" => args.batch = true,
-            "--netlist" => args.netlist = true,
-            "--restart" => args.restart = true,
-            "--scenarios" => args.scenarios = int("--scenarios")?.max(2),
-            "--cluster" => args.cluster = true,
-            "--router" => {
-                args.router = Some(
-                    it.next()
-                        .ok_or_else(|| "--router requires a value".to_string())?,
-                );
-            }
-            "--replica" => {
-                args.replicas.push(
-                    it.next()
-                        .ok_or_else(|| "--replica requires a value".to_string())?,
-                );
-            }
-            "--kill-pid" => args.kill_pid = Some(int("--kill-pid")? as u32),
-            "--stream" => args.stream = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+fn apply_flag(args: &mut Args, flag: &str, v: &mut FlagValues<'_>) -> Result<bool, String> {
+    match flag {
+        "--http" => args.http = true,
+        "--clients" => args.clients = v.int(flag)?.max(1),
+        "--cold" => args.cold = v.int(flag)?.max(1),
+        "--hot" => args.hot = v.int(flag)?.max(1),
+        "--stages" => args.stages = v.int(flag)?.max(1),
+        "--steps" => args.steps = v.int(flag)?.max(1),
+        "--workers" => args.workers = v.int(flag)?.max(1),
+        "--queue" => args.queue = v.int(flag)?.max(1),
+        "--batch" => args.batch = true,
+        "--netlist" => args.netlist = true,
+        "--restart" => args.restart = true,
+        "--scenarios" => args.scenarios = v.int(flag)?.max(2),
+        "--cluster" => args.cluster = true,
+        "--router" => args.router = Some(v.string(flag)?),
+        "--replica" => args.replicas.push(v.string(flag)?),
+        "--kill-pid" => args.kill_pid = Some(v.int(flag)? as u32),
+        "--stream" => args.stream = true,
+        _ => return Ok(false),
     }
-    Ok(args)
+    Ok(true)
 }
 
 /// The `k`-th distinct job: same structure, one element value (the input
@@ -194,14 +175,7 @@ fn job(args: &Args, k: usize) -> JobSpec {
         }
         return JobSpec::Netlist { netlist: text };
     }
-    JobSpec::DelayLineTran {
-        stages: args.stages,
-        bias_ua: 20.0,
-        input_ua: 0.5 + 0.01 * k as f64,
-        steps: args.steps,
-        dt_ns: 50.0,
-        clock_hz: 1e6,
-    }
+    gate::tran_job(args.stages, args.steps, k)
 }
 
 /// How one client submits one job; returns latency and whether the
@@ -329,51 +303,6 @@ fn resolve(addr: &str) -> std::net::SocketAddr {
         .unwrap_or_else(|| panic!("{name:?} resolves to no address"))
 }
 
-/// One counter out of a remote `/metrics` snapshot; 0.0 when the scrape
-/// or the key is missing.
-fn scrape(addr: std::net::SocketAddr, section: &str, key: &str) -> f64 {
-    HttpClient::new(addr)
-        .request_text("GET", "/metrics", None)
-        .ok()
-        .and_then(|(status, body)| (status == 200).then_some(body))
-        .and_then(|body| si_service::json::parse(&body).ok())
-        .and_then(|m| {
-            m.get(section)
-                .and_then(|s| s.get(key))
-                .and_then(si_service::json::Json::as_f64)
-        })
-        .unwrap_or(0.0)
-}
-
-/// Submits one job with client-side retry through the router: transport
-/// errors and 5xx shedding are retried on a seeded-jitter backoff (each
-/// client gets its own seed so a failover doesn't re-stampede the ring).
-/// Returns the 200 response body.
-fn submit_cluster(addr: std::net::SocketAddr, body: &str, seed: u64) -> Result<String, String> {
-    let policy = si_service::RetryPolicy {
-        max_retries: 10,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(500),
-        multiplier: 2,
-        jitter_seed: Some(seed),
-    };
-    let mut attempt = 0u32;
-    loop {
-        match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(body)) {
-            Ok((200, payload)) => return Ok(payload),
-            Ok((status, payload)) if !(500..=599).contains(&status) && status != 429 => {
-                return Err(format!("status {status}: {payload}"));
-            }
-            Ok(_) | Err(_) => {}
-        }
-        match policy.delay(attempt) {
-            Some(delay) => std::thread::sleep(delay),
-            None => return Err("retries exhausted".to_string()),
-        }
-        attempt += 1;
-    }
-}
-
 struct ClusterPhase {
     wall: Duration,
     lost: u64,
@@ -398,7 +327,7 @@ fn run_cluster_phase(
             let responses = &responses;
             scope.spawn(move || {
                 for (k, body) in bodies.iter().enumerate().skip(c).step_by(clients) {
-                    match submit_cluster(addr, body, 0xC1A0 + c as u64) {
+                    match gate::post_job(addr, body, 0xC1A0 + c as u64) {
                         Ok(payload) => {
                             *responses[k].lock().unwrap() = Some(payload);
                         }
@@ -432,26 +361,11 @@ fn response_matches_fresh_solve(
     spec: &JobSpec,
     ws: &mut si_analog::engine::EngineWorkspace,
 ) -> bool {
-    let Some(values) = si_service::json::parse(payload)
-        .ok()
-        .and_then(|v| match v.get("values") {
-            Some(si_service::json::Json::Array(items)) => items
-                .iter()
-                .map(si_service::json::Json::as_f64)
-                .collect::<Option<Vec<f64>>>(),
-            _ => None,
-        })
-    else {
+    let Some(values) = gate::response_values(payload) else {
         return false;
     };
-    let Ok(fresh) = spec.run(ws) else {
-        return false;
-    };
-    values.len() == fresh.values.len()
-        && values
-            .iter()
-            .zip(fresh.values.iter())
-            .all(|(a, b)| a.to_bits() == b.to_bits())
+    spec.run(ws)
+        .is_ok_and(|fresh| same_bits(&values, &fresh.values))
 }
 
 /// The whole `--cluster` run: warmup, affinity blocks, cluster-vs-single
@@ -474,12 +388,9 @@ fn run_cluster(args: &Args) {
         let (status, body) = HttpClient::new(router)
             .request_text("GET", "/readyz", None)
             .unwrap_or((0, String::new()));
-        let ready = si_service::json::parse(&body)
-            .ok()
-            .and_then(|v| {
-                v.get("ready_replicas")
-                    .and_then(si_service::json::Json::as_f64)
-            })
+        let readiness = si_service::json::parse(&body).ok();
+        let ready = readiness
+            .and_then(|v| v.get("ready_replicas")?.as_f64())
             .unwrap_or(0.0);
         if status == 200 && ready == replicas.len() as f64 {
             break;
@@ -496,14 +407,7 @@ fn run_cluster(args: &Args) {
     // one-worker replica is compute-bound and the cluster-vs-single gate
     // measures process parallelism rather than HTTP overhead.
     let topologies = args.cold;
-    let spec = |t: usize, rep: usize| JobSpec::DelayLineTran {
-        stages: args.stages + t,
-        bias_ua: 20.0,
-        input_ua: 0.5 + 0.01 * rep as f64,
-        steps: args.steps,
-        dt_ns: 50.0,
-        clock_hz: 1e6,
-    };
+    let spec = |t: usize, rep: usize| gate::tran_job(args.stages + t, args.steps, rep);
     let body = |t: usize, rep: usize| spec(t, rep).to_json().to_string_compact();
 
     // Warmup: one job per topology seeds each shard owner (and the
@@ -514,30 +418,16 @@ fn run_cluster(args: &Args) {
     // replicas routinely lands 7/4/1) and an ownership-blind workload
     // would measure the busiest shard, not the cluster.
     let shard_forwards = |router: std::net::SocketAddr| -> Vec<f64> {
-        HttpClient::new(router)
-            .request_text("GET", "/metrics", None)
-            .ok()
-            .and_then(|(status, body)| (status == 200).then_some(body))
-            .and_then(|body| si_service::json::parse(&body).ok())
-            .and_then(|m| match m.get("shards") {
-                Some(si_service::json::Json::Array(shards)) => Some(
-                    shards
-                        .iter()
-                        .map(|s| {
-                            s.get("forwards")
-                                .and_then(si_service::json::Json::as_f64)
-                                .unwrap_or(0.0)
-                        })
-                        .collect(),
-                ),
-                _ => None,
-            })
-            .unwrap_or_default()
+        let metrics = gate::fetch_metrics(router).unwrap_or(si_service::json::Json::Null);
+        gate::shard_forwards(&metrics)
+            .into_iter()
+            .map(|(_, forwards)| forwards)
+            .collect()
     };
     let mut owner_of = Vec::with_capacity(topologies);
     for t in 0..topologies {
         let before = shard_forwards(router);
-        submit_cluster(router, &body(t, 0), 0)
+        gate::post_job(router, &body(t, 0), 0)
             .unwrap_or_else(|e| panic!("warmup of topology {t} failed: {e}"));
         let after = shard_forwards(router);
         let owner = after
@@ -703,50 +593,38 @@ fn run_cluster(args: &Args) {
         report.metric("kill_bit_mismatches", *bit_mismatches as f64);
         report.metric("kill_reroutes", *reroutes);
     }
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     println!(
         "cluster {throughput_cluster:.1} jobs/s | single {throughput_single:.1} jobs/s | \
          scaling {scaling:.2}x (bar {scaling_bar}x, {cores} cores) | affinity {affinity:.3}"
     );
 
-    let mut failed = false;
+    let mut failures = Vec::new();
     if affinity < 0.9 {
-        eprintln!("FAIL: shard affinity {affinity:.3} below the 0.9 bar ({miss_delta} symbolic misses over {topologies} blocks)");
-        failed = true;
+        failures.push(format!("shard affinity {affinity:.3} below the 0.9 bar ({miss_delta} symbolic misses over {topologies} blocks)"));
     }
     if scaling < scaling_bar {
-        eprintln!(
-            "FAIL: cluster throughput is only {scaling:.2}x a single replica (bar: {scaling_bar}x on {cores} cores)"
-        );
-        failed = true;
+        failures.push(format!(
+            "cluster throughput is only {scaling:.2}x a single replica (bar: {scaling_bar}x on {cores} cores)"
+        ));
     }
     if let Some((phase, bit_mismatches, reroutes)) = &kill {
         if phase.lost > 0 {
-            eprintln!("FAIL: {} jobs lost during the replica kill", phase.lost);
-            failed = true;
+            failures.push(format!("{} jobs lost during the replica kill", phase.lost));
         }
         if *bit_mismatches > 0 {
-            eprintln!(
-                "FAIL: {bit_mismatches} kill-storm responses differ bitwise from a fresh solve"
-            );
-            failed = true;
+            failures.push(format!(
+                "{bit_mismatches} kill-storm responses differ bitwise from a fresh solve"
+            ));
         }
         if *reroutes < 1.0 {
-            eprintln!("FAIL: the router never rerouted around the killed replica");
-            failed = true;
+            failures.push("the router never rerouted around the killed replica".to_string());
         }
         println!(
             "kill storm: 0 lost of {} | {reroutes} reroutes | {bit_mismatches} bit mismatches",
             args.hot
         );
     }
-    if failed {
-        std::process::exit(1);
-    }
+    gate::finish(&report, &failures, None);
 }
 
 /// The `--stream` run: resumed-vs-uninterrupted A/B over the same 64K
@@ -757,34 +635,12 @@ fn run_stream(args: &Args) {
     // A single injected mid-chunk panic is expected.
     si_bench::gate::quiet_injected_panics();
 
-    let spec = JobSpec::TranStream {
-        stages: 3,
-        bias_ua: 20.0,
-        input_ua: 2.0,
-        steps: 1 << 16,
-        dt_ns: 50.0,
-        clock_hz: 2.0e6,
-        chunk_steps: 4096, // 16 chunks, one checkpoint each
-        seg_len: 4096,
-    };
+    let spec = gate::stream_64k();
     let chunks_total = spec.stream_chunk_count().expect("streaming spec") as f64;
     let reference = spec
         .run(&mut si_analog::engine::EngineWorkspace::new())
         .expect("in-process reference solve");
-    let bit_identical = |values: &[f64]| {
-        values.len() == reference.values.len()
-            && values
-                .iter()
-                .zip(reference.values.iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    };
-
-    let tmpdir = |tag: &str| {
-        let dir =
-            std::env::temp_dir().join(format!("si-loadgen-stream-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    };
+    let bit_identical = |values: &[f64]| same_bits(values, &reference.values);
     let config = |dir: std::path::PathBuf| ServiceConfig {
         workers: 1,
         queue_capacity: args.queue,
@@ -795,7 +651,7 @@ fn run_stream(args: &Args) {
 
     // A: uninterrupted. Checkpoints are written every chunk here too, so
     // the wall-time baseline already pays the write-through cost.
-    let dir_plain = tmpdir("plain");
+    let dir_plain = gate::fresh_temp_dir("si-loadgen-stream-plain");
     let plain = Arc::new(SiService::new(config(dir_plain.clone())));
     let start = Instant::now();
     let (out_plain, _) = plain
@@ -806,7 +662,7 @@ fn run_stream(args: &Args) {
 
     // B: one mid-chunk worker panic; the retry must resume from the last
     // checkpoint instead of rerunning the chunks already solved.
-    let dir_faulted = tmpdir("faulted");
+    let dir_faulted = gate::fresh_temp_dir("si-loadgen-stream-faulted");
     let faulted = Arc::new(SiService::new(config(dir_faulted.clone())));
     faulted.install_fault_injector(Arc::new(FaultInjector::new(FaultPlan::mid_chunk(7, 1))));
     let start = Instant::now();
@@ -817,15 +673,8 @@ fn run_stream(args: &Args) {
 
     let faults = faulted.fault_stats();
     let metrics = faulted.metrics();
-    let service_counter = |key: &str| {
-        metrics
-            .get("service")
-            .and_then(|s| s.get(key))
-            .and_then(si_service::json::Json::as_f64)
-            .unwrap_or(0.0)
-    };
-    let stream_resumed = service_counter("stream_resumed");
-    let stream_chunks = service_counter("stream_chunks");
+    let stream_resumed = metric(&metrics, "service", "stream_resumed");
+    let stream_chunks = metric(&metrics, "service", "stream_chunks");
     let overhead = wall_resumed.as_secs_f64() / wall_plain.as_secs_f64().max(1e-9);
 
     let mut failures: Vec<String> = Vec::new();
@@ -866,11 +715,6 @@ fn run_stream(args: &Args) {
         "bit_identical",
         f64::from(u8::from(bit_identical(&out_faulted.values))),
     );
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     println!(
         "stream: plain {:.2}s | resumed {:.2}s ({overhead:.2}x) | {stream_chunks} chunk \
          solves after 1 panic | resumed {stream_resumed} time(s)",
@@ -881,24 +725,15 @@ fn run_stream(args: &Args) {
     faulted.shutdown();
     let _ = std::fs::remove_dir_all(&dir_plain);
     let _ = std::fs::remove_dir_all(&dir_faulted);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("stream run survived: all gates passed");
+    gate::finish(
+        &report,
+        &failures,
+        Some("stream run survived: all gates passed"),
+    );
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args: Args = gate::parse_args_or_exit(apply_flag);
 
     if args.cluster {
         run_cluster(&args);
@@ -911,11 +746,9 @@ fn main() {
 
     // The restart phase needs results to outlive the first service
     // instance, so it runs with the persistent disk tier enabled.
-    let cache_dir = args.restart.then(|| {
-        let dir = std::env::temp_dir().join(format!("si-loadgen-restart-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
+    let cache_dir = args
+        .restart
+        .then(|| gate::fresh_temp_dir("si-loadgen-restart"));
 
     let config = |cache_dir: Option<std::path::PathBuf>| ServiceConfig {
         workers: args.workers,
@@ -1008,13 +841,7 @@ fn main() {
                 .expect("post-restart resolve")
                 .0;
             let fresh = spec.run(&mut fresh_ws).expect("fresh solve");
-            let identical = served.values.len() == fresh.values.len()
-                && served
-                    .values
-                    .iter()
-                    .zip(fresh.values.iter())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-            if !identical {
+            if !same_bits(&served.values, &fresh.values) {
                 bit_mismatches += 1;
             }
         }
@@ -1026,12 +853,8 @@ fn main() {
     let throughput_hot = throughput(args.hot, hot.wall);
     let speedup = throughput_hot / throughput_cold.max(1e-9);
 
-    let metrics = service.metrics();
-    let hit_ratio = metrics
-        .get("cache")
-        .and_then(|c| c.get("hit_ratio"))
-        .and_then(si_service::json::Json::as_f64)
-        .unwrap_or(0.0);
+    let hit_ratio = metric(&service.metrics(), "cache", "hit_ratio");
+    let mut failures = Vec::new();
 
     let mut report = RunReport::new("si_loadgen");
     report.note("mode", if args.http { "http" } else { "in_process" });
@@ -1086,13 +909,7 @@ fn main() {
         let throughput_restart = throughput(args.hot, phase.wall);
         let warm_over_restart = throughput_hot / throughput_restart.max(1e-9);
         let restarted_metrics = restarted.metrics();
-        let disk = |key: &str| {
-            restarted_metrics
-                .get("cache")
-                .and_then(|c| c.get(key))
-                .and_then(si_service::json::Json::as_f64)
-                .unwrap_or(0.0)
-        };
+        let disk = |key: &str| metric(&restarted_metrics, "cache", key);
         report.note(
             "restart_phase",
             format!(
@@ -1111,15 +928,41 @@ fn main() {
             " | restart {throughput_restart:.1} jobs/s ({warm_over_restart:.2}x warm, {} disk hits)",
             disk("disk_hits")
         );
+        if warm_over_restart > 2.0 {
+            failures.push(format!(
+                "cold-restart hot-phase throughput is {warm_over_restart:.2}x slower than warm (bar: 2x)"
+            ));
+        }
+        if disk("disk_hits") < 1.0 {
+            failures.push("restarted service served no result from the disk tier".to_string());
+        }
+        if *bit_mismatches > 0 {
+            failures.push(format!(
+                "{bit_mismatches} disk-served results differ bitwise from a fresh solve"
+            ));
+        }
     }
     report.metric("errors", total_errors as f64);
     report.set_solver(service.engine_stats());
-
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
+    if args.netlist {
+        // The netlist bar: text-level duplicates MUST coalesce through the
+        // canonical fingerprints (the cold phase already solved them all).
+        let expected_hits = (0..args.hot).filter(|k| k % 10 != 9).count() as u64;
+        if hot.cached < expected_hits {
+            failures.push(format!(
+                "only {} of {expected_hits} duplicate netlists were served from cache",
+                hot.cached
+            ));
+        }
+    } else if speedup < 5.0 {
+        failures.push(format!(
+            "cache speedup {speedup:.2}x below the 5x acceptance bar"
+        ));
     }
+    if total_errors > 0 {
+        failures.push(format!("{total_errors} job errors"));
+    }
+
     println!(
         "cold {throughput_cold:.1} jobs/s | hot {throughput_hot:.1} jobs/s | speedup {speedup:.1}x | hit ratio {hit_ratio:.3}{batch_line}{restart_line}"
     );
@@ -1134,51 +977,5 @@ fn main() {
     if let Some(dir) = &cache_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-
-    if let Some((restarted, phase, bit_mismatches)) = &restart_cmp {
-        let throughput_restart = throughput(args.hot, phase.wall);
-        let warm_over_restart = throughput_hot / throughput_restart.max(1e-9);
-        let disk_hits = restarted
-            .metrics()
-            .get("cache")
-            .and_then(|c| c.get("disk_hits"))
-            .and_then(si_service::json::Json::as_f64)
-            .unwrap_or(0.0);
-        if warm_over_restart > 2.0 {
-            eprintln!(
-                "FAIL: cold-restart hot-phase throughput is {warm_over_restart:.2}x slower than warm (bar: 2x)"
-            );
-            std::process::exit(1);
-        }
-        if disk_hits < 1.0 {
-            eprintln!("FAIL: restarted service served no result from the disk tier");
-            std::process::exit(1);
-        }
-        if *bit_mismatches > 0 {
-            eprintln!(
-                "FAIL: {bit_mismatches} disk-served results differ bitwise from a fresh solve"
-            );
-            std::process::exit(1);
-        }
-    }
-
-    if args.netlist {
-        // The netlist bar: text-level duplicates MUST coalesce through the
-        // canonical fingerprints (the cold phase already solved them all).
-        let expected_hits = (0..args.hot).filter(|k| k % 10 != 9).count() as u64;
-        if hot.cached < expected_hits {
-            eprintln!(
-                "FAIL: only {} of {expected_hits} duplicate netlists were served from cache",
-                hot.cached
-            );
-            std::process::exit(1);
-        }
-    } else if speedup < 5.0 {
-        eprintln!("FAIL: cache speedup {speedup:.2}x below the 5x acceptance bar");
-        std::process::exit(1);
-    }
-    if total_errors > 0 {
-        eprintln!("FAIL: {total_errors} job errors");
-        std::process::exit(1);
-    }
+    gate::finish(&report, &failures, None);
 }

@@ -34,7 +34,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::gate::svc_counter;
+use si_bench::gate::{self, svc_counter, FlagValues};
 use si_bench::netfuzz::{self, NASTY_CORPUS};
 use si_bench::run_report::{experiments_dir, RunReport};
 use si_service::http::{HttpClient, HttpServer};
@@ -65,27 +65,17 @@ impl Default for Args {
     }
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut int = |name: &str| -> Result<usize, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value"))?
-                .parse()
-                .map_err(|_| format!("{name} must be an integer"))
-        };
-        match flag.as_str() {
-            "--http" => args.http = true,
-            "--iters" => args.iters = int("--iters")?.max(NASTY_CORPUS.len()),
-            "--seed" => args.seed = int("--seed")? as u64,
-            "--workers" => args.workers = int("--workers")?.max(1),
-            "--queue" => args.queue = int("--queue")?.max(1),
-            "--max-case-ms" => args.max_case_ms = int("--max-case-ms")?.max(1) as u64,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+fn apply_flag(args: &mut Args, flag: &str, v: &mut FlagValues<'_>) -> Result<bool, String> {
+    match flag {
+        "--http" => args.http = true,
+        "--iters" => args.iters = v.int(flag)?.max(NASTY_CORPUS.len()),
+        "--seed" => args.seed = v.int(flag)? as u64,
+        "--workers" => args.workers = v.int(flag)?.max(1),
+        "--queue" => args.queue = v.int(flag)?.max(1),
+        "--max-case-ms" => args.max_case_ms = v.int(flag)?.max(1) as u64,
+        _ => return Ok(false),
     }
-    Ok(args)
+    Ok(true)
 }
 
 /// How one fuzz case ended, after forcing every outcome into a bucket.
@@ -225,13 +215,7 @@ fn classify_http(addr: std::net::SocketAddr, spec: &JobSpec) -> Outcome {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let args: Args = gate::parse_args_or_exit(apply_flag);
 
     let service = Arc::new(SiService::new(ServiceConfig {
         workers: args.workers,
@@ -394,11 +378,6 @@ fn main() {
     report.metric("wall_s", wall.as_secs_f64());
     report.set_solver(service.engine_stats());
 
-    let dir = experiments_dir();
-    match report.write(&dir) {
-        Ok(path) => println!("report: {}", path.display()),
-        Err(e) => eprintln!("could not write report: {e}"),
-    }
     for (&(path, _), t) in paths.iter().zip(&tallies) {
         println!(
             "netfuzz[{path}]: {} cases | {} solved ({} cached), {} parse-rejected, \
@@ -424,12 +403,9 @@ fn main() {
         }
         None => service.shutdown(),
     }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("netfuzz run survived: every outcome typed, no panics, no hangs");
+    gate::finish(
+        &report,
+        &failures,
+        Some("netfuzz run survived: every outcome typed, no panics, no hangs"),
+    );
 }

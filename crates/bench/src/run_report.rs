@@ -17,6 +17,7 @@
 //! strips wall-clock timings and rounds floats to 9 significant digits so
 //! the snapshot is deterministic.
 
+use si_analog::json::Json;
 use si_analog::telemetry::EngineStats;
 use std::fmt::Write as _;
 use std::io;
@@ -133,27 +134,28 @@ impl RunReport {
 
     fn render_json(&self, normalize: bool) -> String {
         let num = |v: f64| fmt_json_number(v, normalize);
+        let quote = |v: &str| Json::String(v.to_string()).to_string_compact();
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"experiment\": {},", json_string(&self.experiment));
+        let _ = writeln!(s, "  \"experiment\": {},", quote(&self.experiment));
         let _ = writeln!(s, "  \"schema\": {SCHEMA_VERSION},");
         s.push_str("  \"notes\": {");
         for (i, (k, v)) in self.notes.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(s, "{sep}{}: {}", json_string(k), json_string(v));
+            let _ = write!(s, "{sep}{}: {}", quote(k), quote(v));
         }
         s.push_str("},\n");
         s.push_str("  \"metrics\": {");
         for (i, (k, v)) in self.metrics.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
-            let _ = write!(s, "{sep}{}: {}", json_string(k), num(*v));
+            let _ = write!(s, "{sep}{}: {}", quote(k), num(*v));
         }
         s.push_str("},\n");
         s.push_str("  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             let sep = if i == 0 { "" } else { "," };
-            let _ = write!(s, "{sep}\n    {{\"label\": {}", json_string(&p.label));
+            let _ = write!(s, "{sep}\n    {{\"label\": {}", quote(&p.label));
             for (k, v) in &p.values {
-                let _ = write!(s, ", {}: {}", json_string(k), num(*v));
+                let _ = write!(s, ", {}: {}", quote(k), num(*v));
             }
             s.push('}');
         }
@@ -169,7 +171,7 @@ impl RunReport {
                 } else {
                     stats.clone()
                 };
-                let _ = writeln!(s, "  \"solver\": {}", stats.to_json());
+                let _ = writeln!(s, "  \"solver\": {}", stats.to_json().to_string_compact());
             }
             None => s.push_str("  \"solver\": null\n"),
         }
@@ -242,26 +244,6 @@ fn fmt_json_number(v: f64, normalize: bool) -> String {
     } else {
         format!("{v:e}")
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn csv_field(s: &str) -> String {

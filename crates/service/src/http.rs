@@ -91,6 +91,11 @@ const MAX_POLL_WAIT_MS: i32 = 1000;
 /// How long a closing connection drains the peer's unread bytes before
 /// the socket is dropped (see [`ConnState::Closing`]).
 const LINGER: Duration = Duration::from_millis(500);
+/// How long the listener stays out of the poll set after `accept` fails
+/// (out of descriptors: `EMFILE`/`ENFILE`), unless a connection closes
+/// first. The pending connection keeps the listener readable, so polling
+/// it meanwhile would spin the loop thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Listener hardening knobs. The defaults suit tests and small
 /// deployments; `si_serve` exposes each as a flag, `si-router` runs on
@@ -582,7 +587,7 @@ struct ReadySet {
 #[cfg(unix)]
 fn poll_wait(
     waker: &Waker,
-    listener: &TcpListener,
+    listener: Option<&TcpListener>,
     conns: &[Option<Conn>],
     timeout_ms: i32,
 ) -> ReadySet {
@@ -595,8 +600,9 @@ fn poll_wait(
             events: POLLIN,
             revents: 0,
         },
+        // A negative descriptor is skipped by poll(2): the paused listener.
         PollFd {
-            fd: listener.as_raw_fd(),
+            fd: listener.map_or(-1, AsRawFd::as_raw_fd),
             events: POLLIN,
             revents: 0,
         },
@@ -637,13 +643,13 @@ fn poll_wait(
 #[cfg(not(unix))]
 fn poll_wait(
     _waker: &Waker,
-    _listener: &TcpListener,
+    listener: Option<&TcpListener>,
     conns: &[Option<Conn>],
     timeout_ms: i32,
 ) -> ReadySet {
     thread::sleep(Duration::from_millis(timeout_ms.clamp(0, 2) as u64));
     ReadySet {
-        listener: true,
+        listener: listener.is_some(),
         conns: conns
             .iter()
             .enumerate()
@@ -658,12 +664,20 @@ fn poll_wait(
 
 fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx<H>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
+    // While `accept` is failing: until when, and how many slots were
+    // occupied then (one fewer means a descriptor came free).
+    let mut accept_paused: Option<(Instant, usize)> = None;
     loop {
         if stop.load(Ordering::SeqCst) {
             return;
         }
-        let timeout_ms = next_timeout_ms(&conns);
-        let ready = poll_wait(&ctx.completions.waker, listener, &conns, timeout_ms);
+        let mut timeout_ms = next_timeout_ms(&conns);
+        if let Some((until, _)) = accept_paused {
+            let remaining = until.saturating_duration_since(Instant::now()).as_millis() as i32;
+            timeout_ms = timeout_ms.min(remaining.saturating_add(1));
+        }
+        let polled = accept_paused.is_none().then_some(listener);
+        let ready = poll_wait(&ctx.completions.waker, polled, &conns, timeout_ms);
         ctx.completions.waker.drain();
         if stop.load(Ordering::SeqCst) {
             return;
@@ -683,8 +697,8 @@ fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopC
             settle(&mut conns, completion.token, disposition, ctx);
         }
 
-        if ready.listener {
-            accept_ready(listener, &mut conns, ctx);
+        if ready.listener && !accept_ready(listener, &mut conns, ctx) {
+            accept_paused = Some((Instant::now() + ACCEPT_BACKOFF, occupied(&conns)));
         }
 
         for token in ready.conns {
@@ -701,6 +715,11 @@ fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopC
 
         sweep_deadlines(&mut conns, ctx);
         update_gauges(&conns, &ctx.stats);
+        if accept_paused
+            .is_some_and(|(until, held)| Instant::now() >= until || occupied(&conns) < held)
+        {
+            accept_paused = None;
+        }
     }
 }
 
@@ -720,10 +739,18 @@ fn next_timeout_ms(conns: &[Option<Conn>]) -> i32 {
     timeout.max(0)
 }
 
-fn accept_ready<H>(listener: &TcpListener, conns: &mut Vec<Option<Conn>>, ctx: &LoopCtx<H>) {
+/// Accepts the whole backlog. Returns `false` when `accept` failed with
+/// anything but `WouldBlock` (typically out of descriptors), so the
+/// caller backs off instead of polling a listener it cannot drain.
+fn accept_ready<H>(
+    listener: &TcpListener,
+    conns: &mut Vec<Option<Conn>>,
+    ctx: &LoopCtx<H>,
+) -> bool {
     loop {
-        let Ok((stream, _)) = listener.accept() else {
-            return; // WouldBlock: the backlog is drained
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) => return e.kind() == std::io::ErrorKind::WouldBlock,
         };
         if stream.set_nonblocking(true).is_err() {
             continue;
@@ -910,7 +937,12 @@ fn sweep_deadlines<H: Handler>(conns: &mut [Option<Conn>], ctx: &LoopCtx<H>) {
 
 /// Connections counted against the cap: every slot but the closing ones.
 fn open_count(conns: &[Option<Conn>]) -> usize {
-    conns.iter().flatten().count() - closing_count(conns)
+    occupied(conns) - closing_count(conns)
+}
+
+/// Every socket the loop holds, closing ones included.
+fn occupied(conns: &[Option<Conn>]) -> usize {
+    conns.iter().flatten().count()
 }
 
 fn closing_count(conns: &[Option<Conn>]) -> usize {
@@ -1729,6 +1761,9 @@ mod tests {
         assert_eq!(status, 400);
         let bad_range = r#"{"kind":"delay_line_dc","stages":0,"bias_ua":20,"input_ua":1}"#;
         let (status, _) = call(addr, "POST", "/v1/jobs", Some(bad_range));
+        assert_eq!(status, 400);
+        let overflow = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":1e999,"input_ua":1}"#;
+        let (status, _) = call(addr, "POST", "/v1/jobs", Some(overflow));
         assert_eq!(status, 400);
         server.shutdown();
     }

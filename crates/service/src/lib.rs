@@ -53,7 +53,7 @@ pub mod error;
 pub mod fault;
 pub mod http;
 pub mod jobspec;
-pub mod json;
+pub use si_analog::json;
 pub mod pool;
 pub mod retry;
 pub mod router;

@@ -713,9 +713,6 @@ impl SiService {
         } else {
             (cache.hits + cache.coalesced + cache.disk_hits) as f64 / lookups as f64
         };
-        let engine = self.pool.merged_engine_stats();
-        let engine_json =
-            crate::json::parse(&engine.to_json()).expect("EngineStats::to_json emits valid JSON");
         let faults = self.fault_stats();
         let num = |v: u64| Json::Number(v as f64);
         Json::Object(vec![
@@ -850,7 +847,7 @@ impl SiService {
                     ("survived".to_string(), num(faults.survived)),
                 ]),
             ),
-            ("engine".to_string(), engine_json),
+            ("engine".to_string(), self.engine_stats().to_json()),
         ])
     }
 
