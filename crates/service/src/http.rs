@@ -77,7 +77,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::error::ServiceError;
-use crate::jobspec::JobSpec;
+use crate::jobspec::{JobOutput, JobSpec};
 use crate::json::{self, Json};
 use crate::service::{job_response_body, SiService};
 
@@ -1201,8 +1201,8 @@ impl Handler for SiService {
 /// just off-loop).
 fn post_cached(body: &str, service: &SiService) -> Option<Response> {
     let (_, spec) = decode_job(body).ok()?;
-    let out = service.serve_cached(&spec)?;
-    Some(job_answer(&spec, true, &out))
+    let (key, out) = service.serve_hit(&spec)?;
+    Some(job_answer(key, &spec, true, &out))
 }
 
 fn post_job(body: &str, service: &SiService) -> Response {
@@ -1215,8 +1215,8 @@ fn post_job(body: &str, service: &SiService) -> Response {
         .and_then(Json::as_f64)
         .filter(|ms| *ms > 0.0)
         .map(|ms| Duration::from_secs_f64(ms / 1000.0));
-    match service.submit_blocking(&spec, deadline) {
-        Ok((out, cached)) => job_answer(&spec, cached, &out),
+    match service.submit(&spec, deadline) {
+        Ok((key, out, cached)) => job_answer(key, &spec, cached, &out),
         Err(err) => Response::error(&err),
     }
 }
@@ -1229,8 +1229,9 @@ pub(crate) fn decode_job(body: &str) -> Result<(Json, JobSpec), ServiceError> {
     Ok((parsed, spec))
 }
 
-fn job_answer(spec: &JobSpec, cached: bool, out: &crate::jobspec::JobOutput) -> Response {
-    let id = SiService::job_id(spec);
+/// The `200` body of a job whose key the service already derived.
+fn job_answer(key: u64, spec: &JobSpec, cached: bool, out: &JobOutput) -> Response {
+    let id = SiService::id_of(key);
     let body = job_response_body(&id, spec.kind(), cached, out).to_string_compact();
     Response::json(200, body)
 }

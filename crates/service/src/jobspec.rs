@@ -34,6 +34,8 @@ use si_modulator::ideal::IdealModulator;
 use si_modulator::measure::MeasurementConfig;
 use si_modulator::sweep::sndr_sweep;
 use std::cell::OnceCell;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::budget::{price_circuit, CircuitCost};
 use crate::error::ServiceError;
@@ -1048,6 +1050,19 @@ impl Prepared<'_> {
         h.finish()
     }
 
+    /// The spec's exact identity as bytes: the kind tag, then every
+    /// circuit and analysis field in wire order, each a type byte and its
+    /// raw data. Unlike the wire JSON this is injective: `-0.0` and `0.0`,
+    /// or two NaN payloads, stay distinct.
+    fn canonical_bytes(&self) -> Vec<u8> {
+        let mut out = vec![self.tag as u8];
+        let circuit = self.circuit.into_iter().flat_map(CircuitSpec::fields);
+        for (_, value) in circuit.chain(self.analysis.fields()) {
+            value.write(&mut out);
+        }
+        out
+    }
+
     /// The circuit, built or parsed on the first call.
     fn built(&self, circuit: CircuitSpec<'_>) -> Result<&Built, ServiceError> {
         self.built
@@ -1238,6 +1253,32 @@ impl Value<'_> {
             }
         }
     }
+
+    /// Appends the value's canonical bytes: a type byte, then the same
+    /// raw data [`Value::mix`] hashes.
+    fn write(self, out: &mut Vec<u8>) {
+        match self {
+            Value::Count(n) => {
+                out.push(0);
+                out.extend_from_slice(&(n as u64).to_le_bytes());
+            }
+            Value::Number(x) => {
+                out.push(1);
+                out.extend_from_slice(&x.to_bits().to_le_bytes());
+            }
+            Value::Numbers(xs) => {
+                out.push(2);
+                out.extend_from_slice(&(xs.len() as u64).to_le_bytes());
+                xs.iter()
+                    .for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes()));
+            }
+            Value::Text(text) => {
+                out.push(3);
+                out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+                out.extend_from_slice(text.as_bytes());
+            }
+        }
+    }
 }
 
 impl Built {
@@ -1266,6 +1307,130 @@ impl Built {
                 ),
             Built::Netlist(circuit) => circuit.structure_fingerprint(),
         }
+    }
+}
+
+/// Resident-byte budget of one [`KeyMemo`]: its specs' canonical bytes
+/// plus a fixed per-entry allowance.
+#[doc(hidden)]
+pub const KEY_MEMO_BUDGET_BYTES: usize = 256 << 10;
+
+/// What one memo entry costs beyond its bytes: the map slot, the FIFO
+/// slot and the shared allocation's header.
+const KEY_MEMO_ENTRY_OVERHEAD: usize = 96;
+
+/// Specs whose canonical bytes exceed this share of the budget are never
+/// memoized, so one large netlist cannot flush the working set.
+const KEY_MEMO_MAX_SPEC_BYTES: usize = KEY_MEMO_BUDGET_BYTES / 16;
+
+/// A bounded memo from a spec's canonical bytes to its job key and, once
+/// a caller asks for it, its structure fingerprint. A cache hit then
+/// costs a lookup instead of a delay-line build (and, for the router's
+/// fingerprint, a canonical netlist round trip).
+///
+/// Lookups compare the full bytes, never only a hash, so a collision can
+/// never hand one spec another's key. Memoized values are exactly what
+/// [`JobSpec::job_key`] and [`JobSpec::structure_fingerprint`] return,
+/// which stay pure. Entries are evicted oldest first once their resident
+/// bytes would pass [`KEY_MEMO_BUDGET_BYTES`].
+///
+/// `SiService` and `Router` each own one; it is public only so the
+/// integration tests can check its identity and bound.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct KeyMemo {
+    entries: Mutex<MemoEntries>,
+}
+
+/// The memo's contents, with insertion order for FIFO eviction.
+#[derive(Default)]
+struct MemoEntries {
+    map: HashMap<Arc<[u8]>, MemoIds>,
+    order: VecDeque<Arc<[u8]>>,
+    resident: usize,
+}
+
+/// A memoized spec's identities; the fingerprint only once asked for.
+#[derive(Clone, Copy, PartialEq)]
+struct MemoIds {
+    key: u64,
+    fingerprint: Option<u64>,
+}
+
+impl KeyMemo {
+    /// The spec's [`JobSpec::job_key`].
+    pub fn job_key(&self, spec: &JobSpec) -> u64 {
+        self.key_of(&spec.prepare())
+    }
+
+    /// The spec's [`JobSpec::structure_fingerprint`] and
+    /// [`JobSpec::job_key`], in that order.
+    pub fn route(&self, spec: &JobSpec) -> (u64, u64) {
+        let ids = self.ids(&spec.prepare(), true);
+        let fingerprint = ids.fingerprint.expect("route asks for the fingerprint");
+        (fingerprint, ids.key)
+    }
+
+    /// Canonical bytes plus per-entry allowance of every resident spec.
+    pub fn resident_bytes(&self) -> usize {
+        self.lock().resident
+    }
+
+    /// Whether the spec is resident.
+    pub fn holds(&self, spec: &JobSpec) -> bool {
+        let bytes = spec.prepare().canonical_bytes();
+        self.lock().map.contains_key(&bytes[..])
+    }
+
+    /// [`KeyMemo::job_key`] of an already prepared spec, so a miss
+    /// derives the key from the circuit its caller built or parsed.
+    pub(crate) fn key_of(&self, job: &Prepared<'_>) -> u64 {
+        self.ids(job, false).key
+    }
+
+    fn ids(&self, job: &Prepared<'_>, fingerprint: bool) -> MemoIds {
+        let bytes = job.canonical_bytes();
+        let memoize = bytes.len() <= KEY_MEMO_MAX_SPEC_BYTES;
+        let hit = memoize
+            .then(|| self.lock().map.get(&bytes[..]).copied())
+            .flatten();
+        let ids = MemoIds {
+            key: hit.map_or_else(|| job.job_key(), |ids| ids.key),
+            fingerprint: hit
+                .and_then(|ids| ids.fingerprint)
+                .or_else(|| fingerprint.then(|| job.structure_fingerprint())),
+        };
+        if memoize && hit != Some(ids) {
+            self.lock().record(bytes, ids);
+        }
+        ids
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MemoEntries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl MemoEntries {
+    /// Inserts or updates an entry, first evicting the oldest entries
+    /// until a new one fits the budget.
+    fn record(&mut self, bytes: Vec<u8>, ids: MemoIds) {
+        if let Some(slot) = self.map.get_mut(&bytes[..]) {
+            *slot = ids;
+            return;
+        }
+        let cost = bytes.len() + KEY_MEMO_ENTRY_OVERHEAD;
+        while self.resident + cost > KEY_MEMO_BUDGET_BYTES {
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&old);
+            self.resident -= old.len() + KEY_MEMO_ENTRY_OVERHEAD;
+        }
+        let bytes: Arc<[u8]> = bytes.into();
+        self.map.insert(Arc::clone(&bytes), ids);
+        self.order.push_back(bytes);
+        self.resident += cost;
     }
 }
 

@@ -57,7 +57,7 @@ use crate::http::{
     decode_job, error_body, metrics_with_http, unknown_route, EventLoop, Handler, HttpClient,
     HttpConfig, HttpStats, Request, Response,
 };
-use crate::jobspec::Fnv1a;
+use crate::jobspec::{Fnv1a, KeyMemo};
 use crate::json::{self, Json};
 use crate::retry::{splitmix64, RetryPolicy};
 use crate::service::SiService;
@@ -189,6 +189,9 @@ pub struct Router {
     ring: Mutex<Vec<(u64, usize)>>,
     generation: AtomicU64,
     tracked: Mutex<Tracked>,
+    /// Spec → (structure fingerprint, job key), so a forward does not
+    /// rebuild and re-parse the circuit to place it.
+    keys: KeyMemo,
     counters: RouterCounters,
 }
 
@@ -233,6 +236,7 @@ impl Router {
             ring: Mutex::new(Vec::new()),
             generation: AtomicU64::new(0),
             tracked: Mutex::new(Tracked::default()),
+            keys: KeyMemo::default(),
             counters: RouterCounters::default(),
         };
         router.probe_once();
@@ -444,8 +448,7 @@ impl Router {
             Ok((_, spec)) => spec,
             Err(err) => return (err.http_status(), error_body(&err)),
         };
-        let job = spec.prepare();
-        let (fp, key) = (job.structure_fingerprint(), job.job_key());
+        let (fp, key) = self.keys.route(&spec);
         let mut attempt: u32 = 0;
         loop {
             for idx in self.route_chain(fp) {

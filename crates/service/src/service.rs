@@ -44,7 +44,7 @@ use crate::cache::{CacheOutcome, LeadGuard, ResultCache};
 use crate::disk::{DiskTier, DiskTierConfig};
 use crate::error::ServiceError;
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
-use crate::jobspec::{JobOutput, JobSpec};
+use crate::jobspec::{JobOutput, JobSpec, KeyMemo};
 use crate::json::Json;
 use crate::pool::{PoolConfig, WorkerPool};
 use crate::retry::RetryPolicy;
@@ -154,6 +154,8 @@ pub struct SiService {
     counters: ServiceCounters,
     /// Kind tag of every job key ever admitted, for `GET /v1/jobs/:id`.
     seen: Mutex<HashMap<u64, &'static str>>,
+    /// Spec → job key, so a hit does not rebuild the circuit to key it.
+    keys: KeyMemo,
     /// Cancellation flags of currently in-flight leaders.
     cancel_flags: CancelFlags,
     /// Progress and counters of streaming jobs, shared with the worker
@@ -226,6 +228,7 @@ impl SiService {
             budget: config.budget,
             counters: ServiceCounters::default(),
             seen: Mutex::new(HashMap::new()),
+            keys: KeyMemo::default(),
             cancel_flags: Arc::new(Mutex::new(HashMap::new())),
             stream: Arc::new(StreamShared::default()),
             fault: Mutex::new(None),
@@ -337,7 +340,12 @@ impl SiService {
     /// The deterministic wire id of a spec.
     #[must_use]
     pub fn job_id(spec: &JobSpec) -> String {
-        format!("{:016x}", spec.job_key())
+        Self::id_of(spec.job_key())
+    }
+
+    /// The wire id of a job key.
+    pub(crate) fn id_of(key: u64) -> String {
+        format!("{key:016x}")
     }
 
     /// Parses a wire id back to a job key.
@@ -375,6 +383,17 @@ impl SiService {
         spec: &JobSpec,
         deadline: Option<Duration>,
     ) -> Result<(Arc<JobOutput>, bool), ServiceError> {
+        self.submit(spec, deadline)
+            .map(|(_, out, cached)| (out, cached))
+    }
+
+    /// [`SiService::submit_blocking`], also returning the job key it
+    /// derived, so the front end need not derive it again.
+    pub(crate) fn submit(
+        &self,
+        spec: &JobSpec,
+        deadline: Option<Duration>,
+    ) -> Result<(u64, Arc<JobOutput>, bool), ServiceError> {
         // Anchor the deadline ONCE, not per attempt: re-arming it inside
         // each retry let a transiently failing job hold the caller for
         // (retries + 1) × deadline of wall clock instead of one deadline.
@@ -399,7 +418,8 @@ impl SiService {
                         if spec.is_stream() {
                             // A stream that dies for good must not leave
                             // its last progress entry behind.
-                            lock_recover(&self.stream.progress).remove(&spec.job_key());
+                            let key = self.keys.job_key(spec);
+                            lock_recover(&self.stream.progress).remove(&key);
                         }
                         return Err(err);
                     }
@@ -423,10 +443,15 @@ impl SiService {
     /// (whose admission gauntlet parses the full text).
     #[must_use]
     pub fn serve_cached(&self, spec: &JobSpec) -> Option<Arc<JobOutput>> {
+        self.serve_hit(spec).map(|(_, out)| out)
+    }
+
+    /// [`SiService::serve_cached`], also returning the job key.
+    pub(crate) fn serve_hit(&self, spec: &JobSpec) -> Option<(u64, Arc<JobOutput>)> {
         if matches!(spec, JobSpec::Netlist { .. }) {
             return None;
         }
-        let key = spec.job_key();
+        let key = self.keys.job_key(spec);
         let out = self.cache.memory_hit(key)?;
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let scenarios = spec.scenario_count() as u64;
@@ -440,7 +465,7 @@ impl SiService {
         }
         lock_recover(&self.seen).insert(key, spec.kind());
         self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        Some(out)
+        Some((key, out))
     }
 
     /// One submission attempt: cache lookup, then the leader path.
@@ -450,7 +475,7 @@ impl SiService {
         &self,
         spec: &JobSpec,
         deadline_at: Option<Instant>,
-    ) -> Result<(Arc<JobOutput>, bool), ServiceError> {
+    ) -> Result<(u64, Arc<JobOutput>, bool), ServiceError> {
         // User netlists run an admission gauntlet before anything else:
         // byte cap (before the text is even parsed), strict parse (inside
         // validate), then the priced budget — node/device counts, matrix
@@ -469,7 +494,8 @@ impl SiService {
             }
         }
         // One build (delay line) or canonical parse (netlist) serves the
-        // validation, the price and the key below.
+        // validation, the price and, unless the memo holds it, the key
+        // below.
         let job = spec.prepare();
         if let Err(err) = job.validate() {
             if matches!(err, ServiceError::NetlistRejected(_)) {
@@ -499,16 +525,16 @@ impl SiService {
                 .batch_scenarios
                 .fetch_add(scenarios, Ordering::Relaxed);
         }
-        let key = job.job_key();
+        let key = self.keys.key_of(&job);
         lock_recover(&self.seen).insert(key, spec.kind());
 
         let guard = match self.cache.get_or_lead(key) {
             CacheOutcome::Hit(out) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
-                return Ok((out, true));
+                return Ok((key, out, true));
             }
             CacheOutcome::Coalesced(result) => {
-                return self.finish(result.map(|out| (out, true)));
+                return self.finish(result.map(|out| (key, out, true)));
             }
             CacheOutcome::Lead(guard) => guard,
         };
@@ -523,7 +549,7 @@ impl SiService {
         key: u64,
         guard: LeadGuard,
         deadline_at: Option<Instant>,
-    ) -> Result<(Arc<JobOutput>, bool), ServiceError> {
+    ) -> Result<(u64, Arc<JobOutput>, bool), ServiceError> {
         let cancel = Arc::new(AtomicBool::new(false));
         lock_recover(&self.cancel_flags).insert(key, Arc::clone(&cancel));
         // Owned by the task closure from here on: the entry is removed
@@ -635,7 +661,7 @@ impl SiService {
                 }
             },
         };
-        self.finish(result.map(|out| (out, false)))
+        self.finish(result.map(|out| (key, out, false)))
     }
 
     /// The reply channel disconnected without a reply: the worker
@@ -865,10 +891,7 @@ impl SiService {
         self.cache.disk_tier()
     }
 
-    fn finish(
-        &self,
-        result: Result<(Arc<JobOutput>, bool), ServiceError>,
-    ) -> Result<(Arc<JobOutput>, bool), ServiceError> {
+    fn finish<T>(&self, result: Result<T, ServiceError>) -> Result<T, ServiceError> {
         match &result {
             Ok(_) => {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
