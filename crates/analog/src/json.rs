@@ -256,12 +256,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (1–4 bytes).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8 in string")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole unescaped run up to the next `"` or `\`
+                // at once, so decoding stays linear in the input. Both
+                // stops are ASCII, and the bytes come from a `&str`, so
+                // the run starts and ends on char boundaries.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text = std::str::from_utf8(&bytes[*pos..*pos + run])
+                    .map_err(|_| "invalid utf-8 in string")?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }

@@ -744,3 +744,170 @@ proptest! {
         prop_assert!(parse(&too_deep).is_err());
     }
 }
+
+/// The string decoder as it was before it copied unescaped runs whole:
+/// one scalar per step, each found by re-validating the rest of the
+/// input. Kept as the reference the run-copying decoder must match
+/// exactly, error text included.
+fn per_char_string_document(input: &str) -> Result<si_analog::json::Json, String> {
+    let bytes = input.as_bytes();
+    let mut pos = 0;
+    if bytes.first() != Some(&b'"') {
+        return Err("reference covers string documents only".to_string());
+    }
+    pos += 1;
+    let mut out = String::new();
+    loop {
+        match bytes.get(pos) {
+            None => return Err("unterminated string".to_string()),
+            Some(b'"') => {
+                pos += 1;
+                break;
+            }
+            Some(b'\\') => {
+                pos += 1;
+                match bytes.get(pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'b') => out.push('\u{0008}'),
+                    Some(b'f') => out.push('\u{000c}'),
+                    Some(b'u') => {
+                        let hex = bytes.get(pos + 1..pos + 5).ok_or("truncated \\u escape")?;
+                        let hex = std::str::from_utf8(hex).map_err(|_| "non-utf8 escape")?;
+                        let cp = Some(hex)
+                            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .ok_or_else(|| format!("bad \\u escape {hex:?}"))?;
+                        let c = char::from_u32(cp)
+                            .ok_or_else(|| format!("surrogate \\u escape {hex:?}"))?;
+                        out.push(c);
+                        pos += 4;
+                    }
+                    other => return Err(format!("bad escape {other:?}")),
+                }
+                pos += 1;
+            }
+            Some(_) => {
+                let rest =
+                    std::str::from_utf8(&bytes[pos..]).map_err(|_| "invalid utf-8 in string")?;
+                let c = rest.chars().next().unwrap();
+                out.push(c);
+                pos += c.len_utf8();
+            }
+        }
+    }
+    while pos < bytes.len() && matches!(bytes[pos], b' ' | b'\t' | b'\n' | b'\r') {
+        pos += 1;
+    }
+    if pos != bytes.len() {
+        return Err(format!("trailing data at byte {pos}"));
+    }
+    Ok(si_analog::json::Json::String(out))
+}
+
+/// Pieces of a string document's body: plain ASCII, every escape form
+/// (good and bad), and scalars of each UTF-8 width, so runs end next to
+/// escapes and multi-byte characters.
+const STRING_PIECES: [&str; 31] = [
+    "a",
+    "R1 in 0 1k",
+    " ",
+    "\u{1}",
+    "\u{7f}",
+    "\\\"",
+    "\\\\",
+    "\\/",
+    "\\n",
+    "\\r",
+    "\\t",
+    "\\b",
+    "\\f",
+    "\\u0041",
+    "\\u00e9",
+    "\\uffff",
+    "\\u12G4",
+    "\\u+041",
+    "\\u-041",
+    "\\uD800",
+    "\\uDFFF",
+    "\\u12",
+    "\\u123é",
+    "\\u12→",
+    "\\x",
+    "\\é",
+    "\\",
+    "\"",
+    "é",
+    "→",
+    "😀",
+];
+
+proptest! {
+    /// Decoding a string document copies unescaped runs whole, and
+    /// still accepts and rejects exactly what the per-scalar decoder
+    /// did, with the same value or error text. Documents may close,
+    /// end in a lone `\`, stay unterminated, or carry trailing bytes.
+    #[test]
+    fn json_string_decode_matches_per_char_reference(
+        pieces in prop::collection::vec((0usize..35, 0u32..0x11_0000), 0..48),
+        ending in 0usize..5,
+    ) {
+        use si_analog::json::parse;
+        let mut doc = String::from("\"");
+        for (piece, scalar) in pieces {
+            match STRING_PIECES.get(piece) {
+                Some(text) => doc.push_str(text),
+                // 1-, 2-, 3- and 4-byte scalars (surrogates skipped).
+                None => {
+                    let c = match piece - STRING_PIECES.len() {
+                        0 => scalar % 0x80,
+                        1 => 0x80 + scalar % 0x780,
+                        2 => 0xe000 + scalar % 0x2000,
+                        _ => 0x1_0000 + scalar % 0x10_0000,
+                    };
+                    doc.push(char::from_u32(c).expect("not a surrogate"));
+                }
+            }
+        }
+        doc.push_str(["\"", "\" \n", "\\", "", "\"x"][ending]);
+        prop_assert_eq!(parse(&doc), per_char_string_document(&doc), "document {:?}", doc);
+    }
+}
+
+/// A ~1 MiB netlist-shaped string (short runs between `\n` escapes)
+/// decodes in linear time: well under a second even unoptimized. The
+/// per-scalar decoder re-validated the rest of the input for every
+/// character, which is tens of seconds at this size.
+#[test]
+fn json_string_decode_is_linear() {
+    use si_analog::json::{parse, Json};
+    let mut text = String::from("* ladder\n");
+    let mut i = 0;
+    while text.len() < 1 << 20 {
+        text.push_str(&format!(
+            "R{i} n{i} n{} 1k\nM{i} n{i} n{i} 0 0 nmos\n",
+            i + 1
+        ));
+        i += 1;
+    }
+    let doc = format!(
+        "{{\"kind\":\"netlist\",\"netlist\":{}}}",
+        Json::String(text.clone()).to_string_compact()
+    );
+    let start = std::time::Instant::now();
+    let parsed = parse(&doc).expect("document parses");
+    let elapsed = start.elapsed();
+    assert_eq!(
+        parsed.get("netlist").and_then(Json::as_str),
+        Some(&text[..])
+    );
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "decoding {} bytes took {elapsed:?}",
+        doc.len()
+    );
+}

@@ -1196,9 +1196,9 @@ impl Handler for SiService {
 /// Serves a `POST /v1/jobs` inline when the answer is already resident
 /// in the memory tier: parse, probe, respond — the event loop's fast
 /// path. `None` means the request needs a handler thread: a cache miss,
-/// a netlist (whose admission gauntlet parses the full text), or a body
-/// the blocking path should diagnose (its error answer is identical,
-/// just off-loop).
+/// a netlist whose exact text has not yet passed the admission gauntlet
+/// (which parses the full text), or a body the blocking path should
+/// diagnose (its error answer is identical, just off-loop).
 fn post_cached(body: &str, service: &SiService) -> Option<Response> {
     let (_, spec) = decode_job(body).ok()?;
     let (key, out) = service.serve_hit(&spec)?;
@@ -1458,13 +1458,23 @@ impl HttpClient {
                 Err(e) => return Err(e),
             }
         }
+        let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
+        // Each read scans only the bytes it added (plus three, for a
+        // terminator split across reads), and the head is capped like a
+        // request's, so a peer that never ends its headers costs linear
+        // work and bounded memory, not a rescan per read until the
+        // deadline.
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos + 4;
+            if let Some(pos) = buf[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break scanned + pos + 4;
             }
+            if buf.len() > MAX_HEADER_BYTES {
+                return Err(bad());
+            }
+            scanned = buf.len().saturating_sub(3);
             read_some(&mut stream, buf, deadline)?;
         };
-        let bad = || std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response");
         let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| bad())?;
         let status: u16 = head
             .split_whitespace()
@@ -1546,6 +1556,38 @@ mod tests {
         HttpClient::new(addr)
             .request_text(method, path, body)
             .expect("request")
+    }
+
+    /// A peer that never ends its response head costs the client one
+    /// linear scan: `InvalidData` once the head passes
+    /// `MAX_HEADER_BYTES`, not a rescan per read until the deadline.
+    #[test]
+    fn client_refuses_an_endless_response_head() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut head = b"HTTP/1.1 200 OK\r\n".to_vec();
+            while head.len() < 4 * MAX_HEADER_BYTES {
+                head.extend_from_slice(b"X-Pad: xxxxxxxxxxxxxxxxxxxxxxxx\r\n");
+            }
+            let _ = stream.write_all(&head);
+            // Hold the connection open until the client gives up.
+            let mut sink = [0u8; 4096];
+            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        });
+        let start = Instant::now();
+        let err = HttpClient::new(addr)
+            .timeout(Duration::from_secs(10))
+            .request("GET", "/healthz", None)
+            .expect_err("a head without an end is refused");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "{:?}",
+            start.elapsed()
+        );
+        peer.join().expect("peer thread");
     }
 
     /// A front end under test: the service itself, or a router over one

@@ -1378,8 +1378,21 @@ impl KeyMemo {
 
     /// Whether the spec is resident.
     pub fn holds(&self, spec: &JobSpec) -> bool {
+        self.peek(spec).is_some()
+    }
+
+    /// The spec's memoized key, if resident. A lookup only: it never
+    /// builds, parses or records anything, so `SiService` can ask it on
+    /// the event loop whether a netlist's exact text was already admitted
+    /// (only the submission path records a netlist, after its gauntlet).
+    /// A netlist too long to be memoized is refused before its text is
+    /// copied into canonical bytes.
+    pub(crate) fn peek(&self, spec: &JobSpec) -> Option<u64> {
+        if matches!(spec, JobSpec::Netlist { netlist } if netlist.len() > KEY_MEMO_MAX_SPEC_BYTES) {
+            return None;
+        }
         let bytes = spec.prepare().canonical_bytes();
-        self.lock().map.contains_key(&bytes[..])
+        self.lock().map.get(&bytes[..]).map(|ids| ids.key)
     }
 
     /// [`KeyMemo::job_key`] of an already prepared spec, so a miss

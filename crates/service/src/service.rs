@@ -439,8 +439,15 @@ impl SiService {
     /// The HTTP front end uses this to answer hits inline on its event
     /// loop instead of paying a handler-thread dispatch. Anything that
     /// could block or burn real CPU stays on the submission path: disk
-    /// probes, solves, flight coalescing, and every `Netlist` spec
-    /// (whose admission gauntlet parses the full text).
+    /// probes, solves, flight coalescing, and every `Netlist` spec whose
+    /// exact text the key memo does not already hold (its admission
+    /// gauntlet parses the full text).
+    ///
+    /// A netlist the memo holds is served here without that gauntlet:
+    /// only `submit_once` records a netlist in the memo, and only after
+    /// admitting it, and admission is a pure function of the text and
+    /// the service's fixed budget, so the same text would pass again
+    /// with the same key.
     #[must_use]
     pub fn serve_cached(&self, spec: &JobSpec) -> Option<Arc<JobOutput>> {
         self.serve_hit(spec).map(|(_, out)| out)
@@ -448,11 +455,18 @@ impl SiService {
 
     /// [`SiService::serve_cached`], also returning the job key.
     pub(crate) fn serve_hit(&self, spec: &JobSpec) -> Option<(u64, Arc<JobOutput>)> {
-        if matches!(spec, JobSpec::Netlist { .. }) {
-            return None;
-        }
-        let key = self.keys.job_key(spec);
+        let netlist = matches!(spec, JobSpec::Netlist { .. });
+        let key = if netlist {
+            self.keys.peek(spec)?
+        } else {
+            self.keys.job_key(spec)
+        };
         let out = self.cache.memory_hit(key)?;
+        if netlist {
+            self.counters
+                .netlist_submitted
+                .fetch_add(1, Ordering::Relaxed);
+        }
         self.counters.submitted.fetch_add(1, Ordering::Relaxed);
         let scenarios = spec.scenario_count() as u64;
         if scenarios > 1 {
@@ -525,6 +539,9 @@ impl SiService {
                 .batch_scenarios
                 .fetch_add(scenarios, Ordering::Relaxed);
         }
+        // The one place this service records a netlist in its key memo:
+        // after the gauntlet above, which `serve_hit` relies on to answer
+        // a memoized netlist inline without running it again.
         let key = self.keys.key_of(&job);
         lock_recover(&self.seen).insert(key, spec.kind());
 
@@ -881,6 +898,14 @@ impl SiService {
     #[must_use]
     pub fn metrics_json(&self) -> String {
         self.metrics().to_string_compact()
+    }
+
+    /// Test hook: the service's spec → key memo, so integration tests
+    /// can check which specs it retained.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn key_memo_for_test(&self) -> &KeyMemo {
+        &self.keys
     }
 
     /// The persistent cache tier, when `cache_dir` was configured. The

@@ -11,7 +11,11 @@
 //!   correctly;
 //! - **Served bytes** — a miss, an inline hit, a `GET /v1/jobs/:id` and a
 //!   routed forward each answer byte for byte what `job_response_body`
-//!   builds from `SiService::job_id`.
+//!   builds from `SiService::job_id`;
+//! - **Netlist hits** — a netlist whose exact text the service already
+//!   admitted is answered inline, with the bytes and counters of a
+//!   blocking hit; a rejected text is never memoized, so it meets the
+//!   admission gauntlet every time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,8 +23,10 @@ use std::time::Duration;
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use si_analog::engine::EngineWorkspace;
+use si_service::budget::AdmissionBudget;
 use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::{JobSpec, KeyMemo, KEY_MEMO_BUDGET_BYTES};
+use si_service::json::{self, Json};
 use si_service::router::{Router, RouterConfig};
 use si_service::service::{job_response_body, ServiceConfig, SiService};
 
@@ -324,4 +330,145 @@ fn served_bytes_match_job_response_body_on_every_path() {
         assert_eq!(post(&body), hit);
         assert_eq!(router.handle("POST", "/v1/jobs", &body), (200, hit));
     }
+}
+
+/// The `service` and `cache` counters of a `/metrics` document, minus
+/// the derived `hit_ratio` (its inputs, hits and misses, are compared).
+fn counters(client: &HttpClient) -> Vec<(String, f64)> {
+    let metrics = json::parse(&call(client, "GET", "/metrics", None)).expect("metrics parse");
+    let mut out = Vec::new();
+    for section in ["service", "cache"] {
+        let Some(Json::Object(pairs)) = metrics.get(section) else {
+            panic!("no {section} section");
+        };
+        for (name, value) in pairs {
+            if name != "hit_ratio" {
+                let value = value.as_f64().expect("counters are numbers");
+                out.push((format!("{section}.{name}"), value));
+            }
+        }
+    }
+    out
+}
+
+/// The counters that moved while `action` ran, with how far.
+fn moved(client: &HttpClient, action: impl FnOnce()) -> Vec<(String, f64)> {
+    let before = counters(client);
+    action();
+    counters(client)
+        .into_iter()
+        .zip(before)
+        .map(|((name, after), (_, before))| (name, after - before))
+        .filter(|(_, delta)| *delta != 0.0)
+        .collect()
+}
+
+fn moved_by(deltas: &[(&str, f64)]) -> Vec<(String, f64)> {
+    deltas.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+}
+
+#[test]
+fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
+    let service = Arc::new(SiService::new(ServiceConfig {
+        workers: 1,
+        budget: AdmissionBudget {
+            max_netlist_bytes: DIVIDER.len() + 64,
+            max_nodes: 4,
+            ..AdmissionBudget::default()
+        },
+        ..ServiceConfig::default()
+    }));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+    let client = HttpClient::new(server.local_addr()).timeout(Duration::from_secs(60));
+    let memo = service.key_memo_for_test();
+    let post = |spec: &JobSpec| {
+        let body = spec.to_json().to_string_compact();
+        client
+            .request_text("POST", "/v1/jobs", Some(&body))
+            .expect("request")
+    };
+    let divider = JobSpec::Netlist {
+        netlist: DIVIDER.to_string(),
+    };
+
+    assert_eq!(post(&divider), (200, expected_body(&divider, false)));
+    assert!(memo.holds(&divider));
+    let hit = expected_body(&divider, true);
+    let one_hit = moved_by(&[
+        ("service.submitted", 1.0),
+        ("service.completed", 1.0),
+        ("service.netlist_submitted", 1.0),
+        ("cache.hits", 1.0),
+    ]);
+    let repeat = moved(&client, || assert_eq!(post(&divider), (200, hit.clone())));
+    let inline = moved(&client, || {
+        let out = service.serve_cached(&divider).expect("served inline");
+        assert_eq!(
+            job_response_body(&SiService::job_id(&divider), "netlist", true, &out)
+                .to_string_compact(),
+            hit
+        );
+    });
+    let blocking = moved(&client, || {
+        let (out, cached) = service.submit_blocking(&divider, None).expect("hit");
+        assert!(cached);
+        assert_eq!(
+            job_response_body(&SiService::job_id(&divider), "netlist", true, &out)
+                .to_string_compact(),
+            hit
+        );
+    });
+    assert_eq!(repeat, one_hit, "repeat POST");
+    assert_eq!(inline, one_hit, "serve_cached");
+    assert_eq!(blocking, one_hit, "submit_blocking");
+    let path = format!("/v1/jobs/{}", SiService::job_id(&divider));
+    assert_eq!(call(&client, "GET", &path, None), hit);
+
+    // Rejected texts: one that does not parse, one over the priced budget
+    // (five nodes), and a comment-padded twin of the cached divider over
+    // the byte cap — the last would be answered from the cache if its
+    // text were ever memoized. Each meets the gauntlet both times.
+    let rejected = [
+        ("R1 a 0 oops\n", 422, "service.netlist_rejected_parse"),
+        (
+            "V1 a 0 1\nR1 a b 1k\nR2 b c 1k\nR3 c d 1k\nR4 d 0 1k\n",
+            413,
+            "service.netlist_rejected_budget",
+        ),
+        ("", 413, "service.netlist_rejected_budget"),
+    ];
+    for (text, status, counter) in rejected {
+        let netlist = if text.is_empty() {
+            format!("*{}\n{DIVIDER}", "x".repeat(64))
+        } else {
+            text.to_string()
+        };
+        let spec = JobSpec::Netlist { netlist };
+        let twice = moved(&client, || {
+            for _ in 0..2 {
+                assert_eq!(post(&spec).0, status, "{spec:?}");
+                assert!(!memo.holds(&spec), "{spec:?} was memoized");
+                assert!(service.serve_cached(&spec).is_none());
+            }
+        });
+        assert_eq!(
+            twice,
+            moved_by(&[("service.netlist_submitted", 2.0), (counter, 2.0)]),
+            "{spec:?}"
+        );
+    }
+
+    // A comment-edited canonical twin is not in the memo: probing it
+    // counts nothing, and its POST takes the blocking path to the same
+    // cached answer under the same id.
+    let twin = JobSpec::Netlist {
+        netlist: format!("* edited\n{DIVIDER}"),
+    };
+    assert_eq!(SiService::job_id(&twin), SiService::job_id(&divider));
+    assert!(!memo.holds(&twin));
+    assert!(moved(&client, || assert!(service.serve_cached(&twin).is_none())).is_empty());
+    let twin_hit = moved(&client, || assert_eq!(post(&twin), (200, hit.clone())));
+    assert_eq!(twin_hit, one_hit, "twin POST");
+    assert!(memo.holds(&twin));
+    assert_eq!(call(&client, "GET", &path, None), hit);
 }
