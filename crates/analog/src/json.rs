@@ -9,8 +9,18 @@
 //! rejected), numbers parsed as finite `f64` (`1e999` is an error, not
 //! infinity). Object key order is preserved on parse and emit so golden
 //! snapshots are byte-stable.
+//!
+//! Every number the workspace emits goes through [`write_number`], whose
+//! text is a contract the goldens pin:
+//! - an integral value below 2⁵³ in magnitude prints as an integer, so
+//!   `-0.0` prints `0`;
+//! - NaN and ±∞ print `null`;
+//! - anything else prints as Rust's `{}` prints it: the shortest digits
+//!   that read back as the same `f64`, the closer candidate when two
+//!   have that length and the larger on an exact tie, never an
+//!   exponent (`0.000…ddd`, `dd.ddd` or `ddd000…`).
 
-use std::fmt::Write as _;
+mod num;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -107,31 +117,45 @@ impl Json {
     }
 }
 
-fn write_number(n: f64, out: &mut String) {
+/// Appends the JSON text of `n` to `out`, as the module doc states.
+pub fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         out.push_str("null");
-    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+    } else if n.abs() < 9.007_199_254_740_992e15 && n as i64 as f64 == n {
+        // Integral (the round trip through `i64` is exact below 2⁵³, and
+        // cheaper than `trunc`, a libm call on baseline x86-64).
+        num::write_i64(n as i64, out);
     } else {
-        let _ = write!(out, "{n}");
+        num::write_f64(n, out);
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string. Every byte that needs
+/// an escape is ASCII, so each run between two of them is copied whole.
+pub fn write_string(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -911,3 +911,164 @@ fn json_string_decode_is_linear() {
         doc.len()
     );
 }
+
+/// `write_number` as it was before it had its own digit writer: the
+/// integral branch, `null` for non-finite values, and `{}` for the rest.
+/// Kept as the oracle the shortest-digit writer must match byte for
+/// byte.
+fn display_number(n: f64) -> String {
+    if !n.is_finite() {
+        "null".to_string()
+    } else if n == n.trunc() && n.abs() < 9.007_199_254_740_992e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
+    }
+}
+
+/// Checks one value against the oracle, and its negation.
+fn assert_number_matches_display(n: f64) {
+    use si_analog::json::Json;
+    for v in [n, -n] {
+        assert_eq!(
+            Json::Number(v).to_string_compact(),
+            display_number(v),
+            "bits {:#018x}",
+            v.to_bits()
+        );
+    }
+}
+
+/// The values where shortest-digit writers go wrong: every power of
+/// two and three times one, `1eN` and `5eN` across the whole range,
+/// the lowest subnormals and the floats just below `f64::MAX` (`span`
+/// of each), steps of 2⁻⁴⁰ above 1, and the `1 + 2⁻¹⁷` tie.
+fn number_edge_values(span: u64) -> impl Iterator<Item = f64> {
+    let doublings = |start: f64| {
+        std::iter::successors(Some(start), |&x| Some(x * 2.0)).take_while(|x| x.is_finite())
+    };
+    let decimals = (-324..=308).flat_map(|e: i32| {
+        [format!("1e{e}"), format!("5e{e}")].map(|t| t.parse::<f64>().expect("decimal literal"))
+    });
+    let max = f64::MAX.to_bits();
+    doublings(f64::from_bits(1))
+        .chain(doublings(f64::from_bits(3)))
+        .chain(decimals)
+        .chain((1..=span).map(f64::from_bits))
+        .chain((0..span).map(move |k| f64::from_bits(max - k)))
+        .chain((0..span).map(|k| 1.0 + k as f64 * 2f64.powi(-40)))
+        .chain([1.0 + 2f64.powi(-17)])
+}
+
+/// Checks `count` bit patterns from a splitmix64 stream seeded `seed`.
+fn assert_random_bits_match_display(seed: u64, count: usize) {
+    let mut gen = TreeGen(seed);
+    for _ in 0..count {
+        assert_number_matches_display(f64::from_bits(gen.below(u64::MAX)));
+    }
+}
+
+proptest! {
+    /// Every `f64` bit pattern — finite, subnormal, zero, NaN or
+    /// infinite — prints exactly as the `{}`-based writer printed it.
+    /// 64 cases of 3125 patterns: a 200 k sample per run.
+    #[test]
+    fn number_writer_matches_display_on_random_bits(seed in 0u64..u64::MAX) {
+        assert_random_bits_match_display(seed, 3125);
+    }
+}
+
+#[test]
+fn number_writer_matches_display_on_edge_values() {
+    number_edge_values(10_000).for_each(assert_number_matches_display);
+}
+
+/// The long sweep, run in release mode by CI's diagnostics job:
+/// `cargo test --release -p si-analog --test properties -- --ignored number_writer`.
+#[test]
+#[ignore = "20 M patterns: run in release mode"]
+fn number_writer_long_sweep() {
+    number_edge_values(100_000).for_each(assert_number_matches_display);
+    assert_random_bits_match_display(0x05ee_df64, 20_000_000);
+}
+
+#[test]
+fn number_writer_literal_table() {
+    use si_analog::json::Json;
+    let zeros = |n: usize| "0".repeat(n);
+    let table = [
+        (1.0 + 2f64.powi(-17), "1.0000076293945313".to_string()),
+        (5e-324, format!("0.{}5", zeros(323))),
+        (
+            f64::MIN_POSITIVE,
+            format!("0.{}22250738585072014", zeros(307)),
+        ),
+        (f64::MAX, format!("17976931348623157{}", zeros(292))),
+        (0.1, "0.1".to_string()),
+        (1e21, format!("1{}", zeros(21))),
+        (1e22, format!("1{}", zeros(22))),
+        (1e23, format!("1{}", zeros(23))),
+        (2f64.powi(60), "1152921504606847000".to_string()),
+        (9_007_199_254_740_993.0, "9007199254740992".to_string()),
+        (-0.0, "0".to_string()),
+        (f64::NAN, "null".to_string()),
+        (f64::INFINITY, "null".to_string()),
+        (f64::NEG_INFINITY, "null".to_string()),
+    ];
+    for (value, text) in table {
+        assert_eq!(Json::Number(value).to_string_compact(), text, "{value:e}");
+    }
+}
+
+/// `write_string` as it was before it copied unescaped runs whole: one
+/// `push` per scalar. Kept as the reference for the run-copying writer.
+fn per_char_write_string(s: &str) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    /// Encoding a string copies unescaped runs whole and still writes
+    /// exactly what the per-scalar writer did: runs end next to quotes,
+    /// backslashes, every control character and multi-byte scalars.
+    #[test]
+    fn json_string_encode_matches_per_char_reference(
+        pieces in prop::collection::vec((0usize..36, 0u32..0x11_0000), 0..48),
+    ) {
+        use si_analog::json::write_string;
+        let mut text = String::new();
+        for (piece, scalar) in pieces {
+            match STRING_PIECES.get(piece) {
+                Some(piece) => text.push_str(piece),
+                None => {
+                    let c = match piece - STRING_PIECES.len() {
+                        0 => scalar % 0x20,
+                        1 => scalar % 0x80,
+                        2 => 0x80 + scalar % 0x780,
+                        3 => 0xe000 + scalar % 0x2000,
+                        _ => 0x1_0000 + scalar % 0x10_0000,
+                    };
+                    text.push(char::from_u32(c).expect("not a surrogate"));
+                }
+            }
+        }
+        let mut out = String::new();
+        write_string(&text, &mut out);
+        prop_assert_eq!(out, per_char_write_string(&text), "text {:?}", text);
+    }
+}

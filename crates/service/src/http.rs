@@ -79,7 +79,7 @@ use std::time::{Duration, Instant};
 use crate::error::ServiceError;
 use crate::jobspec::{JobOutput, JobSpec};
 use crate::json::{self, Json};
-use crate::service::{job_response_body, SiService};
+use crate::service::{job_response_string, SiService};
 
 const MAX_HEADER_LINES: usize = 100;
 /// Cap on the buffered request-line + header section; past this the
@@ -1098,6 +1098,10 @@ fn spawn_blocking<H: Handler>(token: usize, request: Request, ctx: &LoopCtx<H>) 
     }
 }
 
+/// The bytes [`response_bytes`] reserves for a head beyond its content
+/// type.
+const HEAD_RESERVE: usize = 160;
+
 /// Frames `response`; every `503` carries `Retry-After`.
 fn response_bytes(response: &Response, keep_alive: bool, retry_after_secs: u64) -> Vec<u8> {
     let status = response.status;
@@ -1118,17 +1122,21 @@ fn response_bytes(response: &Response, keep_alive: bool, retry_after_secs: u64) 
         _ => "Unknown",
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let retry_after = if status == 503 {
-        format!("Retry-After: {retry_after_secs}\r\n")
-    } else {
-        String::new()
-    };
-    let mut out = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{retry_after}Connection: {connection}\r\n\r\n",
+    // One allocation: beside the content type, the head's fixed text,
+    // status, reason and two integers take at most 151 bytes.
+    let mut out =
+        Vec::with_capacity(HEAD_RESERVE + response.content_type.len() + response.body.len());
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(
+        out,
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {}\r\nContent-Length: {}\r\n",
         response.content_type,
         response.body.len()
-    )
-    .into_bytes();
+    );
+    if status == 503 {
+        let _ = write!(out, "Retry-After: {retry_after_secs}\r\n");
+    }
+    let _ = write!(out, "Connection: {connection}\r\n\r\n");
     out.extend_from_slice(&response.body);
     out
 }
@@ -1232,8 +1240,7 @@ pub(crate) fn decode_job(body: &str) -> Result<(Json, JobSpec), ServiceError> {
 /// The `200` body of a job whose key the service already derived.
 fn job_answer(key: u64, spec: &JobSpec, cached: bool, out: &JobOutput) -> Response {
     let id = SiService::id_of(key);
-    let body = job_response_body(&id, spec.kind(), cached, out).to_string_compact();
-    Response::json(200, body)
+    Response::json(200, job_response_string(&id, spec.kind(), cached, out))
 }
 
 /// `GET /v1/cache/:key`: the sending half of the warming protocol. Only
@@ -1296,10 +1303,7 @@ fn get_job(id: &str, service: &SiService) -> (u16, String) {
         return (err.http_status(), error_body(&err));
     };
     match service.lookup(key) {
-        Some((kind, Some(out))) => {
-            let body = job_response_body(id, kind, true, &out).to_string_compact();
-            (200, body)
-        }
+        Some((kind, Some(out))) => (200, job_response_string(id, kind, true, &out)),
         // A key with a live single-flight leader is *running*, not
         // missing: answer 202 with a typed pending body so pollers can
         // tell "come back later" from "you never submitted this".
@@ -1556,6 +1560,44 @@ mod tests {
         HttpClient::new(addr)
             .request_text(method, path, body)
             .expect("request")
+    }
+
+    /// A response is framed in the one buffer it reserves, with the
+    /// head the `format!`-then-append framing wrote, for the longest
+    /// status line and retry value.
+    #[test]
+    fn response_bytes_frames_in_one_allocation() {
+        for (status, keep_alive, retry) in [(200, true, 1), (499, false, 7), (503, true, u64::MAX)]
+        {
+            let response = Response::json(status, "{\"a\":1}".repeat(300));
+            let framed = response_bytes(&response, keep_alive, retry);
+            let head = String::from_utf8_lossy(&framed[..framed.len() - response.body.len()]);
+            let retry_line = if status == 503 {
+                format!("Retry-After: {retry}\r\n")
+            } else {
+                String::new()
+            };
+            let connection = if keep_alive { "keep-alive" } else { "close" };
+            let reason = if status == 499 {
+                "Client Closed Request"
+            } else if status == 503 {
+                "Service Unavailable"
+            } else {
+                "OK"
+            };
+            assert_eq!(
+                head,
+                format!(
+                    "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\nContent-Length: 2100\r\n{retry_line}Connection: {connection}\r\n\r\n"
+                )
+            );
+            assert!(framed.ends_with(&response.body));
+            assert_eq!(
+                framed.capacity(),
+                HEAD_RESERVE + response.content_type.len() + response.body.len(),
+                "the buffer grew"
+            );
+        }
     }
 
     /// A peer that never ends its response head costs the client one

@@ -473,7 +473,7 @@ impl Router {
                             self.counters.routed.fetch_add(1, Ordering::Relaxed);
                             self.remember(key, fp, idx);
                         }
-                        return (status, String::from_utf8_lossy(&bytes).into_owned());
+                        return (status, body_text(bytes));
                     }
                     Err(_) => {
                         // The replica died (or wedged) mid-flight: take
@@ -528,7 +528,7 @@ impl Router {
                 continue;
             }
             if let Ok((status @ (200 | 202), bytes)) = replica.forward.request("GET", path, None) {
-                return (status, String::from_utf8_lossy(&bytes).into_owned());
+                return (status, body_text(bytes));
             }
         }
         (
@@ -701,6 +701,14 @@ impl RouterServer {
     }
 }
 
+/// A replica's body as text, taking the bytes over instead of copying
+/// them; invalid UTF-8 (never sent by a replica) still comes back with
+/// U+FFFD in place of each bad sequence.
+fn body_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes)
+        .unwrap_or_else(|err| String::from_utf8_lossy(err.as_bytes()).into_owned())
+}
+
 impl Drop for RouterServer {
     fn drop(&mut self) {
         self.shutdown();
@@ -844,6 +852,57 @@ mod tests {
         // Malformed specs are rejected before touching the ring.
         let (status, response) = router.handle("POST", "/v1/jobs", "{nope");
         assert_eq!(status, 400, "{response}");
+    }
+
+    /// A replica body that is not UTF-8 reaches the caller with U+FFFD
+    /// for each bad byte, on the POST forward and the GET lookup alike.
+    #[test]
+    fn non_utf8_replica_bodies_come_back_lossy() {
+        use std::io::{Read, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let replica = thread::spawn(move || {
+            // Answers the construction probe, the POST, then the GET.
+            for stream in listener.incoming() {
+                let mut stream = stream.unwrap();
+                let mut request = Vec::new();
+                let mut byte = [0u8; 1];
+                while !request.ends_with(b"\r\n\r\n") {
+                    stream.read_exact(&mut byte).unwrap();
+                    request.push(byte[0]);
+                }
+                let head = String::from_utf8(request).unwrap();
+                let length: usize = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("Content-Length: "))
+                    .map_or(0, |n| n.trim().parse().unwrap());
+                stream.read_exact(&mut vec![0; length]).unwrap();
+                let body = b"{\"note\":\"\xff\xfe\"}";
+                write!(
+                    stream,
+                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+                    body.len()
+                )
+                .unwrap();
+                stream.write_all(body).unwrap();
+                if head.starts_with("GET /v1/jobs/") {
+                    break;
+                }
+            }
+        });
+        let router = Router::new(test_config(vec![addr.to_string()])).unwrap();
+        router.replicas[0].ready.store(true, Ordering::SeqCst);
+        router.rebuild_ring();
+        let body = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
+        let expected = "{\"note\":\"\u{fffd}\u{fffd}\"}";
+        assert_eq!(
+            router.handle("POST", "/v1/jobs", body),
+            (200, expected.to_string())
+        );
+        let spec = crate::jobspec::JobSpec::from_json(&json::parse(body).unwrap()).unwrap();
+        let path = format!("/v1/jobs/{}", SiService::job_id(&spec));
+        assert_eq!(router.handle("GET", &path, ""), (200, expected.to_string()));
+        replica.join().unwrap();
     }
 
     /// POSTs `body` to `addr` and returns the whole raw response.

@@ -45,7 +45,7 @@ use crate::disk::{DiskTier, DiskTierConfig};
 use crate::error::ServiceError;
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
 use crate::jobspec::{JobOutput, JobSpec, KeyMemo};
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::pool::{PoolConfig, WorkerPool};
 use crate::retry::RetryPolicy;
 
@@ -1097,7 +1097,45 @@ fn run_stream(
     result
 }
 
-/// Builds the wire body shared by `POST /v1/jobs` and `GET /v1/jobs/:id`.
+/// The wire body shared by `POST /v1/jobs` and `GET /v1/jobs/:id`,
+/// written straight into one `String`: the bytes of
+/// [`job_response_body`]`(..).to_string_compact()` without the tree.
+#[must_use]
+pub fn job_response_string(id: &str, kind: &str, cached: bool, out: &JobOutput) -> String {
+    // Values print in about 20 bytes each; the buffer grows past that.
+    let mut body = String::with_capacity(96 + 24 * (out.metrics.len() + out.values.len()));
+    body.push_str("{\"id\":");
+    json::write_string(id, &mut body);
+    body.push_str(",\"kind\":");
+    json::write_string(kind, &mut body);
+    body.push_str(if cached {
+        ",\"cached\":true,\"metrics\":{"
+    } else {
+        ",\"cached\":false,\"metrics\":{"
+    });
+    for (i, (name, value)) in out.metrics.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        json::write_string(name, &mut body);
+        body.push(':');
+        json::write_number(*value, &mut body);
+    }
+    body.push_str("},\"n_values\":");
+    json::write_number(out.values.len() as f64, &mut body);
+    body.push_str(",\"values\":[");
+    for (i, &value) in out.values.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        json::write_number(value, &mut body);
+    }
+    body.push_str("]}");
+    body
+}
+
+/// The job response as a `Json` tree: the reference the wire writer
+/// [`job_response_string`] is tested against.
 #[must_use]
 pub fn job_response_body(id: &str, kind: &str, cached: bool, out: &JobOutput) -> Json {
     Json::Object(vec![

@@ -12,6 +12,9 @@
 //! - **Served bytes** — a miss, an inline hit, a `GET /v1/jobs/:id` and a
 //!   routed forward each answer byte for byte what `job_response_body`
 //!   builds from `SiService::job_id`;
+//! - **Wire writer** — `job_response_string`, which those paths serve,
+//!   writes the bytes of `job_response_body(..).to_string_compact()`
+//!   for any output;
 //! - **Netlist hits** — a netlist whose exact text the service already
 //!   admitted is answered inline, with the bytes and counters of a
 //!   blocking hit; a rejected text is never memoized, so it meets the
@@ -25,10 +28,10 @@ use proptest::test_runner::TestRng;
 use si_analog::engine::EngineWorkspace;
 use si_service::budget::AdmissionBudget;
 use si_service::http::{HttpClient, HttpServer};
-use si_service::jobspec::{JobSpec, KeyMemo, KEY_MEMO_BUDGET_BYTES};
+use si_service::jobspec::{JobOutput, JobSpec, KeyMemo, KEY_MEMO_BUDGET_BYTES};
 use si_service::json::{self, Json};
 use si_service::router::{Router, RouterConfig};
-use si_service::service::{job_response_body, ServiceConfig, SiService};
+use si_service::service::{job_response_body, job_response_string, ServiceConfig, SiService};
 
 const DIVIDER: &str = "* two-resistor divider\nV1 in 0 3.3\nR1 in mid 1k\nR2 mid 0 2k\n.end\n";
 
@@ -471,4 +474,53 @@ fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
     assert_eq!(twin_hit, one_hit, "twin POST");
     assert!(memo.holds(&twin));
     assert_eq!(call(&client, "GET", &path, None), hit);
+}
+
+/// Job outputs the wire writer must print like the tree: empty or
+/// long value lists, the floats of `tricky_f64`, integral values (some
+/// past 2⁵³), and metric names that need escaping.
+struct AnyOutput;
+
+impl Strategy for AnyOutput {
+    type Value = (String, bool, JobOutput);
+
+    fn generate(&self, rng: &mut TestRng) -> Self::Value {
+        const NAMES: [&str; 6] = [
+            "snr_db",
+            "",
+            "quote\"d",
+            "back\\slash",
+            "ctl\u{1}\n\t",
+            "é→😀",
+        ];
+        let value = |rng: &mut TestRng| match rng.below(3) {
+            0 => (rng.below(1 << 20) as f64 - 1000.0) * [1.0, 1e10][rng.below(2) as usize],
+            _ => tricky_f64(rng, -1e3, 1e3),
+        };
+        let metrics = (0..rng.below(4))
+            .map(|_| (NAMES[rng.below(6) as usize].to_string(), value(rng)))
+            .collect();
+        let values = (0..[0, 1, 24, 513][rng.below(4) as usize])
+            .map(|_| value(rng))
+            .collect();
+        let kind = ["delay_line_dc", "tran_stream", "we\"ird"][rng.below(3) as usize];
+        (
+            kind.to_string(),
+            rng.below(2) == 1,
+            JobOutput { values, metrics },
+        )
+    }
+}
+
+proptest! {
+    /// The tree-free writer and the tree agree byte for byte.
+    #[test]
+    fn wire_writer_matches_the_response_tree(case in AnyOutput, key in 0u64..u64::MAX) {
+        let (kind, cached, out) = case;
+        let id = format!("{key:016x}");
+        prop_assert_eq!(
+            job_response_string(&id, &kind, cached, &out),
+            job_response_body(&id, &kind, cached, &out).to_string_compact()
+        );
+    }
 }
