@@ -14,7 +14,7 @@ use crate::complexmat::C64;
 use crate::engine::{Analysis, EngineWorkspace};
 use crate::mna::Solution;
 use crate::netlist::{Circuit, ElementKind, NodeId};
-use crate::solver::ComplexTarget;
+use crate::solver::Target;
 use crate::units::Volts;
 use crate::AnalogError;
 
@@ -92,7 +92,7 @@ impl AcAnalysis {
         circuit: &Circuit,
         op_voltages: &[f64],
         omega: f64,
-        a: &mut ComplexTarget<'_>,
+        a: &mut Target<'_, C64>,
     ) -> Result<(), AnalogError> {
         let dim = circuit.mna_dimension();
         if dim == 0 {
@@ -108,7 +108,7 @@ impl AcAnalysis {
                 Some(n.index() - 1)
             }
         };
-        let stamp_adm = |a: &mut ComplexTarget<'_>, na: NodeId, nb: NodeId, y: C64| {
+        let stamp_adm = |a: &mut Target<'_, C64>, na: NodeId, nb: NodeId, y: C64| {
             if let Some(i) = row(na) {
                 a.stamp(i, i, y);
                 if let Some(j) = row(nb) {

@@ -1,11 +1,10 @@
-//! Complex-valued dense linear algebra for AC (small-signal frequency
-//! domain) analysis.
+//! The complex scalar of AC (small-signal frequency domain) and noise
+//! analysis.
 //!
 //! Self-contained on purpose: `si-analog` carries no dependency on the DSP
-//! crate, so it defines the minimal complex scalar ([`C64`]) and an LU
-//! solver ([`CMatrix::solve`]) the AC and noise analyses need.
-
-use crate::AnalogError;
+//! crate, so it defines the minimal complex number ([`C64`]) the AC and
+//! noise analyses need. Their linear algebra is the generic
+//! [`crate::linalg::Matrix`] and [`crate::sparse::SparseLu`] over `C64`.
 
 /// A complex number for AC analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -124,247 +123,35 @@ impl std::ops::Neg for C64 {
     }
 }
 
-/// A dense complex matrix with in-place LU solve.
-#[derive(Debug, Clone)]
-pub struct CMatrix {
-    n: usize,
-    data: Vec<C64>,
-}
-
-impl CMatrix {
-    /// An `n × n` zero matrix.
-    #[must_use]
-    pub fn zeros(n: usize) -> Self {
-        CMatrix {
-            n,
-            data: vec![C64::ZERO; n * n],
-        }
-    }
-
-    /// The dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Adds `value` to entry `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    pub fn stamp(&mut self, i: usize, j: usize, value: C64) {
-        assert!(i < self.n && j < self.n, "index ({i},{j}) out of range");
-        self.data[i * self.n + j] += value;
-    }
-
-    /// Reads entry `(i, j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an index is out of range.
-    #[must_use]
-    pub fn get(&self, i: usize, j: usize) -> C64 {
-        assert!(i < self.n && j < self.n, "index ({i},{j}) out of range");
-        self.data[i * self.n + j]
-    }
-
-    /// Reshapes to an `n × n` zero matrix, keeping the allocation when the
-    /// capacity suffices.
-    pub fn resize_zeroed(&mut self, n: usize) {
-        self.n = n;
-        self.data.clear();
-        self.data.resize(n * n, C64::ZERO);
-    }
-
-    /// Overwrites `self` with its LU factorization (partial pivoting on
-    /// magnitude), recording the row permutation in `perm`. `L` (unit
-    /// diagonal, strictly below) stores the elimination factors; `U` sits
-    /// on and above the diagonal.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::SingularMatrix`] if a pivot vanishes.
-    pub fn factor_in_place(&mut self, perm: &mut Vec<usize>) -> Result<(), AnalogError> {
-        let n = self.n;
-        perm.clear();
-        perm.extend(0..n);
-        let a = &mut self.data;
-        let idx = |i: usize, j: usize| i * n + j;
-        for k in 0..n {
-            // Partial pivot on magnitude.
-            let mut p = k;
-            let mut mag = a[idx(k, k)].abs();
-            for i in (k + 1)..n {
-                let m = a[idx(i, k)].abs();
-                if m > mag {
-                    mag = m;
-                    p = i;
-                }
-            }
-            if mag < 1e-300 || !mag.is_finite() {
-                return Err(AnalogError::SingularMatrix { row: k });
-            }
-            if p != k {
-                for j in 0..n {
-                    a.swap(idx(k, j), idx(p, j));
-                }
-                perm.swap(k, p);
-            }
-            let pivot = a[idx(k, k)];
-            for i in (k + 1)..n {
-                let factor = a[idx(i, k)] / pivot;
-                a[idx(i, k)] = factor;
-                if factor.abs() == 0.0 {
-                    continue;
-                }
-                for j in (k + 1)..n {
-                    let akj = a[idx(k, j)];
-                    a[idx(i, j)] = a[idx(i, j)] - factor * akj;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Solves `L·U·x = P·b` given factors from
-    /// [`CMatrix::factor_in_place`], writing into a caller-held vector.
-    /// The forward pass applies the elimination column by column — the
-    /// exact operation order of the one-shot [`CMatrix::solve`], so the
-    /// split path is bit-identical to the combined one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::InvalidParameter`] on a length mismatch.
-    pub fn lu_solve_into(
-        &self,
-        perm: &[usize],
-        b: &[C64],
-        x: &mut Vec<C64>,
-    ) -> Result<(), AnalogError> {
-        let n = self.n;
-        if b.len() != n || perm.len() != n {
-            return Err(AnalogError::InvalidParameter {
-                name: "b",
-                constraint: "vector length must equal matrix dimension",
-            });
-        }
-        let a = &self.data;
-        let idx = |i: usize, j: usize| i * n + j;
-        x.clear();
-        x.extend(perm.iter().map(|&p| b[p]));
-        // Forward substitution, column-major.
-        for k in 0..n {
-            for i in (k + 1)..n {
-                let factor = a[idx(i, k)];
-                if factor.abs() == 0.0 {
-                    continue;
-                }
-                x[i] = x[i] - factor * x[k];
-            }
-        }
-        // Back substitution.
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= a[idx(i, j)] * x[j];
-            }
-            x[i] = acc / a[idx(i, i)];
-        }
-        Ok(())
-    }
-
-    /// Overwrites `self` with `src`'s shape and values, reusing the
-    /// existing allocation when the capacity suffices — the non-allocating
-    /// analogue of `clone_from`, and value-exact, so factoring the copy
-    /// performs the same floating-point operations as factoring a clone.
-    fn assign_from(&mut self, src: &CMatrix) {
-        self.n = src.n;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
-    /// Solves `A·x = b` into `x` without consuming `self`, copying the
-    /// matrix into `scratch` and factoring there. All buffers are reused
-    /// across calls: after warm-up a solve of the same (or smaller)
-    /// dimension allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::SingularMatrix`] if a pivot vanishes, or
-    /// [`AnalogError::InvalidParameter`] on a length mismatch.
-    pub fn solve_with(
-        &self,
-        b: &[C64],
-        scratch: &mut SolveScratch,
-        x: &mut Vec<C64>,
-    ) -> Result<(), AnalogError> {
-        if b.len() != self.n {
-            return Err(AnalogError::InvalidParameter {
-                name: "b",
-                constraint: "vector length must equal matrix dimension",
-            });
-        }
-        scratch.lu.assign_from(self);
-        scratch.lu.factor_in_place(&mut scratch.perm)?;
-        scratch.lu.lu_solve_into(&scratch.perm, b, x)
-    }
-
-    /// Solves `A·x = b` by LU with partial pivoting.
-    ///
-    /// The factor copy and permutation live in a thread-local
-    /// [`SolveScratch`], so repeated calls allocate only the returned
-    /// solution vector — no per-call matrix clone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::SingularMatrix`] if a pivot vanishes, or
-    /// [`AnalogError::InvalidParameter`] on a length mismatch.
-    pub fn solve(&self, b: &[C64]) -> Result<Vec<C64>, AnalogError> {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<SolveScratch> =
-                std::cell::RefCell::new(SolveScratch::new());
-        }
-        SCRATCH.with(|s| {
-            let mut scratch = s.borrow_mut();
-            let mut x = Vec::with_capacity(self.n);
-            self.solve_with(b, &mut scratch, &mut x)?;
-            Ok(x)
-        })
-    }
-}
-
-/// Reusable buffers for [`CMatrix::solve_with`]: the factor copy and row
-/// permutation survive across solves, so the steady-state path performs no
-/// matrix clone and no allocation.
-#[derive(Debug, Clone)]
-pub struct SolveScratch {
-    lu: CMatrix,
-    perm: Vec<usize>,
-}
-
-impl Default for SolveScratch {
-    fn default() -> Self {
-        SolveScratch::new()
-    }
-}
-
-impl SolveScratch {
-    /// Empty scratch; buffers grow to matrix size on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        SolveScratch {
-            lu: CMatrix::zeros(0),
-            perm: Vec::new(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
+    use crate::AnalogError;
 
     fn close(a: C64, b: C64) -> bool {
         (a - b).abs() < 1e-10
+    }
+
+    fn assert_bits(x: &[C64], y: &[C64]) {
+        assert_eq!(x.len(), y.len());
+        for (u, v) in x.iter().zip(y) {
+            assert_eq!(u.re.to_bits(), v.re.to_bits());
+            assert_eq!(u.im.to_bits(), v.im.to_bits());
+        }
+    }
+
+    /// An asymmetric 3×3 that needs pivoting and mixes magnitudes.
+    fn pivoting_system() -> (Matrix<C64>, Vec<C64>) {
+        let mut m = Matrix::zeros(3, 3);
+        m.stamp(0, 1, C64::new(2.0, -1.0));
+        m.stamp(0, 2, C64::real(0.5));
+        m.stamp(1, 0, C64::new(1e-3, 4.0));
+        m.stamp(1, 1, C64::imag(-2.0));
+        m.stamp(2, 0, C64::real(3.0));
+        m.stamp(2, 2, C64::new(-1.0, 1.0));
+        let b = vec![C64::new(1.0, 2.0), C64::real(-3.0), C64::imag(0.25)];
+        (m, b)
     }
 
     #[test]
@@ -382,7 +169,7 @@ mod tests {
 
     #[test]
     fn identity_solve() {
-        let mut m = CMatrix::zeros(3);
+        let mut m = Matrix::zeros(3, 3);
         for i in 0..3 {
             m.stamp(i, i, C64::ONE);
         }
@@ -395,23 +182,21 @@ mod tests {
 
     #[test]
     fn solves_complex_system() {
-        // [1+j, 2; 0, 3j] x = [3+j, 6j] → x = [?, 2]; row0: (1+j)x0 + 4 = 3+j
-        // → x0 = (−1+j)/(1+j) = j·... compute residual instead.
-        let mut m = CMatrix::zeros(2);
+        let mut m = Matrix::zeros(2, 2);
         m.stamp(0, 0, C64::new(1.0, 1.0));
         m.stamp(0, 1, C64::real(2.0));
         m.stamp(1, 1, C64::imag(3.0));
         let b = vec![C64::new(3.0, 1.0), C64::imag(6.0)];
         let x = m.solve(&b).unwrap();
         // Residual check.
-        let r0 = m.get(0, 0) * x[0] + m.get(0, 1) * x[1] - b[0];
-        let r1 = m.get(1, 1) * x[1] - b[1];
+        let r0 = m[(0, 0)] * x[0] + m[(0, 1)] * x[1] - b[0];
+        let r1 = m[(1, 1)] * x[1] - b[1];
         assert!(r0.abs() < 1e-12 && r1.abs() < 1e-12);
     }
 
     #[test]
     fn pivoting_handles_zero_diagonal() {
-        let mut m = CMatrix::zeros(2);
+        let mut m = Matrix::zeros(2, 2);
         m.stamp(0, 1, C64::ONE);
         m.stamp(1, 0, C64::ONE);
         let x = m.solve(&[C64::real(2.0), C64::real(5.0)]).unwrap();
@@ -421,77 +206,55 @@ mod tests {
 
     #[test]
     fn factored_path_is_bit_identical_to_one_shot_solve() {
-        let mut m = CMatrix::zeros(3);
-        // Asymmetric, needs pivoting, mixes magnitudes.
-        m.stamp(0, 1, C64::new(2.0, -1.0));
-        m.stamp(0, 2, C64::real(0.5));
-        m.stamp(1, 0, C64::new(1e-3, 4.0));
-        m.stamp(1, 1, C64::imag(-2.0));
-        m.stamp(2, 0, C64::real(3.0));
-        m.stamp(2, 2, C64::new(-1.0, 1.0));
-        let b = vec![C64::new(1.0, 2.0), C64::real(-3.0), C64::imag(0.25)];
+        let (m, b) = pivoting_system();
         let one_shot = m.solve(&b).unwrap();
-
         let mut lu = m.clone();
         let mut perm = Vec::new();
         lu.factor_in_place(&mut perm).unwrap();
         let mut x = Vec::new();
         lu.lu_solve_into(&perm, &b, &mut x).unwrap();
-        for (u, v) in x.iter().zip(&one_shot) {
-            assert_eq!(u.re, v.re);
-            assert_eq!(u.im, v.im);
-        }
+        assert_bits(&x, &one_shot);
     }
 
     #[test]
     fn scratch_solve_is_bit_identical_across_dimension_changes() {
-        // One scratch serving a 3×3, then a 1×1, then the 3×3 again must
-        // leave no stale state: every answer matches a fresh solve bit for
-        // bit, and the warm third call reuses the grown buffers.
-        let mut big = CMatrix::zeros(3);
-        big.stamp(0, 1, C64::new(2.0, -1.0));
-        big.stamp(0, 2, C64::real(0.5));
-        big.stamp(1, 0, C64::new(1e-3, 4.0));
-        big.stamp(1, 1, C64::imag(-2.0));
-        big.stamp(2, 0, C64::real(3.0));
-        big.stamp(2, 2, C64::new(-1.0, 1.0));
-        let bb = vec![C64::new(1.0, 2.0), C64::real(-3.0), C64::imag(0.25)];
-        let mut small = CMatrix::zeros(1);
+        // One set of factor buffers serving a 3×3, then a 1×1, then the
+        // 3×3 again must leave no stale state: every answer matches a
+        // fresh solve bit for bit.
+        let (big, bb) = pivoting_system();
+        let mut small = Matrix::zeros(1, 1);
         small.stamp(0, 0, C64::new(0.0, 2.0));
         let sb = vec![C64::real(4.0)];
 
-        let mut scratch = SolveScratch::new();
+        let mut lu = Matrix::zeros(0, 0);
+        let mut perm = Vec::new();
         let mut x = Vec::new();
         for _ in 0..2 {
-            big.solve_with(&bb, &mut scratch, &mut x).unwrap();
-            let fresh = big.solve(&bb).unwrap();
-            for (u, v) in x.iter().zip(&fresh) {
-                assert_eq!(u.re, v.re);
-                assert_eq!(u.im, v.im);
+            for (m, b) in [(&big, &bb), (&small, &sb)] {
+                lu.clone_from(m);
+                lu.factor_in_place(&mut perm).unwrap();
+                lu.lu_solve_into(&perm, b, &mut x).unwrap();
+                assert_bits(&x, &m.solve(b).unwrap());
             }
-            small.solve_with(&sb, &mut scratch, &mut x).unwrap();
-            let fresh = small.solve(&sb).unwrap();
-            assert_eq!(x[0].re, fresh[0].re);
-            assert_eq!(x[0].im, fresh[0].im);
         }
     }
 
     #[test]
     fn resize_zeroed_clears_previous_contents() {
-        let mut m = CMatrix::zeros(2);
+        let mut m = Matrix::zeros(2, 2);
         m.stamp(1, 1, C64::new(7.0, -7.0));
-        m.resize_zeroed(3);
-        assert_eq!(m.dim(), 3);
+        m.resize_zeroed(3, 3);
+        assert_eq!(m.rows(), 3);
         for i in 0..3 {
             for j in 0..3 {
-                assert_eq!(m.get(i, j).abs(), 0.0);
+                assert_eq!(m[(i, j)].abs(), 0.0);
             }
         }
     }
 
     #[test]
     fn singular_is_reported() {
-        let m = CMatrix::zeros(2);
+        let m = Matrix::<C64>::zeros(2, 2);
         assert!(matches!(
             m.solve(&[C64::ONE, C64::ONE]),
             Err(AnalogError::SingularMatrix { .. })
@@ -500,7 +263,9 @@ mod tests {
 
     #[test]
     fn length_mismatch_rejected() {
-        let m = CMatrix::zeros(2);
+        let mut m = Matrix::zeros(2, 2);
+        m.stamp(0, 0, C64::ONE);
+        m.stamp(1, 1, C64::ONE);
         assert!(m.solve(&[C64::ONE]).is_err());
     }
 }

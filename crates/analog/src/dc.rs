@@ -10,7 +10,6 @@
 use crate::engine::{Analysis, EngineWorkspace, NewtonSettings, StampSpec};
 use crate::mna::Solution;
 use crate::netlist::Circuit;
-use crate::units::Volts;
 use crate::AnalogError;
 
 /// Configuration for the Newton operating-point solver.
@@ -299,22 +298,12 @@ pub fn set_current_source(
     circuit.update_current_source(name, crate::device::Waveform::Dc(value.0))
 }
 
-/// Measures the voltage difference between two nodes of a solution.
-#[must_use]
-pub fn differential_voltage(
-    sol: &Solution,
-    pos: crate::netlist::NodeId,
-    neg: crate::netlist::NodeId,
-) -> Volts {
-    sol.voltage(pos) - sol.voltage(neg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::device::mos::MosParams;
     use crate::netlist::MosTerminals;
-    use crate::units::{Amps, Ohms};
+    use crate::units::{Amps, Ohms, Volts};
 
     #[test]
     fn linear_circuit_converges_in_one_step() {

@@ -117,13 +117,6 @@ impl MosParams {
         }
     }
 
-    /// Overrides the threshold voltage, returning `self` for chaining.
-    #[must_use]
-    pub fn with_vt0(mut self, vt0: Volts) -> Self {
-        self.vt0 = vt0;
-        self
-    }
-
     /// Overrides channel-length modulation, returning `self` for chaining.
     #[must_use]
     pub fn with_lambda(mut self, lambda: f64) -> Self {

@@ -12,18 +12,20 @@
 //! performs no heap allocation.
 //!
 //! The linear algebra itself lives behind the [`crate::solver`] backend
-//! layer: the workspace owns a [`RealSolver`] and a [`ComplexSolver`],
-//! and the [`BackendPolicy`] set via [`EngineWorkspace::set_backend_policy`]
-//! decides per circuit between the dense LU fast path and the sparse
-//! structure-caching path. On the sparse path the symbolic factorization
-//! is computed once per circuit topology and replayed across every Newton
-//! iteration, gmin rung, transient step, sweep point, and frequency point.
+//! layer: the workspace owns one [`Solver`] per scalar field — `f64` for
+//! the Newton loop, [`C64`] for AC and noise — and hands each the
+//! assembly as a closure. The [`BackendPolicy`] set via
+//! [`EngineWorkspace::set_backend_policy`] decides per circuit between the
+//! dense LU fast path and the sparse structure-caching path. On the sparse
+//! path the symbolic factorization is computed once per circuit topology
+//! and replayed across every Newton iteration, gmin rung, transient step,
+//! sweep point, and frequency point.
 //!
-//! Buffer reuse never changes a floating-point operation: on the (default
-//! for small circuits) dense path the in-place kernels are the *same
-//! code* the allocating wrappers call, so a workspace-driven analysis is
-//! bit-identical to the legacy allocate-per-solve path (asserted by
-//! `tests/integration_engine.rs`).
+//! Buffer reuse never changes a floating-point operation: the workspace
+//! and the convenience entry points run the same in-place kernels, so a
+//! workspace-driven analysis is bit-identical to a fresh-workspace one
+//! (asserted by `tests/integration_engine.rs`; the dense path's output
+//! bits are pinned by `crates/analog/tests/dense_bits.rs`).
 //!
 //! Threading model: a workspace is a plain mutable value with no interior
 //! mutability — `Send` but deliberately not shared. Parallel drivers
@@ -32,9 +34,9 @@
 
 use crate::complexmat::C64;
 use crate::device::switch::TwoPhaseClock;
-use crate::mna::{CapStep, Solution, StampContext};
+use crate::mna::{assemble_into_target, CapStep, Solution, StampContext};
 use crate::netlist::Circuit;
-use crate::solver::{BackendPolicy, ComplexSolver, ComplexTarget, RealSolver};
+use crate::solver::{BackendPolicy, Solver, Target};
 use crate::telemetry::{EngineStats, SolveKind, SolveOutcome};
 use crate::units::Seconds;
 use crate::AnalogError;
@@ -85,7 +87,7 @@ pub struct StampSpec<'a> {
 #[derive(Debug, Default, Clone)]
 pub struct EngineWorkspace {
     /// Real linear solver (dense and sparse backends, cached structure).
-    pub(crate) real: RealSolver,
+    pub(crate) real: Solver<f64>,
     /// Real right-hand side.
     pub(crate) rhs: Vec<f64>,
     /// Raw solution vector of the latest linear solve.
@@ -95,7 +97,7 @@ pub struct EngineWorkspace {
     /// Voltage-source branch currents of the latest Newton state.
     pub(crate) branches: Vec<f64>,
     /// Complex linear solver for AC/noise analyses.
-    pub(crate) complex: ComplexSolver,
+    pub(crate) complex: Solver<C64>,
     /// Complex right-hand side.
     pub(crate) crhs: Vec<C64>,
     /// Complex solution vector.
@@ -150,10 +152,10 @@ impl EngineWorkspace {
 
     /// The real linear solver, holding the most recently assembled and
     /// factored system. Exposed so batched callers can run panel solves
-    /// ([`RealSolver::solve_panel`]) against factors an analysis already
+    /// ([`Solver::solve_panel`]) against factors an analysis already
     /// computed through this workspace.
     #[must_use]
-    pub fn real_solver(&self) -> &RealSolver {
+    pub fn real_solver(&self) -> &Solver<f64> {
         &self.real
     }
 
@@ -273,7 +275,9 @@ impl EngineWorkspace {
             };
             let step = self
                 .real
-                .assemble_and_factor(circuit, &ctx, &mut self.rhs, &self.policy)
+                .assemble_and_factor(circuit, &self.policy, |t| {
+                    assemble_into_target(circuit, &ctx, t, &mut self.rhs)
+                })
                 .and_then(|event| self.real.solve(&self.rhs, &mut self.x).map(|()| event));
             let event = match step {
                 Ok(event) => event,
@@ -355,9 +359,9 @@ impl EngineWorkspace {
         circuit: &Circuit,
         ctx: &StampContext<'_>,
     ) -> Result<(), AnalogError> {
-        let event = self
-            .real
-            .assemble_and_factor(circuit, ctx, &mut self.rhs, &self.policy)?;
+        let event = self.real.assemble_and_factor(circuit, &self.policy, |t| {
+            assemble_into_target(circuit, ctx, t, &mut self.rhs)
+        })?;
         self.probe_event(|p| {
             p.factorization();
             event.report(p);
@@ -398,7 +402,7 @@ impl EngineWorkspace {
         assemble: F,
     ) -> Result<(), AnalogError>
     where
-        F: FnOnce(&mut ComplexTarget<'_>) -> Result<(), AnalogError>,
+        F: FnOnce(&mut Target<'_, C64>) -> Result<(), AnalogError>,
     {
         let policy = self.policy;
         let event = self

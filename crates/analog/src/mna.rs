@@ -8,9 +8,8 @@
 //! [`CapStep`] is provided, and as open circuits (DC) otherwise.
 
 use crate::device::switch::{ClockPhase, TwoPhaseClock};
-use crate::linalg::Matrix;
 use crate::netlist::{Circuit, ElementKind, NodeId};
-use crate::solver::RealTarget;
+use crate::solver::Target;
 use crate::sparse::SparsityPattern;
 use crate::units::{Amps, Seconds, Volts};
 use crate::AnalogError;
@@ -80,15 +79,6 @@ impl<'a> StampContext<'a> {
     }
 }
 
-/// The assembled linear system `A·x = b` for one iteration.
-#[derive(Debug, Clone)]
-pub struct MnaSystem {
-    /// The (Jacobian) matrix.
-    pub matrix: Matrix,
-    /// The right-hand side.
-    pub rhs: Vec<f64>,
-}
-
 /// A solved MNA vector with accessors in circuit terms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
@@ -136,51 +126,15 @@ impl Solution {
     }
 }
 
-/// Assembles the MNA system for `circuit` in the given context, allocating
-/// a fresh matrix and right-hand side.
+/// Assembles the MNA system for `circuit` in the given context into either
+/// solver backend's matrix storage, and the right-hand side into `b`.
 ///
-/// Hot paths (Newton iterations, transient steps, sweeps) should prefer
-/// [`assemble_into`], which reuses caller-owned buffers and performs no heap
-/// allocation once they have reached the circuit's dimension.
-///
-/// # Errors
-///
-/// Returns [`AnalogError::EmptyCircuit`] for a circuit with no unknowns, or
-/// [`AnalogError::InvalidParameter`] if the guess length is wrong.
-pub fn assemble(circuit: &Circuit, ctx: &StampContext<'_>) -> Result<MnaSystem, AnalogError> {
-    let mut matrix = Matrix::zeros(0, 0);
-    let mut rhs = Vec::new();
-    assemble_into(circuit, ctx, &mut matrix, &mut rhs)?;
-    Ok(MnaSystem { matrix, rhs })
-}
-
-/// Assembles the MNA system for `circuit` into caller-owned buffers.
-///
-/// `a` is reshaped to the circuit's MNA dimension and zeroed; `b` likewise.
-/// Neither allocates once its capacity has reached that dimension, which
-/// makes this the zero-allocation kernel behind every Newton iteration and
-/// transient step in the analysis engine.
-///
-/// # Errors
-///
-/// Returns [`AnalogError::EmptyCircuit`] for a circuit with no unknowns, or
-/// [`AnalogError::InvalidParameter`] if the guess length is wrong.
-pub fn assemble_into(
-    circuit: &Circuit,
-    ctx: &StampContext<'_>,
-    a: &mut Matrix,
-    b: &mut Vec<f64>,
-) -> Result<(), AnalogError> {
-    assemble_into_target(circuit, ctx, &mut RealTarget::Dense(a), b)
-}
-
-/// Assembles the MNA system into either solver backend's matrix storage.
-///
-/// The dense arm of [`RealTarget`] performs exactly the operations the
-/// pre-backend `assemble_into` performed (an additive stamp per position,
-/// in element order), preserving the engine's bit-identity contract; the
-/// sparse arm restamps values into a fixed [`SparsityPattern`] built by
-/// [`mna_pattern`].
+/// The target is reset to the circuit's MNA dimension and zeroed; `b`
+/// likewise. Neither allocates once its capacity has reached that
+/// dimension, which makes this the zero-allocation kernel behind every
+/// Newton iteration and transient step. The dense arm of [`Target`] adds
+/// one stamp per position in element order; the sparse arm restamps
+/// values into a fixed [`SparsityPattern`] built by [`mna_pattern`].
 ///
 /// # Errors
 ///
@@ -189,7 +143,7 @@ pub fn assemble_into(
 pub fn assemble_into_target(
     circuit: &Circuit,
     ctx: &StampContext<'_>,
-    a: &mut RealTarget<'_>,
+    a: &mut Target<'_, f64>,
     b: &mut Vec<f64>,
 ) -> Result<(), AnalogError> {
     let dim = circuit.mna_dimension();
@@ -219,7 +173,7 @@ pub fn assemble_into_target(
     let branch_row = |k: usize| n_nodes - 1 + k;
 
     // Helper closures for the two ubiquitous stamp shapes.
-    let stamp_conductance = |a: &mut RealTarget<'_>, na: NodeId, nb: NodeId, g: f64| {
+    let stamp_conductance = |a: &mut Target<'_, f64>, na: NodeId, nb: NodeId, g: f64| {
         if let Some(i) = row(na) {
             a.stamp(i, i, g);
             if let Some(j) = row(nb) {
@@ -438,7 +392,19 @@ pub fn mna_pattern(circuit: &Circuit) -> SparsityPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::Matrix;
     use crate::units::Ohms;
+
+    /// Assembles into a fresh dense matrix and right-hand side.
+    fn assemble(
+        circuit: &Circuit,
+        ctx: &StampContext<'_>,
+    ) -> Result<(Matrix<f64>, Vec<f64>), AnalogError> {
+        let mut matrix = Matrix::zeros(0, 0);
+        let mut rhs = Vec::new();
+        assemble_into_target(circuit, ctx, &mut Target::Dense(&mut matrix), &mut rhs)?;
+        Ok((matrix, rhs))
+    }
 
     #[test]
     fn resistive_divider_assembles_and_solves() {
@@ -450,8 +416,8 @@ mod tests {
         c.resistor("R1", vin, mid, Ohms(1e3)).unwrap();
         c.resistor("R2", mid, Circuit::GROUND, Ohms(1e3)).unwrap();
         let guess = vec![0.0; c.node_count()];
-        let sys = assemble(&c, &StampContext::dc(&guess)).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &StampContext::dc(&guess)).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         let sol = Solution::new(x, c.node_count());
         assert!((sol.voltage(mid).0 - 1.5).abs() < 1e-9);
         assert!((sol.voltage(vin).0 - 3.0).abs() < 1e-12);
@@ -468,8 +434,8 @@ mod tests {
             .unwrap();
         c.resistor("R1", n1, Circuit::GROUND, Ohms(2e3)).unwrap();
         let guess = vec![0.0; c.node_count()];
-        let sys = assemble(&c, &StampContext::dc(&guess)).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &StampContext::dc(&guess)).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         let sol = Solution::new(x, c.node_count());
         assert!((sol.voltage(n1).0 - 2.0).abs() < 1e-6);
     }
@@ -493,16 +459,16 @@ mod tests {
         .unwrap();
         let guess = vec![0.0; c.node_count()];
         // φ2 low (default dc context): switch open, node floats up on gmin.
-        let sys = assemble(&c, &StampContext::dc(&guess)).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &StampContext::dc(&guess)).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         let v_open = x[0];
         // φ2 high: switch closed through 1 Ω.
         let ctx = StampContext {
             phi2_high: true,
             ..StampContext::dc(&guess)
         };
-        let sys = assemble(&c, &ctx).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &ctx).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         let v_closed = x[0];
         assert!(v_open > 1e5 * v_closed, "open {v_open}, closed {v_closed}");
         assert!((v_closed - 1e-3).abs() < 1e-6);
@@ -540,8 +506,8 @@ mod tests {
             .unwrap();
         let guess = vec![0.0; c.node_count()];
         // DC: only gmin holds the node; voltage is huge.
-        let sys = assemble(&c, &StampContext::dc(&guess)).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &StampContext::dc(&guess)).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         assert!(x[0] > 1e5);
         // Transient step: companion conductance C/h = 1e-12/1e-9 = 1 mS.
         let prev = vec![0.0; c.node_count()];
@@ -553,8 +519,8 @@ mod tests {
             time: Some(Seconds(0.0)),
             ..StampContext::dc(&guess)
         };
-        let sys = assemble(&c, &ctx).unwrap();
-        let x = sys.matrix.solve(&sys.rhs).unwrap();
+        let (matrix, rhs) = assemble(&c, &ctx).unwrap();
+        let x = matrix.solve(&rhs).unwrap();
         assert!((x[0] - 1e-3).abs() < 1e-6);
     }
 
@@ -599,14 +565,10 @@ mod tests {
         for ctx in contexts {
             let mut rhs_d = Vec::new();
             let mut rhs_s = Vec::new();
-            assemble_into(circuit, &ctx, &mut dense, &mut rhs_d).unwrap();
-            assemble_into_target(
-                circuit,
-                &ctx,
-                &mut RealTarget::Sparse(&mut sparse),
-                &mut rhs_s,
-            )
-            .unwrap();
+            assemble_into_target(circuit, &ctx, &mut Target::Dense(&mut dense), &mut rhs_d)
+                .unwrap();
+            assemble_into_target(circuit, &ctx, &mut Target::Sparse(&mut sparse), &mut rhs_s)
+                .unwrap();
             assert_eq!(rhs_d, rhs_s);
             for i in 0..dim {
                 for j in 0..dim {

@@ -448,35 +448,6 @@ impl Circuit {
         }
     }
 
-    /// Replaces the waveform of a named voltage source.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::UnknownElement`] if the name does not refer to
-    /// a voltage source.
-    pub fn update_voltage_source(
-        &mut self,
-        name: &str,
-        waveform: Waveform,
-    ) -> Result<(), AnalogError> {
-        let id =
-            self.element_lookup
-                .get(name)
-                .copied()
-                .ok_or_else(|| AnalogError::UnknownElement {
-                    element: name.to_string(),
-                })?;
-        match &mut self.elements[id.0].kind {
-            ElementKind::VoltageSource { waveform: w, .. } => {
-                *w = waveform;
-                Ok(())
-            }
-            _ => Err(AnalogError::UnknownElement {
-                element: name.to_string(),
-            }),
-        }
-    }
-
     fn check_node(&self, node: NodeId) -> Result<(), AnalogError> {
         if node.0 >= self.node_names.len() {
             return Err(AnalogError::UnknownNode {

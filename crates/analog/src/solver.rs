@@ -1,13 +1,12 @@
 //! The solver backend layer: one abstraction over the dense and sparse
-//! linear-algebra paths, real and complex.
+//! linear-algebra paths, generic over the [`Scalar`] field — `f64` for DC
+//! and transient, [`crate::complexmat::C64`] for AC and noise.
 //!
 //! Every analysis assembles an MNA system and factors it; *how* is a
 //! per-circuit decision this module owns. Tiny circuits (the paper's
-//! individual cells are a dozen unknowns) keep the dense LU fast path,
-//! whose numerics are untouched — the engine's bit-identity contract with
-//! the pre-backend implementation rides on the dense arms of
-//! [`RealTarget`] / [`ComplexTarget`] calling the *same* dense kernels in
-//! the same order. Large, sparse circuits (delay lines, modulators, cell
+//! individual cells are a dozen unknowns) keep the dense LU fast path
+//! ([`crate::linalg::Matrix`]), which the [`Target::Dense`] arm stamps
+//! into directly. Large, sparse circuits (delay lines, modulators, cell
 //! arrays) switch to [`crate::sparse::SparseLu`] with its cached symbolic
 //! structure: the first factorization of a topology pays for the symbolic
 //! analysis, and every later Newton iteration, gmin rung, transient step,
@@ -17,9 +16,8 @@
 //! and structural density, or forced either way (benchmarks and
 //! equivalence tests force both and compare).
 
-use crate::complexmat::{CMatrix, C64};
 use crate::linalg::Matrix;
-use crate::mna::{assemble_into_target, mna_pattern, StampContext};
+use crate::mna::mna_pattern;
 use crate::netlist::Circuit;
 use crate::sparse::{CscMatrix, RhsPanel, Scalar, SparseLu};
 use crate::telemetry::{BackendKind, EngineStats};
@@ -73,23 +71,24 @@ pub enum ActiveBackend {
     Sparse,
 }
 
-/// Assembly destination for the real MNA system: the stamping code in
-/// [`crate::mna`] is written once against this enum, and static dispatch
-/// keeps the dense arm's operations identical to the pre-backend code.
+/// Assembly destination for an MNA system: the stamping code is written
+/// once against this enum ([`crate::mna::assemble_into_target`] for the
+/// real system, the AC front-end for the complex one), and static dispatch
+/// keeps each arm a plain stamp into its backend's storage.
 #[derive(Debug)]
-pub enum RealTarget<'a> {
+pub enum Target<'a, S: Scalar> {
     /// Stamp into a dense matrix.
-    Dense(&'a mut Matrix),
+    Dense(&'a mut Matrix<S>),
     /// Stamp into a sparse matrix over a fixed pattern.
-    Sparse(&'a mut CscMatrix<f64>),
+    Sparse(&'a mut CscMatrix<S>),
 }
 
-impl RealTarget<'_> {
+impl<S: Scalar> Target<'_, S> {
     /// Reshapes/zeroes the target for a `dim × dim` assembly.
     pub fn reset(&mut self, dim: usize) {
         match self {
-            RealTarget::Dense(m) => m.resize_zeroed(dim, dim),
-            RealTarget::Sparse(m) => {
+            Target::Dense(m) => m.resize_zeroed(dim, dim),
+            Target::Sparse(m) => {
                 debug_assert_eq!(m.dim(), dim, "sparse pattern dimension mismatch");
                 m.clear();
             }
@@ -98,41 +97,10 @@ impl RealTarget<'_> {
 
     /// Adds `value` at `(i, j)`.
     #[inline]
-    pub fn stamp(&mut self, i: usize, j: usize, value: f64) {
+    pub fn stamp(&mut self, i: usize, j: usize, value: S) {
         match self {
-            RealTarget::Dense(m) => m.stamp(i, j, value),
-            RealTarget::Sparse(m) => m.stamp(i, j, value),
-        }
-    }
-}
-
-/// Assembly destination for the complex (AC / noise) MNA system.
-#[derive(Debug)]
-pub enum ComplexTarget<'a> {
-    /// Stamp into a dense complex matrix.
-    Dense(&'a mut CMatrix),
-    /// Stamp into a sparse complex matrix over a fixed pattern.
-    Sparse(&'a mut CscMatrix<C64>),
-}
-
-impl ComplexTarget<'_> {
-    /// Reshapes/zeroes the target for a `dim × dim` assembly.
-    pub fn reset(&mut self, dim: usize) {
-        match self {
-            ComplexTarget::Dense(m) => m.resize_zeroed(dim),
-            ComplexTarget::Sparse(m) => {
-                debug_assert_eq!(m.dim(), dim, "sparse pattern dimension mismatch");
-                m.clear();
-            }
-        }
-    }
-
-    /// Adds `value` at `(i, j)`.
-    #[inline]
-    pub fn stamp(&mut self, i: usize, j: usize, value: C64) {
-        match self {
-            ComplexTarget::Dense(m) => m.stamp(i, j, value),
-            ComplexTarget::Sparse(m) => m.stamp(i, j, value),
+            Target::Dense(m) => m.stamp(i, j, value),
+            Target::Sparse(m) => m.stamp(i, j, value),
         }
     }
 }
@@ -186,68 +154,30 @@ impl<S: Scalar> SparseState<S> {
     }
 }
 
-/// Ensures `slot` holds sparse state for `circuit`'s topology, rebuilding
-/// pattern and symbolic cache only when the fingerprint changed.
-fn ensure_state<S: Scalar>(slot: &mut Option<SparseState<S>>, circuit: &Circuit) {
-    let fp = circuit.structure_fingerprint();
-    if slot.as_ref().is_none_or(|s| s.fingerprint != fp) {
-        *slot = Some(SparseState::for_circuit(circuit));
-    }
-}
-
-/// Whether `policy` sends this circuit to the sparse backend, creating or
-/// refreshing the sparse state as a side effect when it does (and, for
-/// [`BackendMode::Auto`], when the density check requires the pattern).
-fn decide<S: Scalar>(
-    slot: &mut Option<SparseState<S>>,
-    circuit: &Circuit,
-    dim: usize,
-    policy: &BackendPolicy,
-) -> bool {
-    match policy.mode {
-        BackendMode::ForceDense => false,
-        BackendMode::ForceSparse => {
-            ensure_state(slot, circuit);
-            true
-        }
-        BackendMode::Auto => {
-            if dim <= policy.dense_dim_cutoff {
-                return false;
-            }
-            ensure_state(slot, circuit);
-            let density = slot
-                .as_ref()
-                .expect("state ensured above")
-                .matrix
-                .pattern()
-                .density();
-            density <= policy.max_density
-        }
-    }
-}
-
-/// The real linear solver of a workspace: dense and sparse backends plus
-/// the record of which one factored last.
+/// The linear solver of a workspace over one scalar field: dense and
+/// sparse backends plus the record of which one factored last. Assembly
+/// is a caller-supplied closure, so the real and complex analyses share
+/// one factor-and-solve path.
 #[derive(Debug, Clone)]
-pub struct RealSolver {
-    dense: Matrix,
+pub struct Solver<S: Scalar> {
+    dense: Matrix<S>,
     dense_perm: Vec<usize>,
-    sparse: Option<SparseState<f64>>,
+    sparse: Option<SparseState<S>>,
     active: ActiveBackend,
     dim: usize,
 }
 
-impl Default for RealSolver {
+impl<S: Scalar> Default for Solver<S> {
     fn default() -> Self {
-        RealSolver::new()
+        Solver::new()
     }
 }
 
-impl RealSolver {
+impl<S: Scalar> Solver<S> {
     /// An empty solver.
     #[must_use]
     pub fn new() -> Self {
-        RealSolver {
+        Solver {
             dense: Matrix::zeros(0, 0),
             dense_perm: Vec::new(),
             sparse: None,
@@ -275,146 +205,23 @@ impl RealSolver {
         self.dense_perm.reserve(dim);
     }
 
-    /// Assembles the MNA system linearized at `ctx` into the
-    /// policy-selected backend and factors it, leaving the factors ready
-    /// for [`Self::solve`] and the right-hand side in `rhs`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates assembly and factorization errors.
-    pub fn assemble_and_factor(
-        &mut self,
-        circuit: &Circuit,
-        ctx: &StampContext<'_>,
-        rhs: &mut Vec<f64>,
-        policy: &BackendPolicy,
-    ) -> Result<FactorEvent, AnalogError> {
-        let dim = circuit.mna_dimension();
-        self.dim = dim;
-        if decide(&mut self.sparse, circuit, dim, policy) {
-            let state = self.sparse.as_mut().expect("sparse state ensured");
-            assemble_into_target(
-                circuit,
-                ctx,
-                &mut RealTarget::Sparse(&mut state.matrix),
-                rhs,
-            )?;
-            let replayed = state.lu.refactorize(&state.matrix)?;
-            self.active = ActiveBackend::Sparse;
-            Ok(FactorEvent {
-                kind: BackendKind::SparseReal,
-                refactor: replayed,
-                cache: Some(replayed),
-                structure: Some((
-                    state.matrix.pattern().nnz() as u64,
-                    state.lu.factor_nnz() as u64,
-                )),
-            })
-        } else {
-            assemble_into_target(circuit, ctx, &mut RealTarget::Dense(&mut self.dense), rhs)?;
-            self.dense.factor_in_place(&mut self.dense_perm)?;
-            self.active = ActiveBackend::Dense;
-            Ok(FactorEvent {
-                kind: BackendKind::DenseReal,
-                refactor: false,
-                cache: None,
-                structure: None,
-            })
+    /// Whether `policy` sends this `dim`-unknown circuit to the sparse
+    /// backend. Creates or refreshes the sparse state when it does, and in
+    /// [`BackendMode::Auto`] when the density check needs the pattern; the
+    /// pattern and symbolic cache are rebuilt only when the topology
+    /// fingerprint changed.
+    fn goes_sparse(&mut self, circuit: &Circuit, dim: usize, policy: &BackendPolicy) -> bool {
+        match policy.mode {
+            BackendMode::ForceDense => return false,
+            BackendMode::Auto if dim <= policy.dense_dim_cutoff => return false,
+            BackendMode::Auto | BackendMode::ForceSparse => {}
         }
-    }
-
-    /// Solves the factored system for `b` into `x`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors; must follow a successful
-    /// [`Self::assemble_and_factor`].
-    pub fn solve(&self, b: &[f64], x: &mut Vec<f64>) -> Result<(), AnalogError> {
-        match self.active {
-            ActiveBackend::Dense => self.dense.lu_solve_into(&self.dense_perm, b, x),
-            ActiveBackend::Sparse => self
-                .sparse
-                .as_ref()
-                .expect("sparse backend active without state")
-                .lu
-                .solve_into(b, x),
+        let fp = circuit.structure_fingerprint();
+        if self.sparse.as_ref().is_none_or(|s| s.fingerprint != fp) {
+            self.sparse = Some(SparseState::for_circuit(circuit));
         }
-    }
-
-    /// Solves the factored system for a whole panel of right-hand sides —
-    /// the batched counterpart of [`Self::solve`]. The sparse arm streams
-    /// the factors once per block ([`crate::sparse::PANEL_BLOCK`]); the
-    /// dense arm solves column by column with the same dense kernel, so
-    /// either way each scenario's solution is bit-identical to a
-    /// sequential [`Self::solve`] of that column.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors; must follow a successful
-    /// [`Self::assemble_and_factor`].
-    pub fn solve_panel(&self, b: &RhsPanel<f64>, x: &mut RhsPanel<f64>) -> Result<(), AnalogError> {
-        match self.active {
-            ActiveBackend::Dense => {
-                x.reset(b.dim(), b.cols());
-                let mut scratch = Vec::with_capacity(b.dim());
-                for s in 0..b.cols() {
-                    self.dense
-                        .lu_solve_into(&self.dense_perm, b.col(s), &mut scratch)?;
-                    x.col_mut(s).copy_from_slice(&scratch);
-                }
-                Ok(())
-            }
-            ActiveBackend::Sparse => self
-                .sparse
-                .as_ref()
-                .expect("sparse backend active without state")
-                .lu
-                .solve_panel_into(b, x),
-        }
-    }
-}
-
-/// The complex linear solver of a workspace (AC / noise). Assembly is a
-/// caller-supplied closure because each analysis stamps its own complex
-/// system; the closure receives the policy-selected [`ComplexTarget`].
-#[derive(Debug, Clone)]
-pub struct ComplexSolver {
-    dense: CMatrix,
-    dense_perm: Vec<usize>,
-    sparse: Option<SparseState<C64>>,
-    active: ActiveBackend,
-    dim: usize,
-}
-
-impl Default for ComplexSolver {
-    fn default() -> Self {
-        ComplexSolver::new()
-    }
-}
-
-impl ComplexSolver {
-    /// An empty solver.
-    #[must_use]
-    pub fn new() -> Self {
-        ComplexSolver {
-            dense: CMatrix::zeros(0),
-            dense_perm: Vec::new(),
-            sparse: None,
-            active: ActiveBackend::Dense,
-            dim: 0,
-        }
-    }
-
-    /// The dimension of the last assembled system.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Which backend the last factorization used.
-    #[must_use]
-    pub fn active(&self) -> ActiveBackend {
-        self.active
+        policy.mode == BackendMode::ForceSparse
+            || self.sparse_state().matrix.pattern().density() <= policy.max_density
     }
 
     /// Runs `assemble` against the policy-selected backend target and
@@ -430,17 +237,17 @@ impl ComplexSolver {
         assemble: F,
     ) -> Result<FactorEvent, AnalogError>
     where
-        F: FnOnce(&mut ComplexTarget<'_>) -> Result<(), AnalogError>,
+        F: FnOnce(&mut Target<'_, S>) -> Result<(), AnalogError>,
     {
         let dim = circuit.mna_dimension();
         self.dim = dim;
-        if decide(&mut self.sparse, circuit, dim, policy) {
+        if self.goes_sparse(circuit, dim, policy) {
             let state = self.sparse.as_mut().expect("sparse state ensured");
-            assemble(&mut ComplexTarget::Sparse(&mut state.matrix))?;
+            assemble(&mut Target::Sparse(&mut state.matrix))?;
             let replayed = state.lu.refactorize(&state.matrix)?;
             self.active = ActiveBackend::Sparse;
             Ok(FactorEvent {
-                kind: BackendKind::SparseComplex,
+                kind: S::SPARSE_BACKEND,
                 refactor: replayed,
                 cache: Some(replayed),
                 structure: Some((
@@ -449,16 +256,23 @@ impl ComplexSolver {
                 )),
             })
         } else {
-            assemble(&mut ComplexTarget::Dense(&mut self.dense))?;
+            assemble(&mut Target::Dense(&mut self.dense))?;
             self.dense.factor_in_place(&mut self.dense_perm)?;
             self.active = ActiveBackend::Dense;
             Ok(FactorEvent {
-                kind: BackendKind::DenseComplex,
+                kind: S::DENSE_BACKEND,
                 refactor: false,
                 cache: None,
                 structure: None,
             })
         }
+    }
+
+    /// The sparse state; present once the sparse backend was chosen.
+    fn sparse_state(&self) -> &SparseState<S> {
+        self.sparse
+            .as_ref()
+            .expect("sparse backend chosen without state")
     }
 
     /// Solves the factored system for `b` into `x`.
@@ -467,26 +281,25 @@ impl ComplexSolver {
     ///
     /// Propagates solve errors; must follow a successful
     /// [`Self::assemble_and_factor`].
-    pub fn solve(&self, b: &[C64], x: &mut Vec<C64>) -> Result<(), AnalogError> {
+    pub fn solve(&self, b: &[S], x: &mut Vec<S>) -> Result<(), AnalogError> {
         match self.active {
             ActiveBackend::Dense => self.dense.lu_solve_into(&self.dense_perm, b, x),
-            ActiveBackend::Sparse => self
-                .sparse
-                .as_ref()
-                .expect("sparse backend active without state")
-                .lu
-                .solve_into(b, x),
+            ActiveBackend::Sparse => self.sparse_state().lu.solve_into(b, x),
         }
     }
 
-    /// Panel counterpart of [`Self::solve`]; see
-    /// [`RealSolver::solve_panel`] for the bit-identity contract.
+    /// Solves the factored system for a whole panel of right-hand sides —
+    /// the batched counterpart of [`Self::solve`]. The sparse arm streams
+    /// the factors once per block ([`crate::sparse::PANEL_BLOCK`]); the
+    /// dense arm solves column by column with the same dense kernel, so
+    /// either way each scenario's solution is bit-identical to a
+    /// sequential [`Self::solve`] of that column.
     ///
     /// # Errors
     ///
     /// Propagates solve errors; must follow a successful
     /// [`Self::assemble_and_factor`].
-    pub fn solve_panel(&self, b: &RhsPanel<C64>, x: &mut RhsPanel<C64>) -> Result<(), AnalogError> {
+    pub fn solve_panel(&self, b: &RhsPanel<S>, x: &mut RhsPanel<S>) -> Result<(), AnalogError> {
         match self.active {
             ActiveBackend::Dense => {
                 x.reset(b.dim(), b.cols());
@@ -498,12 +311,7 @@ impl ComplexSolver {
                 }
                 Ok(())
             }
-            ActiveBackend::Sparse => self
-                .sparse
-                .as_ref()
-                .expect("sparse backend active without state")
-                .lu
-                .solve_panel_into(b, x),
+            ActiveBackend::Sparse => self.sparse_state().lu.solve_panel_into(b, x),
         }
     }
 }
@@ -511,7 +319,23 @@ impl ComplexSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mna::{assemble_into_target, StampContext};
     use crate::units::{Amps, Ohms};
+
+    /// Assembles the DC system at `ctx` into `solver` and factors it.
+    fn factor(
+        solver: &mut Solver<f64>,
+        circuit: &Circuit,
+        ctx: &StampContext<'_>,
+        rhs: &mut Vec<f64>,
+        policy: &BackendPolicy,
+    ) -> FactorEvent {
+        solver
+            .assemble_and_factor(circuit, policy, |t| {
+                assemble_into_target(circuit, ctx, t, rhs)
+            })
+            .unwrap()
+    }
 
     /// An n-stage resistive ladder driven by a current source: dimension n,
     /// tridiagonal structure.
@@ -534,11 +358,9 @@ mod tests {
     fn solve_with(policy: &BackendPolicy, circuit: &Circuit) -> (Vec<f64>, ActiveBackend) {
         let guess = vec![0.0; circuit.node_count()];
         let ctx = StampContext::dc(&guess);
-        let mut solver = RealSolver::new();
+        let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        solver
-            .assemble_and_factor(circuit, &ctx, &mut rhs, policy)
-            .unwrap();
+        factor(&mut solver, circuit, &ctx, &mut rhs, policy);
         let mut x = Vec::new();
         solver.solve(&rhs, &mut x).unwrap();
         (x, solver.active())
@@ -587,24 +409,18 @@ mod tests {
             mode: BackendMode::ForceSparse,
             ..BackendPolicy::default()
         };
-        let mut solver = RealSolver::new();
+        let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        let first = solver
-            .assemble_and_factor(&circuit, &ctx, &mut rhs, &policy)
-            .unwrap();
+        let first = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
         assert_eq!(first.cache, Some(false), "first factorization is a miss");
-        let second = solver
-            .assemble_and_factor(&circuit, &ctx, &mut rhs, &policy)
-            .unwrap();
+        let second = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
         assert_eq!(second.cache, Some(true), "same topology replays");
         assert!(second.refactor);
 
         let other = ladder(51);
         let other_guess = vec![0.0; other.node_count()];
         let other_ctx = StampContext::dc(&other_guess);
-        let third = solver
-            .assemble_and_factor(&other, &other_ctx, &mut rhs, &policy)
-            .unwrap();
+        let third = factor(&mut solver, &other, &other_ctx, &mut rhs, &policy);
         assert_eq!(third.cache, Some(false), "new topology is a miss");
     }
 
@@ -629,11 +445,9 @@ mod tests {
                 mode,
                 ..BackendPolicy::default()
             };
-            let mut solver = RealSolver::new();
+            let mut solver = Solver::new();
             let mut rhs = Vec::new();
-            solver
-                .assemble_and_factor(&circuit, &ctx, &mut rhs, &policy)
-                .unwrap();
+            factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
             // A scenario family: the assembled RHS scaled per scenario.
             let columns: Vec<Vec<f64>> = (0..11)
                 .map(|s| rhs.iter().map(|v| v * (1.0 + 0.1 * s as f64)).collect())
@@ -660,11 +474,9 @@ mod tests {
             mode: BackendMode::ForceSparse,
             ..BackendPolicy::default()
         };
-        let mut solver = RealSolver::new();
+        let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        let event = solver
-            .assemble_and_factor(&circuit, &ctx, &mut rhs, &policy)
-            .unwrap();
+        let event = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
         assert_eq!(event.kind, BackendKind::SparseReal);
         let (nnz, factor_nnz) = event.structure.unwrap();
         assert!(nnz > 0 && factor_nnz >= nnz / 2);

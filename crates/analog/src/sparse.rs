@@ -19,15 +19,20 @@
 //!   frozen pivot degrades, so cached structure never costs robustness.
 //!
 //! Everything is generic over [`Scalar`] so the real (DC / transient) and
-//! complex (AC / noise) solver paths share one kernel. Like
-//! [`crate::linalg`], this module is self-contained: no external numerics
-//! dependency.
+//! complex (AC / noise) solver paths share one kernel, as the dense
+//! [`crate::linalg::Matrix`] does. Like [`crate::linalg`], this module is
+//! self-contained: no external numerics dependency.
 
 use crate::complexmat::C64;
+use crate::telemetry::BackendKind;
 use crate::AnalogError;
 
-/// The field a sparse kernel operates over: `f64` for the real MNA path,
-/// [`C64`] for AC and noise.
+/// Pivot magnitudes below this are treated as singular, by the dense and
+/// the sparse LU alike.
+pub(crate) const PIVOT_EPS: f64 = 1e-300;
+
+/// The field the dense and sparse kernels operate over: `f64` for the real
+/// MNA path, [`C64`] for AC and noise.
 pub trait Scalar:
     Copy
     + std::fmt::Debug
@@ -48,6 +53,10 @@ pub trait Scalar:
     const ZERO: Self;
     /// The multiplicative identity.
     const ONE: Self;
+    /// The telemetry tag of a dense factorization over this field.
+    const DENSE_BACKEND: BackendKind;
+    /// The telemetry tag of a sparse factorization over this field.
+    const SPARSE_BACKEND: BackendKind;
 
     /// The magnitude used for pivot selection.
     fn modulus(self) -> f64;
@@ -59,6 +68,8 @@ pub trait Scalar:
 impl Scalar for f64 {
     const ZERO: f64 = 0.0;
     const ONE: f64 = 1.0;
+    const DENSE_BACKEND: BackendKind = BackendKind::DenseReal;
+    const SPARSE_BACKEND: BackendKind = BackendKind::SparseReal;
 
     fn modulus(self) -> f64 {
         self.abs()
@@ -72,6 +83,8 @@ impl Scalar for f64 {
 impl Scalar for C64 {
     const ZERO: C64 = C64::ZERO;
     const ONE: C64 = C64::ONE;
+    const DENSE_BACKEND: BackendKind = BackendKind::DenseComplex;
+    const SPARSE_BACKEND: BackendKind = BackendKind::SparseComplex;
 
     fn modulus(self) -> f64 {
         self.abs()
@@ -395,10 +408,6 @@ pub struct SparseLu<S: Scalar> {
 const UNPIVOTED: usize = usize::MAX;
 
 impl<S: Scalar> SparseLu<S> {
-    /// Pivot magnitudes below this are treated as singular (the dense
-    /// kernels use the same threshold).
-    const PIVOT_EPS: f64 = 1e-300;
-
     /// A frozen pivot smaller than this fraction of the largest candidate
     /// in its column forces replay to fall back to a full refactorization
     /// with fresh pivoting.
@@ -507,7 +516,7 @@ impl<S: Scalar> SparseLu<S> {
                     pivot_row = row;
                 }
             }
-            if pivot_row == UNPIVOTED || pivot_mag < Self::PIVOT_EPS || !pivot_mag.is_finite() {
+            if pivot_row == UNPIVOTED || pivot_mag < PIVOT_EPS || !pivot_mag.is_finite() {
                 self.reset_after_failure();
                 return Err(AnalogError::SingularMatrix { row: k });
             }
@@ -610,7 +619,7 @@ impl<S: Scalar> SparseLu<S> {
             for lidx in l_range.clone().skip(1) {
                 col_max = col_max.max(self.x[self.lower.rows[lidx]].modulus());
             }
-            if pivot_mag < Self::PIVOT_EPS
+            if pivot_mag < PIVOT_EPS
                 || !pivot_mag.is_finite()
                 || pivot_mag < Self::PIVOT_DEGRADE * col_max
             {
@@ -874,7 +883,7 @@ mod tests {
         m
     }
 
-    fn to_dense(a: &CscMatrix<f64>) -> Matrix {
+    fn to_dense(a: &CscMatrix<f64>) -> Matrix<f64> {
         let n = a.dim();
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -1040,7 +1049,6 @@ mod tests {
 
     #[test]
     fn complex_solve_matches_dense_cmatrix() {
-        use crate::complexmat::CMatrix;
         let n = 12;
         let mut rng = Rng(0x1234_5678_9ABC_DEF0);
         let mut entries = Vec::new();
@@ -1053,7 +1061,7 @@ mod tests {
         }
         let p = SparsityPattern::from_entries(n, &entries);
         let mut a = CscMatrix::<C64>::from_pattern(p);
-        let mut dense = CMatrix::zeros(n);
+        let mut dense = Matrix::zeros(n, n);
         for i in 0..n {
             let d = C64::new(4.0 + rng.next(), rng.next());
             a.stamp(i, i, d);

@@ -47,13 +47,13 @@ pub enum SolveKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BackendKind {
-    /// Dense real LU ([`crate::linalg::Matrix`]).
+    /// Dense real LU ([`crate::linalg::Matrix`]`<f64>`).
     DenseReal,
-    /// Dense complex LU ([`crate::complexmat::CMatrix`]).
+    /// Dense complex LU ([`crate::linalg::Matrix`]`<C64>`).
     DenseComplex,
-    /// Sparse real LU ([`crate::sparse::SparseLu`]).
+    /// Sparse real LU ([`crate::sparse::SparseLu`]`<f64>`).
     SparseReal,
-    /// Sparse complex LU ([`crate::sparse::SparseLu`]).
+    /// Sparse complex LU ([`crate::sparse::SparseLu`]`<C64>`).
     SparseComplex,
 }
 

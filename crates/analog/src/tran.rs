@@ -146,13 +146,6 @@ impl TranResult {
         self.voltage_iter(node).collect()
     }
 
-    /// The waveform of one voltage-source branch current, as an owned
-    /// vector.
-    #[must_use]
-    pub fn current_waveform(&self, branch: usize) -> Vec<f64> {
-        self.current_iter(branch).collect()
-    }
-
     /// The index of the recorded point nearest to time `t`.
     #[must_use]
     pub fn index_at(&self, t: Seconds) -> usize {

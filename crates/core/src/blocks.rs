@@ -41,23 +41,6 @@ impl DelayLine<ClassAbCell> {
             .collect::<Result<Vec<_>, _>>()?;
         DelayLine::from_cells(built, Box::new(Cmff::new(0.0)?))
     }
-
-    /// Like [`DelayLine::class_ab`] but with an explicit common-mode stage.
-    ///
-    /// # Errors
-    ///
-    /// See [`DelayLine::class_ab`].
-    pub fn class_ab_with_cm(
-        cells: usize,
-        params: &ClassAbParams,
-        seed: u64,
-        cm: Box<dyn CommonModeControl + Send>,
-    ) -> Result<Self, SiError> {
-        let built = (0..cells)
-            .map(|k| ClassAbCell::new(params, seed.wrapping_add(k as u64)))
-            .collect::<Result<Vec<_>, _>>()?;
-        DelayLine::from_cells(built, cm)
-    }
 }
 
 impl DelayLine<ClassACell> {

@@ -85,17 +85,6 @@ impl SystemPower {
         self
     }
 
-    /// Adds `n` class-A cells: each half-circuit carries the full bias
-    /// (which must be at least the peak signal current).
-    #[must_use]
-    pub fn with_class_a_cells(mut self, n: usize, bias: Amps) -> Self {
-        self.items.push(PowerItem {
-            label: format!("{n} class-A cells"),
-            current: Amps(n as f64 * 2.0 * bias.0),
-        });
-        self
-    }
-
     /// Adds `n` CMFF stages; each costs about three mirror branches of the
     /// block bias (Tp0 plus the two output mirrors) — "the penalty of using
     /// CMFF is only the use of current mirrors".

@@ -200,16 +200,6 @@ impl TransferFunction {
         }
     }
 
-    /// The delaying differentiator `z⁻¹·(1 − z⁻¹)` used in the
-    /// chopper-stabilized modulator's signal path.
-    #[must_use]
-    pub fn delaying_differentiator() -> Self {
-        TransferFunction {
-            num: Polynomial::new(vec![0.0, 1.0, -1.0]),
-            den: Polynomial::constant(1.0),
-        }
-    }
-
     /// The first difference `1 − z⁻¹`.
     #[must_use]
     pub fn differentiator() -> Self {

@@ -894,12 +894,6 @@ impl SiService {
         ])
     }
 
-    /// [`SiService::metrics`] serialized for the wire.
-    #[must_use]
-    pub fn metrics_json(&self) -> String {
-        self.metrics().to_string_compact()
-    }
-
     /// Test hook: the service's spec → key memo, so integration tests
     /// can check which specs it retained.
     #[doc(hidden)]
