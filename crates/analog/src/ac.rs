@@ -11,7 +11,7 @@
 //! falls out of [`AcAnalysis::response`] on the Fig. 1 netlist.
 
 use crate::complexmat::C64;
-use crate::engine::{Analysis, EngineWorkspace};
+use crate::engine::EngineWorkspace;
 use crate::mna::Solution;
 use crate::netlist::{Circuit, ElementKind, NodeId};
 use crate::solver::Target;
@@ -311,41 +311,6 @@ impl AcAnalysis {
             out.push(value);
         }
         Ok(out)
-    }
-}
-
-/// [`Analysis`] job: a full AC frequency response (stimulus, probe, and
-/// frequency grid bundled with the analysis options and operating point).
-#[derive(Debug, Clone)]
-pub struct AcSweep<'a> {
-    /// Analysis options (phases, gmin, device caps).
-    pub analysis: AcAnalysis,
-    /// The operating point to linearize at.
-    pub op: &'a Solution,
-    /// Where the unit stimulus is applied.
-    pub stimulus: AcStimulus,
-    /// What is read out.
-    pub probe: AcProbe,
-    /// The frequency grid in hertz.
-    pub freqs_hz: Vec<f64>,
-}
-
-impl Analysis for AcSweep<'_> {
-    type Output = Vec<C64>;
-
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<Vec<C64>, AnalogError> {
-        self.analysis.response_with(
-            circuit,
-            self.op,
-            &self.stimulus,
-            &self.probe,
-            &self.freqs_hz,
-            ws,
-        )
     }
 }
 

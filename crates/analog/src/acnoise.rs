@@ -12,7 +12,7 @@
 
 use crate::ac::{AcAnalysis, AcProbe};
 use crate::complexmat::C64;
-use crate::engine::{Analysis, EngineWorkspace};
+use crate::engine::EngineWorkspace;
 use crate::mna::Solution;
 use crate::netlist::{Circuit, ElementKind, NodeId};
 use crate::units::Volts;
@@ -224,44 +224,6 @@ impl NoiseAnalysis {
             total_rms,
             contributors,
         })
-    }
-}
-
-/// [`Analysis`] job: an integrated output-noise measurement (probe and
-/// frequency span bundled with the analysis options and operating point).
-#[derive(Debug, Clone)]
-pub struct NoiseJob<'a> {
-    /// Noise-analysis options.
-    pub analysis: NoiseAnalysis,
-    /// The operating point to linearize at.
-    pub op: &'a Solution,
-    /// What is read out.
-    pub probe: AcProbe,
-    /// Lower integration bound in hertz.
-    pub f_lo: f64,
-    /// Upper integration bound in hertz.
-    pub f_hi: f64,
-    /// Number of log-spaced grid points.
-    pub points: usize,
-}
-
-impl Analysis for NoiseJob<'_> {
-    type Output = NoiseResult;
-
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<NoiseResult, AnalogError> {
-        self.analysis.output_noise_with(
-            circuit,
-            self.op,
-            &self.probe,
-            self.f_lo,
-            self.f_hi,
-            self.points,
-            ws,
-        )
     }
 }
 

@@ -7,7 +7,7 @@
 //! conductance decade by decade — enough robustness for the tens-of-devices
 //! cells this workspace simulates.
 
-use crate::engine::{Analysis, EngineWorkspace, NewtonSettings, StampSpec};
+use crate::engine::{EngineWorkspace, NewtonSettings, StampSpec};
 use crate::mna::Solution;
 use crate::netlist::Circuit;
 use crate::AnalogError;
@@ -195,18 +195,6 @@ impl DcSolver {
             }
         }
         Err(last_err)
-    }
-}
-
-impl Analysis for DcSolver {
-    type Output = Solution;
-
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<Solution, AnalogError> {
-        self.solve_with(circuit, ws)
     }
 }
 

@@ -21,6 +21,14 @@
 //! and replayed across every Newton iteration, gmin rung, transient step,
 //! sweep point, and frequency point.
 //!
+//! Each analysis exposes a convenience entry point that builds a
+//! short-lived workspace and a `*_with` variant that takes the caller's
+//! ([`crate::dc::DcSolver::solve_with`], [`crate::tran::run_with`],
+//! [`crate::ac::AcAnalysis::response_with`],
+//! [`crate::acnoise::NoiseAnalysis::output_noise_with`],
+//! [`crate::smallsignal::SmallSignal::port_conductance_with`]); callers
+//! use those functions directly.
+//!
 //! Buffer reuse never changes a floating-point operation: the workspace
 //! and the convenience entry points run the same in-place kernels, so a
 //! workspace-driven analysis is bit-identical to a fresh-workspace one
@@ -28,9 +36,11 @@
 //! bits are pinned by `crates/analog/tests/dense_bits.rs`).
 //!
 //! Threading model: a workspace is a plain mutable value with no interior
-//! mutability — `Send` but deliberately not shared. Parallel drivers
-//! ([`crate::sweep::parallel_map`]) give each worker thread its own
-//! workspace and partition points across workers.
+//! mutability — `Send` but deliberately not shared. The parallel fan-out
+//! ([`crate::sweep::parallel_map`]) gives each worker thread its own
+//! workspace through its `init` closure and hands out points one at a
+//! time; work shared across points (one symbolic factorization, a
+//! warm-start chain) stays inside one workspace via [`BatchRun`].
 
 use crate::complexmat::C64;
 use crate::device::switch::TwoPhaseClock;
@@ -634,39 +644,6 @@ impl BatchRun {
             out.push(sol);
         }
         Ok(out)
-    }
-}
-
-/// An analysis that can run against a caller-provided workspace.
-///
-/// All five analyses implement this: [`crate::dc::DcSolver`] and
-/// [`crate::tran::TranParams`] directly, AC / small-signal / noise through
-/// their job types ([`crate::ac::AcSweep`], [`crate::smallsignal::PortConductanceJob`],
-/// [`crate::acnoise::NoiseJob`]). `run` is the convenience path with a
-/// private workspace; `run_with` reuses the caller's buffers across calls.
-pub trait Analysis {
-    /// What the analysis produces.
-    type Output;
-
-    /// Runs the analysis, reusing the caller's workspace buffers.
-    ///
-    /// # Errors
-    ///
-    /// Analysis-specific; see the implementing type.
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<Self::Output, AnalogError>;
-
-    /// Runs the analysis with a fresh short-lived workspace.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Analysis::run_with`].
-    fn run(&self, circuit: &Circuit) -> Result<Self::Output, AnalogError> {
-        let mut ws = EngineWorkspace::for_circuit(circuit);
-        self.run_with(circuit, &mut ws)
     }
 }
 

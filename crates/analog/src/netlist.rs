@@ -132,6 +132,60 @@ impl Element {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// A streaming 64-bit FNV-1a hasher: the one stable, process-independent
+/// hash behind [`Circuit::structure_fingerprint`],
+/// [`Circuit::value_fingerprint`] and the job service's cache keys.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    #[inline]
+    fn default() -> Self {
+        Fnv1a(FNV_OFFSET)
+    }
+}
+
+impl Fnv1a {
+    /// A fresh hasher at the FNV offset basis.
+    #[inline]
+    #[must_use]
+    pub fn new() -> Self {
+        Fnv1a::default()
+    }
+
+    /// Mixes a `u64` byte by byte (little-endian).
+    #[inline]
+    pub fn mix_u64(&mut self, v: u64) {
+        self.mix_bytes(&v.to_le_bytes());
+    }
+
+    /// Mixes a float through its bit pattern, so `-0.0 ≠ 0.0` and every
+    /// ULP counts — exactly the value-fingerprint convention.
+    #[inline]
+    pub fn mix_f64(&mut self, v: f64) {
+        self.mix_u64(v.to_bits());
+    }
+
+    /// Mixes raw bytes, one at a time — plain FNV-1a over a byte string.
+    #[inline]
+    pub fn mix_bytes(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The accumulated hash.
+    #[inline]
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A flat netlist of nodes and elements.
 ///
 /// See the [crate-level example](crate) for usage.
@@ -204,20 +258,13 @@ impl Circuit {
     /// sweep that only retunes sources keeps the same fingerprint and the
     /// sparse solver's cached symbolic factorization stays valid.
     ///
-    /// FNV-1a rather than [`std::hash::DefaultHasher`] because the latter
+    /// [`Fnv1a`] rather than [`std::hash::DefaultHasher`] because the latter
     /// is randomized per process and this fingerprint keys a cache that
     /// must behave identically run to run.
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = Fnv1a::new();
+        let mut mix = |v: u64| h.mix_u64(v);
         mix(self.node_count() as u64);
         mix(self.vsource_count as u64);
         for e in &self.elements {
@@ -259,7 +306,7 @@ impl Circuit {
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// A deterministic hash of the circuit's element *values*: resistances,
@@ -277,16 +324,8 @@ impl Circuit {
     /// — however small — produces a different fingerprint.
     #[must_use]
     pub fn value_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let mut mixf = |v: f64| mix(v.to_bits());
+        let mut h = Fnv1a::new();
+        let mut mixf = |v: f64| h.mix_f64(v);
         let mix_waveform = |w: &Waveform, mixf: &mut dyn FnMut(f64)| match w {
             Waveform::Dc(v) => {
                 mixf(1.0);
@@ -368,7 +407,7 @@ impl Circuit {
                 }
             }
         }
-        h
+        h.finish()
     }
 
     /// The name of a node.
@@ -684,6 +723,18 @@ impl Circuit {
 mod tests {
     use super::*;
     use crate::device::switch::ClockPhase;
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        let hash = |bytes: &[u8]| {
+            let mut h = Fnv1a::new();
+            h.mix_bytes(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn ground_aliases() {

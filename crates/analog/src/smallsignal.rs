@@ -7,7 +7,7 @@
 //! that — it injects a unit small-signal current into a node of the
 //! linearized circuit and reads the voltage perturbation.
 
-use crate::engine::{Analysis, EngineWorkspace};
+use crate::engine::EngineWorkspace;
 use crate::mna::{Solution, StampContext};
 use crate::netlist::{Circuit, NodeId};
 use crate::units::Siemens;
@@ -234,31 +234,6 @@ impl SmallSignal {
             x[node.index() - 1]
         };
         Ok(dv)
-    }
-}
-
-/// [`Analysis`] job measuring the conductance looking into one node of the
-/// circuit linearized at a given operating point.
-#[derive(Debug, Clone)]
-pub struct PortConductanceJob<'a> {
-    /// Small-signal options (phases, gmin).
-    pub options: SmallSignal,
-    /// The operating point to linearize at.
-    pub op: &'a Solution,
-    /// The port node.
-    pub node: NodeId,
-}
-
-impl Analysis for PortConductanceJob<'_> {
-    type Output = Siemens;
-
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<Siemens, AnalogError> {
-        self.options
-            .port_conductance_with(circuit, self.op, self.node, ws)
     }
 }
 

@@ -9,15 +9,16 @@
 //!   Newton iterations, LU factorizations, gmin ladder moves, and
 //!   non-finite rejections: counters, per-solve peaks, and wall-clock
 //!   time, all chosen so that [`Merge::merge`] is associative and
-//!   commutative. Per-worker collectors from
-//!   [`crate::sweep::parallel_map_with_stats`] therefore merge to the same
-//!   totals regardless of how points were scheduled. A workspace with no
+//!   commutative. Per-worker collectors (the service pool's worker
+//!   workspaces, the per-point workspaces of a solver-health sweep)
+//!   therefore merge to the same totals regardless of how points were
+//!   scheduled. A workspace with no
 //!   collector installed pays one `Option` branch per event (nothing on
 //!   the per-element stamping path), and the collector can only
 //!   *observe*: enabling it never changes a solved voltage bit for bit
 //!   (property-tested in `crates/analog/tests/properties.rs`).
-//! * [`Merge`] — the deterministic reduction used by the parallel sweep
-//!   layer.
+//! * [`Merge`] — the deterministic reduction that folds those
+//!   collectors into one total.
 //!
 //! Failure forensics (the per-iteration residual trajectory of a diverging
 //! solve) ride on [`crate::AnalogError::NoConvergence`] itself rather than

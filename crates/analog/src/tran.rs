@@ -8,7 +8,7 @@
 //! switched-current output is "sampled").
 
 use crate::device::switch::TwoPhaseClock;
-use crate::engine::{Analysis, EngineWorkspace, NewtonSettings, StampSpec};
+use crate::engine::{EngineWorkspace, NewtonSettings, StampSpec};
 use crate::mna::{CapStep, Solution};
 use crate::netlist::{Circuit, NodeId};
 use crate::units::{Amps, Seconds, Volts};
@@ -377,18 +377,6 @@ pub fn run_chunk_with(
         },
         final_state,
     ))
-}
-
-impl Analysis for TranParams {
-    type Output = TranResult;
-
-    fn run_with(
-        &self,
-        circuit: &Circuit,
-        ws: &mut EngineWorkspace,
-    ) -> Result<TranResult, AnalogError> {
-        run_with(circuit, self, ws)
-    }
 }
 
 #[cfg(test)]

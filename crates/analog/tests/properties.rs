@@ -233,8 +233,8 @@ proptest! {
     /// Telemetry merging is associative and order-independent: folding a
     /// set of per-worker collectors left-to-right, in rotated order, and
     /// pairwise-tree-reduced all produce identical totals — the invariant
-    /// `parallel_map_with_stats` relies on to make its merged stats
-    /// independent of scheduling.
+    /// that makes stats merged across workers or workspaces independent of
+    /// scheduling.
     #[test]
     fn telemetry_merge_is_associative_and_order_independent(
         draws in prop::collection::vec(
@@ -275,51 +275,6 @@ proptest! {
             layer = next;
         }
         prop_assert_eq!(&layer[0], &serial);
-    }
-
-    /// Per-worker stats from `parallel_map_with_stats` merge to the same
-    /// totals a serial loop over the same points produces, for randomized
-    /// circuit sweeps — real threads, real solves, scheduling-independent
-    /// counts.
-    #[test]
-    fn parallel_sweep_stats_match_serial_totals(
-        specs in prop::collection::vec((1usize..6, 1.0f64..100.0, -3.0f64..3.0), 1..9),
-    ) {
-        use si_analog::dc::DcSolver;
-        use si_analog::engine::EngineWorkspace;
-        use si_analog::telemetry::{EngineStats, Merge};
-
-        let solver = DcSolver::new();
-        let circuits: Vec<_> = specs
-            .iter()
-            .map(|&(stages, r_k, i_ua)| {
-                parse_netlist(&ladder_netlist(stages, r_k, i_ua)).unwrap()
-            })
-            .collect();
-
-        let (_, parallel_total) = si_analog::sweep::parallel_map_with_stats(
-            &circuits,
-            || {
-                let mut ws = EngineWorkspace::new();
-                ws.enable_stats();
-                ws
-            },
-            |ws, ckt, _| solver.solve_with(ckt, ws).map(|op| op.raw().to_vec()),
-            |mut ws| ws.take_stats().unwrap_or_default(),
-        )
-        .unwrap();
-
-        let mut serial_total = EngineStats::default();
-        for ckt in &circuits {
-            let mut ws = EngineWorkspace::new();
-            ws.enable_stats();
-            solver.solve_with(ckt, &mut ws).unwrap();
-            serial_total.merge(&ws.take_stats().unwrap());
-        }
-
-        // Wall-clock differs run to run; everything countable must not.
-        prop_assert_eq!(parallel_total.normalized(), serial_total.normalized());
-        prop_assert_eq!(parallel_total.solves, circuits.len() as u64);
     }
 
     /// Installing a probe never changes a solved node voltage: the stats

@@ -55,40 +55,33 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         (1.2, 0.4), // low-VT option, the ref. [15] regime
     ];
     // Each design point is independent, so evaluate them through the
-    // batched deterministic fan-out the experiment sweeps use (ISSUE 6);
-    // with blocks of two, each worker prices two adjacent supplies and the
-    // results still come back in supply order.
-    let points = si_core::sweep::parallel_map_batched(
+    // deterministic fan-out the experiment sweeps use; the results come
+    // back in supply order.
+    let points = si_core::sweep::parallel_map(
         &supplies,
-        2,
         || (),
-        |(), block: &[(f64, f64)], _| {
-            let mut out = Vec::with_capacity(block.len());
-            for &(vdd, vt_scale) in block {
-                let budget = scaled_budget(vt_scale);
-                let mi = budget
-                    .max_modulation_index(Volts(vdd))
-                    .map_err(|e| e.to_string())?;
-                if mi <= 0.0 {
-                    out.push(DesignPoint::Infeasible);
-                    continue;
-                }
-                // Size the quiescent current for the required peak.
-                let iq = Amps(i_peak.0 / mi.min(3.0)); // keep mi ≤ 3 for linearity
-                let gga = Amps(iq.0 * 2.0);
-                let cells = SystemPower::new(Volts(vdd))
-                    .map_err(|e| e.to_string())?
-                    .with_class_ab_cells(4, iq, gga)
-                    .with_cmff_stages(2, gga)
-                    .with_quantizer(Amps(40e-6 * vdd / 3.3))
-                    .with_dacs(2, Amps(i_peak.0 / 2.0 * 10.0));
-                out.push(DesignPoint::Feasible {
-                    max_mi: mi,
-                    iq,
-                    power_w: cells.total_power().0,
-                });
+        |(), &(vdd, vt_scale), _| {
+            let budget = scaled_budget(vt_scale);
+            let mi = budget
+                .max_modulation_index(Volts(vdd))
+                .map_err(|e| e.to_string())?;
+            if mi <= 0.0 {
+                return Ok(DesignPoint::Infeasible);
             }
-            Ok::<_, String>(out)
+            // Size the quiescent current for the required peak.
+            let iq = Amps(i_peak.0 / mi.min(3.0)); // keep mi ≤ 3 for linearity
+            let gga = Amps(iq.0 * 2.0);
+            let cells = SystemPower::new(Volts(vdd))
+                .map_err(|e| e.to_string())?
+                .with_class_ab_cells(4, iq, gga)
+                .with_cmff_stages(2, gga)
+                .with_quantizer(Amps(40e-6 * vdd / 3.3))
+                .with_dacs(2, Amps(i_peak.0 / 2.0 * 10.0));
+            Ok::<_, String>(DesignPoint::Feasible {
+                max_mi: mi,
+                iq,
+                power_w: cells.total_power().0,
+            })
         },
     )?;
 

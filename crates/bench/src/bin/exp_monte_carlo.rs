@@ -32,10 +32,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     // Draw every trial's parameters serially so the rng stream (and thus
     // each trial) is independent of how the measurements are scheduled,
-    // then fan the expensive measurements out across workers in contiguous
-    // blocks (ISSUE 6: the batched sweep primitive — block boundaries
-    // depend only on the trial count, never the worker count). The results
-    // come back in trial order, byte-identical to the old serial loop.
+    // then fan the expensive measurements out across workers, one trial
+    // per item. The results come back in trial order, byte-identical to
+    // the serial loop.
     let mut rng = StdRng::seed_from_u64(0x4d43); // "MC"
     let mut configs = Vec::with_capacity(trials);
     for trial in 0..trials {
@@ -50,19 +49,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         };
         configs.push(config);
     }
-    // Blocks of 4 trials amortize dispatch without starving the workers.
-    let mut sinads = si_core::sweep::parallel_map_batched(
+    let mut sinads = si_core::sweep::parallel_map(
         &configs,
-        4,
         || (),
-        |(), block: &[SiModulatorConfig], _| {
-            let mut out = Vec::with_capacity(block.len());
-            for config in block {
-                let mut m = SiModulator::new(*config)?;
-                let meas = measure(&mut m, &cfg)?;
-                out.push(meas.sinad_db);
-            }
-            Ok::<_, si_modulator::ModulatorError>(out)
+        |(), config, _| {
+            let mut m = SiModulator::new(*config)?;
+            Ok::<_, si_modulator::ModulatorError>(measure(&mut m, &cfg)?.sinad_db)
         },
     )?;
     let by_trial = sinads.clone();

@@ -43,12 +43,12 @@
 //! `--replica-kill` (ISSUE 9) is a separate fault class at cluster
 //! scope: it spawns N real `si_serve` child processes (one worker each,
 //! persistent disk tiers), fronts them with an in-process
-//! [`RouterServer`], and SIGKILLs the *busiest* replica — the one with
-//! the most forwards on the ring — a quarter of the way through a
-//! distinct-job storm. The gates: every job completes through client
-//! retries (zero lost), the router reroutes at least once and bumps its
-//! ring generation, the dead replica leaves the ring, and every response
-//! is bit-identical to a fresh in-process solve.
+//! [`RouterServer`](si_service::RouterServer), and SIGKILLs the
+//! *busiest* replica — the one with the most forwards on the ring — a
+//! quarter of the way through a distinct-job storm. The gates: every job
+//! completes through client retries (zero lost), the router reroutes at
+//! least once and bumps its ring generation, the dead replica leaves the
+//! ring, and every response is bit-identical to a fresh in-process solve.
 //!
 //! Exit code 0 only when at least `--min-faults` faults were injected
 //! AND every gate above holds; the [`RunReport`] records the full tally.
@@ -278,8 +278,9 @@ fn serve_bin_path(args: &Args) -> std::path::PathBuf {
 }
 
 /// The `--replica-kill` run: real `si_serve` children behind an
-/// in-process [`RouterServer`]; the busiest replica is SIGKILLed a
-/// quarter of the way through the storm. Exits nonzero on gate failure.
+/// in-process [`RouterServer`](si_service::RouterServer); the busiest
+/// replica is SIGKILLed a quarter of the way through the storm. Exits
+/// nonzero on gate failure.
 fn run_replica_kill(args: &Args) {
     use si_service::router::{RouterConfig, RouterServer};
 

@@ -33,18 +33,12 @@ pub fn welch(signal: &[f64], segments: usize, window: Window) -> Result<Spectrum
         name: "segments",
         constraint: "too many segments for the signal length",
     })?;
-    let hop = seg_len / 2;
-    let mut spectra = Vec::with_capacity(segments);
-    // By construction (segments + 1)·seg_len/2 ≤ signal.len(), so every
-    // requested segment fits; the tail past the last one is dropped.
-    for k in 0..segments {
-        let start = k * hop;
-        spectra.push(Spectrum::periodogram(
-            &signal[start..start + seg_len],
-            window,
-        )?);
-    }
-    Spectrum::average(&spectra)
+    // By construction (segments + 1)·seg_len/2 ≤ signal.len(), so the
+    // covered prefix holds exactly `segments` segments; the tail past it
+    // is dropped.
+    let mut acc = WelchAccumulator::new(seg_len, window)?;
+    acc.push(&signal[..(segments + 1) * seg_len / 2])?;
+    acc.finish()
 }
 
 /// The power-of-two segment length [`welch`] uses to split `len` samples

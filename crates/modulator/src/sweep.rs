@@ -154,47 +154,6 @@ where
     finish_sweep(points)
 }
 
-/// Batched variant of [`sndr_sweep`]: levels are partitioned into
-/// fixed-size contiguous blocks dispatched across workers via
-/// [`si_core::sweep::parallel_map_batched`], measuring each block's points
-/// in level order on fresh factory-built modulators. Block boundaries
-/// depend only on the level count and `block_size` — never the worker
-/// count — so the output is byte-identical to [`sndr_sweep`] (and to
-/// [`sndr_sweep_parallel`]) for any factory whose randomness is seeded per
-/// build. Pass [`si_core::sweep::DEFAULT_BLOCK`] unless profiling says
-/// otherwise.
-///
-/// # Errors
-///
-/// Same as [`sndr_sweep`]; the first failing block (in level order)
-/// reports its error.
-pub fn sndr_sweep_batched<M, F>(
-    factory: F,
-    levels_db: &[f64],
-    block_size: usize,
-    config: &MeasurementConfig,
-) -> Result<SweepResult, ModulatorError>
-where
-    M: Modulator,
-    F: Fn() -> Result<M, ModulatorError> + Sync,
-{
-    require_two_levels(levels_db)?;
-    let points = si_core::sweep::parallel_map_batched(
-        levels_db,
-        block_size,
-        || (),
-        |(), block: &[f64], _| {
-            let mut out = Vec::with_capacity(block.len());
-            for &level in block {
-                let mut modulator = factory()?;
-                out.push(measure_point(&mut modulator, level, config)?);
-            }
-            Ok::<_, ModulatorError>(out)
-        },
-    )?;
-    finish_sweep(points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,26 +193,5 @@ mod tests {
         );
         assert!(result.dynamic_range_bits() > 12.0);
         assert!(result.peak_sinad_db() >= result.points[3].sinad_db);
-    }
-
-    #[test]
-    fn batched_sweep_is_byte_identical_to_serial() {
-        let cfg = MeasurementConfig::quick();
-        let levels = [-60.0, -40.0, -30.0, -20.0, -10.0, -6.0];
-        let factory = || IdealModulator::new(SecondOrderTopology::paper_scaled(), 6e-6);
-        let serial = sndr_sweep(factory, &levels, &cfg).unwrap();
-        for block in [1, 2, 4, 64] {
-            let batched = sndr_sweep_batched(factory, &levels, block, &cfg).unwrap();
-            assert_eq!(batched.points.len(), serial.points.len());
-            for (b, s) in batched.points.iter().zip(&serial.points) {
-                assert_eq!(b.sinad_db.to_bits(), s.sinad_db.to_bits(), "block {block}");
-                assert_eq!(b.snr_db.to_bits(), s.snr_db.to_bits());
-                assert_eq!(b.thd_db.to_bits(), s.thd_db.to_bits());
-            }
-            assert_eq!(
-                batched.dynamic_range_db.to_bits(),
-                serial.dynamic_range_db.to_bits()
-            );
-        }
     }
 }

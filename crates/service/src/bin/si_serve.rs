@@ -12,7 +12,7 @@
 //!
 //! The listener hardening knobs (`--max-conns`, `--read-timeout-ms`,
 //! `--max-body-bytes`) map straight onto
-//! [`HttpConfig`](si_service::http::HttpConfig); see its docs for what
+//! [`HttpConfig`]; see its docs for what
 //! each bound rejects (`503`, `408`, `413` respectively).
 //!
 //! `--cache-dir` enables the persistent result tier

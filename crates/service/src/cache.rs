@@ -2,10 +2,10 @@
 //! deduplication.
 //!
 //! Keys are [`JobSpec::job_key`](crate::jobspec::JobSpec::job_key) values;
-//! entries are `Arc`-shared [`JobOutput`](crate::jobspec::JobOutput)s.
+//! entries are `Arc`-shared [`JobOutput`]s.
 //! Storage is a stack of [`CacheTier`]s — an in-memory sharded tier
 //! ([`MemoryTier`]) always on top, optionally backed by a persistent
-//! disk tier ([`DiskTier`](crate::disk::DiskTier)) underneath:
+//! disk tier ([`DiskTier`]) underneath:
 //!
 //! - **Lookup order** walks the stack top-down: memory first, then disk.
 //! - **Promotion**: a hit in a lower tier is written back into every tier

@@ -4,7 +4,7 @@
 //! one file per deterministic 64-bit job key, so a restarted server warms
 //! up from its own past work instead of re-solving everything. It sits
 //! *under* the in-memory sharded tier (see
-//! [`CacheTier`](crate::cache::CacheTier) for the lookup/promotion
+//! [`CacheTier`] for the lookup/promotion
 //! order) and is built around three invariants:
 //!
 //! 1. **Crash-safe writes.** An entry is serialized to a `.tmp-` file,
@@ -46,10 +46,11 @@ use std::fs::{self, File};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use crate::cache::{CacheTier, TierStats};
 use crate::jobspec::{Fnv1a, JobOutput};
+use crate::lock_recover;
 
 const MAGIC: &[u8; 8] = b"SICACHE1";
 const FORMAT_VERSION: u32 = 1;
@@ -150,13 +151,6 @@ pub struct DiskTier {
     tmp_swept: AtomicU64,
     /// I/O errors on store (the entry is simply not persisted).
     write_errors: AtomicU64,
-}
-
-/// Locks `m`, recovering from poisoning: the index is re-derivable from
-/// the directory, so a writer that died mid-update leaves nothing worth
-/// propagating a panic for.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl DiskTier {

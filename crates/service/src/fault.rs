@@ -22,6 +22,8 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
+use crate::retry::splitmix64;
+
 /// The ways a fault plan can sabotage one job execution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
@@ -57,16 +59,6 @@ impl FaultKind {
             FaultKind::PanicMidChunk => "panic_mid_chunk",
         }
     }
-}
-
-/// SplitMix64: a tiny, well-mixed permutation used to derive each
-/// decision from `(seed, index)` without any RNG state.
-#[must_use]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// A deterministic, seedable schedule of injected faults.

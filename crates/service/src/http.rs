@@ -79,6 +79,7 @@ use std::time::{Duration, Instant};
 use crate::error::ServiceError;
 use crate::jobspec::{JobOutput, JobSpec};
 use crate::json::{self, Json};
+use crate::lock_recover;
 use crate::service::{job_response_string, SiService};
 
 const MAX_HEADER_LINES: usize = 100;
@@ -327,19 +328,13 @@ struct Completions {
 }
 
 impl Completions {
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Completion>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn push(&self, completion: Completion) {
-        self.lock().push(completion);
+        lock_recover(&self.queue).push(completion);
         self.waker.wake();
     }
 
     fn drain(&self) -> Vec<Completion> {
-        std::mem::take(&mut *self.lock())
+        std::mem::take(&mut *lock_recover(&self.queue))
     }
 }
 
@@ -1404,7 +1399,7 @@ impl HttpClient {
             "{method} {path} HTTP/1.1\r\nHost: si-service\r\nConnection: {connection}\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         );
-        let reused = self.lock_idle().pop();
+        let reused = lock_recover(&self.idle).pop();
         if let Some(stream) = reused {
             let mut response = Vec::new();
             match self.exchange(stream, message.as_bytes(), deadline, &mut response) {
@@ -1434,12 +1429,6 @@ impl HttpClient {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 response body")
         })?;
         Ok((status, text))
-    }
-
-    fn lock_idle(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
-        self.idle
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Writes `message` and reads one `Content-Length`-framed response
@@ -1499,7 +1488,7 @@ impl HttpClient {
         }
         // Bytes past the body mean broken framing: never reuse those.
         if !close && buf.len() == body_end {
-            let mut idle = self.lock_idle();
+            let mut idle = lock_recover(&self.idle);
             if idle.len() < self.max_idle {
                 idle.push(stream);
             }

@@ -14,7 +14,7 @@
 //! netlist text; none for the SNDR sweep) and an *analysis* (DC, DC
 //! batch, transient, AC, streaming transient, sweep). Validation, the
 //! key, the structure fingerprint, the wire form and the run each handle
-//! the circuit once and the analysis once, and a [`Prepared`] spec builds
+//! the circuit once and the analysis once, and a `Prepared` spec builds
 //! or parses its circuit at most once for all of them.
 
 use si_analog::ac::{AcAnalysis, AcProbe, AcStimulus};
@@ -35,57 +35,14 @@ use si_modulator::measure::MeasurementConfig;
 use si_modulator::sweep::sndr_sweep;
 use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 use crate::budget::{price_circuit, CircuitCost};
 use crate::error::ServiceError;
 use crate::json::Json;
+use crate::lock_recover;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// A streaming FNV-1a hasher matching the netlist fingerprint constants.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(FNV_OFFSET)
-    }
-}
-
-impl Fnv1a {
-    /// A fresh hasher at the FNV offset basis.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv1a::default()
-    }
-
-    /// Mixes a `u64` byte by byte (little-endian).
-    pub fn mix_u64(&mut self, v: u64) {
-        self.mix_bytes(&v.to_le_bytes());
-    }
-
-    /// Mixes a float through its bit pattern, so `-0.0 ≠ 0.0` and every
-    /// ULP counts — exactly the value-fingerprint convention.
-    pub fn mix_f64(&mut self, v: f64) {
-        self.mix_u64(v.to_bits());
-    }
-
-    /// Mixes raw bytes, one at a time — plain FNV-1a over a byte string.
-    pub fn mix_bytes(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// The accumulated hash.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+pub use si_analog::netlist::Fnv1a;
 
 /// The analyses the service can run.
 #[derive(Debug, Clone, PartialEq)]
@@ -1373,7 +1330,7 @@ impl KeyMemo {
 
     /// Canonical bytes plus per-entry allowance of every resident spec.
     pub fn resident_bytes(&self) -> usize {
-        self.lock().resident
+        lock_recover(&self.entries).resident
     }
 
     /// Whether the spec is resident.
@@ -1392,7 +1349,10 @@ impl KeyMemo {
             return None;
         }
         let bytes = spec.prepare().canonical_bytes();
-        self.lock().map.get(&bytes[..]).map(|ids| ids.key)
+        lock_recover(&self.entries)
+            .map
+            .get(&bytes[..])
+            .map(|ids| ids.key)
     }
 
     /// [`KeyMemo::job_key`] of an already prepared spec, so a miss
@@ -1405,7 +1365,7 @@ impl KeyMemo {
         let bytes = job.canonical_bytes();
         let memoize = bytes.len() <= KEY_MEMO_MAX_SPEC_BYTES;
         let hit = memoize
-            .then(|| self.lock().map.get(&bytes[..]).copied())
+            .then(|| lock_recover(&self.entries).map.get(&bytes[..]).copied())
             .flatten();
         let ids = MemoIds {
             key: hit.map_or_else(|| job.job_key(), |ids| ids.key),
@@ -1414,13 +1374,9 @@ impl KeyMemo {
                 .or_else(|| fingerprint.then(|| job.structure_fingerprint())),
         };
         if memoize && hit != Some(ids) {
-            self.lock().record(bytes, ids);
+            lock_recover(&self.entries).record(bytes, ids);
         }
         ids
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MemoEntries> {
-        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -68,3 +68,16 @@ pub use jobspec::{JobOutput, JobSpec};
 pub use retry::RetryPolicy;
 pub use router::{Router, RouterConfig, RouterServer};
 pub use service::{ServiceConfig, SiService};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering from poisoning instead of cascading a panic.
+///
+/// Every mutex in this crate guards state that stays usable across a
+/// holder that panicked mid-update: indexes and maps that are re-derived
+/// or simply re-filled, pool handles and queues whose contents are still
+/// sound. The result cache's own lock additionally counts recoveries for
+/// `/metrics` and so keeps its own wrapper.
+pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

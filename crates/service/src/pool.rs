@@ -35,13 +35,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use si_analog::engine::EngineWorkspace;
 use si_analog::telemetry::{EngineStats, Merge};
 
 use crate::error::ServiceError;
+use crate::lock_recover;
 
 /// A unit of work: runs on a worker's workspace.
 pub type Task = Box<dyn FnOnce(&mut EngineWorkspace) + Send>;
@@ -219,13 +220,6 @@ impl WorkerPool {
             let _ = handle.join();
         }
     }
-}
-
-/// Locks `m`, recovering from poisoning: pool state (the sender `Option`,
-/// join handles, stats snapshots) stays consistent across a panicking
-/// holder, so the data inside a poisoned lock is still sound.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl Drop for WorkerPool {

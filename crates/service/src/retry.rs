@@ -23,10 +23,12 @@
 
 use std::time::Duration;
 
-/// SplitMix64: the same tiny deterministic mixer [`FaultPlan`] uses to
-/// turn (seed, index) into an independent draw.
+/// SplitMix64: a tiny, well-mixed permutation that turns `(seed, index)`
+/// into an independent draw without any RNG state. Backoff jitter,
+/// [`FaultPlan`] decisions and the router's ring lookups all use it.
 ///
 /// [`FaultPlan`]: crate::fault::FaultPlan
+#[must_use]
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -48,7 +48,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -59,6 +59,7 @@ use crate::http::{
 };
 use crate::jobspec::{Fnv1a, KeyMemo};
 use crate::json::{self, Json};
+use crate::lock_recover;
 use crate::retry::{splitmix64, RetryPolicy};
 use crate::service::SiService;
 
@@ -152,10 +153,6 @@ struct RouterCounters {
 struct Tracked {
     map: HashMap<u64, (u64, usize)>,
     order: VecDeque<u64>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `(name, section, key)`: the replica `/metrics` values each shard
@@ -285,7 +282,7 @@ impl Router {
             }
         }
         points.sort_unstable();
-        *lock(&self.ring) = points;
+        *lock_recover(&self.ring) = points;
         self.generation.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -293,7 +290,7 @@ impl Router {
     /// ring order starting at the fingerprint's point, deduplicated.
     /// The first entry is the shard owner.
     fn route_chain(&self, fp: u64) -> Vec<usize> {
-        let ring = lock(&self.ring);
+        let ring = lock_recover(&self.ring);
         if ring.is_empty() {
             return Vec::new();
         }
@@ -320,7 +317,7 @@ impl Router {
     /// Records which replica served a job key so later ring changes can
     /// warm the new owner from the old one. Bounded FIFO.
     fn remember(&self, key: u64, fp: u64, owner: usize) {
-        let mut tracked = lock(&self.tracked);
+        let mut tracked = lock_recover(&self.tracked);
         if let Some(slot) = tracked.map.get_mut(&key) {
             *slot = (fp, owner);
             return;
@@ -344,7 +341,7 @@ impl Router {
     fn warm_moved_keys(&self) {
         let mut moves: HashMap<(usize, usize), Vec<u64>> = HashMap::new();
         {
-            let mut tracked = lock(&self.tracked);
+            let mut tracked = lock_recover(&self.tracked);
             let map = &mut tracked.map;
             for (&key, slot) in map.iter_mut() {
                 let (fp, old_owner) = *slot;
@@ -404,7 +401,7 @@ impl Router {
 
     /// Routes one request: job submission and lookup are forwarded,
     /// `/healthz` and `/readyz` are answered by the router itself.
-    /// `/metrics` is served by the HTTP front end (see the [`Handler`]
+    /// `/metrics` is served by the HTTP front end (see the `Handler`
     /// impl), which appends the listener's `"http"` section.
     #[must_use]
     pub fn handle(&self, method: &str, path: &str, body: &str) -> (u16, String) {
@@ -515,7 +512,10 @@ impl Router {
             let err = ServiceError::InvalidSpec("job ids are 16 hex digits".to_string());
             return (err.http_status(), error_body(&err));
         };
-        let tracked_owner = lock(&self.tracked).map.get(&key).map(|&(_, owner)| owner);
+        let tracked_owner = lock_recover(&self.tracked)
+            .map
+            .get(&key)
+            .map(|&(_, owner)| owner);
         let mut order: Vec<usize> = tracked_owner.into_iter().collect();
         for idx in 0..self.replicas.len() {
             if !order.contains(&idx) {
@@ -551,7 +551,7 @@ impl Router {
             ),
             (
                 "ring_size".to_string(),
-                Json::Number(lock(&self.ring).len() as f64),
+                Json::Number(lock_recover(&self.ring).len() as f64),
             ),
             (
                 "ready_replicas".to_string(),
@@ -567,7 +567,7 @@ impl Router {
             ("warm_keys_failed".to_string(), count(&c.warm_keys_failed)),
             (
                 "tracked_keys".to_string(),
-                Json::Number(lock(&self.tracked).map.len() as f64),
+                Json::Number(lock_recover(&self.tracked).map.len() as f64),
             ),
         ]);
         let mut shards = Vec::new();
@@ -833,7 +833,7 @@ mod tests {
         for key in 0..10u64 {
             router.remember(key, key, 0);
         }
-        let tracked = lock(&router.tracked);
+        let tracked = lock_recover(&router.tracked);
         assert_eq!(tracked.map.len(), 4);
         for key in 6..10u64 {
             assert!(tracked.map.contains_key(&key), "newest keys must survive");

@@ -1,8 +1,8 @@
 //! The service core: cache-aware job submission, deadlines, cancellation,
 //! and the `/metrics` aggregation.
 //!
-//! [`SiService`] glues the [`ResultCache`](crate::cache::ResultCache) in
-//! front of the [`WorkerPool`](crate::pool::WorkerPool):
+//! [`SiService`] glues the [`ResultCache`] in front of the
+//! [`WorkerPool`]:
 //!
 //! 1. A submission is first content-addressed. Cache hits return without
 //!    touching the pool; concurrent duplicates coalesce onto the one
@@ -22,21 +22,21 @@
 //!
 //! The submission path survives a worker panicking mid-job: the pool
 //! catches the unwind (the worker thread lives on), the
-//! [`LeadGuard`](crate::cache::LeadGuard) drop backstop releases
+//! [`LeadGuard`] drop backstop releases
 //! coalesced followers with [`ServiceError::Internal`], and a
 //! cancellation-flag drop guard inside the task closure prevents the
 //! `cancel_flags` map from leaking entries for unwound leaders. Transient
 //! failures — Newton budget exhaustion, worker crashes — are retried with
 //! the deterministic capped backoff of
-//! [`RetryPolicy`](crate::retry::RetryPolicy) before being surfaced.
-//! A [`FaultInjector`](crate::fault::FaultInjector) can be installed
+//! [`RetryPolicy`] before being surfaced.
+//! A [`FaultInjector`] can be installed
 //! (tests and the `si_chaos` harness only) to sabotage job executions on
 //! the worker thread and prove all of the above.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::budget::AdmissionBudget;
@@ -46,6 +46,7 @@ use crate::error::ServiceError;
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
 use crate::jobspec::{JobOutput, JobSpec, KeyMemo};
 use crate::json::{self, Json};
+use crate::lock_recover;
 use crate::pool::{PoolConfig, WorkerPool};
 use crate::retry::RetryPolicy;
 
@@ -166,13 +167,6 @@ pub struct SiService {
     /// `cache_dir` was configured but the disk tier failed to open: the
     /// service runs memory-only and `/readyz` reports it.
     cache_degraded: bool,
-}
-
-/// Locks `m`, recovering from poisoning: every map guarded here (seen
-/// kinds, cancel flags, the injector slot) tolerates a writer that died
-/// mid-update, so the contained value is still usable.
-fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Removes one `cancel_flags` entry on drop. Captured by the worker task
