@@ -50,6 +50,11 @@
 //! least once and bumps its ring generation, the dead replica leaves the
 //! ring, and every response is bit-identical to a fresh in-process solve.
 //!
+//! Every submission goes through [`gate::Target`] (in-process or over
+//! HTTP, the same typed errors either way) under one retry rule,
+//! [`gate::with_retries`]; the storms fan out with [`gate::fan_out`] and
+//! [`gate::storm`], and [`gate::fresh_mismatches`] does the bit checks.
+//!
 //! Exit code 0 only when at least `--min-faults` faults were injected
 //! AND every gate above holds; the [`RunReport`] records the full tally.
 
@@ -57,7 +62,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::gate::{self, metric, same_bits, svc_counter, FlagValues};
+use si_bench::gate::{self, metric, same_bits, svc_counter, FlagValues, Target};
 use si_bench::netfuzz;
 use si_bench::run_report::RunReport;
 use si_service::http::{HttpClient, HttpConfig, HttpServer};
@@ -127,86 +132,6 @@ fn apply_flag(args: &mut Args, flag: &str, v: &mut FlagValues<'_>) -> Result<boo
 /// The `k`-th distinct job of the working set.
 fn job(args: &Args, k: usize) -> JobSpec {
     gate::tran_job(args.stages, args.steps, k)
-}
-
-/// Maps a non-200 HTTP error body back to a typed error so the client
-/// retry loop can reuse [`ServiceError::is_client_retryable`].
-fn typed_http_error(status: u16, payload: &str) -> ServiceError {
-    for (code, err) in [
-        (
-            "\"overloaded\"",
-            ServiceError::Overloaded { queue_capacity: 0 },
-        ),
-        (
-            "\"transient\"",
-            ServiceError::Transient("http transient".to_string()),
-        ),
-        (
-            "\"internal\"",
-            ServiceError::Internal("http internal".to_string()),
-        ),
-        ("\"shutting_down\"", ServiceError::ShuttingDown),
-    ] {
-        if payload.contains(code) {
-            return err;
-        }
-    }
-    ServiceError::Analysis(format!("status {status}: {payload}"))
-}
-
-/// One client submission with client-side retry/backoff on retryable
-/// errors (`Overloaded`, `Transient`, `Internal`, injected drops).
-/// Returns the retries it spent, or the final error.
-struct ChaosClient {
-    service: Arc<SiService>,
-    addr: Option<std::net::SocketAddr>,
-    /// Client-side fault schedule (connection drops); `None` in-process.
-    drops: Option<Arc<FaultInjector>>,
-    policy: RetryPolicy,
-}
-
-impl ChaosClient {
-    fn submit(&self, spec: &JobSpec) -> Result<u64, ServiceError> {
-        let mut retries = 0u64;
-        let mut attempt = 0u32;
-        loop {
-            let result = match self.addr {
-                None => self.service.submit_blocking(spec, None).map(|_| ()),
-                Some(addr) => self.submit_http(addr, spec),
-            };
-            match result {
-                Ok(()) => return Ok(retries),
-                Err(e) if e.is_client_retryable() => match self.policy.delay(attempt) {
-                    Some(delay) => {
-                        retries += 1;
-                        attempt += 1;
-                        std::thread::sleep(delay);
-                    }
-                    None => return Err(e),
-                },
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn submit_http(&self, addr: std::net::SocketAddr, spec: &JobSpec) -> Result<(), ServiceError> {
-        let body = spec.to_json().to_string_compact();
-        // Client-side fault: drop a connection mid-body first, then issue
-        // the real request (the drop itself never carries the job).
-        if let Some(drops) = &self.drops {
-            if drops.next_fault() == Some(FaultKind::DropConnection) {
-                let _ = http_drop_mid_body(addr, "/v1/jobs", &body, body.len() / 2);
-            }
-        }
-        let (status, payload) = HttpClient::new(addr)
-            .request_text("POST", "/v1/jobs", Some(&body))
-            .map_err(|e| ServiceError::Internal(format!("http: {e}")))?;
-        if status == 200 {
-            Ok(())
-        } else {
-            Err(typed_http_error(status, payload.as_str()))
-        }
-    }
 }
 
 // ---- replica-kill fault class (ISSUE 9) -------------------------------
@@ -329,17 +254,9 @@ fn run_replica_kill(args: &Args) {
             input_ua: 0.5 + 0.01 * k as f64,
         })
         .collect();
-    let bodies: Vec<String> = specs
-        .iter()
-        .map(|s| s.to_json().to_string_compact())
-        .collect();
     let completed = AtomicU64::new(0);
-    let lost = AtomicU64::new(0);
     let killed_name = std::sync::Mutex::new(String::new());
-    let responses: Vec<std::sync::Mutex<Option<String>>> =
-        bodies.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let storm_started = Instant::now();
-    std::thread::scope(|scope| {
+    let (storm_wall, served) = std::thread::scope(|scope| {
         // The killer: wait for a quarter of the storm, pick the replica
         // with the most forwards on the ring, SIGKILL it.
         scope.spawn(|| {
@@ -367,40 +284,23 @@ fn run_replica_kill(args: &Args) {
                 eprintln!("killer could not map shard {victim:?} to a child");
             }
         });
-        for c in 0..args.clients {
-            let bodies = &bodies;
-            let responses = &responses;
-            let completed = &completed;
-            let lost = &lost;
-            scope.spawn(move || {
-                for (k, body) in bodies.iter().enumerate().skip(c).step_by(args.clients) {
-                    match gate::post_job(router_addr, body, args.seed.wrapping_add(7)) {
-                        Ok(payload) => {
-                            *responses[k].lock().unwrap() = Some(payload);
-                        }
-                        Err(e) => {
-                            if lost.fetch_add(1, Ordering::Relaxed) < 3 {
-                                eprintln!("storm job {k} lost: {e}");
-                            }
-                        }
-                    }
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-        }
+        gate::storm(
+            &Target::Http(router_addr),
+            &specs,
+            args.clients,
+            args.seed.wrapping_add(7),
+            Some(&completed),
+        )
     });
-    let storm_wall = storm_started.elapsed();
     let killed = killed_name.into_inner().unwrap();
+    let lost = served.iter().filter(|v| v.is_none()).count();
 
     let mut failures: Vec<String> = Vec::new();
     if killed.is_empty() {
         failures.push("no replica was killed during the storm".to_string());
     }
-    if lost.load(Ordering::Relaxed) > 0 {
-        failures.push(format!(
-            "{} jobs lost to the replica kill",
-            lost.load(Ordering::Relaxed)
-        ));
+    if lost > 0 {
+        failures.push(format!("{lost} jobs lost to the replica kill"));
     }
 
     // The dead replica must leave the ring (probe flips it unready and
@@ -429,18 +329,7 @@ fn run_replica_kill(args: &Args) {
     }
 
     // Zero drift: every response bit-identical to a fresh solve.
-    let mut fresh_ws = si_analog::engine::EngineWorkspace::new();
-    let mut bit_mismatches = 0u64;
-    for (k, slot) in responses.iter().enumerate() {
-        let Some(payload) = slot.lock().unwrap().clone() else {
-            continue; // already counted as lost
-        };
-        let values = gate::response_values(&payload).unwrap_or_default();
-        let fresh = specs[k].run(&mut fresh_ws).expect("fresh solve");
-        if !same_bits(&values, &fresh.values) {
-            bit_mismatches += 1;
-        }
-    }
+    let bit_mismatches = gate::fresh_mismatches(&specs, &served);
     if bit_mismatches > 0 {
         failures.push(format!(
             "{bit_mismatches} storm responses differ bitwise from a fresh solve"
@@ -462,7 +351,7 @@ fn run_replica_kill(args: &Args) {
     );
     report.metric("replicas", args.replicas as f64);
     report.metric("jobs", args.jobs as f64);
-    report.metric("jobs_lost", lost.load(Ordering::Relaxed) as f64);
+    report.metric("jobs_lost", lost as f64);
     report.metric("bit_mismatches", bit_mismatches as f64);
     report.metric("reroutes", reroutes);
     report.metric("no_backend", no_backend);
@@ -471,9 +360,8 @@ fn run_replica_kill(args: &Args) {
     report.metric("router_routed", metric(&metrics, "router", "routed"));
     report.metric("storm_wall_s", storm_wall.as_secs_f64());
     println!(
-        "replica kill: {} of {} jobs lost | killed {} | {reroutes} reroutes | \
+        "replica kill: {lost} of {} jobs lost | killed {} | {reroutes} reroutes | \
          {bit_mismatches} bit mismatches",
-        lost.load(Ordering::Relaxed),
         args.jobs,
         if killed.is_empty() {
             "nothing"
@@ -507,9 +395,7 @@ fn run_stream_kill(args: &Args) {
     let serve_bin = serve_bin_path(args);
     let spec = gate::stream_64k();
     let chunks_total = spec.stream_chunk_count().expect("streaming spec") as f64;
-    let id = SiService::job_id(&spec);
-    let body = spec.to_json().to_string_compact();
-    let path = format!("/v1/jobs/{id}");
+    let path = format!("/v1/jobs/{}", SiService::job_id(&spec));
 
     // The uninterrupted reference runs the exact same chunked executor
     // in-process; killed-and-resumed must match it bit for bit.
@@ -525,9 +411,10 @@ fn run_stream_kill(args: &Args) {
 
     // The poster blocks inside the long POST; the kill cuts it off with a
     // transport error, which is the expected outcome of this phase.
-    let poster = std::thread::spawn(move || {
-        HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(&body))
-    });
+    let poster = {
+        let spec = spec.clone();
+        std::thread::spawn(move || Target::Http(addr).submit(&spec))
+    };
 
     // Poll progress until at least two chunks completed — so at least two
     // checkpoints exist — then SIGKILL the worker process mid-run.
@@ -557,32 +444,24 @@ fn run_stream_kill(args: &Args) {
     // SIGKILL (atomic rename), so the resubmission resumes.
     let restarted = spawn_replica_at(&serve_bin, cache_dir.clone());
     let resume_started = Instant::now();
-    let resumed_payload = match HttpClient::new(restarted.addr).request_text(
-        "POST",
-        "/v1/jobs",
-        Some(&spec.to_json().to_string_compact()),
-    ) {
-        Ok((200, payload)) => payload,
-        Ok((status, payload)) => {
-            failures.push(format!("resubmission answered {status}: {payload}"));
-            String::new()
-        }
-        Err(e) => {
-            failures.push(format!("resubmission transport error: {e}"));
-            String::new()
-        }
-    };
+    let resumed = Target::Http(restarted.addr).submit(&spec);
     let resume_wall = resume_started.elapsed();
 
-    let values = gate::response_values(&resumed_payload).unwrap_or_default();
-    let bit_identical = same_bits(&values, &reference.values);
-    if !resumed_payload.is_empty() && !bit_identical {
-        failures.push(format!(
-            "resumed spectrum differs from the uninterrupted run ({} vs {} values)",
-            values.len(),
-            reference.values.len()
-        ));
-    }
+    let bit_identical = match &resumed {
+        Ok((values, _)) if !same_bits(values, &reference.values) => {
+            failures.push(format!(
+                "resumed spectrum differs from the uninterrupted run ({} vs {} values)",
+                values.len(),
+                reference.values.len()
+            ));
+            false
+        }
+        Ok(_) => true,
+        Err(e) => {
+            failures.push(format!("resubmission failed: {e}"));
+            false
+        }
+    };
 
     // The restarted replica must report an actual resume, and fewer chunk
     // solves than a full second run (it picked up past work, not redid it).
@@ -702,43 +581,48 @@ fn main() {
         }))
     });
 
-    let mut server = None;
-    let addr = if args.http {
-        let srv = HttpServer::bind_with(
-            "127.0.0.1:0",
-            Arc::clone(&service),
-            HttpConfig {
-                read_timeout: Duration::from_secs(10),
-                ..HttpConfig::default()
-            },
-        )
-        .expect("bind loopback");
-        let a = srv.local_addr();
-        server = Some(srv);
-        Some(a)
-    } else {
-        None
+    let server = args.http.then(|| {
+        let config = HttpConfig {
+            read_timeout: Duration::from_secs(10),
+            ..HttpConfig::default()
+        };
+        HttpServer::bind_with("127.0.0.1:0", Arc::clone(&service), config).expect("bind loopback")
+    });
+    let target = match &server {
+        Some(srv) => Target::Http(srv.local_addr()),
+        None => Target::InProcess(Arc::clone(&service)),
     };
-    let client = ChaosClient {
-        service: Arc::clone(&service),
-        addr,
-        drops: client_drops.clone(),
-        policy: RetryPolicy {
-            max_retries: 8,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(50),
-            multiplier: 2,
-            jitter_seed: None,
-        },
+    // Client-side retry/backoff on retryable errors (`Overloaded`,
+    // `Transient`, `Internal`, injected drops).
+    let policy = RetryPolicy {
+        max_retries: 8,
+        base_delay: Duration::from_millis(2),
+        max_delay: Duration::from_millis(50),
+        multiplier: 2,
+        jitter_seed: None,
+    };
+    let submit = |spec: &JobSpec| {
+        gate::with_retries(&policy, || {
+            // Client-side fault: drop a connection mid-body first, then
+            // issue the real request (the drop itself never carries the
+            // job).
+            if let (Some(drops), Target::Http(addr)) = (&client_drops, &target) {
+                if drops.next_fault() == Some(FaultKind::DropConnection) {
+                    let body = spec.to_json().to_string_compact();
+                    let _ = http_drop_mid_body(*addr, "/v1/jobs", &body, body.len() / 2);
+                }
+            }
+            target.submit(spec)
+        })
     };
 
     // ---- Chaos phase: batches under fault injection until the fault
     // budget is met (the schedule is deterministic per seed; batch count
     // only depends on how many events the rates actually hit).
     let started = Instant::now();
-    let client_retries = AtomicU64::new(0);
-    let unrecovered = AtomicU64::new(0);
-    let completed = AtomicU64::new(0);
+    let mut client_retries = 0u64;
+    let mut unrecovered = 0u64;
+    let mut completed = 0u64;
     let mut submitted_jobs = 0usize;
     let mut batches = 0usize;
     let injected = |client_drops: &Option<Arc<FaultInjector>>| {
@@ -746,28 +630,18 @@ fn main() {
     };
     while injected(&client_drops) < args.min_faults && batches < 16 {
         let base = submitted_jobs;
-        std::thread::scope(|scope| {
-            for c in 0..args.clients {
-                let client = &client;
-                let client_retries = &client_retries;
-                let unrecovered = &unrecovered;
-                let completed = &completed;
-                let a = &args;
-                scope.spawn(move || {
-                    for k in (base..base + a.jobs).skip(c).step_by(a.clients) {
-                        match client.submit(&job(a, k)) {
-                            Ok(r) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
-                                client_retries.fetch_add(r, Ordering::Relaxed);
-                            }
-                            Err(_) => {
-                                unrecovered.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                });
-            }
+        let outcomes = gate::fan_out(args.jobs, args.clients, |_, i| {
+            submit(&job(&args, base + i))
         });
+        for outcome in outcomes {
+            match outcome {
+                Ok((_, retries)) => {
+                    completed += 1;
+                    client_retries += u64::from(retries);
+                }
+                Err(_) => unrecovered += 1,
+            }
+        }
         submitted_jobs += args.jobs;
         batches += 1;
     }
@@ -807,28 +681,25 @@ fn main() {
     // Gate: every distinct key resolves post-recovery (no poisoned shard
     // can serve, no flight is wedged), and the cached values are
     // bit-identical to a fresh solve on a brand-new workspace.
-    let mut verified = 0u64;
+    let specs: Vec<JobSpec> = (0..submitted_jobs).map(|k| job(&args, k)).collect();
     let mut resolve_failures = 0u64;
-    let mut bit_mismatches = 0u64;
-    let mut fresh_ws = si_analog::engine::EngineWorkspace::new();
-    for k in 0..submitted_jobs {
-        let spec = job(&args, k);
-        match service.submit_blocking(&spec, None) {
-            Ok((out, _)) => {
-                verified += 1;
-                let fresh = spec.run(&mut fresh_ws).expect("fresh solve");
-                if !same_bits(&out.values, &fresh.values) {
-                    bit_mismatches += 1;
-                }
-            }
+    let served: Vec<Option<Vec<f64>>> = specs
+        .iter()
+        .enumerate()
+        .map(|(k, spec)| match service.submit_blocking(spec, None) {
+            Ok((out, _)) => Some(out.values.clone()),
             Err(e) => {
                 resolve_failures += 1;
                 if resolve_failures <= 3 {
                     eprintln!("post-recovery resolve of job {k} failed: {e}");
                 }
+                None
             }
-        }
-    }
+        })
+        .collect();
+    let verified = served.iter().flatten().count();
+    let bit_mismatches = gate::fresh_mismatches(&specs, &served);
+    let mut fresh_ws = si_analog::engine::EngineWorkspace::new();
     if resolve_failures > 0 {
         failures.push(format!(
             "{resolve_failures} keys failed to resolve after recovery"
@@ -913,30 +784,15 @@ fn main() {
     let parse_before = svc_counter(&service, "service", "netlist_rejected_parse");
     let budget_before = svc_counter(&service, "service", "netlist_rejected_budget");
     let mut netlist_untyped = 0u64;
-    let submit_netlist = |text: String| -> Result<u16, String> {
-        let spec = JobSpec::Netlist { netlist: text };
-        match addr {
-            None => match service.submit_blocking(&spec, None) {
-                Ok(_) => Ok(200),
-                Err(e) => Ok(e.http_status()),
-            },
-            Some(a) => {
-                let body = spec.to_json().to_string_compact();
-                HttpClient::new(a)
-                    .request_text("POST", "/v1/jobs", Some(&body))
-                    .map(|(status, _)| status)
-                    .map_err(|e| format!("http: {e}"))
-            }
-        }
-    };
+    let submit_netlist = |text: String| target.submit(&JobSpec::Netlist { netlist: text });
     for k in 0..poison_jobs {
         let text = netfuzz::poison(args.seed.wrapping_add(k as u64));
         match submit_netlist(text) {
-            Ok(422) => {}
+            Err(ServiceError::NetlistRejected(_)) => {}
             other => {
                 netlist_untyped += 1;
                 if netlist_untyped <= 3 {
-                    eprintln!("poisoned netlist {k} was not 422-rejected: {other:?}");
+                    eprintln!("poisoned netlist {k} was not netlist_rejected: {other:?}");
                 }
             }
         }
@@ -947,14 +803,15 @@ fn main() {
         ));
     }
     match submit_netlist(netfuzz::oversized(9000)) {
-        Ok(413) => {}
-        other => failures.push(format!("oversized netlist was not 413-rejected: {other:?}")),
-    }
-    match submit_netlist("V1 in 0 3.3\nR1 in mid 1k\nR2 mid 0 2k\n.end\n".to_string()) {
-        Ok(200) => {}
+        Err(ServiceError::BudgetExceeded { .. }) => {}
         other => failures.push(format!(
-            "valid netlist no longer solves after the poison storm: {other:?}"
+            "oversized netlist was not budget_exceeded: {other:?}"
         )),
+    }
+    if let Err(e) = submit_netlist("V1 in 0 3.3\nR1 in mid 1k\nR2 mid 0 2k\n.end\n".to_string()) {
+        failures.push(format!(
+            "valid netlist no longer solves after the poison storm: {e}"
+        ));
     }
     let netlist_parse_rejections =
         svc_counter(&service, "service", "netlist_rejected_parse") - parse_before;
@@ -1034,10 +891,9 @@ fn main() {
             args.min_faults
         ));
     }
-    if unrecovered.load(Ordering::Relaxed) > 0 {
+    if unrecovered > 0 {
         failures.push(format!(
-            "{} requests failed even after client-side retries",
-            unrecovered.load(Ordering::Relaxed)
+            "{unrecovered} requests failed even after client-side retries"
         ));
     }
     // Every injected fault belonged to a request that ultimately
@@ -1076,15 +932,9 @@ fn main() {
             as f64,
     );
     report.metric("jobs_submitted", submitted_jobs as f64);
-    report.metric("jobs_completed", completed.load(Ordering::Relaxed) as f64);
-    report.metric(
-        "jobs_unrecovered",
-        unrecovered.load(Ordering::Relaxed) as f64,
-    );
-    report.metric(
-        "client_retries",
-        client_retries.load(Ordering::Relaxed) as f64,
-    );
+    report.metric("jobs_completed", completed as f64);
+    report.metric("jobs_unrecovered", unrecovered as f64);
+    report.metric("client_retries", client_retries as f64);
     report.metric("service_retries", svc_metric("service", "retries"));
     report.metric("pool_panics_caught", svc_metric("pool", "panics_caught"));
     report.metric(
@@ -1114,19 +964,17 @@ fn main() {
 
     println!(
         "chaos: {total_injected} faults injected ({} panics, {} stalls, {} transients, {} drops) \
-         | {} jobs, {} unrecovered | {verified} keys verified, {bit_mismatches} bit mismatches",
+         | {} jobs, {unrecovered} unrecovered | {verified} keys verified, {bit_mismatches} bit mismatches",
         worker_stats.panics,
         worker_stats.stalls,
         worker_stats.transients,
         drop_stats.injected,
         submitted_jobs,
-        unrecovered.load(Ordering::Relaxed),
     );
 
-    if let Some(mut srv) = server.take() {
-        srv.shutdown();
-    } else {
-        service.shutdown();
+    match server {
+        Some(mut srv) => srv.shutdown(),
+        None => service.shutdown(),
     }
     let _ = std::fs::remove_dir_all(&cache_dir);
     gate::finish(

@@ -18,7 +18,9 @@
 //!
 //! By default the service is driven in-process (deterministic, no
 //! sockets); `--http` binds a real loopback `HttpServer` and issues the
-//! same workload as HTTP requests.
+//! same workload as HTTP requests. Either way each client submits through
+//! [`gate::Target`], so a shed or failed job reads as the same typed
+//! error, and the phases fan out with [`gate::fan_out`].
 //!
 //! `--batch` adds a third phase (ISSUE 6): the same N DC operating
 //! points submitted once as N individual `delay_line_dc` jobs and once as
@@ -72,6 +74,9 @@
 //!    rerouted request in the router metrics, and every response
 //!    bit-identical to a fresh in-process solve.
 //!
+//! Every cluster phase is a [`gate::storm`]: retrying submissions with
+//! per-client seeded jitter, so a run repeats.
+//!
 //! `--stream` (ISSUE 10) also replaces the whole run: the same 64K-sample
 //! `tran_stream` job is driven twice against two fresh services with their
 //! own disk tiers — once uninterrupted, once with a single injected
@@ -85,7 +90,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::gate::{self, metric, same_bits, scrape, FlagValues};
+use si_bench::gate::{self, metric, same_bits, scrape, FlagValues, Target};
 use si_bench::run_report::RunReport;
 use si_service::http::{HttpClient, HttpServer};
 use si_service::jobspec::JobSpec;
@@ -178,53 +183,6 @@ fn job(args: &Args, k: usize) -> JobSpec {
     gate::tran_job(args.stages, args.steps, k)
 }
 
-/// How one client submits one job; returns latency and whether the
-/// service reported it as served-from-cache.
-trait Client: Send + Sync {
-    fn submit(&self, spec: &JobSpec) -> Result<(Duration, bool), ServiceError>;
-}
-
-struct InProcess(Arc<SiService>);
-
-impl Client for InProcess {
-    fn submit(&self, spec: &JobSpec) -> Result<(Duration, bool), ServiceError> {
-        let start = Instant::now();
-        let (_, cached) = self.0.submit_blocking(spec, None)?;
-        Ok((start.elapsed(), cached))
-    }
-}
-
-struct OverHttp(std::net::SocketAddr);
-
-impl Client for OverHttp {
-    fn submit(&self, spec: &JobSpec) -> Result<(Duration, bool), ServiceError> {
-        let body = spec.to_json().to_string_compact();
-        let start = Instant::now();
-        let (status, payload) = HttpClient::new(self.0)
-            .request_text("POST", "/v1/jobs", Some(&body))
-            .map_err(|e| ServiceError::Analysis(format!("http: {e}")))?;
-        let elapsed = start.elapsed();
-        // Load shedding (admission control or the connection cap) is a
-        // 503 with an "overloaded" error code.
-        if status == 503 && payload.contains("\"overloaded\"") {
-            return Err(ServiceError::Overloaded { queue_capacity: 0 });
-        }
-        if status != 200 {
-            return Err(ServiceError::Analysis(format!(
-                "status {status}: {payload}"
-            )));
-        }
-        let cached = si_service::json::parse(&payload)
-            .ok()
-            .and_then(|v| match v.get("cached") {
-                Some(si_service::json::Json::Bool(b)) => Some(*b),
-                _ => None,
-            })
-            .unwrap_or(false);
-        Ok((elapsed, cached))
-    }
-}
-
 struct PhaseResult {
     wall: Duration,
     latencies: Vec<Duration>,
@@ -233,51 +191,34 @@ struct PhaseResult {
     errors: u64,
 }
 
-/// Fans `specs` out over `clients` threads round-robin and collects
-/// latencies. Deterministic job order per thread.
-fn run_phase(client: &dyn Client, specs: &[JobSpec], clients: usize) -> PhaseResult {
-    let cached = AtomicU64::new(0);
-    let overloaded = AtomicU64::new(0);
-    let errors = AtomicU64::new(0);
+/// Submits `specs` once each over `clients` threads ([`gate::fan_out`])
+/// and collects latencies and outcomes.
+fn run_phase(target: &Target, specs: &[JobSpec], clients: usize) -> PhaseResult {
     let start = Instant::now();
-    let latencies = std::sync::Mutex::new(Vec::with_capacity(specs.len()));
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let cached = &cached;
-            let overloaded = &overloaded;
-            let errors = &errors;
-            let latencies = &latencies;
-            scope.spawn(move || {
-                let mut mine = Vec::new();
-                for spec in specs.iter().skip(c).step_by(clients) {
-                    match client.submit(spec) {
-                        Ok((latency, was_cached)) => {
-                            mine.push(latency);
-                            if was_cached {
-                                cached.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(ServiceError::Overloaded { .. }) => {
-                            overloaded.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-                latencies.lock().unwrap().extend(mine);
-            });
-        }
+    let results = gate::fan_out(specs.len(), clients, |_, k| {
+        let submitted = Instant::now();
+        let result = target.submit(&specs[k]);
+        (submitted.elapsed(), result)
     });
-    let mut latencies = latencies.into_inner().unwrap();
-    latencies.sort_unstable();
-    PhaseResult {
+    let mut phase = PhaseResult {
         wall: start.elapsed(),
-        latencies,
-        cached: cached.load(Ordering::Relaxed),
-        overloaded: overloaded.load(Ordering::Relaxed),
-        errors: errors.load(Ordering::Relaxed),
+        latencies: Vec::with_capacity(specs.len()),
+        cached: 0,
+        overloaded: 0,
+        errors: 0,
+    };
+    for (latency, result) in results {
+        match result {
+            Ok((_, cached)) => {
+                phase.latencies.push(latency);
+                phase.cached += u64::from(cached);
+            }
+            Err(ServiceError::Overloaded { .. }) => phase.overloaded += 1,
+            Err(_) => phase.errors += 1,
+        }
     }
+    phase.latencies.sort_unstable();
+    phase
 }
 
 fn percentile_us(sorted: &[Duration], p: f64) -> f64 {
@@ -303,70 +244,8 @@ fn resolve(addr: &str) -> std::net::SocketAddr {
         .unwrap_or_else(|| panic!("{name:?} resolves to no address"))
 }
 
-struct ClusterPhase {
-    wall: Duration,
-    lost: u64,
-    responses: Vec<Option<String>>,
-}
-
-/// Fans serialized job bodies over `clients` threads round-robin, with
-/// per-submission retry; collects each job's 200 response body.
-fn run_cluster_phase(
-    addr: std::net::SocketAddr,
-    bodies: &[String],
-    clients: usize,
-    completed: Option<&AtomicU64>,
-) -> ClusterPhase {
-    let lost = AtomicU64::new(0);
-    let responses: Vec<std::sync::Mutex<Option<String>>> =
-        bodies.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for c in 0..clients {
-            let lost = &lost;
-            let responses = &responses;
-            scope.spawn(move || {
-                for (k, body) in bodies.iter().enumerate().skip(c).step_by(clients) {
-                    match gate::post_job(addr, body, 0xC1A0 + c as u64) {
-                        Ok(payload) => {
-                            *responses[k].lock().unwrap() = Some(payload);
-                        }
-                        Err(e) => {
-                            if lost.fetch_add(1, Ordering::Relaxed) < 3 {
-                                eprintln!("cluster job {k} lost: {e}");
-                            }
-                        }
-                    }
-                    if let Some(done) = completed {
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
-        }
-    });
-    ClusterPhase {
-        wall: start.elapsed(),
-        lost: lost.load(Ordering::Relaxed),
-        responses: responses
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect(),
-    }
-}
-
-/// Whether a response's `values` are bit-identical to a fresh in-process
-/// solve of `spec` (JSON numbers round-trip bit-exactly).
-fn response_matches_fresh_solve(
-    payload: &str,
-    spec: &JobSpec,
-    ws: &mut si_analog::engine::EngineWorkspace,
-) -> bool {
-    let Some(values) = gate::response_values(payload) else {
-        return false;
-    };
-    spec.run(ws)
-        .is_ok_and(|fresh| same_bits(&values, &fresh.values))
-}
+/// The jitter seed of the cluster storms' first client.
+const CLUSTER_SEED: u64 = 0xC1A0;
 
 /// The whole `--cluster` run: warmup, affinity blocks, cluster-vs-single
 /// throughput, optional kill storm. Exits nonzero if a gate fails.
@@ -408,7 +287,8 @@ fn run_cluster(args: &Args) {
     // measures process parallelism rather than HTTP overhead.
     let topologies = args.cold;
     let spec = |t: usize, rep: usize| gate::tran_job(args.stages + t, args.steps, rep);
-    let body = |t: usize, rep: usize| spec(t, rep).to_json().to_string_compact();
+    let to_router = Target::Http(router);
+    let lost = |served: &[Option<Vec<f64>>]| served.iter().filter(|v| v.is_none()).count() as u64;
 
     // Warmup: one job per topology seeds each shard owner (and the
     // router's routed-key memory). The per-shard `forwards` delta around
@@ -427,8 +307,8 @@ fn run_cluster(args: &Args) {
     let mut owner_of = Vec::with_capacity(topologies);
     for t in 0..topologies {
         let before = shard_forwards(router);
-        gate::post_job(router, &body(t, 0), 0)
-            .unwrap_or_else(|e| panic!("warmup of topology {t} failed: {e}"));
+        let (_, warmed) = gate::storm(&to_router, &[spec(t, 0)], 1, 0, None);
+        assert_eq!(lost(&warmed), 0, "warmup of topology {t} failed");
         let after = shard_forwards(router);
         let owner = after
             .iter()
@@ -462,9 +342,10 @@ fn run_cluster(args: &Args) {
     };
     let misses_before = sym_misses(&replicas);
     for t in 0..topologies {
-        let bodies: Vec<String> = (1..=BLOCK_REPS).map(|rep| body(t, rep)).collect();
-        let phase = run_cluster_phase(router, &bodies, args.clients.min(BLOCK_REPS), None);
-        assert_eq!(phase.lost, 0, "affinity block {t} lost jobs");
+        let block: Vec<JobSpec> = (1..=BLOCK_REPS).map(|rep| spec(t, rep)).collect();
+        let clients = args.clients.min(BLOCK_REPS);
+        let (_, served) = gate::storm(&to_router, &block, clients, CLUSTER_SEED, None);
+        assert_eq!(lost(&served), 0, "affinity block {t} lost jobs");
     }
     let miss_delta = sym_misses(&replicas) - misses_before;
     if miss_delta < 1.0 {
@@ -487,19 +368,31 @@ fn run_cluster(args: &Args) {
         let list = &by_owner[k % replicas.len()];
         list[(k / replicas.len()) % list.len()]
     };
-    let hot_bodies: Vec<String> = (0..args.hot)
-        .map(|k| body(balanced_topology(k), 1_000 + k))
-        .collect();
-    let cluster_phase = run_cluster_phase(router, &hot_bodies, args.clients, None);
-    assert_eq!(cluster_phase.lost, 0, "cluster hot phase lost jobs");
-    let single_bodies: Vec<String> = (0..args.hot)
-        .map(|k| body(balanced_topology(k), 100_000 + k))
-        .collect();
-    let single_phase = run_cluster_phase(replicas[0], &single_bodies, args.clients, None);
-    assert_eq!(single_phase.lost, 0, "single-replica phase lost jobs");
+    let workload = |first_rep: usize| -> Vec<JobSpec> {
+        (0..args.hot)
+            .map(|k| spec(balanced_topology(k), first_rep + k))
+            .collect()
+    };
+    let (cluster_wall, served) = gate::storm(
+        &to_router,
+        &workload(1_000),
+        args.clients,
+        CLUSTER_SEED,
+        None,
+    );
+    assert_eq!(lost(&served), 0, "cluster hot phase lost jobs");
+    let to_single = Target::Http(replicas[0]);
+    let (single_wall, served) = gate::storm(
+        &to_single,
+        &workload(100_000),
+        args.clients,
+        CLUSTER_SEED,
+        None,
+    );
+    assert_eq!(lost(&served), 0, "single-replica phase lost jobs");
     let throughput = |n: usize, wall: Duration| n as f64 / wall.as_secs_f64().max(1e-9);
-    let throughput_cluster = throughput(args.hot, cluster_phase.wall);
-    let throughput_single = throughput(args.hot, single_phase.wall);
+    let throughput_cluster = throughput(args.hot, cluster_wall);
+    let throughput_single = throughput(args.hot, single_wall);
     let scaling = throughput_cluster / throughput_single.max(1e-9);
 
     // A single replica saturates one core, so the cluster only shows
@@ -522,11 +415,9 @@ fn run_cluster(args: &Args) {
     // client retries must lose nothing and drift nothing.
     let kill = args.kill_pid.map(|pid| {
         let reroutes_before = scrape(router, "router", "reroutes");
-        let kill_bodies: Vec<String> = (0..args.hot)
-            .map(|k| body(balanced_topology(k), 200_000 + k))
-            .collect();
+        let kill_specs = workload(200_000);
         let completed = AtomicU64::new(0);
-        let phase = std::thread::scope(|scope| {
+        let (_, served) = std::thread::scope(|scope| {
             let completed = &completed;
             let killer = scope.spawn(move || {
                 let deadline = Instant::now() + Duration::from_secs(60);
@@ -542,23 +433,20 @@ fn run_cluster(args: &Args) {
                     eprintln!("warning: could not SIGKILL pid {pid}");
                 }
             });
-            let phase = run_cluster_phase(router, &kill_bodies, args.clients, Some(completed));
+            let storm = gate::storm(
+                &to_router,
+                &kill_specs,
+                args.clients,
+                CLUSTER_SEED,
+                Some(completed),
+            );
             killer.join().expect("killer thread");
-            phase
+            storm
         });
         // Every response must be bit-identical to a fresh solve.
-        let mut ws = si_analog::engine::EngineWorkspace::new();
-        let mut bit_mismatches = 0u64;
-        for (k, payload) in phase.responses.iter().enumerate() {
-            let ok = payload.as_deref().is_some_and(|p| {
-                response_matches_fresh_solve(p, &spec(balanced_topology(k), 200_000 + k), &mut ws)
-            });
-            if !ok && payload.is_some() {
-                bit_mismatches += 1;
-            }
-        }
+        let bit_mismatches = gate::fresh_mismatches(&kill_specs, &served);
         let reroutes = scrape(router, "router", "reroutes") - reroutes_before;
-        (phase, bit_mismatches, reroutes)
+        (lost(&served), bit_mismatches, reroutes)
     });
 
     let mut report = RunReport::new("si_loadgen_cluster");
@@ -588,8 +476,8 @@ fn run_cluster(args: &Args) {
         scrape(router, "router", "ring_generation"),
     );
     report.metric("router_routed", scrape(router, "router", "routed"));
-    if let Some((phase, bit_mismatches, reroutes)) = &kill {
-        report.metric("kill_lost_jobs", phase.lost as f64);
+    if let Some((lost, bit_mismatches, reroutes)) = &kill {
+        report.metric("kill_lost_jobs", *lost as f64);
         report.metric("kill_bit_mismatches", *bit_mismatches as f64);
         report.metric("kill_reroutes", *reroutes);
     }
@@ -607,9 +495,9 @@ fn run_cluster(args: &Args) {
             "cluster throughput is only {scaling:.2}x a single replica (bar: {scaling_bar}x on {cores} cores)"
         ));
     }
-    if let Some((phase, bit_mismatches, reroutes)) = &kill {
-        if phase.lost > 0 {
-            failures.push(format!("{} jobs lost during the replica kill", phase.lost));
+    if let Some((lost, bit_mismatches, reroutes)) = &kill {
+        if *lost > 0 {
+            failures.push(format!("{lost} jobs lost during the replica kill"));
         }
         if *bit_mismatches > 0 {
             failures.push(format!(
@@ -620,7 +508,7 @@ fn run_cluster(args: &Args) {
             failures.push("the router never rerouted around the killed replica".to_string());
         }
         println!(
-            "kill storm: 0 lost of {} | {reroutes} reroutes | {bit_mismatches} bit mismatches",
+            "kill storm: {lost} lost of {} | {reroutes} reroutes | {bit_mismatches} bit mismatches",
             args.hot
         );
     }
@@ -758,19 +646,19 @@ fn main() {
         ..ServiceConfig::default()
     };
     let service = Arc::new(SiService::new(config(cache_dir.clone())));
-    let mut server = None;
-    let client: Box<dyn Client> = if args.http {
-        let srv = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
-        let addr = srv.local_addr();
-        server = Some(srv);
-        Box::new(OverHttp(addr))
-    } else {
-        Box::new(InProcess(Arc::clone(&service)))
+    // `--http` puts a loopback front end over the service.
+    let front = |service: &Arc<SiService>| {
+        if !args.http {
+            return (Target::InProcess(Arc::clone(service)), None);
+        }
+        let srv = HttpServer::bind("127.0.0.1:0", Arc::clone(service)).expect("bind loopback");
+        (Target::Http(srv.local_addr()), Some(srv))
     };
+    let (target, mut server) = front(&service);
 
     // Cold: every spec distinct → all misses, all real solves.
     let cold_specs: Vec<JobSpec> = (0..args.cold).map(|k| job(&args, k)).collect();
-    let cold = run_phase(client.as_ref(), &cold_specs, args.clients);
+    let cold = run_phase(&target, &cold_specs, args.clients);
 
     // Hot: 90 % duplicates drawn from the cold working set (already
     // cached), 10 % fresh. The duplicate index cycles deterministically.
@@ -783,7 +671,7 @@ fn main() {
             }
         })
         .collect();
-    let hot = run_phase(client.as_ref(), &hot_specs, args.clients);
+    let hot = run_phase(&target, &hot_specs, args.clients);
 
     // Batch phase (ISSUE 6): the same scenario set as N single DC jobs
     // versus one batch job. Distinct input currents give every single job
@@ -798,13 +686,13 @@ fn main() {
                 input_ua,
             })
             .collect();
-        let singles = run_phase(client.as_ref(), &single_specs, args.clients);
+        let singles = run_phase(&target, &single_specs, args.clients);
         let batch_spec = JobSpec::DelayLineDcBatch {
             stages: args.stages,
             bias_ua: 20.0,
             inputs_ua: inputs,
         };
-        let batch = run_phase(client.as_ref(), std::slice::from_ref(&batch_spec), 1);
+        let batch = run_phase(&target, std::slice::from_ref(&batch_spec), 1);
         (singles, batch)
     });
 
@@ -821,30 +709,21 @@ fn main() {
             service.shutdown();
         }
         let restarted = Arc::new(SiService::new(config(cache_dir.clone())));
-        let restarted_client: Box<dyn Client> = if args.http {
-            let srv =
-                HttpServer::bind("127.0.0.1:0", Arc::clone(&restarted)).expect("rebind loopback");
-            let addr = srv.local_addr();
-            server = Some(srv);
-            Box::new(OverHttp(addr))
-        } else {
-            Box::new(InProcess(Arc::clone(&restarted)))
-        };
-        let phase = run_phase(restarted_client.as_ref(), &hot_specs, args.clients);
+        let (restarted_target, restarted_server) = front(&restarted);
+        server = restarted_server;
+        let phase = run_phase(&restarted_target, &hot_specs, args.clients);
         // Zero correctness drift: every disk-served working-set result
         // must equal a fresh solve on a brand-new workspace, bit for bit.
-        let mut fresh_ws = si_analog::engine::EngineWorkspace::new();
-        let mut bit_mismatches = 0u64;
-        for spec in &cold_specs {
-            let served = restarted
-                .submit_blocking(spec, None)
-                .expect("post-restart resolve")
-                .0;
-            let fresh = spec.run(&mut fresh_ws).expect("fresh solve");
-            if !same_bits(&served.values, &fresh.values) {
-                bit_mismatches += 1;
-            }
-        }
+        let served: Vec<_> = cold_specs
+            .iter()
+            .map(|spec| {
+                let (out, _) = restarted
+                    .submit_blocking(spec, None)
+                    .expect("post-restart resolve");
+                Some(out.values.clone())
+            })
+            .collect();
+        let bit_mismatches = gate::fresh_mismatches(&cold_specs, &served);
         (restarted, phase, bit_mismatches)
     });
 

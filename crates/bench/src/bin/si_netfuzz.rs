@@ -19,7 +19,9 @@
 //! `--http` sends every case twice: to a loopback replica, and through an
 //! in-process `RouterServer` in front of it. The router decodes and
 //! fingerprints each netlist before forwarding it, so its path gets the
-//! same four gates.
+//! same four gates. Every path submits through [`gate::Target`], which
+//! reads an HTTP error back as the typed error it encodes, so one
+//! `classify` buckets the outcomes of all three.
 //!
 //! ```text
 //! si_netfuzz [--http] [--iters N] [--seed N] [--workers N] [--queue N]
@@ -34,10 +36,10 @@ use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use si_bench::gate::{self, svc_counter, FlagValues};
+use si_bench::gate::{self, svc_counter, FlagValues, Target};
 use si_bench::netfuzz::{self, NASTY_CORPUS};
 use si_bench::run_report::{experiments_dir, RunReport};
-use si_service::http::{HttpClient, HttpServer};
+use si_service::http::HttpServer;
 use si_service::jobspec::JobSpec;
 use si_service::router::{RouterConfig, RouterServer};
 use si_service::service::{ServiceConfig, SiService};
@@ -182,7 +184,9 @@ fn netlist_counters(service: &SiService) -> [f64; 3] {
     NETLIST_COUNTERS.map(|key| svc_counter(service, "service", key))
 }
 
-fn classify(result: Result<(Arc<si_service::JobOutput>, bool), ServiceError>) -> Outcome {
+/// Buckets one submission's result; the same typed error comes back from
+/// every path, so one match serves them all.
+fn classify(result: Result<(Vec<f64>, bool), ServiceError>) -> Outcome {
     match result {
         Ok((_, cached)) => Outcome::Solved { cached },
         Err(ServiceError::NetlistRejected(_)) => Outcome::RejectedParse,
@@ -190,27 +194,6 @@ fn classify(result: Result<(Arc<si_service::JobOutput>, bool), ServiceError>) ->
         Err(ServiceError::Analysis(_)) => Outcome::AnalysisFailed,
         Err(ServiceError::InvalidSpec(_)) => Outcome::InvalidSpec,
         Err(_) => Outcome::Untyped,
-    }
-}
-
-/// Submits one netlist over HTTP and maps the wire status back to an
-/// outcome. Only `200`, `400`, `413`, `422` count as typed.
-fn classify_http(addr: std::net::SocketAddr, spec: &JobSpec) -> Outcome {
-    let body = spec.to_json().to_string_compact();
-    match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(&body)) {
-        Ok((200, payload)) => Outcome::Solved {
-            cached: payload.contains("\"cached\":true"),
-        },
-        Ok((422, payload)) => {
-            if payload.contains("\"netlist_rejected\"") {
-                Outcome::RejectedParse
-            } else {
-                Outcome::AnalysisFailed
-            }
-        }
-        Ok((413, _)) => Outcome::RejectedBudget,
-        Ok((400, _)) => Outcome::InvalidSpec,
-        Ok((_, _)) | Err(_) => Outcome::Untyped,
     }
 }
 
@@ -224,7 +207,7 @@ fn main() {
     }));
     // Submission paths: in-process, or the replica and a router over it.
     let mut servers = None;
-    let mut paths: Vec<(&str, Option<std::net::SocketAddr>)> = vec![("in_process", None)];
+    let mut paths = vec![("in_process", Target::InProcess(Arc::clone(&service)))];
     if args.http {
         let srv = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind loopback");
         let router = RouterServer::bind(
@@ -236,15 +219,11 @@ fn main() {
         )
         .expect("bind router");
         paths = vec![
-            ("replica", Some(srv.local_addr())),
-            ("router", Some(router.local_addr())),
+            ("replica", Target::Http(srv.local_addr())),
+            ("router", Target::Http(router.local_addr())),
         ];
         servers = Some((srv, router));
     }
-    let submit = |addr: Option<std::net::SocketAddr>, spec: &JobSpec| match addr {
-        None => classify(service.submit_blocking(spec, None)),
-        Some(a) => classify_http(a, spec),
-    };
     // Both paths end at the same service, so its netlist counters are
     // read as deltas around the first path's submissions only: the report
     // describes that path, as it did before the router path existed.
@@ -281,8 +260,8 @@ fn main() {
     let big_spec = JobSpec::Netlist {
         netlist: big.clone(),
     };
-    for (p, &(path, addr)) in paths.iter().enumerate() {
-        let big_outcome = count_first(p == 0, &mut || submit(addr, &big_spec));
+    for (p, (path, target)) in paths.iter().enumerate() {
+        let big_outcome = count_first(p == 0, &mut || classify(target.submit(&big_spec)));
         if big_outcome != Outcome::RejectedBudget {
             failures.push(format!(
                 "{path}: oversized netlist was not budget-rejected: {big_outcome:?}"
@@ -305,12 +284,12 @@ fn main() {
         let spec = JobSpec::Netlist {
             netlist: text.clone(),
         };
-        for (p, (&(path, addr), tally)) in paths.iter().zip(&mut tallies).enumerate() {
+        for (p, ((path, target), tally)) in paths.iter().zip(&mut tallies).enumerate() {
             let mut case_wall = Duration::ZERO;
             let outcome = count_first(p == 0, &mut || {
                 let case_started = Instant::now();
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| submit(addr, &spec)))
-                    .unwrap_or(Outcome::Panicked);
+                let submitted = std::panic::catch_unwind(AssertUnwindSafe(|| target.submit(&spec)));
+                let outcome = submitted.map_or(Outcome::Panicked, classify);
                 case_wall = case_started.elapsed();
                 outcome
             });
@@ -330,7 +309,7 @@ fn main() {
     let wall = started.elapsed();
 
     // ---- Gates.
-    for (&(path, _), tally) in paths.iter().zip(&tallies) {
+    for ((path, _), tally) in paths.iter().zip(&tallies) {
         tally.gate(path, args.max_case_ms, &mut failures);
     }
     // Sanity: the mix must actually exercise both sides of the boundary.
@@ -378,7 +357,7 @@ fn main() {
     report.metric("wall_s", wall.as_secs_f64());
     report.set_solver(service.engine_stats());
 
-    for (&(path, _), t) in paths.iter().zip(&tallies) {
+    for ((path, _), t) in paths.iter().zip(&tallies) {
         println!(
             "netfuzz[{path}]: {} cases | {} solved ({} cached), {} parse-rejected, \
              {} budget-rejected, {} analysis-failed | \

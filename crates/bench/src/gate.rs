@@ -1,17 +1,22 @@
 //! Plumbing shared by the service gate binaries (`si_chaos`, `si_loadgen`,
-//! `si_netfuzz`): flag parsing, metric lookups, bit comparison, the
-//! retrying job POST, the jobs several gates submit, scratch directories,
-//! and the write-report-then-exit tail.
+//! `si_netfuzz`): flag parsing, metric lookups, bit comparison, the one
+//! job submitter ([`Target`]) with its retry rule, the client fan-out and
+//! the retrying storm on top of it, the fresh-solve bit check, the jobs
+//! several gates submit, scratch directories, and the write-report-then-
+//! exit tail.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use si_analog::engine::EngineWorkspace;
 use si_service::http::HttpClient;
 use si_service::jobspec::JobSpec;
 use si_service::json::{self, Json};
 use si_service::service::SiService;
-use si_service::RetryPolicy;
+use si_service::{RetryPolicy, ServiceError};
 
 use crate::run_report::{experiments_dir, RunReport};
 
@@ -135,8 +140,11 @@ pub fn shard_forwards(router_metrics: &Json) -> Vec<(String, f64)> {
 /// body is not a job response.
 #[must_use]
 pub fn response_values(payload: &str) -> Option<Vec<f64>> {
-    json::parse(payload)
-        .ok()?
+    values_of(&json::parse(payload).ok()?)
+}
+
+fn values_of(response: &Json) -> Option<Vec<f64>> {
+    response
         .get("values")?
         .as_array()?
         .iter()
@@ -144,37 +152,156 @@ pub fn response_values(payload: &str) -> Option<Vec<f64>> {
         .collect()
 }
 
-/// Posts one serialized job, retrying transport errors and `5xx` answers
-/// on a seeded-jitter backoff (10 retries, 5 ms doubling up to 500 ms).
-/// `jitter_seed` fixes the retry schedule, so a gate run repeats; clients
-/// given different seeds do not retry in step after a failover.
+/// Where a gate submits its jobs: a service in this process, or a front
+/// end (`si_serve` or `si-router`) over HTTP.
+pub enum Target {
+    /// [`SiService::submit_blocking`] on a live service.
+    InProcess(Arc<SiService>),
+    /// `POST /v1/jobs` to a listening front end.
+    Http(SocketAddr),
+}
+
+impl Target {
+    /// Submits `spec` once and returns its values and whether they were
+    /// served from cache.
+    ///
+    /// # Errors
+    ///
+    /// The same typed error in both modes: over HTTP a non-`200` answer
+    /// reads back through [`ServiceError::from_wire`], and a transport
+    /// failure or a `200` body that is not a job response is
+    /// [`ServiceError::Internal`].
+    pub fn submit(&self, spec: &JobSpec) -> Result<(Vec<f64>, bool), ServiceError> {
+        let addr = match self {
+            Target::InProcess(service) => {
+                let (out, cached) = service.submit_blocking(spec, None)?;
+                return Ok((out.values.clone(), cached));
+            }
+            Target::Http(addr) => *addr,
+        };
+        let body = spec.to_json().to_string_compact();
+        let (status, payload) = HttpClient::new(addr)
+            .request_text("POST", "/v1/jobs", Some(&body))
+            .map_err(|e| ServiceError::Internal(format!("http: {e}")))?;
+        if status != 200 {
+            return Err(ServiceError::from_wire(status, &payload));
+        }
+        let response = json::parse(&payload).unwrap_or(Json::Null);
+        let values = values_of(&response)
+            .ok_or_else(|| ServiceError::Internal(format!("not a job response: {payload}")))?;
+        Ok((values, response.get("cached") == Some(&Json::Bool(true))))
+    }
+}
+
+/// Runs `attempt` until it succeeds, fails with an error a client should
+/// not retry ([`ServiceError::is_client_retryable`]), or `policy` has no
+/// delay left, sleeping each delay in between. Returns the success with
+/// the retries it took, or the last error.
 ///
 /// # Errors
 ///
-/// Any other non-`200` status with its body, or `retries exhausted`.
-pub fn post_job(addr: SocketAddr, body: &str, jitter_seed: u64) -> Result<String, String> {
-    let policy = RetryPolicy {
-        max_retries: 10,
-        base_delay: Duration::from_millis(5),
-        max_delay: Duration::from_millis(500),
-        multiplier: 2,
-        jitter_seed: Some(jitter_seed),
-    };
-    let mut attempt = 0u32;
+/// The last attempt's error.
+pub fn with_retries<T>(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut() -> Result<T, ServiceError>,
+) -> Result<(T, u32), ServiceError> {
+    let mut retries = 0;
     loop {
-        match HttpClient::new(addr).request_text("POST", "/v1/jobs", Some(body)) {
-            Ok((200, payload)) => return Ok(payload),
-            Ok((status, payload)) if !(500..=599).contains(&status) => {
-                return Err(format!("status {status}: {payload}"));
-            }
-            Ok(_) | Err(_) => {}
+        match attempt() {
+            Ok(value) => return Ok((value, retries)),
+            Err(e) if e.is_client_retryable() => match policy.delay(retries) {
+                Some(delay) => std::thread::sleep(delay),
+                None => return Err(e),
+            },
+            Err(e) => return Err(e),
         }
-        let Some(delay) = policy.delay(attempt) else {
-            return Err("retries exhausted".to_string());
-        };
-        std::thread::sleep(delay);
-        attempt += 1;
+        retries += 1;
     }
+}
+
+/// Runs items `0..n` on `clients` threads: client `c` calls `f(c, item)`
+/// for items `c`, `c + clients`, … in that order. Results come back in
+/// item order. No more threads start than there are items.
+pub fn fan_out<R: Send>(n: usize, clients: usize, f: impl Fn(usize, usize) -> R + Sync) -> Vec<R> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let clients = clients.clamp(1, n);
+    let f = &f;
+    let mut per_client: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                scope.spawn(move || (c..n).step_by(clients).map(|k| f(c, k)).collect::<Vec<R>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread").into_iter())
+            .collect()
+    });
+    (0..n)
+        .map(|k| per_client[k % clients].next().expect("one result per item"))
+        .collect()
+}
+
+/// Submits every spec through `target` on `clients` threads
+/// ([`fan_out`]), each submission retried ([`with_retries`], 10 retries,
+/// 5 ms doubling up to 500 ms) on a jitter seeded `jitter_seed + c` for
+/// client `c`: a run repeats, and clients do not retry in step after a
+/// failover. Each finished submission counts in `completed`. Returns the
+/// wall time and each job's values, `None` where the job was lost; the
+/// first few losses are printed.
+pub fn storm(
+    target: &Target,
+    specs: &[JobSpec],
+    clients: usize,
+    jitter_seed: u64,
+    completed: Option<&AtomicU64>,
+) -> (Duration, Vec<Option<Vec<f64>>>) {
+    let start = Instant::now();
+    let results = fan_out(specs.len(), clients, |c, k| {
+        let policy = RetryPolicy {
+            max_retries: 10,
+            base_delay: Duration::from_millis(5),
+            max_delay: Duration::from_millis(500),
+            multiplier: 2,
+            jitter_seed: Some(jitter_seed.wrapping_add(c as u64)),
+        };
+        let result = with_retries(&policy, || target.submit(&specs[k]));
+        if let Some(done) = completed {
+            done.fetch_add(1, Ordering::Relaxed);
+        }
+        result.map(|((values, _), _)| values)
+    });
+    let wall = start.elapsed();
+    let lost = results
+        .iter()
+        .enumerate()
+        .filter_map(|(k, r)| Some((k, r.as_ref().err()?)));
+    for (k, e) in lost.take(3) {
+        eprintln!("job {k} lost: {e}");
+    }
+    (wall, results.into_iter().map(Result::ok).collect())
+}
+
+/// How many served value sets differ bit for bit from a fresh solve of
+/// their spec on a new in-process workspace (a failed fresh solve counts
+/// as a difference). Lost jobs (`None`) are skipped: gates count them
+/// apart.
+#[must_use]
+pub fn fresh_mismatches(specs: &[JobSpec], served: &[Option<Vec<f64>>]) -> u64 {
+    let mut ws = EngineWorkspace::new();
+    let served = specs
+        .iter()
+        .zip(served)
+        .filter_map(|(spec, v)| Some((spec, v.as_ref()?)));
+    served
+        .filter(|(spec, values)| {
+            !spec
+                .run(&mut ws)
+                .is_ok_and(|fresh| same_bits(values, &fresh.values))
+        })
+        .count() as u64
 }
 
 /// The `k`-th distinct delay-line transient of a gate's working set:
@@ -345,5 +472,128 @@ mod tests {
         assert_eq!(response_values(r#"{"values":[1,"x"]}"#), None);
         assert_eq!(response_values(r#"{"error":"overloaded"}"#), None);
         assert_eq!(response_values("not json"), None);
+    }
+
+    #[test]
+    fn fan_out_runs_round_robin_and_answers_in_item_order() {
+        let log = std::sync::Mutex::new(Vec::new());
+        let results = fan_out(11, 3, |c, k| {
+            log.lock().unwrap().push((c, k));
+            k * 10
+        });
+        assert_eq!(results, (0..11).map(|k| k * 10).collect::<Vec<_>>());
+        let log = log.into_inner().unwrap();
+        assert_eq!(log.len(), 11);
+        for c in 0..3 {
+            let mine: Vec<usize> = log.iter().filter(|e| e.0 == c).map(|e| e.1).collect();
+            assert_eq!(mine, (c..11).step_by(3).collect::<Vec<_>>(), "client {c}");
+        }
+    }
+
+    #[test]
+    fn fan_out_handles_no_items_and_more_clients_than_items() {
+        let empty: Vec<usize> = fan_out(0, 4, |_, _| panic!("no item to run"));
+        assert!(empty.is_empty());
+        assert_eq!(fan_out(3, 8, |c, k| (c, k)), vec![(0, 0), (1, 1), (2, 2)]);
+        assert_eq!(fan_out(3, 0, |c, k| (c, k)), vec![(0, 0), (0, 1), (0, 2)]);
+    }
+
+    #[test]
+    fn with_retries_retries_only_what_a_client_may_retry() {
+        let policy = RetryPolicy {
+            max_retries: 3,
+            base_delay: Duration::ZERO,
+            max_delay: Duration::ZERO,
+            multiplier: 2,
+            jitter_seed: None,
+        };
+        let mut calls = 0;
+        let ok = with_retries(&policy, || {
+            calls += 1;
+            if calls < 3 {
+                Err(ServiceError::Overloaded { queue_capacity: 1 })
+            } else {
+                Ok(calls)
+            }
+        });
+        assert_eq!(ok, Ok((3, 2)));
+        let mut calls = 0;
+        let spent = with_retries(&policy, || -> Result<(), _> {
+            calls += 1;
+            Err(ServiceError::Transient("again".into()))
+        });
+        assert_eq!(
+            (spent, calls),
+            (Err(ServiceError::Transient("again".into())), 4)
+        );
+        let mut calls = 0;
+        let permanent = with_retries(&policy, || -> Result<(), _> {
+            calls += 1;
+            Err(ServiceError::ShuttingDown)
+        });
+        assert_eq!((permanent, calls), (Err(ServiceError::ShuttingDown), 1));
+    }
+
+    /// One service, submitted to in-process and over loopback HTTP: the
+    /// same values bit for bit, the same `cached` flags, and the same
+    /// typed error for each kind of rejection.
+    #[test]
+    fn targets_agree_in_process_and_over_http() {
+        use si_service::http::HttpServer;
+        use si_service::ServiceConfig;
+
+        let service = Arc::new(SiService::new(ServiceConfig::default()));
+        let mut server = HttpServer::bind("127.0.0.1:0", Arc::clone(&service)).expect("bind");
+        let targets = [
+            Target::InProcess(Arc::clone(&service)),
+            Target::Http(server.local_addr()),
+        ];
+        let specs = [
+            JobSpec::DelayLineDc {
+                stages: 3,
+                bias_ua: 20.0,
+                input_ua: 1.0,
+            },
+            tran_job(3, 16, 0),
+            tran_job(3, 16, 1),
+        ];
+        for (k, spec) in specs.iter().enumerate() {
+            let (cold, cached) = targets[k % 2].submit(spec).expect("cold submit");
+            assert!(!cached, "job {k} was cached before its first submission");
+            for target in &targets {
+                let (warm, cached) = target.submit(spec).expect("warm submit");
+                assert!(cached, "job {k}");
+                assert!(same_bits(&warm, &cold), "job {k}");
+            }
+        }
+        let rejected = [
+            (
+                JobSpec::Netlist {
+                    netlist: crate::netfuzz::poison(7),
+                },
+                "netlist_rejected",
+            ),
+            (
+                JobSpec::Netlist {
+                    netlist: crate::netfuzz::oversized(9000),
+                },
+                "budget_exceeded",
+            ),
+            (
+                JobSpec::DelayLineDc {
+                    stages: 0,
+                    bias_ua: 20.0,
+                    input_ua: 1.0,
+                },
+                "invalid_spec",
+            ),
+        ];
+        for (spec, code) in rejected {
+            for target in &targets {
+                let err = target.submit(&spec).expect_err("rejected");
+                assert_eq!(err.code(), code, "{err}");
+            }
+        }
+        server.shutdown();
     }
 }

@@ -1,18 +1,16 @@
-//! The tiered, content-addressed result cache with single-flight
-//! deduplication.
+//! The content-addressed result cache with single-flight deduplication,
+//! in memory and optionally on disk.
 //!
 //! Keys are [`JobSpec::job_key`](crate::jobspec::JobSpec::job_key) values;
-//! entries are `Arc`-shared [`JobOutput`]s.
-//! Storage is a stack of [`CacheTier`]s — an in-memory sharded tier
-//! ([`MemoryTier`]) always on top, optionally backed by a persistent
-//! disk tier ([`DiskTier`]) underneath:
+//! entries are `Arc`-shared [`JobOutput`]s. Storage is a sharded in-memory
+//! map, optionally backed by the persistent [`DiskTier`]:
 //!
-//! - **Lookup order** walks the stack top-down: memory first, then disk.
-//! - **Promotion**: a hit in a lower tier is written back into every tier
-//!   above it, so the next lookup is a memory hit.
-//! - **Write-through**: a freshly computed result is stored into *every*
-//!   tier, so it survives a process restart.
-//! - **Never cache errors**: only successful outputs reach any tier; a
+//! - **Lookup order**: memory first, then disk.
+//! - **Promotion**: a disk hit is written into memory, so the next lookup
+//!   is a memory hit.
+//! - **Write-through**: a freshly computed result is stored in memory and
+//!   on disk, so it survives a process restart.
+//! - **Never cache errors**: only successful outputs are stored; a
 //!   transient non-convergence must not poison the key, in memory or on
 //!   disk.
 //!
@@ -64,15 +62,16 @@ const SHARDS: usize = 16;
 
 type JobResult = Result<Arc<JobOutput>, ServiceError>;
 
-/// One storage level of the result cache.
+/// A persistent key→output store under the memory map; [`DiskTier`] is
+/// the one implementation.
 ///
-/// A tier is a plain key→output store: no single-flight, no error
-/// caching, no TTLs — those live in [`ResultCache`], which owns the
-/// stack. Implementations must be cheap to probe on a miss and must
-/// never serve a value they cannot vouch for (the disk tier quarantines
-/// anything failing its checksum instead of returning it).
+/// A tier is a plain store: no single-flight, no error caching, no TTLs
+/// — those live in [`ResultCache`]. Implementations must be cheap to
+/// probe on a miss and must never serve a value they cannot vouch for
+/// (the disk tier quarantines anything failing its checksum instead of
+/// returning it).
 pub trait CacheTier: Send + Sync + std::fmt::Debug {
-    /// Stable tag used in metrics and logs (`"memory"`, `"disk"`).
+    /// Stable tag used in metrics and logs (`"disk"`).
     fn name(&self) -> &'static str;
     /// Looks up `key`, returning a shared output on a hit. May mutate
     /// internal bookkeeping (LRU clocks, hit counters) but must not
@@ -97,112 +96,12 @@ pub struct TierStats {
     /// Entries evicted to fit the tier's budget.
     pub evictions: u64,
     /// Entries quarantined because validation failed (corrupt, foreign,
-    /// torn, or version-mismatched files; always 0 for the memory tier).
+    /// torn, or version-mismatched files).
     pub corrupt_evicted: u64,
     /// Entries currently resident.
     pub entries: u64,
     /// Bytes currently resident (0 where not tracked).
     pub bytes: u64,
-}
-
-/// The always-present top tier: a sharded in-memory map of ready
-/// results.
-#[derive(Debug)]
-pub struct MemoryTier {
-    shards: Vec<Mutex<HashMap<u64, Arc<JobOutput>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    writes: AtomicU64,
-    poison_recoveries: AtomicU64,
-}
-
-impl Default for MemoryTier {
-    fn default() -> Self {
-        MemoryTier::new()
-    }
-}
-
-impl MemoryTier {
-    /// An empty sharded map.
-    #[must_use]
-    pub fn new() -> Self {
-        MemoryTier {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<JobOutput>>> {
-        &self.shards[(key as usize) % SHARDS]
-    }
-
-    fn lock<'a, T>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        m.lock().unwrap_or_else(|poisoned| {
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
-    }
-
-    fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Test/chaos hook: poisons the mutex of `key`'s shard by panicking a
-    /// throwaway thread while it holds the lock.
-    #[doc(hidden)]
-    pub fn poison_shard_for_test(&self, key: u64) {
-        let shard = self.shard(key);
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let _guard = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("deliberate poison for test");
-            });
-            assert!(handle.join().is_err(), "poison thread must panic");
-        });
-    }
-}
-
-impl CacheTier for MemoryTier {
-    fn name(&self) -> &'static str {
-        "memory"
-    }
-
-    fn load(&self, key: u64) -> Option<Arc<JobOutput>> {
-        let shard = self.lock(self.shard(key));
-        match shard.get(&key) {
-            Some(out) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(out))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn store(&self, key: u64, out: &Arc<JobOutput>) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        self.lock(self.shard(key)).insert(key, Arc::clone(out));
-    }
-
-    fn stats(&self) -> TierStats {
-        let entries = self.shards.iter().map(|s| self.lock(s).len() as u64).sum();
-        TierStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            evictions: 0,
-            corrupt_evicted: 0,
-            entries,
-            bytes: 0,
-        }
-    }
 }
 
 /// One in-progress computation that followers wait on.
@@ -273,15 +172,11 @@ pub struct CacheStats {
 
 #[derive(Debug)]
 struct CacheInner {
-    memory: MemoryTier,
-    /// Lower storage tiers in lookup order (today: at most the disk
-    /// tier). Held as trait objects so the lookup/promotion walk is
-    /// tier-agnostic.
-    lower: Vec<Arc<dyn CacheTier>>,
-    /// The concrete disk tier, when configured — same object as in
-    /// `lower`, kept typed for disk-specific stats and chaos hooks.
+    /// Ready results in memory, sharded by key.
+    memory: Vec<Mutex<HashMap<u64, Arc<JobOutput>>>>,
+    /// The persistent tier under memory, when configured.
     disk: Option<Arc<DiskTier>>,
-    /// In-flight computations, sharded like storage but independent of
+    /// In-flight computations, sharded like memory but independent of
     /// it: a disk probe never holds a flight lock.
     flights: Vec<Mutex<HashMap<u64, Arc<Flight>>>>,
     hits: AtomicU64,
@@ -301,21 +196,36 @@ impl CacheInner {
         })
     }
 
+    fn memory_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<JobOutput>>> {
+        &self.memory[(key as usize) % SHARDS]
+    }
+
     fn flight_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<Flight>>> {
         &self.flights[(key as usize) % SHARDS]
     }
 
-    /// Publishes a flight's result: successes are stored into the memory
-    /// tier (and, when `write_through`, every lower tier); all followers
-    /// wake with a clone. Errors are stored nowhere — the key is simply
-    /// freed for the next leader.
+    fn memory_load(&self, key: u64) -> Option<Arc<JobOutput>> {
+        self.lock(self.memory_shard(key)).get(&key).cloned()
+    }
+
+    fn memory_store(&self, key: u64, out: &Arc<JobOutput>) {
+        self.lock(self.memory_shard(key))
+            .insert(key, Arc::clone(out));
+    }
+
+    fn disk_load(&self, key: u64) -> Option<Arc<JobOutput>> {
+        self.disk.as_ref()?.load(key)
+    }
+
+    /// Publishes a flight's result: successes are stored in memory (and,
+    /// when `write_through`, on disk); all followers wake with a clone.
+    /// Errors are stored nowhere — the key is simply freed for the next
+    /// leader.
     fn publish(&self, key: u64, result: JobResult, write_through: bool) {
         if let Ok(out) = &result {
-            self.memory.store(key, out);
-            if write_through {
-                for tier in &self.lower {
-                    tier.store(key, out);
-                }
+            self.memory_store(key, out);
+            if let Some(disk) = self.disk.as_ref().filter(|_| write_through) {
+                disk.store(key, out);
             }
         }
         let flight = self.lock(self.flight_shard(key)).remove(&key);
@@ -327,8 +237,7 @@ impl CacheInner {
     }
 }
 
-/// A sharded, single-flight, tiered, content-addressed cache of job
-/// results.
+/// A sharded, single-flight, content-addressed cache of job results.
 #[derive(Debug)]
 pub struct ResultCache {
     inner: Arc<CacheInner>,
@@ -354,16 +263,14 @@ impl ResultCache {
     }
 
     fn build(disk: Option<Arc<DiskTier>>) -> Self {
-        let lower: Vec<Arc<dyn CacheTier>> = disk
-            .iter()
-            .map(|d| Arc::clone(d) as Arc<dyn CacheTier>)
-            .collect();
+        fn shards<T>() -> Vec<Mutex<HashMap<u64, T>>> {
+            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect()
+        }
         ResultCache {
             inner: Arc::new(CacheInner {
-                memory: MemoryTier::new(),
-                lower,
+                memory: shards(),
                 disk,
-                flights: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+                flights: shards(),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
                 coalesced: AtomicU64::new(0),
@@ -379,13 +286,13 @@ impl ResultCache {
         self.inner.disk.as_ref()
     }
 
-    /// Looks up `key`; on a miss in every tier the caller becomes the
-    /// leader and must call [`ResultCache::complete`]. Blocks (briefly)
-    /// if another thread is already computing the key. A hit in a lower
-    /// tier is promoted to memory before returning.
+    /// Looks up `key`; on a miss in memory and on disk the caller becomes
+    /// the leader and must call [`ResultCache::complete`]. Blocks
+    /// (briefly) if another thread is already computing the key. A disk
+    /// hit is promoted to memory before returning.
     pub fn get_or_lead(&self, key: u64) -> CacheOutcome {
         let inner = &self.inner;
-        if let Some(out) = inner.memory.load(key) {
+        if let Some(out) = inner.memory_load(key) {
             inner.hits.fetch_add(1, Ordering::Relaxed);
             return CacheOutcome::Hit(out);
         }
@@ -423,19 +330,17 @@ impl ResultCache {
         // Leader candidate. A racing leader may have completed between
         // the memory probe and the flight insertion: re-check memory
         // before paying for a disk read or a solve.
-        if let Some(out) = inner.memory.load(key) {
+        if let Some(out) = inner.memory_load(key) {
             inner.hits.fetch_add(1, Ordering::Relaxed);
             inner.publish(key, Ok(Arc::clone(&out)), false);
             return CacheOutcome::Hit(out);
         }
-        // Probe lower tiers top-down; a hit is promoted (published to
-        // memory, not written back to its own tier) and releases any
-        // followers that coalesced while the disk read ran.
-        for tier in &inner.lower {
-            if let Some(out) = tier.load(key) {
-                inner.publish(key, Ok(Arc::clone(&out)), false);
-                return CacheOutcome::Hit(out);
-            }
+        // Probe disk; a hit is promoted (published to memory, not written
+        // back to disk) and releases any followers that coalesced while
+        // the disk read ran.
+        if let Some(out) = inner.disk_load(key) {
+            inner.publish(key, Ok(Arc::clone(&out)), false);
+            return CacheOutcome::Hit(out);
         }
         inner.misses.fetch_add(1, Ordering::Relaxed);
         CacheOutcome::Lead(LeadGuard {
@@ -445,8 +350,8 @@ impl ResultCache {
         })
     }
 
-    /// Publishes the leader's result: successes are written through every
-    /// tier, failures free the key. Either way, all followers wake with a
+    /// Publishes the leader's result: successes are written to memory and
+    /// disk, failures free the key. Either way, all followers wake with a
     /// clone of `result`.
     pub fn complete(&self, mut guard: LeadGuard, result: JobResult) {
         guard.completed = true;
@@ -459,27 +364,23 @@ impl ResultCache {
     /// loop; a miss falls back to a full submission, which does its own
     /// counting (so a probe-then-submit sequence counts exactly once).
     pub fn memory_hit(&self, key: u64) -> Option<Arc<JobOutput>> {
-        let out = self.inner.memory.load(key)?;
+        let out = self.inner.memory_load(key)?;
         self.inner.hits.fetch_add(1, Ordering::Relaxed);
         Some(out)
     }
 
-    /// A non-leading lookup: returns the cached result if ready in any
-    /// tier, without counting a cache-level hit or joining an in-flight
+    /// A non-leading lookup: returns the cached result if ready in memory
+    /// or on disk, without counting a cache-level hit or joining an in-flight
     /// computation. A disk hit is still promoted to memory. Used by
     /// `GET /v1/jobs/:id`, which must not block or become a leader.
     pub fn peek(&self, key: u64) -> Option<Arc<JobOutput>> {
         let inner = &self.inner;
-        if let Some(out) = inner.memory.load(key) {
+        if let Some(out) = inner.memory_load(key) {
             return Some(out);
         }
-        for tier in &inner.lower {
-            if let Some(out) = tier.load(key) {
-                inner.memory.store(key, &out);
-                return Some(out);
-            }
-        }
-        None
+        let out = inner.disk_load(key)?;
+        inner.memory_store(key, &out);
+        Some(out)
     }
 
     /// Whether a leader is currently computing `key`. A pure probe: it
@@ -492,19 +393,22 @@ impl ResultCache {
         inner.lock(inner.flight_shard(key)).contains_key(&key)
     }
 
-    /// Current counter snapshot across all tiers.
+    /// Current counter snapshot, memory and disk.
     pub fn stats(&self) -> CacheStats {
         let inner = &self.inner;
-        let memory = inner.memory.stats();
+        let entries = inner
+            .memory
+            .iter()
+            .map(|s| inner.lock(s).len() as u64)
+            .sum();
         let disk = inner.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
         CacheStats {
             hits: inner.hits.load(Ordering::Relaxed),
             misses: inner.misses.load(Ordering::Relaxed),
             coalesced: inner.coalesced.load(Ordering::Relaxed),
-            entries: memory.entries,
+            entries,
             abandoned_flights: inner.abandoned_flights.load(Ordering::Relaxed),
-            poison_recoveries: inner.poison_recoveries.load(Ordering::Relaxed)
-                + inner.memory.poison_recoveries(),
+            poison_recoveries: inner.poison_recoveries.load(Ordering::Relaxed),
             disk_hits: disk.hits,
             disk_misses: disk.misses,
             disk_writes: disk.writes,
@@ -521,7 +425,16 @@ impl ResultCache {
     /// panic.
     #[doc(hidden)]
     pub fn poison_shard_for_test(&self, key: u64) {
-        self.inner.memory.poison_shard_for_test(key);
+        let shard = self.inner.memory_shard(key);
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| {
+                let _guard = shard
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                panic!("deliberate poison for test");
+            });
+            assert!(handle.join().is_err(), "poison thread must panic");
+        });
     }
 }
 

@@ -3,9 +3,8 @@
 //! [`DiskTier`] persists finished [`JobOutput`]s under a cache directory,
 //! one file per deterministic 64-bit job key, so a restarted server warms
 //! up from its own past work instead of re-solving everything. It sits
-//! *under* the in-memory sharded tier (see
-//! [`CacheTier`] for the lookup/promotion
-//! order) and is built around three invariants:
+//! *under* the in-memory sharded map (see [`crate::cache`] for the
+//! lookup/promotion order) and is built around three invariants:
 //!
 //! 1. **Crash-safe writes.** An entry is serialized to a `.tmp-` file,
 //!    fsynced, and atomically renamed into place. A process killed at any
@@ -51,6 +50,7 @@ use std::sync::{Arc, Mutex};
 use crate::cache::{CacheTier, TierStats};
 use crate::jobspec::{Fnv1a, JobOutput};
 use crate::lock_recover;
+use crate::service::SiService;
 
 const MAGIC: &[u8; 8] = b"SICACHE1";
 const FORMAT_VERSION: u32 = 1;
@@ -396,13 +396,10 @@ impl CacheTier for DiskTier {
     }
 }
 
-/// Parses `"{key:016x}.sic"` back to its key.
+/// Parses `"{key:016x}.sic"` back to its key; any other spelling of a
+/// key is not an entry.
 fn entry_key(name: &str) -> Option<u64> {
-    let stem = name.strip_suffix(".sic")?;
-    if stem.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(stem, 16).ok()
+    SiService::parse_job_id(name.strip_suffix(".sic")?)
 }
 
 /// Serializes one entry, checksum included.
@@ -680,6 +677,23 @@ mod tests {
             !dir.join(".tmp-000000000000004d-dead").exists(),
             "tmp leftover must be deleted"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A file named by another spelling of a key (a `+` sign, uppercase
+    /// digits) is not an entry: indexing it would count bytes under a key
+    /// whose `path_for` is a different file.
+    #[test]
+    fn aliased_entry_names_are_not_indexed() {
+        let dir = tmpdir("alias");
+        let key = 0x0c62_dc37_4ccc_c65a;
+        fs::create_dir_all(&dir).unwrap();
+        for alias in ["+c62dc374cccc65a.sic", "0C62DC374CCCC65A.sic"] {
+            fs::write(dir.join(alias), encode(key, &output(3, 1.0))).unwrap();
+        }
+        let tier = DiskTier::open(DiskTierConfig::at(&dir)).unwrap();
+        assert_eq!(tier.stats().entries, 0);
+        assert!(tier.load(key).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

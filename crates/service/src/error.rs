@@ -9,6 +9,17 @@
 
 use std::fmt;
 
+/// Every resource a [`ServiceError::BudgetExceeded`] can name: the
+/// admission budget's and the front ends' request-body cap.
+const BUDGET_RESOURCES: [&str; 6] = [
+    "netlist_bytes",
+    "nodes",
+    "devices",
+    "mna_dim",
+    "nonzeros",
+    "body_bytes",
+];
+
 /// What went wrong with a job submission or execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -48,7 +59,8 @@ pub enum ServiceError {
     /// `413`.
     BudgetExceeded {
         /// Which resource was over budget (`netlist_bytes`, `nodes`,
-        /// `devices`, `mna_dim`, `nonzeros`).
+        /// `devices`, `mna_dim`, `nonzeros`, or the request's
+        /// `body_bytes`).
         resource: &'static str,
         /// The amount the submission asked for.
         actual: u64,
@@ -123,6 +135,48 @@ impl ServiceError {
             ServiceError::ShuttingDown => "shutting_down",
             ServiceError::NetlistRejected(_) => "netlist_rejected",
             ServiceError::BudgetExceeded { .. } => "budget_exceeded",
+        }
+    }
+
+    /// Reads an HTTP error answer back as the error it encodes: the
+    /// inverse of the `{"error": code, "message": …}` body both front
+    /// ends write. Each code [`ServiceError::code`] emits maps back to its
+    /// variant; message variants keep the message (less the prefix their
+    /// `Display` adds), numeric fields read as 0, and a budget resource
+    /// the service does not price reads as `"unknown"`. Any other answer
+    /// — the router's own `router_overloaded`/`no_backend`, a `not_found`,
+    /// a body that is not JSON — is [`ServiceError::Internal`] carrying
+    /// `"status N: body"`. The read-deadline `408` carries
+    /// `invalid_spec`, since no variant describes it, so it reads back as
+    /// [`ServiceError::InvalidSpec`].
+    #[must_use]
+    pub fn from_wire(status: u16, body: &str) -> ServiceError {
+        let doc = crate::json::parse(body).ok();
+        let field = |key| doc.as_ref()?.get(key)?.as_str();
+        let message = field("message").unwrap_or_default();
+        let text = |blank: fn(String) -> ServiceError| {
+            let prefix = blank(String::new()).to_string();
+            blank(message.strip_prefix(&prefix).unwrap_or(message).to_string())
+        };
+        match field("error").unwrap_or_default() {
+            "overloaded" => ServiceError::Overloaded { queue_capacity: 0 },
+            "deadline_exceeded" => ServiceError::DeadlineExceeded,
+            "canceled" => ServiceError::Canceled,
+            "invalid_spec" => text(ServiceError::InvalidSpec),
+            "analysis_failed" => text(ServiceError::Analysis),
+            "transient" => text(ServiceError::Transient),
+            "internal" => text(ServiceError::Internal),
+            "shutting_down" => ServiceError::ShuttingDown,
+            "netlist_rejected" => text(ServiceError::NetlistRejected),
+            "budget_exceeded" => ServiceError::BudgetExceeded {
+                resource: BUDGET_RESOURCES
+                    .into_iter()
+                    .find(|r| message.split(' ').any(|word| word == *r))
+                    .unwrap_or("unknown"),
+                actual: 0,
+                limit: 0,
+            },
+            _ => ServiceError::Internal(format!("status {status}: {body}")),
         }
     }
 
@@ -231,5 +285,70 @@ mod tests {
             limit: 1,
         }
         .is_client_retryable());
+    }
+
+    /// Every variant's wire body reads back as the same variant: message
+    /// variants whole, numeric ones with their fields zeroed. Answers the
+    /// service never writes read as `Internal`, with status and body.
+    #[test]
+    fn from_wire_inverts_the_error_body() {
+        let all = [
+            ServiceError::Overloaded { queue_capacity: 8 },
+            ServiceError::DeadlineExceeded,
+            ServiceError::Canceled,
+            ServiceError::InvalidSpec("bad stages".into()),
+            ServiceError::Analysis("analysis failed: nested".into()),
+            ServiceError::Transient("iteration budget".into()),
+            ServiceError::Internal("worker panicked".into()),
+            ServiceError::ShuttingDown,
+            ServiceError::NetlistRejected("line 2, column 8: bad value".into()),
+            ServiceError::BudgetExceeded {
+                resource: "mna_dim",
+                actual: 120_000,
+                limit: 65_536,
+            },
+            ServiceError::BudgetExceeded {
+                resource: "body_bytes",
+                actual: 1 << 21,
+                limit: 1 << 20,
+            },
+        ];
+        for err in all {
+            let body = crate::http::error_body(&err);
+            let back = ServiceError::from_wire(err.http_status(), &body);
+            let expected = match err {
+                ServiceError::Overloaded { .. } => ServiceError::Overloaded { queue_capacity: 0 },
+                ServiceError::BudgetExceeded { resource, .. } => ServiceError::BudgetExceeded {
+                    resource,
+                    actual: 0,
+                    limit: 0,
+                },
+                other => other,
+            };
+            assert_eq!(back, expected, "{body}");
+        }
+        for (status, body) in [
+            (
+                503,
+                r#"{"error":"no_backend","message":"no ready replica"}"#,
+            ),
+            (404, r#"{"error":"not_found","message":"unknown route"}"#),
+            (502, "<html>bad gateway</html>"),
+            (500, ""),
+        ] {
+            assert_eq!(
+                ServiceError::from_wire(status, body),
+                ServiceError::Internal(format!("status {status}: {body}"))
+            );
+        }
+        let unpriced = r#"{"error":"budget_exceeded","message":"over"}"#;
+        assert_eq!(
+            ServiceError::from_wire(413, unpriced),
+            ServiceError::BudgetExceeded {
+                resource: "unknown",
+                actual: 0,
+                limit: 0,
+            }
+        );
     }
 }

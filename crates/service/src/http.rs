@@ -827,14 +827,15 @@ fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposi
                     let err = ServiceError::InvalidSpec(msg);
                     conn.start_write(&Response::error(&err), false, &ctx.config);
                 }
-                Parse::TooLarge => {
+                Parse::TooLarge(content_length) => {
                     ctx.stats.too_large.fetch_add(1, Ordering::Relaxed);
-                    let err = ServiceError::InvalidSpec(format!(
-                        "request body exceeds {} bytes",
-                        ctx.config.max_body_bytes
-                    ));
+                    let err = ServiceError::BudgetExceeded {
+                        resource: "body_bytes",
+                        actual: content_length as u64,
+                        limit: ctx.config.max_body_bytes as u64,
+                    };
                     // The unread body is still in the pipe: close.
-                    conn.start_write(&Response::json(413, error_body(&err)), false, &ctx.config);
+                    conn.start_write(&Response::error(&err), false, &ctx.config);
                 }
                 Parse::Request { request, consumed } => {
                     conn.buf.drain(..consumed);
@@ -966,8 +967,8 @@ enum Parse {
     Request { request: Request, consumed: usize },
     /// Broken framing or body → `400` with this message.
     Bad(String),
-    /// `Content-Length` over the cap → `413`.
-    TooLarge,
+    /// A `Content-Length` (this one) over the cap → `413`.
+    TooLarge(usize),
 }
 
 fn try_parse(buf: &[u8], max_body_bytes: usize) -> Parse {
@@ -1040,7 +1041,7 @@ fn try_parse(buf: &[u8], max_body_bytes: usize) -> Parse {
         Some(Ok(n)) => n,
     };
     if content_length > max_body_bytes {
-        return Parse::TooLarge;
+        return Parse::TooLarge(content_length);
     }
     let body_end = header_end + content_length;
     if buf.len() < body_end {
@@ -1845,6 +1846,15 @@ mod tests {
     /// Writes `raw` verbatim and returns the status line's code, if any
     /// response arrives at all.
     fn raw_request(addr: SocketAddr, raw: &[u8]) -> Option<u16> {
+        raw_response(addr, raw)?
+            .split_whitespace()
+            .nth(1)?
+            .parse()
+            .ok()
+    }
+
+    /// Writes `raw` verbatim and returns the whole response, if any.
+    fn raw_response(addr: SocketAddr, raw: &[u8]) -> Option<String> {
         let mut stream = TcpStream::connect(addr).ok()?;
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1853,7 +1863,7 @@ mod tests {
         stream.flush().ok()?;
         let mut response = String::new();
         BufReader::new(stream).read_to_string(&mut response).ok()?;
-        response.split_whitespace().nth(1)?.parse().ok()
+        Some(response)
     }
 
     /// Regression (ISSUE 5): a POST with no `Content-Length` used to be
@@ -1929,18 +1939,36 @@ mod tests {
 
     /// Regression (ISSUE 5): an oversized `Content-Length` used to close
     /// the socket silently; now it is a typed `413` sent before any body
-    /// byte is read.
+    /// byte is read. Its code is `budget_exceeded` on `body_bytes`, not
+    /// `invalid_spec`, whose own status is 400.
     #[test]
     fn oversized_body_is_413() {
         for front in fronts(HttpConfig {
             max_body_bytes: 64,
             ..HttpConfig::default()
         }) {
-            let status = raw_request(
+            let response = raw_response(
                 front.addr(),
                 b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 1048576\r\nConnection: close\r\n\r\n",
+            )
+            .unwrap_or_default();
+            let (head, body) = response.split_once("\r\n\r\n").unwrap_or_default();
+            assert!(
+                head.starts_with("HTTP/1.1 413 "),
+                "{}: {head}",
+                front.name()
             );
-            assert_eq!(status, Some(413), "{}", front.name());
+            assert_eq!(
+                ServiceError::from_wire(413, body),
+                ServiceError::BudgetExceeded {
+                    resource: "body_bytes",
+                    actual: 0,
+                    limit: 0,
+                },
+                "{}",
+                front.name()
+            );
+            assert!(body.contains("body_bytes 1048576 over limit 64"), "{body}");
             assert_eq!(
                 front.stats().too_large.load(Ordering::Relaxed),
                 1,
@@ -2357,6 +2385,43 @@ mod tests {
             thread::sleep(Duration::from_millis(5));
         }
         panic!("disk write never landed");
+    }
+
+    /// A job id or cache key has one spelling. A `+` sign or uppercase
+    /// digits used to alias the key they spell: the job was served and
+    /// the alias echoed as its id.
+    #[test]
+    fn aliased_ids_and_keys_are_400() {
+        let (mut server, service, dir) = serve_with_disk("alias");
+        let addr = server.local_addr();
+        let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
+        let (status, body) = call(addr, "POST", "/v1/jobs", Some(spec));
+        assert_eq!(status, 200, "{body}");
+        let id = json::parse(&body)
+            .unwrap()
+            .get("id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        wait_disk_writes(&service, 1.0);
+        assert_eq!(call(addr, "GET", &format!("/v1/jobs/{id}"), None).0, 200);
+        let cached = HttpClient::new(addr).request("GET", &format!("/v1/cache/{id}"), None);
+        assert_eq!(cached.unwrap().0, 200);
+        for alias in [format!("+{}", &id[1..]), id.to_uppercase()] {
+            for route in ["/v1/jobs/", "/v1/cache/"] {
+                let (status, body) = call(addr, "GET", &format!("{route}{alias}"), None);
+                assert_eq!(status, 400, "{route}{alias}: {body}");
+            }
+            let warm = format!(r#"{{"peer":"127.0.0.1:1","keys":["{alias}"]}}"#);
+            assert_eq!(
+                call(addr, "POST", "/v1/warm", Some(&warm)).0,
+                400,
+                "{alias}"
+            );
+        }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// ISSUE 9 satellite: `GET /v1/cache/:key` serves only

@@ -342,14 +342,17 @@ impl SiService {
         format!("{key:016x}")
     }
 
-    /// Parses a wire id back to a job key.
+    /// Parses a wire id back to a job key. Only what [`SiService::job_id`]
+    /// writes is accepted — 16 lowercase hex digits — so no key has a
+    /// second spelling (`from_str_radix` alone takes a `+` sign and
+    /// uppercase). Job ids, cache keys and disk entry names all read
+    /// through here.
     #[must_use]
     pub fn parse_job_id(id: &str) -> Option<u64> {
-        if id.len() == 16 {
-            u64::from_str_radix(id, 16).ok()
-        } else {
-            None
+        if id.len() != 16 || !id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
         }
+        u64::from_str_radix(id, 16).ok()
     }
 
     /// Submits a job and blocks until its result is available: from the
@@ -1306,6 +1309,24 @@ mod tests {
         assert_eq!(id.len(), 16);
         assert_eq!(SiService::parse_job_id(&id), Some(spec.job_key()));
         assert_eq!(SiService::parse_job_id("nope"), None);
+    }
+
+    /// A key has one spelling: the one `job_id` writes. A sign or an
+    /// uppercase digit used to alias it.
+    #[test]
+    fn job_ids_have_one_spelling() {
+        assert_eq!(
+            SiService::parse_job_id("0c62dc374cccc65a"),
+            Some(0x0c62_dc37_4ccc_c65a)
+        );
+        for alias in [
+            "+c62dc374cccc65a",
+            "0C62DC374CCCC65A",
+            "0c62dc374cccc65A",
+            " c62dc374cccc65a",
+        ] {
+            assert_eq!(SiService::parse_job_id(alias), None, "{alias}");
+        }
     }
 
     #[test]
