@@ -10,13 +10,13 @@
 //! time constant, the `time_constants` parameter of the behavioral model —
 //! falls out of [`AcAnalysis::response`] on the Fig. 1 netlist.
 
-use crate::complexmat::C64;
 use crate::engine::EngineWorkspace;
 use crate::mna::Solution;
 use crate::netlist::{Circuit, ElementKind, NodeId};
 use crate::solver::Target;
 use crate::units::Volts;
 use crate::AnalogError;
+use si_dsp::Complex;
 
 /// Where the unit AC stimulus is applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +92,7 @@ impl AcAnalysis {
         circuit: &Circuit,
         op_voltages: &[f64],
         omega: f64,
-        a: &mut Target<'_, C64>,
+        a: &mut Target<'_, Complex>,
     ) -> Result<(), AnalogError> {
         let dim = circuit.mna_dimension();
         if dim == 0 {
@@ -108,7 +108,7 @@ impl AcAnalysis {
                 Some(n.index() - 1)
             }
         };
-        let stamp_adm = |a: &mut Target<'_, C64>, na: NodeId, nb: NodeId, y: C64| {
+        let stamp_adm = |a: &mut Target<'_, Complex>, na: NodeId, nb: NodeId, y: Complex| {
             if let Some(i) = row(na) {
                 a.stamp(i, i, y);
                 if let Some(j) = row(nb) {
@@ -130,14 +130,14 @@ impl AcAnalysis {
                     b: nb,
                     device,
                 } => {
-                    stamp_adm(a, *na, *nb, C64::real(device.conductance().0));
+                    stamp_adm(a, *na, *nb, Complex::from_real(device.conductance().0));
                 }
                 ElementKind::Capacitor {
                     a: na,
                     b: nb,
                     device,
                 } => {
-                    stamp_adm(a, *na, *nb, C64::imag(omega * device.c.0));
+                    stamp_adm(a, *na, *nb, Complex::new(0.0, omega * device.c.0));
                 }
                 ElementKind::Switch {
                     a: na,
@@ -151,7 +151,7 @@ impl AcAnalysis {
                         crate::device::ClockPhase::AlwaysOff => false,
                     };
                     let r = if on { device.ron } else { device.roff };
-                    stamp_adm(a, *na, *nb, C64::real(1.0 / r.0));
+                    stamp_adm(a, *na, *nb, Complex::from_real(1.0 / r.0));
                 }
                 ElementKind::CurrentSource { .. } => {
                     // Independent sources are zeroed in AC (stimulus comes
@@ -162,12 +162,12 @@ impl AcAnalysis {
                 } => {
                     let k = n_nodes - 1 + *branch;
                     if let Some(i) = row(*pos) {
-                        a.stamp(i, k, C64::ONE);
-                        a.stamp(k, i, C64::ONE);
+                        a.stamp(i, k, Complex::ONE);
+                        a.stamp(k, i, Complex::ONE);
                     }
                     if let Some(j) = row(*neg) {
-                        a.stamp(j, k, -C64::ONE);
-                        a.stamp(k, j, -C64::ONE);
+                        a.stamp(j, k, -Complex::ONE);
+                        a.stamp(k, j, -Complex::ONE);
                     }
                 }
                 ElementKind::Mosfet { terminals, params } => {
@@ -179,51 +179,56 @@ impl AcAnalysis {
                     let (gm, gds, gmb) = (eval.gm, eval.gds, eval.gmb);
                     let gsum = gm + gds + gmb;
                     if let Some(d) = row(terminals.drain) {
-                        a.stamp(d, d, C64::real(gds));
+                        a.stamp(d, d, Complex::from_real(gds));
                         if let Some(g) = row(terminals.gate) {
-                            a.stamp(d, g, C64::real(gm));
+                            a.stamp(d, g, Complex::from_real(gm));
                         }
                         if let Some(s) = row(terminals.source) {
-                            a.stamp(d, s, C64::real(-gsum));
+                            a.stamp(d, s, Complex::from_real(-gsum));
                         }
                         if let Some(bk) = row(terminals.bulk) {
-                            a.stamp(d, bk, C64::real(gmb));
+                            a.stamp(d, bk, Complex::from_real(gmb));
                         }
                     }
                     if let Some(s) = row(terminals.source) {
-                        a.stamp(s, s, C64::real(gsum));
+                        a.stamp(s, s, Complex::from_real(gsum));
                         if let Some(g) = row(terminals.gate) {
-                            a.stamp(s, g, C64::real(-gm));
+                            a.stamp(s, g, Complex::from_real(-gm));
                         }
                         if let Some(d) = row(terminals.drain) {
-                            a.stamp(s, d, C64::real(-gds));
+                            a.stamp(s, d, Complex::from_real(-gds));
                         }
                         if let Some(bk) = row(terminals.bulk) {
-                            a.stamp(s, bk, C64::real(-gmb));
+                            a.stamp(s, bk, Complex::from_real(-gmb));
                         }
                     }
                     if self.include_device_caps {
                         let cgs = params.cgs();
-                        stamp_adm(a, terminals.gate, terminals.source, C64::imag(omega * cgs));
+                        stamp_adm(
+                            a,
+                            terminals.gate,
+                            terminals.source,
+                            Complex::new(0.0, omega * cgs),
+                        );
                         stamp_adm(
                             a,
                             terminals.gate,
                             terminals.drain,
-                            C64::imag(omega * cgs / 5.0),
+                            Complex::new(0.0, omega * cgs / 5.0),
                         );
                     }
                 }
             }
         }
         for i in 0..(n_nodes - 1) {
-            a.stamp(i, i, C64::real(self.gmin));
+            a.stamp(i, i, Complex::from_real(self.gmin));
         }
         Ok(())
     }
 
-    fn rhs(&self, circuit: &Circuit, stimulus: &AcStimulus) -> Result<Vec<C64>, AnalogError> {
+    fn rhs(&self, circuit: &Circuit, stimulus: &AcStimulus) -> Result<Vec<Complex>, AnalogError> {
         let dim = circuit.mna_dimension();
-        let mut b = vec![C64::ZERO; dim];
+        let mut b = vec![Complex::ZERO; dim];
         match stimulus {
             AcStimulus::CurrentInto(node) => {
                 if node.is_ground() {
@@ -232,21 +237,26 @@ impl AcAnalysis {
                         constraint: "cannot inject into ground",
                     });
                 }
-                b[node.index() - 1] = C64::ONE;
+                b[node.index() - 1] = Complex::ONE;
             }
             AcStimulus::VoltageOf(name) => {
                 let branch = circuit.branch_of(name)?;
-                b[circuit.node_count() - 1 + branch] = C64::ONE;
+                b[circuit.node_count() - 1 + branch] = Complex::ONE;
             }
         }
         Ok(b)
     }
 
-    fn read(&self, circuit: &Circuit, probe: &AcProbe, x: &[C64]) -> Result<C64, AnalogError> {
+    fn read(
+        &self,
+        circuit: &Circuit,
+        probe: &AcProbe,
+        x: &[Complex],
+    ) -> Result<Complex, AnalogError> {
         Ok(match probe {
             AcProbe::NodeVoltage(node) => {
                 if node.is_ground() {
-                    C64::ZERO
+                    Complex::ZERO
                 } else {
                     x[node.index() - 1]
                 }
@@ -271,7 +281,7 @@ impl AcAnalysis {
         stimulus: &AcStimulus,
         probe: &AcProbe,
         freqs_hz: &[f64],
-    ) -> Result<Vec<C64>, AnalogError> {
+    ) -> Result<Vec<Complex>, AnalogError> {
         let mut ws = EngineWorkspace::new();
         self.response_with(circuit, op, stimulus, probe, freqs_hz, &mut ws)
     }
@@ -291,7 +301,7 @@ impl AcAnalysis {
         probe: &AcProbe,
         freqs_hz: &[f64],
         ws: &mut EngineWorkspace,
-    ) -> Result<Vec<C64>, AnalogError> {
+    ) -> Result<Vec<Complex>, AnalogError> {
         let voltages = op.node_voltages();
         let b = self.rhs(circuit, stimulus)?;
         let mut out = Vec::with_capacity(freqs_hz.len());
@@ -337,7 +347,7 @@ pub fn log_frequencies(f_lo: f64, f_hi: f64, points: usize) -> Result<Vec<f64>, 
 /// where the magnitude drops below `|H(f₀)|/√2`, interpolated
 /// logarithmically. Returns `None` if the response never drops.
 #[must_use]
-pub fn bandwidth_3db(freqs_hz: &[f64], response: &[C64]) -> Option<f64> {
+pub fn bandwidth_3db(freqs_hz: &[f64], response: &[Complex]) -> Option<f64> {
     let h0 = response.first()?.abs();
     let target = h0 / std::f64::consts::SQRT_2;
     for k in 1..response.len().min(freqs_hz.len()) {

@@ -11,13 +11,13 @@
 //! shortcut.
 
 use crate::ac::{AcAnalysis, AcProbe};
-use crate::complexmat::C64;
 use crate::engine::EngineWorkspace;
 use crate::mna::Solution;
 use crate::netlist::{Circuit, ElementKind, NodeId};
 use crate::units::Volts;
 use crate::AnalogError;
 use crate::BOLTZMANN;
+use si_dsp::Complex;
 
 /// Noise-analysis configuration.
 ///
@@ -175,18 +175,18 @@ impl NoiseAnalysis {
             })?;
             for (si, src) in sources.iter().enumerate() {
                 ws.crhs.clear();
-                ws.crhs.resize(dim, C64::ZERO);
+                ws.crhs.resize(dim, Complex::ZERO);
                 if !src.to.is_ground() {
-                    ws.crhs[src.to.index() - 1] += C64::ONE;
+                    ws.crhs[src.to.index() - 1] += Complex::ONE;
                 }
                 if !src.from.is_ground() {
-                    ws.crhs[src.from.index() - 1] -= C64::ONE;
+                    ws.crhs[src.from.index() - 1] -= Complex::ONE;
                 }
                 let x = ws.complex_solve_own_rhs()?;
                 let h = match probe {
                     AcProbe::NodeVoltage(node) => {
                         if node.is_ground() {
-                            C64::ZERO
+                            Complex::ZERO
                         } else {
                             x[node.index() - 1]
                         }

@@ -13,7 +13,7 @@
 //!
 //! The linear algebra itself lives behind the [`crate::solver`] backend
 //! layer: the workspace owns one [`Solver`] per scalar field — `f64` for
-//! the Newton loop, [`C64`] for AC and noise — and hands each the
+//! the Newton loop, [`Complex`] for AC and noise — and hands each the
 //! assembly as a closure. The [`BackendPolicy`] set via
 //! [`EngineWorkspace::set_backend_policy`] decides per circuit between the
 //! dense LU fast path and the sparse structure-caching path. On the sparse
@@ -42,7 +42,6 @@
 //! time; work shared across points (one symbolic factorization, a
 //! warm-start chain) stays inside one workspace via [`BatchRun`].
 
-use crate::complexmat::C64;
 use crate::device::switch::TwoPhaseClock;
 use crate::mna::{assemble_into_target, CapStep, Solution, StampContext};
 use crate::netlist::Circuit;
@@ -50,6 +49,7 @@ use crate::solver::{BackendPolicy, Solver, Target};
 use crate::telemetry::{EngineStats, SolveKind, SolveOutcome};
 use crate::units::Seconds;
 use crate::AnalogError;
+use si_dsp::Complex;
 use std::time::{Duration, Instant};
 
 /// Convergence controls for the damped Newton loop.
@@ -107,11 +107,11 @@ pub struct EngineWorkspace {
     /// Voltage-source branch currents of the latest Newton state.
     pub(crate) branches: Vec<f64>,
     /// Complex linear solver for AC/noise analyses.
-    pub(crate) complex: Solver<C64>,
+    pub(crate) complex: Solver<Complex>,
     /// Complex right-hand side.
-    pub(crate) crhs: Vec<C64>,
+    pub(crate) crhs: Vec<Complex>,
     /// Complex solution vector.
-    pub(crate) cx: Vec<C64>,
+    pub(crate) cx: Vec<Complex>,
     /// Backend-selection policy applied to every solve driven through
     /// this workspace.
     policy: BackendPolicy,
@@ -412,7 +412,7 @@ impl EngineWorkspace {
         assemble: F,
     ) -> Result<(), AnalogError>
     where
-        F: FnOnce(&mut Target<'_, C64>) -> Result<(), AnalogError>,
+        F: FnOnce(&mut Target<'_, Complex>) -> Result<(), AnalogError>,
     {
         let policy = self.policy;
         let event = self
@@ -431,7 +431,7 @@ impl EngineWorkspace {
     /// # Errors
     ///
     /// Propagates solve errors; must follow [`Self::complex_factorize`].
-    pub(crate) fn complex_solve(&mut self, b: &[C64]) -> Result<&[C64], AnalogError> {
+    pub(crate) fn complex_solve(&mut self, b: &[Complex]) -> Result<&[Complex], AnalogError> {
         self.complex.solve(b, &mut self.cx)?;
         self.probe_event(EngineStats::complex_back_substitution);
         Ok(&self.cx)
@@ -444,7 +444,7 @@ impl EngineWorkspace {
     /// # Errors
     ///
     /// Propagates solve errors; must follow [`Self::complex_factorize`].
-    pub(crate) fn complex_solve_own_rhs(&mut self) -> Result<&[C64], AnalogError> {
+    pub(crate) fn complex_solve_own_rhs(&mut self) -> Result<&[Complex], AnalogError> {
         self.complex.solve(&self.crhs, &mut self.cx)?;
         self.probe_event(EngineStats::complex_back_substitution);
         Ok(&self.cx)

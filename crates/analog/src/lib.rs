@@ -57,7 +57,6 @@
 pub mod ac;
 pub mod acnoise;
 pub mod cells;
-pub mod complexmat;
 pub mod dc;
 pub mod device;
 pub mod engine;

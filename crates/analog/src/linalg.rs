@@ -242,7 +242,7 @@ impl<S: Scalar> std::ops::IndexMut<(usize, usize)> for Matrix<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complexmat::C64;
+    use si_dsp::Complex;
 
     fn stamped<S: Scalar>(n: usize, entries: &[(usize, usize, S)]) -> Matrix<S> {
         let mut m = Matrix::zeros(n, n);
@@ -387,24 +387,24 @@ mod tests {
         let a = stamped(4, &real);
         assert_split_path_matches_solve(&a, &[1.0, -2.0, 0.5, 3.0]);
 
-        let complex: Vec<(usize, usize, C64)> = real
+        let complex: Vec<(usize, usize, Complex)> = real
             .iter()
-            .map(|&(i, j, v)| (i, j, C64::new(v, if i == j { 1e-3 } else { -v })))
+            .map(|&(i, j, v)| (i, j, Complex::new(v, if i == j { 1e-3 } else { -v })))
             .collect();
         let a = stamped(4, &complex);
         let b = [
-            C64::new(1.0, 2.0),
-            C64::real(-3.0),
-            C64::imag(0.25),
-            C64::ONE,
+            Complex::new(1.0, 2.0),
+            Complex::from_real(-3.0),
+            Complex::new(0.0, 0.25),
+            Complex::ONE,
         ];
         assert_split_path_matches_solve(&a, &b);
 
         // Singular: both paths report the same failing row.
         let singular = stamped(3, &[(0, 0, 1.0), (1, 0, 2.0), (2, 2, 1.0)]);
         assert_split_path_matches_solve(&singular, &[1.0, 1.0, 1.0]);
-        let singular = stamped(2, &[(0, 1, C64::ONE), (1, 1, C64::imag(2.0))]);
-        assert_split_path_matches_solve(&singular, &[C64::ONE, C64::ONE]);
+        let singular = stamped(2, &[(0, 1, Complex::ONE), (1, 1, Complex::new(0.0, 2.0))]);
+        assert_split_path_matches_solve(&singular, &[Complex::ONE, Complex::ONE]);
     }
 
     /// A NaN stamped anywhere into a solvable 3×3 system ends in a
@@ -440,7 +440,7 @@ mod tests {
     #[test]
     fn nan_stamped_matrix_never_yields_an_all_finite_answer() {
         assert_nan_is_never_hidden(|v| v);
-        assert_nan_is_never_hidden(|v| C64::new(v, 0.5 * v));
+        assert_nan_is_never_hidden(|v| Complex::new(v, 0.5 * v));
         // Upper triangular with a NaN above the diagonal: every
         // elimination factor is zero, so the skip keeps the NaN out of the
         // rows below and every pivot stays finite. The solve succeeds with
@@ -483,5 +483,160 @@ mod tests {
     fn out_of_range_index_panics() {
         let m = Matrix::<f64>::zeros(2, 2);
         let _ = m[(2, 0)];
+    }
+
+    // The complex scalar through the same kernel.
+
+    fn complex_close(a: Complex, b: Complex) -> bool {
+        (a - b).abs() < 1e-10
+    }
+
+    fn assert_complex_bits(x: &[Complex], y: &[Complex]) {
+        assert_eq!(x.len(), y.len());
+        for (u, v) in x.iter().zip(y) {
+            assert_eq!(u.re.to_bits(), v.re.to_bits());
+            assert_eq!(u.im.to_bits(), v.im.to_bits());
+        }
+    }
+
+    /// An asymmetric 3×3 that needs pivoting and mixes magnitudes.
+    fn complex_pivoting_system() -> (Matrix<Complex>, Vec<Complex>) {
+        let mut m = Matrix::zeros(3, 3);
+        m.stamp(0, 1, Complex::new(2.0, -1.0));
+        m.stamp(0, 2, Complex::from_real(0.5));
+        m.stamp(1, 0, Complex::new(1e-3, 4.0));
+        m.stamp(1, 1, Complex::new(0.0, -2.0));
+        m.stamp(2, 0, Complex::from_real(3.0));
+        m.stamp(2, 2, Complex::new(-1.0, 1.0));
+        let b = vec![
+            Complex::new(1.0, 2.0),
+            Complex::from_real(-3.0),
+            Complex::new(0.0, 0.25),
+        ];
+        (m, b)
+    }
+
+    #[test]
+    fn scalar_arithmetic() {
+        let a = Complex::new(1.0, 2.0);
+        let b = Complex::new(3.0, -1.0);
+        assert!(complex_close(a + b, Complex::new(4.0, 1.0)));
+        assert!(complex_close(a * b, Complex::new(5.0, 5.0)));
+        assert!(complex_close(a / b * b, a));
+        assert!(complex_close(a.conj().conj(), a));
+        assert!((Complex::new(3.0, 4.0).abs() - 5.0).abs() < 1e-12);
+        assert!(complex_close(-a + a, Complex::ZERO));
+        assert!(complex_close(
+            Complex::new(0.0, 2.0) * Complex::new(0.0, 3.0),
+            Complex::from_real(-6.0)
+        ));
+    }
+
+    #[test]
+    fn identity_solve() {
+        let mut m = Matrix::zeros(3, 3);
+        for i in 0..3 {
+            m.stamp(i, i, Complex::ONE);
+        }
+        let b = vec![
+            Complex::new(1.0, 1.0),
+            Complex::new(2.0, -1.0),
+            Complex::from_real(3.0),
+        ];
+        let x = m.solve(&b).unwrap();
+        for (u, v) in x.iter().zip(&b) {
+            assert!(complex_close(*u, *v));
+        }
+    }
+
+    #[test]
+    fn solves_complex_system() {
+        let mut m = Matrix::zeros(2, 2);
+        m.stamp(0, 0, Complex::new(1.0, 1.0));
+        m.stamp(0, 1, Complex::from_real(2.0));
+        m.stamp(1, 1, Complex::new(0.0, 3.0));
+        let b = vec![Complex::new(3.0, 1.0), Complex::new(0.0, 6.0)];
+        let x = m.solve(&b).unwrap();
+        // Residual check.
+        let r0 = m[(0, 0)] * x[0] + m[(0, 1)] * x[1] - b[0];
+        let r1 = m[(1, 1)] * x[1] - b[1];
+        assert!(r0.abs() < 1e-12 && r1.abs() < 1e-12);
+    }
+
+    #[test]
+    fn complex_pivoting_handles_zero_diagonal() {
+        let mut m = Matrix::zeros(2, 2);
+        m.stamp(0, 1, Complex::ONE);
+        m.stamp(1, 0, Complex::ONE);
+        let x = m
+            .solve(&[Complex::from_real(2.0), Complex::from_real(5.0)])
+            .unwrap();
+        assert!(complex_close(x[0], Complex::from_real(5.0)));
+        assert!(complex_close(x[1], Complex::from_real(2.0)));
+    }
+
+    #[test]
+    fn factored_path_is_bit_identical_to_one_shot_solve() {
+        let (m, b) = complex_pivoting_system();
+        let one_shot = m.solve(&b).unwrap();
+        let mut lu = m.clone();
+        let mut perm = Vec::new();
+        lu.factor_in_place(&mut perm).unwrap();
+        let mut x = Vec::new();
+        lu.lu_solve_into(&perm, &b, &mut x).unwrap();
+        assert_complex_bits(&x, &one_shot);
+    }
+
+    #[test]
+    fn scratch_solve_is_bit_identical_across_dimension_changes() {
+        // One set of factor buffers serving a 3×3, then a 1×1, then the
+        // 3×3 again must leave no stale state: every answer matches a
+        // fresh solve bit for bit.
+        let (big, bb) = complex_pivoting_system();
+        let mut small = Matrix::zeros(1, 1);
+        small.stamp(0, 0, Complex::new(0.0, 2.0));
+        let sb = vec![Complex::from_real(4.0)];
+
+        let mut lu = Matrix::zeros(0, 0);
+        let mut perm = Vec::new();
+        let mut x = Vec::new();
+        for _ in 0..2 {
+            for (m, b) in [(&big, &bb), (&small, &sb)] {
+                lu.clone_from(m);
+                lu.factor_in_place(&mut perm).unwrap();
+                lu.lu_solve_into(&perm, b, &mut x).unwrap();
+                assert_complex_bits(&x, &m.solve(b).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn resize_zeroed_clears_previous_contents() {
+        let mut m = Matrix::zeros(2, 2);
+        m.stamp(1, 1, Complex::new(7.0, -7.0));
+        m.resize_zeroed(3, 3);
+        assert_eq!(m.rows(), 3);
+        for i in 0..3 {
+            for j in 0..3 {
+                assert_eq!(m[(i, j)].abs(), 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn singular_is_reported() {
+        let m = Matrix::<Complex>::zeros(2, 2);
+        assert!(matches!(
+            m.solve(&[Complex::ONE, Complex::ONE]),
+            Err(AnalogError::SingularMatrix { .. })
+        ));
+    }
+
+    #[test]
+    fn length_mismatch_rejected() {
+        let mut m = Matrix::zeros(2, 2);
+        m.stamp(0, 0, Complex::ONE);
+        m.stamp(1, 1, Complex::ONE);
+        assert!(m.solve(&[Complex::ONE]).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! The solver backend layer: one abstraction over the dense and sparse
 //! linear-algebra paths, generic over the [`Scalar`] field — `f64` for DC
-//! and transient, [`crate::complexmat::C64`] for AC and noise.
+//! and transient, [`si_dsp::Complex`] for AC and noise.
 //!
 //! Every analysis assembles an MNA system and factors it; *how* is a
 //! per-circuit decision this module owns. Tiny circuits (the paper's

@@ -23,16 +23,16 @@
 //! [`crate::linalg::Matrix`] does. Like [`crate::linalg`], this module is
 //! self-contained: no external numerics dependency.
 
-use crate::complexmat::C64;
 use crate::telemetry::BackendKind;
 use crate::AnalogError;
+use si_dsp::Complex;
 
 /// Pivot magnitudes below this are treated as singular, by the dense and
 /// the sparse LU alike.
 pub(crate) const PIVOT_EPS: f64 = 1e-300;
 
 /// The field the dense and sparse kernels operate over: `f64` for the real
-/// MNA path, [`C64`] for AC and noise.
+/// MNA path, [`Complex`] for AC and noise.
 pub trait Scalar:
     Copy
     + std::fmt::Debug
@@ -80,9 +80,9 @@ impl Scalar for f64 {
     }
 }
 
-impl Scalar for C64 {
-    const ZERO: C64 = C64::ZERO;
-    const ONE: C64 = C64::ONE;
+impl Scalar for Complex {
+    const ZERO: Complex = Complex::ZERO;
+    const ONE: Complex = Complex::ONE;
     const DENSE_BACKEND: BackendKind = BackendKind::DenseComplex;
     const SPARSE_BACKEND: BackendKind = BackendKind::SparseComplex;
 
@@ -1060,22 +1060,24 @@ mod tests {
             }
         }
         let p = SparsityPattern::from_entries(n, &entries);
-        let mut a = CscMatrix::<C64>::from_pattern(p);
+        let mut a = CscMatrix::<Complex>::from_pattern(p);
         let mut dense = Matrix::zeros(n, n);
         for i in 0..n {
-            let d = C64::new(4.0 + rng.next(), rng.next());
+            let d = Complex::new(4.0 + rng.next(), rng.next());
             a.stamp(i, i, d);
             dense.stamp(i, i, d);
             if i + 1 < n {
-                let u = C64::new(rng.next(), rng.next());
-                let l = C64::new(rng.next(), rng.next());
+                let u = Complex::new(rng.next(), rng.next());
+                let l = Complex::new(rng.next(), rng.next());
                 a.stamp(i, i + 1, u);
                 dense.stamp(i, i + 1, u);
                 a.stamp(i + 1, i, l);
                 dense.stamp(i + 1, i, l);
             }
         }
-        let b: Vec<C64> = (0..n).map(|_| C64::new(rng.next(), rng.next())).collect();
+        let b: Vec<Complex> = (0..n)
+            .map(|_| Complex::new(rng.next(), rng.next()))
+            .collect();
         let mut lu = SparseLu::new();
         lu.factorize(&a).unwrap();
         let mut x = Vec::new();

@@ -8,7 +8,7 @@
 //! * [`EngineStats`] — the collector the engine notifies about solves,
 //!   Newton iterations, LU factorizations, gmin ladder moves, and
 //!   non-finite rejections: counters, per-solve peaks, and wall-clock
-//!   time, all chosen so that [`Merge::merge`] is associative and
+//!   time, all chosen so that [`EngineStats::merge`] is associative and
 //!   commutative. Per-worker collectors (the service pool's worker
 //!   workspaces, the per-point workspaces of a solver-health sweep)
 //!   therefore merge to the same totals regardless of how points were
@@ -17,8 +17,6 @@
 //!   the per-element stamping path), and the collector can only
 //!   *observe*: enabling it never changes a solved voltage bit for bit
 //!   (property-tested in `crates/analog/tests/properties.rs`).
-//! * [`Merge`] — the deterministic reduction that folds those
-//!   collectors into one total.
 //!
 //! Failure forensics (the per-iteration residual trajectory of a diverging
 //! solve) ride on [`crate::AnalogError::NoConvergence`] itself rather than
@@ -50,11 +48,11 @@ pub enum SolveKind {
 pub enum BackendKind {
     /// Dense real LU ([`crate::linalg::Matrix`]`<f64>`).
     DenseReal,
-    /// Dense complex LU ([`crate::linalg::Matrix`]`<C64>`).
+    /// Dense complex LU ([`crate::linalg::Matrix`]`<Complex>`).
     DenseComplex,
     /// Sparse real LU ([`crate::sparse::SparseLu`]`<f64>`).
     SparseReal,
-    /// Sparse complex LU ([`crate::sparse::SparseLu`]`<C64>`).
+    /// Sparse complex LU ([`crate::sparse::SparseLu`]`<Complex>`).
     SparseComplex,
 }
 
@@ -70,21 +68,6 @@ pub enum SolveOutcome {
     NonFinite,
     /// Assembly or factorization failed (singular matrix, bad element).
     Aborted,
-}
-
-/// A deterministic, order-independent reduction.
-///
-/// Implementations must be associative and commutative —
-/// `a.merge(b); a.merge(c)` must equal `a.merge(c); a.merge(b)` and any
-/// re-parenthesization — so that merging per-worker partial results yields
-/// totals independent of how work was scheduled.
-pub trait Merge {
-    /// Folds `other` into `self`.
-    fn merge(&mut self, other: &Self);
-}
-
-impl Merge for () {
-    fn merge(&mut self, _other: &Self) {}
 }
 
 /// The built-in telemetry collector: solver-health counters accumulated
@@ -285,8 +268,13 @@ impl EngineStats {
     }
 }
 
-impl Merge for EngineStats {
-    fn merge(&mut self, other: &Self) {
+impl EngineStats {
+    /// Folds `other` into `self`: the deterministic, order-independent
+    /// reduction. It is associative and commutative —
+    /// `a.merge(b); a.merge(c)` equals `a.merge(c); a.merge(b)` and any
+    /// re-parenthesization — so merging per-worker collectors yields
+    /// totals independent of how work was scheduled.
+    pub fn merge(&mut self, other: &Self) {
         self.solves += other.solves;
         self.dc_solves += other.dc_solves;
         self.transient_steps += other.transient_steps;

@@ -11,7 +11,6 @@
 use si_analog::ac::{log_frequencies, AcAnalysis, AcProbe, AcStimulus};
 use si_analog::acnoise::NoiseAnalysis;
 use si_analog::cells::{si_cell_chain, ClassAbCellDesign};
-use si_analog::complexmat::C64;
 use si_analog::dc::DcSolver;
 use si_analog::device::switch::TwoPhaseClock;
 use si_analog::device::Waveform;
@@ -19,6 +18,7 @@ use si_analog::engine::EngineWorkspace;
 use si_analog::solver::{BackendMode, BackendPolicy};
 use si_analog::tran::{self, TranParams};
 use si_analog::units::Seconds;
+use si_dsp::Complex;
 
 /// FNV-1a over the little-endian bytes of each value's bit pattern.
 #[derive(Clone, Copy)]
@@ -39,7 +39,7 @@ impl Fnv {
         self
     }
 
-    fn c64s<'a>(self, values: impl IntoIterator<Item = &'a C64>) -> Self {
+    fn c64s<'a>(self, values: impl IntoIterator<Item = &'a Complex>) -> Self {
         self.f64s(values.into_iter().flat_map(|z| [z.re, z.im]))
     }
 }

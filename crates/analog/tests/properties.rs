@@ -243,7 +243,7 @@ proptest! {
         ),
         rot in 0usize..16,
     ) {
-        use si_analog::telemetry::{EngineStats, Merge};
+        use si_analog::telemetry::EngineStats;
 
         let parts: Vec<EngineStats> = draws.into_iter().map(stats_sample).collect();
 

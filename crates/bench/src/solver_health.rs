@@ -22,7 +22,7 @@ use si_analog::dc::{set_current_source, DcSolver};
 use si_analog::engine::EngineWorkspace;
 use si_analog::headroom::HeadroomBudget;
 use si_analog::smallsignal::SmallSignal;
-use si_analog::telemetry::{EngineStats, Merge};
+use si_analog::telemetry::EngineStats;
 use si_analog::units::{Amps, Volts};
 use si_analog::AnalogError;
 

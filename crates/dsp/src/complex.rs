@@ -35,12 +35,14 @@ impl Complex {
     pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular parts.
+    #[inline]
     #[must_use]
     pub const fn new(re: f64, im: f64) -> Self {
         Complex { re, im }
     }
 
     /// Creates a purely real complex number.
+    #[inline]
     #[must_use]
     pub const fn from_real(re: f64) -> Self {
         Complex { re, im: 0.0 }
@@ -72,6 +74,7 @@ impl Complex {
     }
 
     /// The complex conjugate.
+    #[inline]
     #[must_use]
     pub fn conj(self) -> Self {
         Complex {
@@ -81,6 +84,7 @@ impl Complex {
     }
 
     /// The squared magnitude `re² + im²` (cheaper than [`Complex::abs`]).
+    #[inline]
     #[must_use]
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
@@ -88,12 +92,14 @@ impl Complex {
 
     /// The magnitude `|z|`, computed with `hypot` for robustness near
     /// overflow/underflow.
+    #[inline]
     #[must_use]
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
 
     /// The argument (phase) in radians, in `(-π, π]`.
+    #[inline]
     #[must_use]
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
@@ -103,6 +109,7 @@ impl Complex {
     ///
     /// Returns a non-finite number when `self` is zero, matching `1.0 / 0.0`
     /// semantics for real floats.
+    #[inline]
     #[must_use]
     pub fn recip(self) -> Self {
         let d = self.norm_sqr();
@@ -113,6 +120,7 @@ impl Complex {
     }
 
     /// Scales by a real factor.
+    #[inline]
     #[must_use]
     pub fn scale(self, k: f64) -> Self {
         Complex {
@@ -147,6 +155,7 @@ impl Complex {
     }
 
     /// Whether both parts are finite.
+    #[inline]
     #[must_use]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
@@ -161,12 +170,14 @@ impl From<f64> for Complex {
 
 impl Add for Complex {
     type Output = Complex;
+    #[inline]
     fn add(self, rhs: Complex) -> Complex {
         Complex::new(self.re + rhs.re, self.im + rhs.im)
     }
 }
 
 impl AddAssign for Complex {
+    #[inline]
     fn add_assign(&mut self, rhs: Complex) {
         *self = *self + rhs;
     }
@@ -174,12 +185,14 @@ impl AddAssign for Complex {
 
 impl Sub for Complex {
     type Output = Complex;
+    #[inline]
     fn sub(self, rhs: Complex) -> Complex {
         Complex::new(self.re - rhs.re, self.im - rhs.im)
     }
 }
 
 impl SubAssign for Complex {
+    #[inline]
     fn sub_assign(&mut self, rhs: Complex) {
         *self = *self - rhs;
     }
@@ -187,6 +200,7 @@ impl SubAssign for Complex {
 
 impl Mul for Complex {
     type Output = Complex;
+    #[inline]
     fn mul(self, rhs: Complex) -> Complex {
         Complex::new(
             self.re * rhs.re - self.im * rhs.im,
@@ -196,6 +210,7 @@ impl Mul for Complex {
 }
 
 impl MulAssign for Complex {
+    #[inline]
     fn mul_assign(&mut self, rhs: Complex) {
         *self = *self * rhs;
     }
@@ -203,6 +218,7 @@ impl MulAssign for Complex {
 
 impl Mul<f64> for Complex {
     type Output = Complex;
+    #[inline]
     fn mul(self, rhs: f64) -> Complex {
         self.scale(rhs)
     }
@@ -212,6 +228,7 @@ impl Mul<f64> for Complex {
 #[allow(clippy::suspicious_arithmetic_impl)]
 impl Div for Complex {
     type Output = Complex;
+    #[inline]
     fn div(self, rhs: Complex) -> Complex {
         self * rhs.recip()
     }
@@ -219,6 +236,7 @@ impl Div for Complex {
 
 impl Div<f64> for Complex {
     type Output = Complex;
+    #[inline]
     fn div(self, rhs: f64) -> Complex {
         Complex::new(self.re / rhs, self.im / rhs)
     }
@@ -226,6 +244,7 @@ impl Div<f64> for Complex {
 
 impl Neg for Complex {
     type Output = Complex;
+    #[inline]
     fn neg(self) -> Complex {
         Complex::new(-self.re, -self.im)
     }

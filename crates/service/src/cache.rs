@@ -15,12 +15,15 @@
 //!   disk.
 //!
 //! When several clients ask for the same key concurrently, exactly one
-//! (the *leader*) computes; the rest (*followers*) block on a condvar and
+//! (the *leader*) computes; the rest (*followers*) wait on the flight and
 //! receive the leader's result — the "single-flight" discipline that
 //! keeps a thundering herd of identical jobs from multiplying solver
-//! work. The in-flight table is sharded separately from storage, so a
-//! disk probe never holds a flight lock. A disk hit is single-flight too:
-//! concurrent callers coalesce onto the one caller doing the disk read.
+//! work. Leader and followers wait the same way: each holds a [`Waiter`]
+//! on the flight and blocks on its condvar until the result is published
+//! or the caller's own deadline passes. The in-flight table is sharded
+//! separately from storage, so a disk probe never holds a flight lock. A
+//! disk hit is single-flight too: concurrent callers coalesce onto the one
+//! caller doing the disk read.
 //!
 //! Batch jobs ([`JobSpec::DelayLineDcBatch`](crate::jobspec::JobSpec))
 //! cache at the same granularity as everything else: one key, one entry,
@@ -50,9 +53,11 @@
 //! Process-kill crash safety — a `SIGKILL` mid-disk-write — is the disk
 //! tier's own atomic-rename discipline; see [`crate::disk`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 use crate::disk::DiskTier;
 use crate::error::ServiceError;
@@ -104,8 +109,8 @@ pub struct TierStats {
     pub bytes: u64,
 }
 
-/// One in-progress computation that followers wait on.
-#[derive(Debug)]
+/// One in-progress computation that its leader and followers wait on.
+#[derive(Debug, Default)]
 struct Flight {
     slot: Mutex<Option<JobResult>>,
     done: Condvar,
@@ -116,9 +121,8 @@ struct Flight {
 pub enum CacheOutcome {
     /// The result was already cached (in memory, or promoted from disk).
     Hit(Arc<JobOutput>),
-    /// Another thread is computing this key; the caller was blocked until
-    /// it finished and this is its result.
-    Coalesced(JobResult),
+    /// Another thread is computing this key: wait on its flight.
+    Follow(Waiter),
     /// The caller is the leader: it must compute and then call
     /// [`ResultCache::complete`] with the outcome.
     Lead(LeadGuard),
@@ -127,13 +131,22 @@ pub enum CacheOutcome {
 /// Proof of leadership for one key. The leader normally consumes the
 /// guard via [`ResultCache::complete`]; if it unwinds instead (panic,
 /// early return), `Drop` completes the flight with
-/// [`ServiceError::Internal`] so followers wake with a typed error
+/// [`ServiceError::Internal`] so waiters wake with a typed error
 /// instead of waiting forever.
 #[derive(Debug)]
 pub struct LeadGuard {
     key: u64,
+    flight: Arc<Flight>,
     cache: Arc<CacheInner>,
     completed: bool,
+}
+
+/// A wait on one key's flight, held by its followers and, through
+/// [`LeadGuard::waiter`], by its leader.
+#[derive(Debug)]
+pub struct Waiter {
+    flight: Arc<Flight>,
+    cache: Arc<CacheInner>,
 }
 
 /// Monotonic counters describing cache behavior since startup.
@@ -190,10 +203,13 @@ impl CacheInner {
     /// Locks `m`, recovering (and counting) mutex poisoning: the caller
     /// gets a usable guard either way.
     fn lock<'a, T>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        m.lock().unwrap_or_else(|poisoned| {
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        m.lock().unwrap_or_else(|poisoned| self.recover(poisoned))
+    }
+
+    /// Counts a recovered poisoning and returns what it guarded.
+    fn recover<T>(&self, poisoned: PoisonError<T>) -> T {
+        self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
+        poisoned.into_inner()
     }
 
     fn memory_shard(&self, key: u64) -> &Mutex<HashMap<u64, Arc<JobOutput>>> {
@@ -296,36 +312,16 @@ impl ResultCache {
             inner.hits.fetch_add(1, Ordering::Relaxed);
             return CacheOutcome::Hit(out);
         }
-        let existing = {
-            let mut shard = inner.lock(inner.flight_shard(key));
-            match shard.get(&key) {
-                Some(flight) => Some(Arc::clone(flight)),
-                None => {
-                    shard.insert(
-                        key,
-                        Arc::new(Flight {
-                            slot: Mutex::new(None),
-                            done: Condvar::new(),
-                        }),
-                    );
-                    None
-                }
-            }
+        let (flight, follows) = match inner.lock(inner.flight_shard(key)).entry(key) {
+            Entry::Occupied(entry) => (Arc::clone(entry.get()), true),
+            Entry::Vacant(entry) => (Arc::clone(entry.insert(Arc::default())), false),
         };
-        if let Some(flight) = existing {
-            // Follower: wait outside the shard lock. The leader always
-            // publishes — by `complete`, by disk promotion, or by its
-            // guard's drop backstop — so this wait cannot strand;
-            // poisoned waits recover the guard.
+        if follows {
             inner.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut slot = inner.lock(&flight.slot);
-            while slot.is_none() {
-                slot = flight.done.wait(slot).unwrap_or_else(|poisoned| {
-                    inner.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                    poisoned.into_inner()
-                });
-            }
-            return CacheOutcome::Coalesced(slot.as_ref().expect("checked above").clone());
+            return CacheOutcome::Follow(Waiter {
+                flight,
+                cache: Arc::clone(inner),
+            });
         }
         // Leader candidate. A racing leader may have completed between
         // the memory probe and the flight insertion: re-check memory
@@ -345,6 +341,7 @@ impl ResultCache {
         inner.misses.fetch_add(1, Ordering::Relaxed);
         CacheOutcome::Lead(LeadGuard {
             key,
+            flight,
             cache: Arc::clone(inner),
             completed: false,
         })
@@ -438,6 +435,51 @@ impl ResultCache {
     }
 }
 
+impl LeadGuard {
+    /// A wait on this guard's own flight: the leader waits for the result
+    /// it hands to a worker the same way its followers do.
+    #[must_use]
+    pub fn waiter(&self) -> Waiter {
+        Waiter {
+            flight: Arc::clone(&self.flight),
+            cache: Arc::clone(&self.cache),
+        }
+    }
+}
+
+impl Waiter {
+    /// Blocks until the flight's result is published, or until
+    /// `deadline_at` passes ([`ServiceError::DeadlineExceeded`]); `None`
+    /// waits for the result. The leader always publishes — by `complete`,
+    /// by disk promotion, or by its guard's drop backstop — so a wait
+    /// without a deadline cannot strand; poisoned waits recover the
+    /// guard.
+    ///
+    /// # Errors
+    ///
+    /// The leader's error, or [`ServiceError::DeadlineExceeded`].
+    pub fn wait(&self, deadline_at: Option<Instant>) -> JobResult {
+        let (cache, done) = (&self.cache, &self.flight.done);
+        let mut slot = cache.lock(&self.flight.slot);
+        loop {
+            if let Some(result) = slot.as_ref() {
+                return result.clone();
+            }
+            slot = match deadline_at {
+                None => done.wait(slot).unwrap_or_else(|p| cache.recover(p)),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(ServiceError::DeadlineExceeded);
+                    }
+                    let waited = done.wait_timeout(slot, left);
+                    waited.unwrap_or_else(|p| cache.recover(p)).0
+                }
+            };
+        }
+    }
+}
+
 impl Drop for LeadGuard {
     fn drop(&mut self) {
         if self.completed {
@@ -503,16 +545,24 @@ mod tests {
         for _ in 0..4 {
             let cache = Arc::clone(&cache);
             joins.push(thread::spawn(move || match cache.get_or_lead(42) {
-                CacheOutcome::Coalesced(Ok(out)) => out.values[0],
-                other => panic!("expected Coalesced, got {other:?}"),
+                CacheOutcome::Follow(waiter) => waiter.wait(None).unwrap().values[0],
+                other => panic!("expected Follow, got {other:?}"),
             }));
         }
+        // A wait whose deadline has passed ends without the result; the
+        // flight goes on.
+        let leader = guard.waiter();
+        assert_eq!(
+            leader.wait(Some(Instant::now())),
+            Err(ServiceError::DeadlineExceeded)
+        );
         // Give followers time to park, then publish.
         thread::sleep(std::time::Duration::from_millis(20));
         cache.complete(guard, Ok(output(9.0)));
         for j in joins {
             assert_eq!(j.join().unwrap(), 9.0);
         }
+        assert_eq!(leader.wait(None).unwrap().values, vec![9.0]);
         assert_eq!(cache.stats().coalesced, 4);
         assert_eq!(cache.stats().misses, 1);
     }
@@ -547,8 +597,8 @@ mod tests {
         for _ in 0..3 {
             let cache = Arc::clone(&cache);
             followers.push(thread::spawn(move || match cache.get_or_lead(11) {
-                CacheOutcome::Coalesced(result) => result,
-                other => panic!("expected Coalesced, got {other:?}"),
+                CacheOutcome::Follow(waiter) => waiter.wait(None),
+                other => panic!("expected Follow, got {other:?}"),
             }));
         }
         thread::sleep(std::time::Duration::from_millis(20));
@@ -744,8 +794,9 @@ mod tests {
         for _ in 0..8 {
             let cache = Arc::clone(&cache);
             joins.push(thread::spawn(move || match cache.get_or_lead(31) {
-                CacheOutcome::Hit(out) | CacheOutcome::Coalesced(Ok(out)) => out.values[0],
-                other => panic!("expected Hit/Coalesced, got {other:?}"),
+                CacheOutcome::Hit(out) => out.values[0],
+                CacheOutcome::Follow(waiter) => waiter.wait(None).unwrap().values[0],
+                other => panic!("expected Hit/Follow, got {other:?}"),
             }));
         }
         for j in joins {

@@ -46,7 +46,7 @@ pub enum ServiceError {
     /// Injected faults also surface here.
     Transient(String),
     /// The worker computing this job panicked or disappeared before
-    /// replying. The flight was released, nothing was cached.
+    /// publishing. The flight was released, nothing was cached.
     Internal(String),
     /// The service is draining and no longer admits jobs.
     ShuttingDown,
@@ -67,6 +67,9 @@ pub enum ServiceError {
         /// The configured ceiling.
         limit: u64,
     },
+    /// The request was not received within the front end's read deadline.
+    /// Maps to `408`; a client may resend it.
+    RequestTimeout,
 }
 
 impl fmt::Display for ServiceError {
@@ -91,6 +94,7 @@ impl fmt::Display for ServiceError {
                 f,
                 "admission budget exceeded: {resource} {actual} over limit {limit}"
             ),
+            ServiceError::RequestTimeout => write!(f, "request not received in time"),
         }
     }
 }
@@ -118,6 +122,7 @@ impl ServiceError {
             ServiceError::ShuttingDown => 503,
             ServiceError::NetlistRejected(_) => 422,
             ServiceError::BudgetExceeded { .. } => 413,
+            ServiceError::RequestTimeout => 408,
         }
     }
 
@@ -135,6 +140,7 @@ impl ServiceError {
             ServiceError::ShuttingDown => "shutting_down",
             ServiceError::NetlistRejected(_) => "netlist_rejected",
             ServiceError::BudgetExceeded { .. } => "budget_exceeded",
+            ServiceError::RequestTimeout => "request_timeout",
         }
     }
 
@@ -146,9 +152,7 @@ impl ServiceError {
     /// the service does not price reads as `"unknown"`. Any other answer
     /// — the router's own `router_overloaded`/`no_backend`, a `not_found`,
     /// a body that is not JSON — is [`ServiceError::Internal`] carrying
-    /// `"status N: body"`. The read-deadline `408` carries
-    /// `invalid_spec`, since no variant describes it, so it reads back as
-    /// [`ServiceError::InvalidSpec`].
+    /// `"status N: body"`.
     #[must_use]
     pub fn from_wire(status: u16, body: &str) -> ServiceError {
         let doc = crate::json::parse(body).ok();
@@ -176,6 +180,7 @@ impl ServiceError {
                 actual: 0,
                 limit: 0,
             },
+            "request_timeout" => ServiceError::RequestTimeout,
             _ => ServiceError::Internal(format!("status {status}: {body}")),
         }
     }
@@ -193,10 +198,15 @@ impl ServiceError {
     }
 
     /// Whether a *client* should back off and resubmit: everything
-    /// [`ServiceError::is_retryable`] covers plus load-shed rejections.
+    /// [`ServiceError::is_retryable`] covers plus load-shed rejections and
+    /// requests the front end timed out before receiving.
     #[must_use]
     pub fn is_client_retryable(&self) -> bool {
-        self.is_retryable() || matches!(self, ServiceError::Overloaded { .. })
+        self.is_retryable()
+            || matches!(
+                self,
+                ServiceError::Overloaded { .. } | ServiceError::RequestTimeout
+            )
     }
 }
 
@@ -224,6 +234,7 @@ mod tests {
                 "worker panicked",
             ),
             (ServiceError::ShuttingDown, "shutting down"),
+            (ServiceError::RequestTimeout, "not received in time"),
             (
                 ServiceError::NetlistRejected("line 2, column 8: bad value".into()),
                 "line 2, column 8",
@@ -253,6 +264,7 @@ mod tests {
         assert_eq!(ServiceError::Transient(String::new()).http_status(), 503);
         assert_eq!(ServiceError::Internal(String::new()).http_status(), 500);
         assert_eq!(ServiceError::ShuttingDown.http_status(), 503);
+        assert_eq!(ServiceError::RequestTimeout.http_status(), 408);
         assert_eq!(
             ServiceError::NetlistRejected(String::new()).http_status(),
             422
@@ -278,6 +290,8 @@ mod tests {
         assert!(!ServiceError::Analysis(String::new()).is_client_retryable());
         assert!(!ServiceError::DeadlineExceeded.is_retryable());
         assert!(!ServiceError::ShuttingDown.is_retryable());
+        assert!(!ServiceError::RequestTimeout.is_retryable());
+        assert!(ServiceError::RequestTimeout.is_client_retryable());
         assert!(!ServiceError::NetlistRejected(String::new()).is_client_retryable());
         assert!(!ServiceError::BudgetExceeded {
             resource: "devices",
@@ -312,6 +326,7 @@ mod tests {
                 actual: 1 << 21,
                 limit: 1 << 20,
             },
+            ServiceError::RequestTimeout,
         ];
         for err in all {
             let body = crate::http::error_body(&err);

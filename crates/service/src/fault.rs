@@ -1,12 +1,20 @@
 //! Deterministic fault injection for chaos testing the service.
 //!
 //! A [`FaultPlan`] decides, purely from a seed and a monotonically
-//! increasing event index, whether the `n`-th job execution should be
-//! sabotaged and how: the worker can *panic* mid-job, *stall* for a fixed
-//! duration (long enough to blow a caller's deadline), or report a
-//! *transient* non-convergence. A fourth kind, dropping a connection
-//! mid-body, is executed by the HTTP client side of the chaos harness but
-//! scheduled by the same plan so one seed reproduces the whole run.
+//! increasing event index, whether the `n`-th draw should sabotage the
+//! job and how: the worker can *panic*, *stall* for a fixed duration
+//! (long enough to blow a caller's deadline), or report a *transient*
+//! non-convergence. A fourth kind, dropping a connection mid-body, is
+//! executed by the HTTP client side of the chaos harness but scheduled by
+//! the same plan so one seed reproduces the whole run.
+//!
+//! The worker draws under one rule: before each unit of work — the one
+//! unit of a single-shot job, each batch scenario, each stream chunk —
+//! except the first unit of a job with more than one, so a fault in a
+//! batch or a stream lands after real partial state exists. Either panic
+//! kind panics, a stall sleeps and then runs the unit, a transient fails
+//! the attempt (retryably), and a connection drop does nothing on the
+//! worker.
 //!
 //! Nothing here consults the wall clock or an RNG at decision time — the
 //! schedule is a pure function of `(seed, index)` — so a chaos run with a
@@ -17,7 +25,7 @@
 //! The injector is a *test-only hook*: production builds never install
 //! one ([`crate::service::SiService::install_fault_injector`] is called
 //! only by tests and the `si_chaos` load generator), and an uninstalled
-//! hook costs one `Option` check per job.
+//! hook costs one `Option` check per unit of work.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
@@ -28,22 +36,22 @@ use crate::retry::splitmix64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FaultKind {
-    /// The worker thread panics mid-job (after taking flight leadership).
+    /// The worker thread panics (after taking flight leadership).
     PanicWorker,
-    /// The worker sleeps for the plan's stall duration before solving —
+    /// The worker sleeps for the plan's stall duration before the unit —
     /// long enough to push the job past a caller-side deadline.
     Stall,
     /// The job reports [`crate::ServiceError::Transient`] instead of
-    /// running, imitating a Newton budget exhaustion that a retry clears.
+    /// running the unit, imitating a Newton budget exhaustion that a
+    /// retry clears.
     Transient,
     /// The client drops its connection mid-request-body (HTTP harness
     /// only; the service side just observes a truncated read).
     DropConnection,
-    /// The worker panics between two chunks of a streaming job — after at
-    /// least one checkpoint exists — so the retry must *resume* from the
-    /// checkpoint rather than rerun from scratch. Drawn per chunk (not
-    /// per job) by the streaming executor; non-streaming jobs never see
-    /// this kind.
+    /// The worker panics, like [`FaultKind::PanicWorker`], but counted
+    /// apart: the kind the streaming chaos plans draw, so that between two
+    /// chunks — after at least one checkpoint exists — the retry must
+    /// *resume* from the checkpoint rather than rerun from scratch.
     PanicMidChunk,
 }
 
@@ -80,9 +88,7 @@ pub struct FaultPlan {
     pub transient_pm: u64,
     /// Dropped-connection rate, per 1000 events (client-side kind).
     pub drop_pm: u64,
-    /// Mid-chunk panic rate, per 1000 events. Only the streaming
-    /// executor's per-chunk draws can land in this bucket; job-level
-    /// draws treat it like any other scheduled fault.
+    /// Mid-chunk panic rate, per 1000 events.
     pub panic_mid_chunk_pm: u64,
     /// How long a [`FaultKind::Stall`] sleeps.
     pub stall: Duration,
@@ -166,7 +172,7 @@ pub struct FaultStats {
     pub transients: u64,
     /// Connection drops scheduled (executed by the HTTP client harness).
     pub dropped_connections: u64,
-    /// Mid-chunk panics injected by the streaming executor.
+    /// Mid-chunk panics injected.
     pub panic_mid_chunks: u64,
     /// Faults whose request later completed successfully (recorded by the
     /// chaos harness once a faulted key is re-verified).

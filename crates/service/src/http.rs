@@ -918,8 +918,8 @@ fn sweep_deadlines<H: Handler>(conns: &mut [Option<Conn>], ctx: &LoopCtx<H>) {
         match conn.state {
             ConnState::Reading => {
                 ctx.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                let err = ServiceError::InvalidSpec("request not received in time".to_string());
-                conn.start_write(&Response::json(408, error_body(&err)), false, &ctx.config);
+                let response = Response::error(&ServiceError::RequestTimeout);
+                conn.start_write(&response, false, &ctx.config);
                 let disposition = drive(conn, token, ctx);
                 settle(conns, token, disposition, ctx);
             }
@@ -1750,6 +1750,62 @@ mod tests {
         server.shutdown();
     }
 
+    /// A follower's `timeout_ms` holds while it waits on another
+    /// request's flight: the leader's only execution stalls 400 ms, and a
+    /// follower asking for 30 ms gets its `504` well before that, while
+    /// the leader still gets its `200`.
+    #[test]
+    fn follower_past_its_timeout_is_504() {
+        let service = Arc::new(SiService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            ..ServiceConfig::default()
+        }));
+        service.install_fault_injector(Arc::new(crate::fault::FaultInjector::new(
+            crate::fault::FaultPlan {
+                seed: 0,
+                panic_pm: 0,
+                stall_pm: 1000,
+                transient_pm: 0,
+                drop_pm: 0,
+                panic_mid_chunk_pm: 0,
+                stall: Duration::from_millis(400),
+                max_faults: 1,
+            },
+        )));
+        let mut server =
+            HttpServer::bind_with("127.0.0.1:0", Arc::clone(&service), HttpConfig::default())
+                .expect("bind loopback");
+        let addr = server.local_addr();
+        let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1.75}"#;
+        let key = JobSpec::from_json(&json::parse(spec).unwrap())
+            .unwrap()
+            .job_key();
+        let leader = thread::spawn(move || call(addr, "POST", "/v1/jobs", Some(spec)));
+        while !service.in_flight(key) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let follower =
+            r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1.75,"timeout_ms":30}"#;
+        let started = Instant::now();
+        let (status, body) = call(addr, "POST", "/v1/jobs", Some(follower));
+        let waited = started.elapsed();
+        assert_eq!(status, 504, "{body}");
+        assert!(body.contains("deadline_exceeded"), "{body}");
+        assert!(
+            waited < Duration::from_millis(200),
+            "follower waited {waited:?}"
+        );
+        let (status, body) = leader.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let m = service.metrics();
+        let counter =
+            |section: &str, name: &str| m.get(section).unwrap().get(name).unwrap().as_f64();
+        assert_eq!(counter("cache", "coalesced"), Some(1.0));
+        assert_eq!(counter("service", "deadline_exceeded"), Some(1.0));
+        server.shutdown();
+    }
+
     /// ISSUE 10 satellite: polling a job whose single-flight leader is
     /// still computing answers `202 Accepted` with a typed pending body
     /// (with per-chunk progress for streams), not the `404` it used to
@@ -1987,11 +2043,24 @@ mod tests {
             ..HttpConfig::default()
         }) {
             // Promise 100 bytes, send 5, keep the socket open.
-            let status = raw_request(
+            let response = raw_response(
                 front.addr(),
                 b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 100\r\nConnection: close\r\n\r\nhello",
+            )
+            .unwrap_or_default();
+            let (head, body) = response.split_once("\r\n\r\n").unwrap_or_default();
+            assert!(
+                head.starts_with("HTTP/1.1 408 "),
+                "{}: {head}",
+                front.name()
             );
-            assert_eq!(status, Some(408), "{}", front.name());
+            // A timeout reads back as itself, which a client may retry.
+            assert_eq!(
+                ServiceError::from_wire(408, body),
+                ServiceError::RequestTimeout,
+                "{}: {body}",
+                front.name()
+            );
             assert_eq!(
                 front.stats().timeouts.load(Ordering::Relaxed),
                 1,

@@ -16,6 +16,14 @@
 //! key, the structure fingerprint, the wire form and the run each handle
 //! the circuit once and the analysis once, and a `Prepared` spec builds
 //! or parses its circuit at most once for all of them.
+//!
+//! Every run, plain or in the service, goes through one loop
+//! (`JobSpec::run_with`) under one hook, `Units`: it is called before
+//! each unit of work — the one unit of a single-shot job, each scenario
+//! of a batch, each chunk of a stream — and may stop the run there. A
+//! stream also asks the hook for a checkpoint to resume from and hands it
+//! the state after each chunk. [`JobSpec::run`] is the run under the
+//! no-op hook `()`.
 
 use si_analog::ac::{AcAnalysis, AcProbe, AcStimulus};
 use si_analog::cells::{DelayLine, DelayLineDesign};
@@ -27,6 +35,7 @@ use si_analog::netlist::Circuit;
 use si_analog::parse::{parse_netlist_canonical, to_netlist};
 use si_analog::tran::{self, TranParams};
 use si_analog::units::{Amps, Farads, Seconds, Volts};
+use si_analog::AnalogError;
 use si_dsp::welch::WelchAccumulator;
 use si_dsp::window::Window;
 use si_modulator::arch::SecondOrderTopology;
@@ -166,6 +175,29 @@ pub struct JobOutput {
     pub values: Vec<f64>,
     /// Named summary metrics, in a stable order.
     pub metrics: Vec<(String, f64)>,
+}
+
+/// The hook a run calls between its units of work: the one unit of a
+/// single-shot job, each scenario of a batch, each chunk of a stream.
+pub(crate) trait Units {
+    /// Called before unit `index` of `total`. An error ends the run there
+    /// and is its result.
+    fn before(&mut self, index: usize, total: usize) -> Result<(), ServiceError>;
+
+    /// A stream's checkpoint to resume from, if there is one.
+    fn resume(&mut self) -> Option<JobOutput> {
+        None
+    }
+
+    /// Called with a stream's state after each chunk it ran.
+    fn after_chunk(&mut self, _state: &StreamState) {}
+}
+
+/// The plain run: every unit proceeds, nothing resumes or is kept.
+impl Units for () {
+    fn before(&mut self, _index: usize, _total: usize) -> Result<(), ServiceError> {
+        Ok(())
+    }
 }
 
 impl JobSpec {
@@ -414,27 +446,31 @@ impl JobSpec {
     /// [`ServiceError::InvalidSpec`] for specs that fail validation,
     /// [`ServiceError::Analysis`] for solver failures.
     pub fn run(&self, ws: &mut EngineWorkspace) -> Result<JobOutput, ServiceError> {
-        self.run_with_hook(ws, None)
+        self.run_with(ws, &mut ())
     }
 
-    /// [`JobSpec::run`] with an optional per-scenario hook, invoked with
-    /// the scenario index just before each scenario of a batch job solves,
-    /// or the chunk index just before each chunk of a streaming job
-    /// (other single-shot jobs never call it). The worker pool threads its
-    /// fault injector through here so chaos tests can kill a worker
-    /// *mid-batch* or *mid-chunk* and prove partial results are never
-    /// cached. The hook observes or panics; it cannot alter results.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JobSpec::run`].
-    pub fn run_with_hook(
+    /// [`JobSpec::run`] under a [`Units`] hook: `before` runs ahead of
+    /// every unit of work and an error from it ends the run with that
+    /// error; a stream resumes from the hook's checkpoint when
+    /// [`StreamState::resumable`] accepts it and reports each finished
+    /// chunk. The hook can stop a run but never alters its result.
+    pub(crate) fn run_with(
         &self,
         ws: &mut EngineWorkspace,
-        mut scenario_hook: Option<&mut dyn FnMut(usize)>,
+        units: &mut dyn Units,
     ) -> Result<JobOutput, ServiceError> {
         let job = self.prepare();
         job.validate()?;
+        let checkpoint = match job.analysis {
+            Analysis::DcBatch(_) => None,
+            // A checkpoint names the job it belongs to, so the key is
+            // derived only when there is one to check.
+            Analysis::TranStream(_) => units.resume().map(|ckpt| (job.job_key(), ckpt)),
+            _ => {
+                units.before(0, 1)?;
+                None
+            }
+        };
         let (circuit, analysis) = (job.circuit, job.analysis);
         let line = match (circuit.map(|c| job.into_built(c)).transpose()?, analysis) {
             (Some(Built::Line(line)), _) => line,
@@ -514,21 +550,29 @@ impl JobSpec {
                 // each Newton loop warm-starts from the nearest input
                 // current.
                 let solver = DcSolver::new();
-                let sols = BatchRun::new(inputs_ua.len())
+                let total = inputs_ua.len();
+                // A stop between scenarios leaves BatchRun as a stand-in
+                // analog error; the hook's own error is kept here.
+                let mut stopped = None;
+                let sols = BatchRun::new(total)
                     .with_keys(inputs_ua.to_vec())
                     .with_cold_start(line.initial_guess.clone())
                     .run_with(
                         &line.circuit,
                         ws,
                         |ckt, i| {
-                            if let Some(hook) = scenario_hook.as_deref_mut() {
-                                hook(i);
+                            if let Err(err) = units.before(i, total) {
+                                stopped = Some(err);
+                                return Err(AnalogError::InvalidParameter {
+                                    name: "scenario",
+                                    constraint: "the run stopped between scenarios",
+                                });
                             }
                             set_current_source(ckt, &line.input_source, Amps(inputs_ua[i] * 1e-6))
                         },
                         |ckt, start, ws| solver.solve_from_with(ckt, start, ws),
                     )
-                    .map_err(analysis_error)?;
+                    .map_err(|e| stopped.take().unwrap_or_else(|| analysis_error(e)))?;
                 let per_scenario = line.stage_nodes.len();
                 let mut values = Vec::with_capacity(sols.len() * per_scenario);
                 for sol in &sols {
@@ -551,186 +595,23 @@ impl JobSpec {
                 })
             }
             Analysis::TranStream(stream) => {
-                // The uninterrupted path runs the exact same chunked
-                // executor the service uses, minus persistence — which is
-                // what makes a resumed run bit-identical to this one.
-                let mut state = StreamState::start(line, stream, ws)?;
-                while state.chunks_done() < state.chunks_total() {
-                    if let Some(hook) = scenario_hook.as_deref_mut() {
-                        hook(state.chunks_done());
-                    }
-                    self.stream_advance(&mut state, ws)?;
+                // Chunked execution is bit-identical to an uninterrupted
+                // transient by construction: each chunk starts from the
+                // exact end-of-chunk Newton state, the time axis comes
+                // from absolute step indices, and the Welch accumulator
+                // sums periodograms in order. So a run resumed from a
+                // checkpoint ends in the same spectrum, bit for bit.
+                let mut state = StreamState::open(line, stream, checkpoint, ws)?;
+                let total = state.chunks_total();
+                while state.chunks_done < total {
+                    units.before(state.chunks_done, total)?;
+                    state.advance(ws)?;
+                    units.after_chunk(&state);
                 }
-                self.stream_finish(&state)
+                state.finish()
             }
             Analysis::Sweep(_) => unreachable!("a sweep runs on no circuit"),
         }
-    }
-
-    /// Sets up a streaming run: builds the circuit, solves the DC initial
-    /// condition, and arms a fresh Welch accumulator. Chunk 0 has not run
-    /// yet.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Internal`] for non-streaming specs, plus
-    /// validation and DC-solve errors.
-    pub(crate) fn stream_start(
-        &self,
-        ws: &mut EngineWorkspace,
-    ) -> Result<StreamState, ServiceError> {
-        let job = self.prepare();
-        let (Some(circuit), Analysis::TranStream(stream)) = (job.circuit, job.analysis) else {
-            return Err(ServiceError::Internal(
-                "stream_start on a non-streaming spec".to_string(),
-            ));
-        };
-        job.validate()?;
-        let Built::Line(line) = job.into_built(circuit)? else {
-            unreachable!("a stream runs on the delay line")
-        };
-        StreamState::start(line, stream, ws)
-    }
-
-    /// Rebuilds a streaming run's state from a persisted checkpoint.
-    /// Returns `None` — *rerun from scratch*, never a wrong answer — when
-    /// the checkpoint does not match this spec: wrong version, wrong job
-    /// key, wrong chunking or Welch geometry, or inconsistent lengths.
-    pub(crate) fn stream_resume(&self, checkpoint: &JobOutput) -> Option<StreamState> {
-        let job = self.prepare();
-        let (Some(circuit), Analysis::TranStream(stream)) = (job.circuit, job.analysis) else {
-            return None;
-        };
-        let metric = |name: &str| {
-            checkpoint
-                .metrics
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| *v)
-        };
-        let int = |name: &str| {
-            metric(name)
-                .filter(|v| v.fract() == 0.0 && *v >= 0.0 && *v < 9e15)
-                .map(|v| v as u64)
-        };
-        if int("ckpt_version")? != CHECKPOINT_VERSION {
-            return None;
-        }
-        let key = job.job_key();
-        if int("key_hi")? != key >> 32 || int("key_lo")? != key & 0xffff_ffff {
-            return None;
-        }
-        let chunks_total = stream.tran.steps.div_ceil(stream.chunk_steps) as u64;
-        if int("chunks_total")? != chunks_total {
-            return None;
-        }
-        let chunks_done = int("chunks_done")? as usize;
-        if chunks_done == 0 || chunks_done as u64 > chunks_total {
-            return None;
-        }
-        if int("seg_len")? != stream.seg_len as u64 {
-            return None;
-        }
-        let state_len = int("state_len")? as usize;
-        let segments = int("welch_segments")? as usize;
-        let tail_len = int("welch_tail_len")? as usize;
-        let sum_len = stream.seg_len / 2 + 1;
-        if checkpoint.values.len() != state_len + sum_len + tail_len {
-            return None;
-        }
-
-        let Built::Line(line) = job.into_built(circuit).ok()? else {
-            unreachable!("a stream runs on the delay line")
-        };
-        if state_len != line.circuit.mna_dimension() {
-            return None;
-        }
-        let params = stream.tran.params().ok()?;
-
-        let solution = Solution::new(
-            checkpoint.values[..state_len].to_vec(),
-            line.circuit.node_count(),
-        );
-        let sum = checkpoint.values[state_len..state_len + sum_len].to_vec();
-        let tail = checkpoint.values[state_len + sum_len..].to_vec();
-        let acc =
-            WelchAccumulator::resume(stream.seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
-        Some(StreamState {
-            line,
-            params,
-            steps: stream.tran.steps,
-            chunk_steps: stream.chunk_steps,
-            solution,
-            acc,
-            chunks_done,
-        })
-    }
-
-    /// Advances a streaming run by one chunk: solves the next
-    /// `chunk_steps` steps (fewer for the final chunk), feeds the
-    /// output-stage samples to the Welch accumulator, and stores the
-    /// end-of-chunk solution for the next chunk or checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Internal`] when the run is already complete, plus
-    /// solver errors (Newton budget exhaustion maps to the retryable
-    /// [`ServiceError::Transient`]).
-    pub(crate) fn stream_advance(
-        &self,
-        state: &mut StreamState,
-        ws: &mut EngineWorkspace,
-    ) -> Result<(), ServiceError> {
-        let start_step = state.chunks_done * state.chunk_steps;
-        if start_step >= state.steps {
-            return Err(ServiceError::Internal(
-                "stream_advance past the final chunk".to_string(),
-            ));
-        }
-        let this_chunk = state.chunk_steps.min(state.steps - start_step);
-        let (part, next) = tran::run_chunk_with(
-            &state.line.circuit,
-            &state.params,
-            start_step,
-            this_chunk,
-            &state.solution,
-            ws,
-        )
-        .map_err(analysis_error)?;
-        let out_node = *state.line.stage_nodes.last().expect("stages >= 1");
-        state
-            .acc
-            .push(&part.voltage_waveform(out_node))
-            .map_err(|e| ServiceError::Analysis(e.to_string()))?;
-        state.solution = next;
-        state.chunks_done += 1;
-        Ok(())
-    }
-
-    /// Finishes a streaming run: averages the accumulated periodograms
-    /// into the job's output spectrum.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Analysis`] if no complete Welch segment was
-    /// consumed (ruled out for valid specs by `seg_len ≤ steps + 1`).
-    pub(crate) fn stream_finish(&self, state: &StreamState) -> Result<JobOutput, ServiceError> {
-        let spectrum = state
-            .acc
-            .finish()
-            .map_err(|e| ServiceError::Analysis(e.to_string()))?;
-        let out_node = *state.line.stage_nodes.last().expect("stages >= 1");
-        let final_v = state.solution.voltage(out_node).0;
-        Ok(JobOutput {
-            values: spectrum.powers().to_vec(),
-            metrics: vec![
-                ("steps".to_string(), state.steps as f64),
-                ("chunks".to_string(), state.chunks_total() as f64),
-                ("seg_len".to_string(), state.acc.seg_len() as f64),
-                ("segments".to_string(), state.acc.segments() as f64),
-                ("final_v_out".to_string(), final_v),
-            ],
-        })
     }
 
     /// The spec split into its circuit and analysis, the circuit not yet
@@ -1487,18 +1368,28 @@ pub struct StreamState {
 }
 
 impl StreamState {
-    /// A fresh run: solves the DC initial condition and arms an empty
-    /// Welch accumulator. Chunk 0 has not run yet.
-    fn start(
+    /// Opens a run: from `checkpoint` when [`StreamState::resumable`]
+    /// accepts it for the job keyed by its first half, else fresh — the
+    /// DC initial condition solved, an empty Welch accumulator armed and
+    /// chunk 0 not yet run.
+    fn open(
         line: DelayLine,
         stream: StreamSpec,
+        checkpoint: Option<(u64, JobOutput)>,
         ws: &mut EngineWorkspace,
     ) -> Result<StreamState, ServiceError> {
         let params = stream.tran.params().map_err(analysis_error)?;
-        let solution =
-            tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?;
-        let acc = WelchAccumulator::new(stream.seg_len, STREAM_WINDOW)
-            .map_err(|e| ServiceError::InvalidSpec(e.to_string()))?;
+        let resumed =
+            checkpoint.and_then(|(key, ckpt)| StreamState::resumable(&line, stream, key, &ckpt));
+        let (solution, acc, chunks_done) = match resumed {
+            Some(parts) => parts,
+            None => (
+                tran::initial_condition(&line.circuit, &params, ws).map_err(analysis_error)?,
+                WelchAccumulator::new(stream.seg_len, STREAM_WINDOW)
+                    .map_err(|e| ServiceError::InvalidSpec(e.to_string()))?,
+                0,
+            ),
+        };
         Ok(StreamState {
             line,
             params,
@@ -1506,7 +1397,124 @@ impl StreamState {
             chunk_steps: stream.chunk_steps,
             solution,
             acc,
-            chunks_done: 0,
+            chunks_done,
+        })
+    }
+
+    /// The end-of-chunk solution, Welch state and chunk count a
+    /// checkpoint holds, if it belongs to this run. `None` — *rerun from
+    /// scratch*, never a wrong answer — when it does not: wrong version,
+    /// wrong job key, wrong chunking or Welch geometry, or inconsistent
+    /// lengths.
+    fn resumable(
+        line: &DelayLine,
+        stream: StreamSpec,
+        key: u64,
+        checkpoint: &JobOutput,
+    ) -> Option<(Solution, WelchAccumulator, usize)> {
+        let metric = |name: &str| {
+            checkpoint
+                .metrics
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| *v)
+        };
+        let int = |name: &str| {
+            metric(name)
+                .filter(|v| v.fract() == 0.0 && *v >= 0.0 && *v < 9e15)
+                .map(|v| v as u64)
+        };
+        if int("ckpt_version")? != CHECKPOINT_VERSION {
+            return None;
+        }
+        if int("key_hi")? != key >> 32 || int("key_lo")? != key & 0xffff_ffff {
+            return None;
+        }
+        let chunks_total = stream.tran.steps.div_ceil(stream.chunk_steps) as u64;
+        if int("chunks_total")? != chunks_total {
+            return None;
+        }
+        let chunks_done = int("chunks_done")? as usize;
+        if chunks_done == 0 || chunks_done as u64 > chunks_total {
+            return None;
+        }
+        if int("seg_len")? != stream.seg_len as u64 {
+            return None;
+        }
+        let state_len = int("state_len")? as usize;
+        let segments = int("welch_segments")? as usize;
+        let tail_len = int("welch_tail_len")? as usize;
+        let sum_len = stream.seg_len / 2 + 1;
+        if checkpoint.values.len() != state_len + sum_len + tail_len {
+            return None;
+        }
+        if state_len != line.circuit.mna_dimension() {
+            return None;
+        }
+        let solution = Solution::new(
+            checkpoint.values[..state_len].to_vec(),
+            line.circuit.node_count(),
+        );
+        let sum = checkpoint.values[state_len..state_len + sum_len].to_vec();
+        let tail = checkpoint.values[state_len + sum_len..].to_vec();
+        let acc =
+            WelchAccumulator::resume(stream.seg_len, STREAM_WINDOW, tail, sum, segments).ok()?;
+        Some((solution, acc, chunks_done))
+    }
+
+    /// Runs the next chunk: solves its `chunk_steps` steps (fewer for the
+    /// final chunk), feeds the output-stage samples to the Welch
+    /// accumulator, and keeps the end-of-chunk solution for the next
+    /// chunk or checkpoint.
+    ///
+    /// # Errors
+    ///
+    /// Solver errors (Newton budget exhaustion maps to the retryable
+    /// [`ServiceError::Transient`]).
+    fn advance(&mut self, ws: &mut EngineWorkspace) -> Result<(), ServiceError> {
+        let start_step = self.chunks_done * self.chunk_steps;
+        let this_chunk = self.chunk_steps.min(self.steps - start_step);
+        let (part, next) = tran::run_chunk_with(
+            &self.line.circuit,
+            &self.params,
+            start_step,
+            this_chunk,
+            &self.solution,
+            ws,
+        )
+        .map_err(analysis_error)?;
+        let out_node = *self.line.stage_nodes.last().expect("stages >= 1");
+        self.acc
+            .push(&part.voltage_waveform(out_node))
+            .map_err(|e| ServiceError::Analysis(e.to_string()))?;
+        self.solution = next;
+        self.chunks_done += 1;
+        Ok(())
+    }
+
+    /// Averages the accumulated periodograms into the job's output
+    /// spectrum.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Analysis`] if no complete Welch segment was
+    /// consumed (ruled out for valid specs by `seg_len ≤ steps + 1`).
+    fn finish(&self) -> Result<JobOutput, ServiceError> {
+        let spectrum = self
+            .acc
+            .finish()
+            .map_err(|e| ServiceError::Analysis(e.to_string()))?;
+        let out_node = *self.line.stage_nodes.last().expect("stages >= 1");
+        let final_v = self.solution.voltage(out_node).0;
+        Ok(JobOutput {
+            values: spectrum.powers().to_vec(),
+            metrics: vec![
+                ("steps".to_string(), self.steps as f64),
+                ("chunks".to_string(), self.chunks_total() as f64),
+                ("seg_len".to_string(), self.acc.seg_len() as f64),
+                ("segments".to_string(), self.acc.segments() as f64),
+                ("final_v_out".to_string(), final_v),
+            ],
         })
     }
 
@@ -1712,21 +1720,57 @@ mod tests {
         assert!(a.values.iter().all(|v| *v > 0.5 && *v < 2.0), "{a:?}");
     }
 
+    /// A [`Units`] hook that records every `before` call, stops before
+    /// unit `stop_at`, offers `checkpoint` to resume from, and keeps the
+    /// checkpoint (under `key`) of the last chunk run.
+    #[derive(Default)]
+    struct Probe {
+        seen: Vec<(usize, usize)>,
+        stop_at: Option<usize>,
+        checkpoint: Option<JobOutput>,
+        key: u64,
+        last: Option<JobOutput>,
+    }
+
+    impl Units for Probe {
+        fn before(&mut self, index: usize, total: usize) -> Result<(), ServiceError> {
+            self.seen.push((index, total));
+            if self.stop_at == Some(index) {
+                return Err(ServiceError::Canceled);
+            }
+            Ok(())
+        }
+
+        fn resume(&mut self) -> Option<JobOutput> {
+            self.checkpoint.take()
+        }
+
+        fn after_chunk(&mut self, state: &StreamState) {
+            self.last = Some(state.to_checkpoint(self.key));
+        }
+    }
+
     #[test]
     fn batch_hook_sees_every_scenario_in_order() {
         let spec = batch_spec(&[0.5, 1.0, 1.5]);
         let mut ws = EngineWorkspace::new();
-        let mut seen = Vec::new();
-        let mut hook = |i: usize| seen.push(i);
-        spec.run_with_hook(&mut ws, Some(&mut hook)).unwrap();
-        assert_eq!(seen, vec![0, 1, 2]);
-        // Single-shot jobs never consult the hook.
-        let mut seen_single = Vec::new();
-        let mut hook_single = |i: usize| seen_single.push(i);
-        dc_spec()
-            .run_with_hook(&mut ws, Some(&mut hook_single))
-            .unwrap();
-        assert!(seen_single.is_empty());
+        let mut probe = Probe::default();
+        let out = spec.run_with(&mut ws, &mut probe).unwrap();
+        assert_eq!(probe.seen, vec![(0, 3), (1, 3), (2, 3)]);
+        assert_eq!(out, spec.run(&mut EngineWorkspace::new()).unwrap());
+        // A single-shot job is one unit.
+        let mut single = Probe::default();
+        dc_spec().run_with(&mut ws, &mut single).unwrap();
+        assert_eq!(single.seen, vec![(0, 1)]);
+        // A stop between scenarios ends the batch with the hook's own
+        // error, and no later scenario runs.
+        let mut stop = Probe {
+            stop_at: Some(1),
+            ..Probe::default()
+        };
+        let err = spec.run_with(&mut ws, &mut stop).unwrap_err();
+        assert_eq!(err, ServiceError::Canceled);
+        assert_eq!(stop.seen, vec![(0, 3), (1, 3)]);
     }
 
     const DIVIDER: &str = "\
@@ -1908,12 +1952,39 @@ V1 in 0 3.3
         assert_eq!(metric("seg_len"), 256.0);
         assert!(metric("segments") >= 1.0);
         // The hook fires once per chunk, in order.
-        let mut seen = Vec::new();
-        let mut hook = |i: usize| seen.push(i);
+        let mut probe = Probe::default();
         let mut ws3 = EngineWorkspace::new();
-        let c = spec.run_with_hook(&mut ws3, Some(&mut hook)).unwrap();
-        assert_eq!(seen, (0..8).collect::<Vec<_>>());
+        let c = spec.run_with(&mut ws3, &mut probe).unwrap();
+        assert_eq!(probe.seen, (0..8).map(|i| (i, 8)).collect::<Vec<_>>());
         assert_eq!(c, a);
+    }
+
+    /// Runs `spec` from chunk 0 and stops it before chunk `stop_at`,
+    /// returning the checkpoint of the last chunk run, made under `key`.
+    fn checkpoint_after(spec: &JobSpec, stop_at: usize, key: u64) -> JobOutput {
+        let mut probe = Probe {
+            stop_at: Some(stop_at),
+            key,
+            ..Probe::default()
+        };
+        let err = spec
+            .run_with(&mut EngineWorkspace::new(), &mut probe)
+            .unwrap_err();
+        assert_eq!(err, ServiceError::Canceled);
+        probe.last.expect("a chunk ran before the stop")
+    }
+
+    /// Runs `spec` offered `checkpoint` on a fresh workspace; returns the
+    /// output and the chunk the run started from (0: it reran).
+    fn run_from(spec: &JobSpec, checkpoint: JobOutput) -> (JobOutput, usize) {
+        let mut probe = Probe {
+            checkpoint: Some(checkpoint),
+            ..Probe::default()
+        };
+        let out = spec
+            .run_with(&mut EngineWorkspace::new(), &mut probe)
+            .unwrap();
+        (out, probe.seen[0].0)
     }
 
     /// The tentpole invariant at the spec level: checkpoint after any
@@ -1928,22 +1999,10 @@ V1 in 0 3.3
         let uninterrupted = spec.run(&mut ws).unwrap();
 
         for stop_after in [1usize, 3, 7] {
-            let mut ws1 = EngineWorkspace::new();
-            let mut state = spec.stream_start(&mut ws1).unwrap();
-            for _ in 0..stop_after {
-                spec.stream_advance(&mut state, &mut ws1).unwrap();
-            }
-            let checkpoint = state.to_checkpoint(key);
-            // "Crash": drop the live state, keep only the checkpoint.
-            drop(state);
-            drop(ws1);
-            let mut resumed = spec.stream_resume(&checkpoint).unwrap();
-            assert_eq!(resumed.chunks_done(), stop_after);
-            let mut ws2 = EngineWorkspace::new();
-            while resumed.chunks_done() < resumed.chunks_total() {
-                spec.stream_advance(&mut resumed, &mut ws2).unwrap();
-            }
-            let out = spec.stream_finish(&resumed).unwrap();
+            // "Crash": only the checkpoint outlives the stopped run.
+            let checkpoint = checkpoint_after(&spec, stop_after, key);
+            let (out, first) = run_from(&spec, checkpoint);
+            assert_eq!(first, stop_after, "resumed at the checkpoint");
             assert_eq!(out.values.len(), uninterrupted.values.len());
             for (a, b) in out.values.iter().zip(uninterrupted.values.iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "resume after chunk {stop_after}");
@@ -1951,34 +2010,36 @@ V1 in 0 3.3
         }
     }
 
+    /// A checkpoint that does not belong to the run is never resumed: the
+    /// run starts again from chunk 0, and ends in the same output.
     #[test]
     fn stream_resume_rejects_mismatched_checkpoints() {
         let spec = stream_spec();
         let key = spec.job_key();
-        let mut ws = EngineWorkspace::new();
-        let mut state = spec.stream_start(&mut ws).unwrap();
-        spec.stream_advance(&mut state, &mut ws).unwrap();
-        let good = state.to_checkpoint(key);
-        assert!(spec.stream_resume(&good).is_some());
+        let uninterrupted = spec.run(&mut EngineWorkspace::new()).unwrap();
+        let good = checkpoint_after(&spec, 1, key);
+        assert_eq!(run_from(&spec, good.clone()), (uninterrupted.clone(), 1));
 
+        let reruns = |spec: &JobSpec, checkpoint: JobOutput| {
+            let (out, first) = run_from(spec, checkpoint);
+            assert_eq!(out, spec.run(&mut EngineWorkspace::new()).unwrap());
+            first == 0
+        };
         // A checkpoint for a different job never resumes this one.
-        let foreign = state.to_checkpoint(key ^ 1);
-        assert!(spec.stream_resume(&foreign).is_none());
+        assert!(reruns(&spec, checkpoint_after(&spec, 1, key ^ 1)));
         // A different chunking rejects the same checkpoint (its own key
         // differs, so the embedded key check fires).
-        assert!(stream_spec_with(900, 64, 256)
-            .stream_resume(&good)
-            .is_none());
+        assert!(reruns(&stream_spec_with(900, 64, 256), good.clone()));
         // Corrupt metrics and truncated payloads are rejected, not
         // misread.
         let mut wrong_version = good.clone();
         wrong_version.metrics[0].1 = (CHECKPOINT_VERSION + 1) as f64;
-        assert!(spec.stream_resume(&wrong_version).is_none());
+        assert!(reruns(&spec, wrong_version));
         let mut truncated = good.clone();
         truncated.values.pop();
-        assert!(spec.stream_resume(&truncated).is_none());
+        assert!(reruns(&spec, truncated));
         let mut zero_done = good;
         zero_done.metrics[3].1 = 0.0;
-        assert!(spec.stream_resume(&zero_done).is_none());
+        assert!(reruns(&spec, zero_done));
     }
 }

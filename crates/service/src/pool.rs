@@ -13,7 +13,7 @@
 //! Worker threads are also where results become durable: the task
 //! closure calls the cache's `complete` — which writes through to the
 //! persistent disk tier when one is configured — on the worker, before
-//! the leader's reply is sent. Persistence costs worker time, never the
+//! any waiter on the flight wakes. Persistence costs worker time, never the
 //! listener's event loop, and any result a caller has observed is
 //! already on disk.
 //!
@@ -39,7 +39,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 use si_analog::engine::EngineWorkspace;
-use si_analog::telemetry::{EngineStats, Merge};
+use si_analog::telemetry::EngineStats;
 
 use crate::error::ServiceError;
 use crate::lock_recover;
@@ -201,7 +201,7 @@ impl WorkerPool {
     }
 
     /// Engine telemetry merged across every worker's workspace — the
-    /// scheduling-independent totals (see [`Merge`]).
+    /// scheduling-independent totals (see [`EngineStats::merge`]).
     pub fn merged_engine_stats(&self) -> EngineStats {
         let mut total = EngineStats::new();
         for slot in &self.stats_slots {

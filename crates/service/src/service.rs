@@ -9,10 +9,19 @@
 //!    in-flight computation.
 //! 2. Only a cache *leader* consumes a pool slot, so the bounded queue
 //!    measures distinct work, not request volume.
-//! 3. If admission control rejects the leader, the flight completes with
+//! 3. Leader and followers wait on the flight the same way, each under
+//!    its own deadline. A leader that gives up sets the job's cancel
+//!    flag; the worker stops at its next unit of work.
+//! 4. If admission control rejects the leader, the flight completes with
 //!    [`ServiceError::Overloaded`] so coalesced followers are released —
 //!    an overloaded service sheds whole job groups, it never deadlocks
 //!    them.
+//!
+//! Every job runs on its worker under one hook, the `Executor`: before
+//! each unit of work (the one unit of a single-shot job, each batch
+//! scenario, each stream chunk) it stops a canceled or late run, publishes
+//! a stream's progress and draws the injected-fault decision; around a
+//! stream's chunks it loads and stores the checkpoint.
 //!
 //! Every job id is the 16-hex-digit job key, so ids are deterministic:
 //! the same spec maps to the same id on every run, which is what lets the
@@ -22,29 +31,26 @@
 //!
 //! The submission path survives a worker panicking mid-job: the pool
 //! catches the unwind (the worker thread lives on), the
-//! [`LeadGuard`] drop backstop releases
-//! coalesced followers with [`ServiceError::Internal`], and a
-//! cancellation-flag drop guard inside the task closure prevents the
-//! `cancel_flags` map from leaking entries for unwound leaders. Transient
-//! failures — Newton budget exhaustion, worker crashes — are retried with
-//! the deterministic capped backoff of
-//! [`RetryPolicy`] before being surfaced.
-//! A [`FaultInjector`] can be installed
-//! (tests and the `si_chaos` harness only) to sabotage job executions on
-//! the worker thread and prove all of the above.
+//! [`LeadGuard`] drop backstop releases the leader and its followers
+//! with [`ServiceError::Internal`], and a cancellation-flag drop guard
+//! inside the task closure prevents the `cancel_flags` map from leaking
+//! entries for unwound leaders. Transient failures — Newton budget
+//! exhaustion, worker crashes — are retried with the deterministic capped
+//! backoff of [`RetryPolicy`] before being surfaced. A [`FaultInjector`]
+//! can be installed (tests and the `si_chaos` harness only) to sabotage
+//! job executions on the worker thread and prove all of the above.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::RecvTimeoutError;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::budget::AdmissionBudget;
-use crate::cache::{CacheOutcome, LeadGuard, ResultCache};
+use crate::cache::{CacheOutcome, CacheTier, LeadGuard, ResultCache};
 use crate::disk::{DiskTier, DiskTierConfig};
 use crate::error::ServiceError;
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
-use crate::jobspec::{JobOutput, JobSpec, KeyMemo};
+use crate::jobspec::{JobOutput, JobSpec, KeyMemo, StreamState, Units};
 use crate::json::{self, Json};
 use crate::lock_recover;
 use crate::pool::{PoolConfig, WorkerPool};
@@ -133,16 +139,6 @@ struct StreamShared {
     resumed: AtomicU64,
 }
 
-/// Everything the streaming executor needs beyond the worker's
-/// workspace: the checkpoint tier, the shared progress/counter state,
-/// and the leader's cancellation and deadline handles.
-struct StreamCtx {
-    disk: Option<Arc<DiskTier>>,
-    shared: Arc<StreamShared>,
-    cancel: Arc<AtomicBool>,
-    deadline_at: Option<Instant>,
-}
-
 type CancelFlags = Arc<Mutex<HashMap<u64, Arc<AtomicBool>>>>;
 
 /// The in-process simulation job service.
@@ -171,10 +167,8 @@ pub struct SiService {
 
 /// Removes one `cancel_flags` entry on drop. Captured by the worker task
 /// closure so the entry is cleaned up on *every* exit path — normal
-/// completion, a panicking leader (the unwind drops the closure's
-/// captures), and a task that is dropped unrun after an admission
-/// failure. Before this guard existed, an unwinding leader leaked its
-/// entry forever.
+/// completion, a panicking leader (the unwind drops it), and a task that
+/// is dropped unrun after an admission failure.
 struct CancelFlagCleanup {
     flags: CancelFlags,
     key: u64,
@@ -547,16 +541,16 @@ impl SiService {
                 self.counters.completed.fetch_add(1, Ordering::Relaxed);
                 return Ok((key, out, true));
             }
-            CacheOutcome::Coalesced(result) => {
-                return self.finish(result.map(|out| (key, out, true)));
+            CacheOutcome::Follow(waiter) => {
+                return self.finish(waiter.wait(deadline_at).map(|out| (key, out, true)));
             }
             CacheOutcome::Lead(guard) => guard,
         };
         self.lead(spec, key, guard, deadline_at)
     }
 
-    /// Leader path: enqueue the solve, wait for the reply, enforce the
-    /// deadline on the waiting side too.
+    /// Leader path: enqueue the solve, then wait on the flight like any
+    /// follower, under the caller's deadline.
     fn lead(
         &self,
         spec: &JobSpec,
@@ -566,130 +560,72 @@ impl SiService {
     ) -> Result<(u64, Arc<JobOutput>, bool), ServiceError> {
         let cancel = Arc::new(AtomicBool::new(false));
         lock_recover(&self.cancel_flags).insert(key, Arc::clone(&cancel));
-        // Owned by the task closure from here on: the entry is removed
-        // when the closure is dropped — after a normal run, during a
-        // panic unwind, or unrun after an admission failure.
         let cleanup = CancelFlagCleanup {
             flags: Arc::clone(&self.cancel_flags),
             key,
         };
         let injector = lock_recover(&self.fault).clone();
+        let waiter = guard.waiter();
 
         // The guard travels to the worker inside a shared slot: exactly
         // one side takes it — the worker on execution, or this thread if
         // admission fails and the (never-run) task is dropped.
         let guard_slot: Arc<Mutex<Option<LeadGuard>>> = Arc::new(Mutex::new(Some(guard)));
-        let (reply_tx, reply_rx) = mpsc::channel();
         let task = {
             let spec = spec.clone();
             let cancel = Arc::clone(&cancel);
             let cache = Arc::clone(&self.cache);
             let guard_slot = Arc::clone(&guard_slot);
-            let disk = self.cache.disk_tier().cloned();
             let stream = Arc::clone(&self.stream);
             Box::new(move |ws: &mut si_analog::engine::EngineWorkspace| {
-                // Dropped on every exit from this body, including unwind.
-                let _cleanup = cleanup;
                 let Some(guard) = lock_recover(&guard_slot).take() else {
                     return; // admission failure already completed the flight
                 };
-                let result = if cancel.load(Ordering::Relaxed) {
-                    Err(ServiceError::Canceled)
-                } else if deadline_at.is_some_and(|at| Instant::now() >= at) {
-                    // Admitted but already stale: don't burn solver time
-                    // on a result nobody is waiting for.
-                    Err(ServiceError::DeadlineExceeded)
-                } else {
-                    // Chaos hook: sabotage this execution if the plan says
-                    // so. A panic here exercises the pool's unwind
-                    // containment and the guard's drop backstop. Batch and
-                    // streaming jobs skip the job-level draw: their
-                    // injector is consulted per scenario / per chunk inside
-                    // the executor, so a fault lands *mid-batch* or
-                    // *mid-chunk* — after real partial state exists.
-                    let ctx = StreamCtx {
-                        disk,
-                        shared: stream,
-                        cancel: Arc::clone(&cancel),
-                        deadline_at,
-                    };
-                    let fault = if spec.scenario_count() > 1 || spec.is_stream() {
-                        None
-                    } else {
-                        injector.as_ref().and_then(|i| i.next_fault())
-                    };
-                    match fault {
-                        Some(FaultKind::PanicWorker | FaultKind::PanicMidChunk) => {
-                            panic!("injected fault: worker panic mid-job")
-                        }
-                        Some(FaultKind::Transient) => Err(ServiceError::Transient(
-                            "injected fault: transient non-convergence".to_string(),
-                        )),
-                        Some(FaultKind::Stall) => {
-                            let stall =
-                                injector.as_ref().map_or(Duration::ZERO, |i| i.plan().stall);
-                            std::thread::sleep(stall);
-                            run_job(&spec, key, ws, injector.as_deref(), &ctx).map(Arc::new)
-                        }
-                        // Connection drops are a client-side fault; the
-                        // worker just solves normally.
-                        Some(FaultKind::DropConnection) | None => {
-                            run_job(&spec, key, ws, injector.as_deref(), &ctx).map(Arc::new)
-                        }
-                    }
+                // Bound after the guard, so an unwind drops it first: the
+                // entry is gone before the guard's backstop publishes.
+                let cleanup = cleanup;
+                let shared = spec.is_stream().then_some(stream.as_ref());
+                let mut executor = Executor {
+                    key,
+                    stream: shared,
+                    disk: cache.disk_tier().map(Arc::as_ref),
+                    injector: injector.as_deref(),
+                    cancel: &cancel,
+                    deadline_at,
+                    first: true,
                 };
-                cache.complete(guard, result.clone());
-                // Remove the cancel-flag entry before waking the leader,
-                // so a caller observing completion never sees the entry.
-                drop(_cleanup);
-                let _ = reply_tx.send(result);
+                let result = spec.run_with(ws, &mut executor).map(Arc::new);
+                // A panic leaves a stream's progress in place on purpose:
+                // a poller sees the last chunk reached while the retry
+                // warms up.
+                if let Some(shared) = shared {
+                    lock_recover(&shared.progress).remove(&key);
+                }
+                // A caller that observes the result never sees the entry.
+                drop(cleanup);
+                cache.complete(guard, result);
             })
         };
 
         if let Err(reject) = self.pool.try_submit(task) {
             // Release any followers with the same typed rejection, then
-            // surface it to this caller. Dropping the unrun task drops
-            // `cleanup`, which removes the cancel-flag entry.
+            // surface it to this caller. Dropping the unrun task dropped
+            // `cleanup`, which removed the cancel-flag entry.
             if let Some(guard) = lock_recover(&guard_slot).take() {
                 self.cache.complete(guard, Err(reject.clone()));
             }
             return self.finish(Err(reject));
         }
-
-        let result = match deadline_at {
-            None => reply_rx
-                .recv()
-                .unwrap_or_else(|_| Err(self.reply_lost(&guard_slot))),
-            Some(at) => loop {
-                let now = Instant::now();
-                if now >= at {
-                    // Tell the worker not to start; if it already did, its
-                    // result still lands in the cache for future callers.
-                    cancel.store(true, Ordering::Relaxed);
-                    break Err(ServiceError::DeadlineExceeded);
-                }
-                match reply_rx.recv_timeout(at - now) {
-                    Ok(result) => break result,
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => break Err(self.reply_lost(&guard_slot)),
-                }
-            },
-        };
-        self.finish(result.map(|out| (key, out, false)))
-    }
-
-    /// The reply channel disconnected without a reply: the worker
-    /// panicked mid-job (its `LeadGuard` backstop already released the
-    /// flight) or the task was dropped unrun during shutdown. Completes a
-    /// leftover guard, if any, so coalesced followers are never wedged.
-    fn reply_lost(&self, guard_slot: &Mutex<Option<LeadGuard>>) -> ServiceError {
-        let err = ServiceError::Internal(
-            "worker disappeared mid-job (panic or shutdown); nothing was cached".to_string(),
-        );
-        if let Some(guard) = lock_recover(guard_slot).take() {
-            self.cache.complete(guard, Err(err.clone()));
+        // From here the task alone holds the guard: were it ever dropped
+        // unrun, the guard's backstop would still end the wait.
+        drop(guard_slot);
+        let result = waiter.wait(deadline_at);
+        if matches!(result, Err(ServiceError::DeadlineExceeded)) {
+            // Tell the worker to stop at its next unit; a result it
+            // finishes anyway still lands in the cache for later callers.
+            cancel.store(true, Ordering::Relaxed);
         }
-        err
+        self.finish(result.map(|out| (key, out, false)))
     }
 
     /// Requests cancellation of an in-flight job. Returns `true` if the
@@ -936,156 +872,80 @@ impl Drop for SiService {
     }
 }
 
-/// Runs a spec on a worker's workspace, threading the fault injector into
-/// batch jobs as a per-scenario hook: each scenario after the first draws
-/// from the plan, and a drawn worker panic fires *between* scenarios —
-/// after real partial state exists — which is exactly what the chaos
-/// harness needs to prove partial batches are never cached. Single-shot
-/// jobs run unchanged (their one fault draw already happened at job
-/// level).
-fn run_spec(
-    spec: &JobSpec,
-    ws: &mut si_analog::engine::EngineWorkspace,
-    injector: Option<&FaultInjector>,
-) -> Result<JobOutput, ServiceError> {
-    match injector {
-        Some(inj) if spec.scenario_count() > 1 => {
-            let mut hook = |i: usize| {
-                if i == 0 {
-                    return; // a fault at scenario 0 would not be mid-batch
-                }
-                match inj.next_fault() {
-                    Some(FaultKind::PanicWorker) => {
-                        panic!("injected fault: worker panic mid-batch (scenario {i})")
-                    }
-                    Some(FaultKind::Stall) => std::thread::sleep(inj.plan().stall),
-                    // Transient and connection faults are job-level
-                    // concepts, and mid-chunk panics target streaming
-                    // jobs; mid-batch they are drawn but harmless.
-                    Some(
-                        FaultKind::Transient | FaultKind::DropConnection | FaultKind::PanicMidChunk,
-                    )
-                    | None => {}
-                }
-            };
-            spec.run_with_hook(ws, Some(&mut hook))
-        }
-        _ => spec.run(ws),
-    }
+/// The worker side of one leader's run: the [`Units`] hook its job runs
+/// under. Before every unit it stops a canceled or late run, publishes a
+/// stream's progress and draws the one injected-fault decision; around a
+/// stream's chunks it loads and stores the checkpoint.
+struct Executor<'a> {
+    key: u64,
+    /// Progress and counters, for a stream only.
+    stream: Option<&'a StreamShared>,
+    /// Where a stream's checkpoint lives, when persistence is on.
+    disk: Option<&'a DiskTier>,
+    injector: Option<&'a FaultInjector>,
+    cancel: &'a AtomicBool,
+    deadline_at: Option<Instant>,
+    /// No unit has started yet.
+    first: bool,
 }
 
-/// Dispatches a leader's solve on the worker thread: streaming specs run
-/// the chunked checkpoint/resume executor, everything else runs
-/// [`run_spec`].
-fn run_job(
-    spec: &JobSpec,
-    key: u64,
-    ws: &mut si_analog::engine::EngineWorkspace,
-    injector: Option<&FaultInjector>,
-    ctx: &StreamCtx,
-) -> Result<JobOutput, ServiceError> {
-    if spec.is_stream() {
-        run_stream(spec, key, ws, injector, ctx)
-    } else {
-        run_spec(spec, ws, injector)
-    }
-}
-
-/// The streaming executor: resume from the newest valid checkpoint (or
-/// start fresh), then solve chunk by chunk, persisting a checkpoint and
-/// publishing progress after every chunk.
-///
-/// Chunked execution is *bit-identical* to an uninterrupted run by
-/// construction — chunk boundaries reuse the exact end-of-chunk Newton
-/// state the next step would have seen, the time axis is derived from
-/// absolute integer step indices, and the Welch accumulator sums
-/// periodograms in the batch order — so a job killed mid-run and resumed
-/// here produces the same spectrum, bit for bit.
-///
-/// The per-chunk fault draw skips chunk 0 on a fresh run, so a drawn
-/// panic always lands *after* at least one checkpoint exists; that is
-/// what makes the `panic_mid_chunk` fault class prove resume rather than
-/// prove rerun-from-scratch.
-fn run_stream(
-    spec: &JobSpec,
-    key: u64,
-    ws: &mut si_analog::engine::EngineWorkspace,
-    injector: Option<&FaultInjector>,
-    ctx: &StreamCtx,
-) -> Result<JobOutput, ServiceError> {
-    let ckpt_key = JobSpec::checkpoint_key(key);
-    let resumed = ctx
-        .disk
-        .as_ref()
-        .and_then(|d| crate::cache::CacheTier::load(d.as_ref(), ckpt_key))
-        .and_then(|out| spec.stream_resume(&out));
-    let mut state = match resumed {
-        Some(state) => {
-            ctx.shared.resumed.fetch_add(1, Ordering::Relaxed);
-            state
-        }
-        None => spec.stream_start(ws)?,
-    };
-    let total = state.chunks_total() as u64;
-    let publish = |done: usize| {
-        lock_recover(&ctx.shared.progress).insert(key, (done as u64, total));
-    };
-    let unpublish = || {
-        lock_recover(&ctx.shared.progress).remove(&key);
-    };
-    publish(state.chunks_done());
-    while state.chunks_done() < state.chunks_total() {
-        if ctx.cancel.load(Ordering::Relaxed) {
-            unpublish();
+impl Units for Executor<'_> {
+    fn before(&mut self, index: usize, total: usize) -> Result<(), ServiceError> {
+        if self.cancel.load(Ordering::Relaxed) {
             return Err(ServiceError::Canceled);
         }
-        if ctx.deadline_at.is_some_and(|at| Instant::now() >= at) {
-            unpublish();
+        // Don't burn solver time on a result nobody is waiting for.
+        if self.deadline_at.is_some_and(|at| Instant::now() >= at) {
             return Err(ServiceError::DeadlineExceeded);
         }
-        if state.chunks_done() > 0 {
-            match injector.and_then(|i| i.next_fault()) {
-                Some(FaultKind::PanicMidChunk | FaultKind::PanicWorker) => {
-                    // The unwind leaves the progress entry in place on
-                    // purpose: a poller sees the last completed chunk
-                    // while the retry warms up.
-                    panic!(
-                        "injected fault: worker panic mid-chunk (chunk {})",
-                        state.chunks_done()
-                    )
-                }
-                Some(FaultKind::Transient) => {
-                    unpublish();
-                    return Err(ServiceError::Transient(
-                        "injected fault: transient non-convergence mid-chunk".to_string(),
-                    ));
-                }
-                Some(FaultKind::Stall) => {
-                    std::thread::sleep(injector.map_or(Duration::ZERO, |i| i.plan().stall));
-                }
-                Some(FaultKind::DropConnection) | None => {}
+        if let Some(shared) = self.stream {
+            if std::mem::take(&mut self.first) && index > 0 {
+                shared.resumed.fetch_add(1, Ordering::Relaxed);
             }
+            lock_recover(&shared.progress).insert(self.key, (index as u64, total as u64));
         }
-        if let Err(err) = spec.stream_advance(&mut state, ws) {
-            unpublish();
-            return Err(err);
+        // A multi-unit job draws only once real partial state exists — a
+        // scenario solved, a checkpoint written — so its faults land
+        // mid-batch or mid-chunk.
+        let Some(injector) = self.injector.filter(|_| total == 1 || index > 0) else {
+            return Ok(());
+        };
+        match injector.next_fault() {
+            Some(FaultKind::PanicWorker | FaultKind::PanicMidChunk) => {
+                panic!("injected fault: worker panic before unit {index} of {total}")
+            }
+            Some(FaultKind::Stall) => std::thread::sleep(injector.plan().stall),
+            Some(FaultKind::Transient) => {
+                return Err(ServiceError::Transient(
+                    "injected fault: transient non-convergence".to_string(),
+                ))
+            }
+            // Connection drops are a client-side fault; the worker just
+            // solves normally.
+            Some(FaultKind::DropConnection) | None => {}
         }
-        ctx.shared.chunks.fetch_add(1, Ordering::Relaxed);
-        if let Some(disk) = &ctx.disk {
+        Ok(())
+    }
+
+    fn resume(&mut self) -> Option<JobOutput> {
+        let checkpoint = self.disk?.load(JobSpec::checkpoint_key(self.key))?;
+        Some(Arc::unwrap_or_clone(checkpoint))
+    }
+
+    fn after_chunk(&mut self, state: &StreamState) {
+        let Some(shared) = self.stream else { return };
+        shared.chunks.fetch_add(1, Ordering::Relaxed);
+        if let Some(disk) = self.disk {
             // Checkpoints ride the disk tier's `.sic` discipline:
             // checksummed, written via atomic rename, quarantined on
             // corruption — a SIGKILL mid-write costs one chunk, never a
             // wrong resume. A completed run's checkpoint is left to LRU
             // eviction; resuming from it is a no-op finish.
-            let ckpt = Arc::new(state.to_checkpoint(key));
-            crate::cache::CacheTier::store(disk.as_ref(), ckpt_key, &ckpt);
-            ctx.shared.checkpoints.fetch_add(1, Ordering::Relaxed);
+            let checkpoint = Arc::new(state.to_checkpoint(self.key));
+            disk.store(JobSpec::checkpoint_key(self.key), &checkpoint);
+            shared.checkpoints.fetch_add(1, Ordering::Relaxed);
         }
-        publish(state.chunks_done());
     }
-    let result = spec.stream_finish(&state);
-    unpublish();
-    result
 }
 
 /// The wire body shared by `POST /v1/jobs` and `GET /v1/jobs/:id`,
@@ -2050,5 +1910,205 @@ mod tests {
         assert_eq!(svc.progress(key), None);
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A plan that draws `kind` on every event, `max_faults` times, with
+    /// no stall time.
+    fn only(kind: FaultKind, max_faults: u64) -> crate::fault::FaultPlan {
+        let pm = |k: FaultKind| if k == kind { 1000 } else { 0 };
+        crate::fault::FaultPlan {
+            seed: 0,
+            panic_pm: pm(FaultKind::PanicWorker),
+            stall_pm: pm(FaultKind::Stall),
+            transient_pm: pm(FaultKind::Transient),
+            drop_pm: pm(FaultKind::DropConnection),
+            panic_mid_chunk_pm: pm(FaultKind::PanicMidChunk),
+            stall: Duration::ZERO,
+            max_faults,
+        }
+    }
+
+    /// An [`Executor`] that also records every unit it is asked about.
+    struct Entered<'a> {
+        units: Vec<usize>,
+        executor: Executor<'a>,
+    }
+
+    impl Units for Entered<'_> {
+        fn before(&mut self, index: usize, total: usize) -> Result<(), ServiceError> {
+            self.units.push(index);
+            self.executor.before(index, total)
+        }
+    }
+
+    /// Runs `spec` under an executor drawing from `plan`: the units
+    /// entered, how the run ended (`None`: it panicked), and what the
+    /// injector drew.
+    fn run_under(
+        spec: &JobSpec,
+        plan: crate::fault::FaultPlan,
+    ) -> (
+        Vec<usize>,
+        Option<Result<JobOutput, ServiceError>>,
+        FaultStats,
+    ) {
+        let injector = FaultInjector::new(plan);
+        let (shared, cancel) = (StreamShared::default(), AtomicBool::new(false));
+        let mut entered = Entered {
+            units: Vec::new(),
+            executor: Executor {
+                key: spec.job_key(),
+                stream: spec.is_stream().then_some(&shared),
+                disk: None,
+                injector: Some(&injector),
+                cancel: &cancel,
+                deadline_at: None,
+                first: true,
+            },
+        };
+        let mut ws = si_analog::engine::EngineWorkspace::new();
+        let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            spec.run_with(&mut ws, &mut entered)
+        }));
+        (entered.units, ended.ok(), injector.stats())
+    }
+
+    /// The one fault rule, for every job shape: a single-shot job and a
+    /// one-chunk stream draw before their only unit; a batch or a
+    /// multi-chunk stream draws before every unit but the first. Either
+    /// panic kind panics, a stall only delays, a transient fails the run
+    /// retryably, and a connection drop changes nothing on the worker.
+    #[test]
+    fn one_fault_rule_for_every_job_shape() {
+        let one_chunk = JobSpec::TranStream {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: 2.0,
+            steps: 900,
+            dt_ns: 50.0,
+            clock_hz: 2.0e6,
+            chunk_steps: 900,
+            seg_len: 256,
+        };
+        // (spec, units, the first unit that draws)
+        let shapes = [
+            (dc_spec(2.5), 1, 0),
+            (batch_spec(vec![0.5, 1.0, 1.5]), 3, 1),
+            (stream_spec(), 8, 1),
+            (one_chunk, 1, 0),
+        ];
+        for (spec, total, drawer) in shapes {
+            let reference = spec
+                .run(&mut si_analog::engine::EngineWorkspace::new())
+                .unwrap();
+            // Every unit from the first drawer on draws once.
+            let (units, ended, stats) = run_under(&spec, only(FaultKind::Stall, u64::MAX));
+            assert_eq!(units, (0..total).collect::<Vec<_>>(), "{}", spec.kind());
+            assert_eq!(ended, Some(Ok(reference.clone())), "{}", spec.kind());
+            assert_eq!(stats.stalls, (total - drawer) as u64, "{}", spec.kind());
+
+            for kind in [
+                FaultKind::PanicWorker,
+                FaultKind::PanicMidChunk,
+                FaultKind::Stall,
+                FaultKind::Transient,
+                FaultKind::DropConnection,
+            ] {
+                let (units, ended, stats) = run_under(&spec, only(kind, 1));
+                let what = format!("{} under {}", spec.kind(), kind.as_str());
+                assert_eq!(stats.injected, 1, "{what}");
+                match kind {
+                    FaultKind::PanicWorker | FaultKind::PanicMidChunk => {
+                        assert_eq!(ended, None, "{what}");
+                        assert_eq!(units.last(), Some(&drawer), "{what}");
+                    }
+                    FaultKind::Transient => {
+                        assert!(
+                            matches!(ended, Some(Err(ServiceError::Transient(_)))),
+                            "{what}: {ended:?}"
+                        );
+                        assert_eq!(units.last(), Some(&drawer), "{what}");
+                    }
+                    _ => {
+                        assert_eq!(ended, Some(Ok(reference.clone())), "{what}");
+                        assert_eq!(units.len(), total, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A batch checks its deadline between scenarios: under a 10 ms stall
+    /// per scenario and a 60 ms deadline, a 32-scenario batch stops early,
+    /// answers `DeadlineExceeded` and caches nothing.
+    #[test]
+    fn late_batch_stops_between_scenarios() {
+        let svc = SiService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            retry: RetryPolicy::none(),
+            ..ServiceConfig::default()
+        });
+        svc.install_fault_injector(Arc::new(FaultInjector::new(crate::fault::FaultPlan {
+            stall: Duration::from_millis(10),
+            ..only(FaultKind::Stall, u64::MAX)
+        })));
+        let spec = batch_spec((0..32).map(|i| 0.1 * f64::from(i)).collect());
+        let err = svc
+            .submit_blocking(&spec, Some(Duration::from_millis(60)))
+            .unwrap_err();
+        assert_eq!(err, ServiceError::DeadlineExceeded);
+        // The worker publishes its telemetry once the run has ended.
+        for _ in 0..400 {
+            let m = svc.metrics();
+            if m.get("pool").unwrap().get("executed").unwrap().as_f64() == Some(1.0) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(!svc.in_flight(spec.job_key()));
+        assert!(svc.lookup(spec.job_key()).unwrap().1.is_none(), "cached");
+        assert_eq!(svc.cache.stats().entries, 0);
+        let solves = svc.engine_stats().solves;
+        assert!((1..32).contains(&solves), "{solves} solves");
+    }
+
+    /// A follower waits on the flight under its own deadline. The
+    /// leader's only execution stalls 400 ms; a follower with a 30 ms
+    /// deadline gives up at its deadline, and the leader still succeeds.
+    #[test]
+    fn follower_keeps_its_own_deadline() {
+        let svc = Arc::new(SiService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            ..ServiceConfig::default()
+        }));
+        svc.install_fault_injector(Arc::new(FaultInjector::new(crate::fault::FaultPlan {
+            stall: Duration::from_millis(400),
+            ..only(FaultKind::Stall, 1)
+        })));
+        let spec = dc_spec(11.0);
+        let leader = {
+            let (svc, spec) = (Arc::clone(&svc), spec.clone());
+            std::thread::spawn(move || svc.submit_blocking(&spec, None))
+        };
+        while !svc.in_flight(spec.job_key()) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let started = Instant::now();
+        let follower = svc.submit_blocking(&spec, Some(Duration::from_millis(30)));
+        let waited = started.elapsed();
+        assert_eq!(follower.unwrap_err(), ServiceError::DeadlineExceeded);
+        assert!(
+            waited < Duration::from_millis(200),
+            "follower waited {waited:?}"
+        );
+        let (_, cached) = leader.join().unwrap().expect("the leader succeeds");
+        assert!(!cached);
+        let m = svc.metrics();
+        let counter =
+            |section: &str, name: &str| m.get(section).unwrap().get(name).unwrap().as_f64();
+        assert_eq!(counter("cache", "coalesced"), Some(1.0));
+        assert_eq!(counter("service", "deadline_exceeded"), Some(1.0));
     }
 }
