@@ -14,7 +14,7 @@
 //! The linear algebra itself lives behind the [`crate::solver`] backend
 //! layer: the workspace owns one [`Solver`] per scalar field — `f64` for
 //! the Newton loop, [`Complex`] for AC and noise — and hands each the
-//! assembly as a closure. The [`BackendPolicy`] set via
+//! assembly as a closure. The [`crate::solver::BackendMode`] set via
 //! [`EngineWorkspace::set_backend_policy`] decides per circuit between the
 //! dense LU fast path and the sparse structure-caching path. On the sparse
 //! path the symbolic factorization is computed once per circuit topology
@@ -45,7 +45,7 @@
 use crate::device::switch::TwoPhaseClock;
 use crate::mna::{assemble_into_target, CapStep, Solution, StampContext};
 use crate::netlist::Circuit;
-use crate::solver::{BackendPolicy, Solver, Target};
+use crate::solver::{BackendMode, Solver, Target};
 use crate::telemetry::{EngineStats, SolveKind, SolveOutcome};
 use crate::units::Seconds;
 use crate::AnalogError;
@@ -114,7 +114,7 @@ pub struct EngineWorkspace {
     pub(crate) cx: Vec<Complex>,
     /// Backend-selection policy applied to every solve driven through
     /// this workspace.
-    policy: BackendPolicy,
+    policy: BackendMode,
     /// Installed telemetry collector; `None` means disabled (one branch
     /// per engine event, nothing on the per-element stamping path).
     probe: Option<Box<EngineStats>>,
@@ -147,16 +147,16 @@ impl EngineWorkspace {
     }
 
     /// Sets the backend-selection policy for every subsequent solve
-    /// driven through this workspace. The default [`BackendPolicy`] keeps
-    /// small circuits on the dense fast path and switches large sparse
-    /// ones to the structure-caching sparse backend.
-    pub fn set_backend_policy(&mut self, policy: BackendPolicy) {
+    /// driven through this workspace. The default, [`BackendMode::Auto`],
+    /// keeps small circuits on the dense fast path and switches large
+    /// sparse ones to the structure-caching sparse backend.
+    pub fn set_backend_policy(&mut self, policy: BackendMode) {
         self.policy = policy;
     }
 
     /// The backend-selection policy in effect.
     #[must_use]
-    pub fn backend_policy(&self) -> BackendPolicy {
+    pub fn backend_policy(&self) -> BackendMode {
         self.policy
     }
 
@@ -285,7 +285,7 @@ impl EngineWorkspace {
             };
             let step = self
                 .real
-                .assemble_and_factor(circuit, &self.policy, |t| {
+                .assemble_and_factor(circuit, self.policy, |t| {
                     assemble_into_target(circuit, &ctx, t, &mut self.rhs)
                 })
                 .and_then(|event| self.real.solve(&self.rhs, &mut self.x).map(|()| event));
@@ -369,7 +369,7 @@ impl EngineWorkspace {
         circuit: &Circuit,
         ctx: &StampContext<'_>,
     ) -> Result<(), AnalogError> {
-        let event = self.real.assemble_and_factor(circuit, &self.policy, |t| {
+        let event = self.real.assemble_and_factor(circuit, self.policy, |t| {
             assemble_into_target(circuit, ctx, t, &mut self.rhs)
         })?;
         self.probe_event(|p| {
@@ -414,10 +414,9 @@ impl EngineWorkspace {
     where
         F: FnOnce(&mut Target<'_, Complex>) -> Result<(), AnalogError>,
     {
-        let policy = self.policy;
         let event = self
             .complex
-            .assemble_and_factor(circuit, &policy, assemble)?;
+            .assemble_and_factor(circuit, self.policy, assemble)?;
         self.probe_event(|p| {
             p.complex_factorization();
             event.report(p);

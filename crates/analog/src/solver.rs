@@ -12,9 +12,10 @@
 //! analysis, and every later Newton iteration, gmin rung, transient step,
 //! sweep point, or frequency point replays it numerically.
 //!
-//! The cutover is governed by [`BackendPolicy`]: automatic by dimension
-//! and structural density, or forced either way (benchmarks and
-//! equivalence tests force both and compare).
+//! The cutover is governed by [`BackendMode`]: automatic by dimension
+//! ([`DENSE_DIM_CUTOFF`]) and structural density ([`MAX_SPARSE_DENSITY`]),
+//! or forced either way (benchmarks and equivalence tests force both and
+//! compare).
 
 use crate::linalg::Matrix;
 use crate::mna::mna_pattern;
@@ -23,7 +24,7 @@ use crate::sparse::{CscMatrix, RhsPanel, Scalar, SparseLu};
 use crate::telemetry::{BackendKind, EngineStats};
 use crate::AnalogError;
 
-/// How the backend is selected.
+/// How the backend is selected: the backend policy of a workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum BackendMode {
@@ -36,30 +37,15 @@ pub enum BackendMode {
     ForceSparse,
 }
 
-/// The backend-selection policy of a workspace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendPolicy {
-    /// Selection mode.
-    pub mode: BackendMode,
-    /// In [`BackendMode::Auto`], systems of this dimension or smaller stay
-    /// dense — below roughly this size the dense kernel's tight loops beat
-    /// any sparse bookkeeping, and every single-cell paper circuit falls
-    /// here.
-    pub dense_dim_cutoff: usize,
-    /// In [`BackendMode::Auto`], larger systems go sparse only when the
-    /// structural density (nonzeros over n²) is at or below this value.
-    pub max_density: f64,
-}
+/// In [`BackendMode::Auto`], systems of this dimension or smaller stay
+/// dense — below roughly this size the dense kernel's tight loops beat
+/// any sparse bookkeeping, and every single-cell paper circuit falls
+/// here.
+pub const DENSE_DIM_CUTOFF: usize = 32;
 
-impl Default for BackendPolicy {
-    fn default() -> Self {
-        BackendPolicy {
-            mode: BackendMode::Auto,
-            dense_dim_cutoff: 32,
-            max_density: 0.25,
-        }
-    }
-}
+/// In [`BackendMode::Auto`], larger systems go sparse only when the
+/// structural density (nonzeros over n²) is at or below this value.
+pub const MAX_SPARSE_DENSITY: f64 = 0.25;
 
 /// Which backend a solver last factored with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -205,26 +191,26 @@ impl<S: Scalar> Solver<S> {
         self.dense_perm.reserve(dim);
     }
 
-    /// Whether `policy` sends this `dim`-unknown circuit to the sparse
+    /// Whether `mode` sends this `dim`-unknown circuit to the sparse
     /// backend. Creates or refreshes the sparse state when it does, and in
     /// [`BackendMode::Auto`] when the density check needs the pattern; the
     /// pattern and symbolic cache are rebuilt only when the topology
     /// fingerprint changed.
-    fn goes_sparse(&mut self, circuit: &Circuit, dim: usize, policy: &BackendPolicy) -> bool {
-        match policy.mode {
+    fn goes_sparse(&mut self, circuit: &Circuit, dim: usize, mode: BackendMode) -> bool {
+        match mode {
             BackendMode::ForceDense => return false,
-            BackendMode::Auto if dim <= policy.dense_dim_cutoff => return false,
+            BackendMode::Auto if dim <= DENSE_DIM_CUTOFF => return false,
             BackendMode::Auto | BackendMode::ForceSparse => {}
         }
         let fp = circuit.structure_fingerprint();
         if self.sparse.as_ref().is_none_or(|s| s.fingerprint != fp) {
             self.sparse = Some(SparseState::for_circuit(circuit));
         }
-        policy.mode == BackendMode::ForceSparse
-            || self.sparse_state().matrix.pattern().density() <= policy.max_density
+        mode == BackendMode::ForceSparse
+            || self.sparse_state().matrix.pattern().density() <= MAX_SPARSE_DENSITY
     }
 
-    /// Runs `assemble` against the policy-selected backend target and
+    /// Runs `assemble` against the `mode`-selected backend target and
     /// factors the result, leaving the factors ready for [`Self::solve`].
     ///
     /// # Errors
@@ -233,7 +219,7 @@ impl<S: Scalar> Solver<S> {
     pub fn assemble_and_factor<F>(
         &mut self,
         circuit: &Circuit,
-        policy: &BackendPolicy,
+        mode: BackendMode,
         assemble: F,
     ) -> Result<FactorEvent, AnalogError>
     where
@@ -241,7 +227,7 @@ impl<S: Scalar> Solver<S> {
     {
         let dim = circuit.mna_dimension();
         self.dim = dim;
-        if self.goes_sparse(circuit, dim, policy) {
+        if self.goes_sparse(circuit, dim, mode) {
             let state = self.sparse.as_mut().expect("sparse state ensured");
             assemble(&mut Target::Sparse(&mut state.matrix))?;
             let replayed = state.lu.refactorize(&state.matrix)?;
@@ -328,10 +314,10 @@ mod tests {
         circuit: &Circuit,
         ctx: &StampContext<'_>,
         rhs: &mut Vec<f64>,
-        policy: &BackendPolicy,
+        mode: BackendMode,
     ) -> FactorEvent {
         solver
-            .assemble_and_factor(circuit, policy, |t| {
+            .assemble_and_factor(circuit, mode, |t| {
                 assemble_into_target(circuit, ctx, t, rhs)
             })
             .unwrap()
@@ -355,12 +341,12 @@ mod tests {
         c
     }
 
-    fn solve_with(policy: &BackendPolicy, circuit: &Circuit) -> (Vec<f64>, ActiveBackend) {
+    fn solve_with(mode: BackendMode, circuit: &Circuit) -> (Vec<f64>, ActiveBackend) {
         let guess = vec![0.0; circuit.node_count()];
         let ctx = StampContext::dc(&guess);
         let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        factor(&mut solver, circuit, &ctx, &mut rhs, policy);
+        factor(&mut solver, circuit, &ctx, &mut rhs, mode);
         let mut x = Vec::new();
         solver.solve(&rhs, &mut x).unwrap();
         (x, solver.active())
@@ -368,30 +354,17 @@ mod tests {
 
     #[test]
     fn auto_keeps_small_circuits_dense_and_large_sparse() {
-        let policy = BackendPolicy::default();
-        let (_, small_backend) = solve_with(&policy, &ladder(8));
+        let (_, small_backend) = solve_with(BackendMode::Auto, &ladder(8));
         assert_eq!(small_backend, ActiveBackend::Dense);
-        let (_, large_backend) = solve_with(&policy, &ladder(60));
+        let (_, large_backend) = solve_with(BackendMode::Auto, &ladder(60));
         assert_eq!(large_backend, ActiveBackend::Sparse);
     }
 
     #[test]
     fn forced_backends_agree_on_the_solution() {
         let circuit = ladder(40);
-        let (dense_x, db) = solve_with(
-            &BackendPolicy {
-                mode: BackendMode::ForceDense,
-                ..BackendPolicy::default()
-            },
-            &circuit,
-        );
-        let (sparse_x, sb) = solve_with(
-            &BackendPolicy {
-                mode: BackendMode::ForceSparse,
-                ..BackendPolicy::default()
-            },
-            &circuit,
-        );
+        let (dense_x, db) = solve_with(BackendMode::ForceDense, &circuit);
+        let (sparse_x, sb) = solve_with(BackendMode::ForceSparse, &circuit);
         assert_eq!(db, ActiveBackend::Dense);
         assert_eq!(sb, ActiveBackend::Sparse);
         assert_eq!(dense_x.len(), sparse_x.len());
@@ -405,34 +378,30 @@ mod tests {
         let circuit = ladder(50);
         let guess = vec![0.0; circuit.node_count()];
         let ctx = StampContext::dc(&guess);
-        let policy = BackendPolicy {
-            mode: BackendMode::ForceSparse,
-            ..BackendPolicy::default()
-        };
+        let mode = BackendMode::ForceSparse;
         let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        let first = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
+        let first = factor(&mut solver, &circuit, &ctx, &mut rhs, mode);
         assert_eq!(first.cache, Some(false), "first factorization is a miss");
-        let second = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
+        let second = factor(&mut solver, &circuit, &ctx, &mut rhs, mode);
         assert_eq!(second.cache, Some(true), "same topology replays");
         assert!(second.refactor);
 
         let other = ladder(51);
         let other_guess = vec![0.0; other.node_count()];
         let other_ctx = StampContext::dc(&other_guess);
-        let third = factor(&mut solver, &other, &other_ctx, &mut rhs, &policy);
+        let third = factor(&mut solver, &other, &other_ctx, &mut rhs, mode);
         assert_eq!(third.cache, Some(false), "new topology is a miss");
     }
 
     #[test]
     fn dense_cutoff_is_respected_in_auto() {
-        let circuit = ladder(60);
-        let policy = BackendPolicy {
-            dense_dim_cutoff: 1000,
-            ..BackendPolicy::default()
-        };
-        let (_, backend) = solve_with(&policy, &circuit);
-        assert_eq!(backend, ActiveBackend::Dense);
+        // A ladder's dimension is its stage count, and its density is far
+        // under the sparse ceiling.
+        let (_, at) = solve_with(BackendMode::Auto, &ladder(DENSE_DIM_CUTOFF));
+        assert_eq!(at, ActiveBackend::Dense);
+        let (_, past) = solve_with(BackendMode::Auto, &ladder(DENSE_DIM_CUTOFF + 1));
+        assert_eq!(past, ActiveBackend::Sparse);
     }
 
     #[test]
@@ -441,13 +410,9 @@ mod tests {
         let guess = vec![0.0; circuit.node_count()];
         let ctx = StampContext::dc(&guess);
         for mode in [BackendMode::ForceDense, BackendMode::ForceSparse] {
-            let policy = BackendPolicy {
-                mode,
-                ..BackendPolicy::default()
-            };
             let mut solver = Solver::new();
             let mut rhs = Vec::new();
-            factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
+            factor(&mut solver, &circuit, &ctx, &mut rhs, mode);
             // A scenario family: the assembled RHS scaled per scenario.
             let columns: Vec<Vec<f64>> = (0..11)
                 .map(|s| rhs.iter().map(|v| v * (1.0 + 0.1 * s as f64)).collect())
@@ -470,13 +435,15 @@ mod tests {
         let circuit = ladder(40);
         let guess = vec![0.0; circuit.node_count()];
         let ctx = StampContext::dc(&guess);
-        let policy = BackendPolicy {
-            mode: BackendMode::ForceSparse,
-            ..BackendPolicy::default()
-        };
         let mut solver = Solver::new();
         let mut rhs = Vec::new();
-        let event = factor(&mut solver, &circuit, &ctx, &mut rhs, &policy);
+        let event = factor(
+            &mut solver,
+            &circuit,
+            &ctx,
+            &mut rhs,
+            BackendMode::ForceSparse,
+        );
         assert_eq!(event.kind, BackendKind::SparseReal);
         let (nnz, factor_nnz) = event.structure.unwrap();
         assert!(nnz > 0 && factor_nnz >= nnz / 2);

@@ -39,7 +39,7 @@ pub enum SolveKind {
 /// Which linear-solver backend performed a factorization.
 ///
 /// The engine picks a backend per circuit (see
-/// [`crate::solver::BackendPolicy`]): small or dense systems keep the
+/// [`crate::solver::BackendMode`]): small or dense systems keep the
 /// dense LU fast path, large sparse systems use the structure-caching
 /// sparse LU. Telemetry tags every factorization with its backend so a run
 /// report shows exactly which path did the work.

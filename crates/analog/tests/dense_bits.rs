@@ -15,7 +15,7 @@ use si_analog::dc::DcSolver;
 use si_analog::device::switch::TwoPhaseClock;
 use si_analog::device::Waveform;
 use si_analog::engine::EngineWorkspace;
-use si_analog::solver::{BackendMode, BackendPolicy};
+use si_analog::solver::BackendMode;
 use si_analog::tran::{self, TranParams};
 use si_analog::units::Seconds;
 use si_dsp::Complex;
@@ -46,10 +46,7 @@ impl Fnv {
 
 fn dense_workspace(circuit: &si_analog::netlist::Circuit) -> EngineWorkspace {
     let mut ws = EngineWorkspace::for_circuit(circuit);
-    ws.set_backend_policy(BackendPolicy {
-        mode: BackendMode::ForceDense,
-        ..BackendPolicy::default()
-    });
+    ws.set_backend_policy(BackendMode::ForceDense);
     ws
 }
 

@@ -320,23 +320,17 @@ proptest! {
     ) {
         use si_analog::dc::DcSolver;
         use si_analog::engine::EngineWorkspace;
-        use si_analog::solver::{BackendMode, BackendPolicy};
+        use si_analog::solver::BackendMode;
 
         let ckt = parse_netlist(&ladder_netlist(stages, r_k, i_ua)).unwrap();
         let solver = DcSolver::new();
 
         let mut dense_ws = EngineWorkspace::for_circuit(&ckt);
-        dense_ws.set_backend_policy(BackendPolicy {
-            mode: BackendMode::ForceDense,
-            ..BackendPolicy::default()
-        });
+        dense_ws.set_backend_policy(BackendMode::ForceDense);
         let dense = solver.solve_with(&ckt, &mut dense_ws).unwrap();
 
         let mut sparse_ws = EngineWorkspace::for_circuit(&ckt);
-        sparse_ws.set_backend_policy(BackendPolicy {
-            mode: BackendMode::ForceSparse,
-            ..BackendPolicy::default()
-        });
+        sparse_ws.set_backend_policy(BackendMode::ForceSparse);
         sparse_ws.enable_stats();
         let sparse = solver.solve_with(&ckt, &mut sparse_ws).unwrap();
 
@@ -369,14 +363,11 @@ proptest! {
     ) {
         use si_analog::dc::DcSolver;
         use si_analog::engine::EngineWorkspace;
-        use si_analog::solver::{BackendMode, BackendPolicy};
+        use si_analog::solver::BackendMode;
 
         let ckt = parse_netlist(&ladder_netlist(stages, r_k, i_ua)).unwrap();
         let solver = DcSolver::new();
-        let policy = BackendPolicy {
-            mode: BackendMode::ForceSparse,
-            ..BackendPolicy::default()
-        };
+        let policy = BackendMode::ForceSparse;
 
         let mut bare_ws = EngineWorkspace::for_circuit(&ckt);
         bare_ws.set_backend_policy(policy);

@@ -10,7 +10,7 @@ use si_analog::acnoise::NoiseAnalysis;
 use si_analog::cells::{si_cell_chain, ClassAbCellDesign};
 use si_analog::dc::DcSolver;
 use si_analog::engine::EngineWorkspace;
-use si_analog::solver::{BackendMode, BackendPolicy};
+use si_analog::solver::BackendMode;
 use si_dsp::signal::GaussianNoise;
 use si_dsp::welch::{goertzel_power, welch};
 use si_dsp::window::Window;
@@ -70,10 +70,7 @@ fn bench_ac_backend_pairs(c: &mut Criterion) {
         ] {
             c.bench_function(&format!("ac_cell_chain_{stages}_{tag}"), |b| {
                 let mut ws = EngineWorkspace::for_circuit(&line.circuit);
-                ws.set_backend_policy(BackendPolicy {
-                    mode,
-                    ..BackendPolicy::default()
-                });
+                ws.set_backend_policy(mode);
                 b.iter(|| {
                     analysis
                         .response_with(

@@ -9,7 +9,7 @@ use si_analog::cells::{si_cell_chain, ClassAbCellDesign, CmffDesign};
 use si_analog::dc::DcSolver;
 use si_analog::engine::EngineWorkspace;
 use si_analog::linalg::Matrix;
-use si_analog::solver::{BackendMode, BackendPolicy};
+use si_analog::solver::BackendMode;
 
 fn bench_lu(c: &mut Criterion) {
     let n = 32;
@@ -91,10 +91,7 @@ fn bench_backend_pairs(c: &mut Criterion) {
         ] {
             c.bench_function(&format!("dc_cell_chain_{stages}_{tag}"), |b| {
                 let mut ws = EngineWorkspace::for_circuit(&line.circuit);
-                ws.set_backend_policy(BackendPolicy {
-                    mode,
-                    ..BackendPolicy::default()
-                });
+                ws.set_backend_policy(mode);
                 b.iter(|| {
                     solver
                         .solve_with(black_box(&line.circuit), &mut ws)

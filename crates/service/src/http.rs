@@ -15,7 +15,10 @@
 //!   → back to Reading on keep-alive,
 //! - `Handler::inline` answers cheap routes on the loop thread;
 //!   whatever it declines runs through `Handler::blocking` on a
-//!   handler thread, so only in-flight blocking requests occupy a thread,
+//!   handler thread, so only in-flight blocking requests occupy a thread.
+//!   `inline` hands `blocking` its `Handler::Deferred`: the service's
+//!   decoded `POST /v1/jobs` spec and deadline (decoded once, on the
+//!   loop) or `POST /v1/warm` body; the router's request, unchanged,
 //! - a wake pipe lets handler threads hand finished responses back to
 //!   the loop without waiting out a poll tick.
 //!
@@ -230,15 +233,17 @@ impl Response {
 }
 
 /// The routes behind an event loop. `inline` runs on the loop thread
-/// and must not block; it answers, or returns `None` to hand the request
-/// to `blocking`, which runs on a handler thread of its own. `http` is
-/// the loop's own counters, for the `"http"` section of `/metrics`.
+/// and must not block; it answers, or returns `Err` with what it decoded
+/// to hand the request to `blocking`, which runs on a handler thread of
+/// its own. `http` is the loop's own counters, for the `"http"` section
+/// of `/metrics`.
 pub(crate) trait Handler: Send + Sync + 'static {
-    /// Answers `request` on the event-loop thread, or declines with
-    /// `None`.
-    fn inline(&self, request: &Request, http: &HttpStats) -> Option<Response>;
+    /// What `inline` hands `blocking` for a request it declines.
+    type Deferred: Send + 'static;
+    /// Answers `request` on the event-loop thread, or declines.
+    fn inline(&self, request: Request, http: &HttpStats) -> Result<Response, Self::Deferred>;
     /// Answers a request `inline` declined; may block.
-    fn blocking(&self, request: &Request, http: &HttpStats) -> Response;
+    fn blocking(&self, deferred: Self::Deferred, http: &HttpStats) -> Response;
 }
 
 /// Hand-declared `poll(2)`. The environment vendors no libc crate, but
@@ -839,15 +844,14 @@ fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposi
                 }
                 Parse::Request { request, consumed } => {
                     conn.buf.drain(..consumed);
-                    match ctx.handler.inline(&request, &ctx.stats) {
-                        Some(response) => {
-                            conn.start_write(&response, request.keep_alive, &ctx.config);
-                        }
-                        None => {
+                    let keep_alive = request.keep_alive;
+                    match ctx.handler.inline(request, &ctx.stats) {
+                        Ok(response) => conn.start_write(&response, keep_alive, &ctx.config),
+                        Err(deferred) => {
                             // The blocking route: park the connection and
                             // let a handler thread answer.
                             conn.state = ConnState::Waiting;
-                            spawn_blocking(token, request, ctx);
+                            spawn_blocking(token, deferred, keep_alive, ctx);
                             return Disposition::Keep;
                         }
                     }
@@ -1064,16 +1068,15 @@ fn try_parse(buf: &[u8], max_body_bytes: usize) -> Parse {
 /// Runs [`Handler::blocking`] on its own thread and hands the response
 /// back through the completion queue. A panicking handler answers `500`
 /// instead of leaving the connection parked forever.
-fn spawn_blocking<H: Handler>(token: usize, request: Request, ctx: &LoopCtx<H>) {
+fn spawn_blocking<H: Handler>(token: usize, work: H::Deferred, keep_alive: bool, ctx: &LoopCtx<H>) {
     let handler = Arc::clone(&ctx.handler);
     let stats = Arc::clone(&ctx.stats);
     let completions = Arc::clone(&ctx.completions);
-    let keep_alive = request.keep_alive;
     let spawned = thread::Builder::new()
         .name("si-http-handler".to_string())
         .spawn(move || {
             let response =
-                std::panic::catch_unwind(AssertUnwindSafe(|| handler.blocking(&request, &stats)))
+                std::panic::catch_unwind(AssertUnwindSafe(|| handler.blocking(work, &stats)))
                     .unwrap_or_else(|_| {
                         let err = ServiceError::Internal("request handler panicked".to_string());
                         Response::error(&err)
@@ -1159,16 +1162,29 @@ pub(crate) fn unknown_route(method: &str) -> (u16, String) {
     }
 }
 
+/// What the service's loop hands a handler thread.
+pub(crate) enum Deferred {
+    /// A decoded job the memory tier could not answer.
+    Job {
+        spec: JobSpec,
+        deadline: Option<Duration>,
+    },
+    /// The body of a `POST /v1/warm`.
+    Warm(String),
+}
+
 /// The service's routes: memory-tier hits, lookups, the cache endpoint,
 /// and the probes answer on the loop; job misses and warm pulls block.
 impl Handler for SiService {
-    fn inline(&self, request: &Request, http: &HttpStats) -> Option<Response> {
+    type Deferred = Deferred;
+
+    fn inline(&self, request: Request, http: &HttpStats) -> Result<Response, Deferred> {
         let path = request.path.as_str();
         let (status, body) = match (request.method.as_str(), path) {
-            ("POST", "/v1/jobs") => return post_cached(&request.body, self),
-            ("POST", "/v1/warm") => return None,
+            ("POST", "/v1/jobs") => return post_job(&request.body, self),
+            ("POST", "/v1/warm") => return Err(Deferred::Warm(request.body)),
             ("GET", _) if path.starts_with("/v1/cache/") => {
-                return Some(cache_entry(&path["/v1/cache/".len()..], self))
+                return Ok(cache_entry(&path["/v1/cache/".len()..], self))
             }
             ("GET", "/metrics") => (200, metrics_with_http(self.metrics(), http)),
             ("GET", "/healthz") => (200, r#"{"status":"ok"}"#.to_string()),
@@ -1185,52 +1201,52 @@ impl Handler for SiService {
             }
             (method, _) => unknown_route(method),
         };
-        Some(Response::json(status, body))
+        Ok(Response::json(status, body))
     }
 
-    fn blocking(&self, request: &Request, _http: &HttpStats) -> Response {
-        if request.path == "/v1/warm" {
-            warm_job(&request.body, self)
-        } else {
-            post_job(&request.body, self)
+    fn blocking(&self, deferred: Deferred, _http: &HttpStats) -> Response {
+        match deferred {
+            Deferred::Job { spec, deadline } => match self.submit(&spec, deadline) {
+                Ok((key, out, cached)) => job_answer(key, &spec, cached, &out),
+                Err(err) => Response::error(&err),
+            },
+            Deferred::Warm(body) => warm_job(&body, self),
         }
     }
 }
 
-/// Serves a `POST /v1/jobs` inline when the answer is already resident
-/// in the memory tier: parse, probe, respond — the event loop's fast
-/// path. `None` means the request needs a handler thread: a cache miss,
-/// a netlist whose exact text has not yet passed the admission gauntlet
-/// (which parses the full text), or a body the blocking path should
-/// diagnose (its error answer is identical, just off-loop).
-fn post_cached(body: &str, service: &SiService) -> Option<Response> {
-    let (_, spec) = decode_job(body).ok()?;
-    let (key, out) = service.serve_hit(&spec)?;
-    Some(job_answer(key, &spec, true, &out))
-}
-
-fn post_job(body: &str, service: &SiService) -> Response {
-    let (parsed, spec) = match decode_job(body) {
+/// `POST /v1/jobs` on the loop: decode once, then answer a body that
+/// does not decode, or a job the memory tier holds (by lookup only, see
+/// [`SiService::serve_cached`]); any other job goes to a handler thread
+/// with its decoded spec and deadline.
+fn post_job(body: &str, service: &SiService) -> Result<Response, Deferred> {
+    let (spec, deadline) = match decode_job(body) {
         Ok(decoded) => decoded,
-        Err(err) => return Response::error(&err),
+        Err(err) => return Ok(Response::error(&err)),
     };
-    let deadline = parsed
-        .get("timeout_ms")
-        .and_then(Json::as_f64)
-        .filter(|ms| *ms > 0.0)
-        .map(|ms| Duration::from_secs_f64(ms / 1000.0));
-    match service.submit(&spec, deadline) {
-        Ok((key, out, cached)) => job_answer(key, &spec, cached, &out),
-        Err(err) => Response::error(&err),
+    match service.serve_hit(&spec) {
+        Some((key, out)) => Ok(job_answer(key, &spec, true, &out)),
+        None => Err(Deferred::Job { spec, deadline }),
     }
 }
 
-/// Decodes a `POST /v1/jobs` body into its JSON document and job spec.
-pub(crate) fn decode_job(body: &str) -> Result<(Json, JobSpec), ServiceError> {
+/// Decodes a `POST /v1/jobs` body into its job spec and its optional
+/// `"timeout_ms"` deadline (absent or not positive: none). A deadline no
+/// `Duration` or `Instant` can hold is an invalid spec.
+pub(crate) fn decode_job(body: &str) -> Result<(JobSpec, Option<Duration>), ServiceError> {
     let parsed = json::parse(body)
         .map_err(|msg| ServiceError::InvalidSpec(format!("body is not JSON: {msg}")))?;
     let spec = JobSpec::from_json(&parsed)?;
-    Ok((parsed, spec))
+    let out_of_range = || ServiceError::InvalidSpec("\"timeout_ms\" is out of range".to_string());
+    let deadline = match parsed.get("timeout_ms").and_then(Json::as_f64) {
+        Some(ms) if ms > 0.0 => {
+            let d = Duration::try_from_secs_f64(ms / 1000.0).map_err(|_| out_of_range())?;
+            Instant::now().checked_add(d).ok_or_else(out_of_range)?;
+            Some(d)
+        }
+        _ => None,
+    };
+    Ok((spec, deadline))
 }
 
 /// The `200` body of a job whose key the service already derived.
@@ -1961,21 +1977,34 @@ mod tests {
 
     /// A `POST /v1/jobs` body of 20,000 `[` (20 KB, far under the body
     /// cap) used to overflow the stack of the thread decoding it, which
-    /// aborts the whole process. Both front ends now answer a typed `400`
-    /// and keep serving, and every document they emit still parses under
-    /// the nesting cap.
+    /// aborts the whole process; a `timeout_ms` past what a `Duration`
+    /// (`1e300`) or an `Instant` (`1e22`) holds panicked its handler.
+    /// Both front ends now answer a typed `400` and keep serving, and
+    /// every document they emit still parses under the nesting cap.
     #[test]
     fn deeply_nested_body_is_400() {
         let nested = "[".repeat(20_000);
         let spec = r#"{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1}"#;
+        let timeout = |ms: &str| {
+            format!(
+                r#"{{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":1,"timeout_ms":{ms}}}"#
+            )
+        };
+        let cases = [
+            (nested, "nesting deeper than"),
+            (timeout("1e300"), "timeout_ms"),
+            (timeout("1e22"), "timeout_ms"),
+        ];
         for front in fronts(HttpConfig::default()) {
-            let (status, body) = call(front.addr(), "POST", "/v1/jobs", Some(&nested));
-            assert_eq!(status, 400, "{}: {body}", front.name());
-            assert!(
-                body.contains("nesting deeper than"),
-                "{}: {body}",
-                front.name()
-            );
+            for (bad, message) in &cases {
+                let (status, body) = call(front.addr(), "POST", "/v1/jobs", Some(bad));
+                assert_eq!(status, 400, "{}: {body}", front.name());
+                assert!(
+                    body.contains("invalid_spec") && body.contains(message),
+                    "{}: {body}",
+                    front.name()
+                );
+            }
             for (method, path, body) in [
                 ("GET", "/healthz", None),
                 ("GET", "/readyz", None),

@@ -15,14 +15,17 @@
 //! batch, transient, AC, streaming transient, sweep). Validation, the
 //! key, the structure fingerprint, the wire form and the run each handle
 //! the circuit once and the analysis once, and a `Prepared` spec builds
-//! or parses its circuit at most once for all of them.
+//! or parses its circuit at most once for all of them. The service
+//! prepares each submission once; the `Admitted` job it hands a worker
+//! carries that circuit, so the worker neither builds nor parses.
 //!
 //! Every run, plain or in the service, goes through one loop
-//! (`JobSpec::run_with`) under one hook, `Units`: it is called before
-//! each unit of work — the one unit of a single-shot job, each scenario
-//! of a batch, each chunk of a stream — and may stop the run there. A
-//! stream also asks the hook for a checkpoint to resume from and hands it
-//! the state after each chunk. [`JobSpec::run`] is the run under the
+//! (`Prepared::run_with`, which runs an already prepared and validated
+//! job) under one hook, `Units`: it is called before each unit of work —
+//! the one unit of a single-shot job, each scenario of a batch, each
+//! chunk of a stream — and may stop the run there. A stream also asks
+//! the hook for a checkpoint to resume from and hands it the state after
+//! each chunk. [`JobSpec::run`] prepares, validates and runs under the
 //! no-op hook `()`.
 
 use si_analog::ac::{AcAnalysis, AcProbe, AcStimulus};
@@ -44,6 +47,7 @@ use si_modulator::measure::MeasurementConfig;
 use si_modulator::sweep::sndr_sweep;
 use std::cell::OnceCell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::budget::{price_circuit, CircuitCost};
@@ -190,7 +194,7 @@ pub(crate) trait Units {
     }
 
     /// Called with a stream's state after each chunk it ran.
-    fn after_chunk(&mut self, _state: &StreamState) {}
+    fn after_chunk(&mut self, _state: &StreamState<'_>) {}
 }
 
 /// The plain run: every unit proceeds, nothing resumes or is kept.
@@ -446,35 +450,388 @@ impl JobSpec {
     /// [`ServiceError::InvalidSpec`] for specs that fail validation,
     /// [`ServiceError::Analysis`] for solver failures.
     pub fn run(&self, ws: &mut EngineWorkspace) -> Result<JobOutput, ServiceError> {
-        self.run_with(ws, &mut ())
+        let job = self.prepare();
+        job.validate()?;
+        job.run_with(ws, &mut ())
     }
 
-    /// [`JobSpec::run`] under a [`Units`] hook: `before` runs ahead of
-    /// every unit of work and an error from it ends the run with that
-    /// error; a stream resumes from the hook's checkpoint when
-    /// [`StreamState::resumable`] accepts it and reports each finished
-    /// chunk. The hook can stop a run but never alters its result.
+    /// The spec split into its circuit and analysis, the circuit not yet
+    /// built.
+    pub(crate) fn prepare(&self) -> Prepared<'_> {
+        let line = |stages: &usize, bias_ua: &f64, input_ua: Option<&f64>| {
+            Some(CircuitSpec::Line(LineSpec {
+                stages: *stages,
+                bias_ua: *bias_ua,
+                input_ua: input_ua.copied(),
+            }))
+        };
+        let tran = |steps: &usize, dt_ns: &f64, clock_hz: &f64| TranSpec {
+            steps: *steps,
+            dt_ns: *dt_ns,
+            clock_hz: *clock_hz,
+        };
+        let (tag, circuit, analysis) = match self {
+            JobSpec::DelayLineDc {
+                stages,
+                bias_ua,
+                input_ua,
+            } => (1, line(stages, bias_ua, Some(input_ua)), Analysis::Dc),
+            JobSpec::DelayLineTran {
+                stages,
+                bias_ua,
+                input_ua,
+                steps,
+                dt_ns,
+                clock_hz,
+            } => (
+                2,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::Tran(tran(steps, dt_ns, clock_hz)),
+            ),
+            JobSpec::DelayLineAc {
+                stages,
+                bias_ua,
+                input_ua,
+                f_lo_hz,
+                f_hi_hz,
+                points,
+            } => (
+                3,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::Ac(AcSpec {
+                    f_lo_hz: *f_lo_hz,
+                    f_hi_hz: *f_hi_hz,
+                    points: *points,
+                }),
+            ),
+            JobSpec::SndrSweep {
+                full_scale_ua,
+                levels_db,
+            } => (
+                4,
+                None,
+                Analysis::Sweep(SweepSpec {
+                    full_scale_ua: *full_scale_ua,
+                    levels_db,
+                }),
+            ),
+            JobSpec::DelayLineDcBatch {
+                stages,
+                bias_ua,
+                inputs_ua,
+            } => (5, line(stages, bias_ua, None), Analysis::DcBatch(inputs_ua)),
+            JobSpec::Netlist { netlist } => (6, Some(CircuitSpec::Netlist(netlist)), Analysis::Dc),
+            JobSpec::TranStream {
+                stages,
+                bias_ua,
+                input_ua,
+                steps,
+                dt_ns,
+                clock_hz,
+                chunk_steps,
+                seg_len,
+            } => (
+                7,
+                line(stages, bias_ua, Some(input_ua)),
+                Analysis::TranStream(StreamSpec {
+                    tran: tran(steps, dt_ns, clock_hz),
+                    chunk_steps: *chunk_steps,
+                    seg_len: *seg_len,
+                }),
+            ),
+        };
+        Prepared {
+            spec: self,
+            tag,
+            circuit,
+            analysis,
+            built: OnceCell::new(),
+            builds: None,
+        }
+    }
+}
+
+/// The circuit half of a spec.
+#[derive(Clone, Copy)]
+enum CircuitSpec<'a> {
+    /// The paper's SI delay line from the cell generator.
+    Line(LineSpec),
+    /// Netlist dialect-v1 source text, parsed canonically.
+    Netlist(&'a str),
+}
+
+/// The delay line's knobs.
+#[derive(Clone, Copy)]
+struct LineSpec {
+    stages: usize,
+    bias_ua: f64,
+    /// `None` for a batch: its line is built at zero input and the
+    /// analysis retunes the source per scenario.
+    input_ua: Option<f64>,
+}
+
+/// The analysis half of a spec.
+#[derive(Clone, Copy)]
+enum Analysis<'a> {
+    Dc,
+    /// One DC operating point per input current, µA.
+    DcBatch(&'a [f64]),
+    Tran(TranSpec),
+    Ac(AcSpec),
+    /// A chunked transient feeding a Welch spectrum.
+    TranStream(StreamSpec),
+    /// The one analysis that runs on no circuit.
+    Sweep(SweepSpec<'a>),
+}
+
+/// A fixed-step clocked transient.
+#[derive(Clone, Copy)]
+struct TranSpec {
+    steps: usize,
+    dt_ns: f64,
+    clock_hz: f64,
+}
+
+/// Small-signal transimpedance over `points` log-spaced frequencies.
+#[derive(Clone, Copy)]
+struct AcSpec {
+    f_lo_hz: f64,
+    f_hi_hz: f64,
+    points: usize,
+}
+
+/// A transient run in chunks of `chunk_steps`, its output stage feeding a
+/// Welch estimator of segment length `seg_len`.
+#[derive(Clone, Copy)]
+struct StreamSpec {
+    tran: TranSpec,
+    chunk_steps: usize,
+    seg_len: usize,
+}
+
+/// The ideal modulator's SNDR-vs-level sweep.
+#[derive(Clone, Copy)]
+struct SweepSpec<'a> {
+    full_scale_ua: f64,
+    levels_db: &'a [f64],
+}
+
+/// A spec parameter as it appears on the wire.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Count(usize),
+    Number(f64),
+    Numbers(&'a [f64]),
+    Text(&'a str),
+}
+
+/// A spec's circuit, built.
+enum Built {
+    /// The generator's delay line with its named nodes.
+    Line(DelayLine),
+    /// A canonically parsed netlist.
+    Netlist(Circuit),
+}
+
+/// A [`JobSpec`] split into what it simulates and how. The circuit is
+/// built (delay line) or canonically parsed (netlist) on first use and
+/// then shared by validation, pricing, the job key, the structure
+/// fingerprint and the run.
+pub(crate) struct Prepared<'a> {
+    spec: &'a JobSpec,
+    /// The kind's fixed first word of its job key, 1–7.
+    tag: u64,
+    /// `None` only for the SNDR sweep, which runs no circuit.
+    circuit: Option<CircuitSpec<'a>>,
+    analysis: Analysis<'a>,
+    /// The circuit once built (or why it could not be): shared by a
+    /// submission's attempts and the worker that runs it.
+    built: OnceCell<Result<Arc<Built>, ServiceError>>,
+    /// Counts the build or parse, when a service asked.
+    builds: Option<&'a AtomicU64>,
+}
+
+/// A job as a worker receives it: its spec and the circuit its
+/// submission built (or the error building it gave).
+pub(crate) struct Admitted {
+    pub(crate) spec: JobSpec,
+    built: OnceCell<Result<Arc<Built>, ServiceError>>,
+}
+
+impl Admitted {
+    /// [`Prepared::run_with`] on the circuit this job carries: the split
+    /// into circuit and analysis copies fields, and nothing is built or
+    /// parsed.
     pub(crate) fn run_with(
         &self,
         ws: &mut EngineWorkspace,
         units: &mut dyn Units,
     ) -> Result<JobOutput, ServiceError> {
-        let job = self.prepare();
-        job.validate()?;
-        let checkpoint = match job.analysis {
+        let built = self.built.clone();
+        let job = Prepared {
+            built,
+            ..self.spec.prepare()
+        };
+        job.run_with(ws, units)
+    }
+}
+
+impl<'a> Prepared<'a> {
+    /// This job, counting its circuit's build or parse in `builds`.
+    pub(crate) fn counting(mut self, builds: &'a AtomicU64) -> Self {
+        self.builds = Some(builds);
+        self
+    }
+
+    /// This job for a worker, with its circuit: built now unless
+    /// validation, pricing or the key already built it.
+    pub(crate) fn admit(&self) -> Admitted {
+        if let Some(circuit) = self.circuit {
+            self.shared(circuit);
+        }
+        Admitted {
+            spec: self.spec.clone(),
+            built: self.built.clone(),
+        }
+    }
+
+    /// See [`JobSpec::validate`].
+    pub(crate) fn validate(&self) -> Result<(), ServiceError> {
+        match self.circuit {
+            Some(CircuitSpec::Line(line)) => {
+                if line.stages == 0 || line.stages > 4096 {
+                    return invalid("stages must be in 1..=4096");
+                }
+                if !(line.bias_ua > 0.0) {
+                    return invalid("bias_ua must be positive");
+                }
+            }
+            // The strict parse *is* the validation: any malformed card,
+            // bad value, or unbuildable circuit comes back as a typed
+            // line/column error. Unlike the canned kinds, this maps to
+            // NetlistRejected (HTTP 422), not InvalidSpec — the request
+            // shape was fine, the circuit was not.
+            Some(netlist @ CircuitSpec::Netlist(_))
+                if self.built(netlist)?.circuit().elements().is_empty() =>
+            {
+                return Err(ServiceError::NetlistRejected(
+                    "netlist defines no elements".to_string(),
+                ));
+            }
+            _ => {}
+        }
+        self.analysis.validate()
+    }
+
+    /// See [`JobSpec::admission_cost`].
+    pub(crate) fn admission_cost(&self) -> Result<Option<CircuitCost>, ServiceError> {
+        match self.circuit {
+            Some(netlist @ CircuitSpec::Netlist(_)) => {
+                Ok(Some(price_circuit(self.built(netlist)?.circuit())))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// See [`JobSpec::job_key`]: the kind's tag, the built circuit's
+    /// fingerprints, then the analysis parameters in wire order.
+    pub(crate) fn job_key(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        h.mix_u64(self.tag);
+        if let Some(circuit) = self.circuit {
+            match self.built(circuit) {
+                // The canonical parse makes a netlist's key
+                // text-representation independent: permuting cards or
+                // editing comments lands in the same cache slot, and the
+                // run executes the same canonical circuit, so sharing the
+                // slot is sound.
+                Ok(built) => {
+                    h.mix_u64(built.circuit().structure_fingerprint());
+                    h.mix_u64(built.circuit().value_fingerprint());
+                }
+                // Invalid specs still need a stable (never-cached) key:
+                // the line's knobs, or the netlist's raw bytes.
+                Err(_) => circuit.fields().for_each(|(_, value)| value.mix(&mut h)),
+            }
+        }
+        for (_, value) in self.analysis.fields() {
+            value.mix(&mut h);
+        }
+        h.finish()
+    }
+
+    /// See [`JobSpec::structure_fingerprint`].
+    pub(crate) fn structure_fingerprint(&self) -> u64 {
+        let mut h = Fnv1a::new();
+        match self.circuit.map(|c| (c, self.built(c))) {
+            Some((_, Ok(built))) => h.mix_u64(built.canonical_structure()),
+            // No circuit behind a sweep: all sweeps share one "structure".
+            None => h.mix_u64(self.tag),
+            Some((CircuitSpec::Line(line), Err(_))) => {
+                h.mix_u64(self.tag);
+                h.mix_u64(line.stages as u64);
+            }
+            Some((CircuitSpec::Netlist(text), Err(_))) => {
+                h.mix_u64(self.tag);
+                Value::Text(text).mix(&mut h);
+            }
+        }
+        h.finish()
+    }
+
+    /// The spec's exact identity as bytes: the kind tag, then every
+    /// circuit and analysis field in wire order, each a type byte and its
+    /// raw data. Unlike the wire JSON this is injective: `-0.0` and `0.0`,
+    /// or two NaN payloads, stay distinct.
+    fn canonical_bytes(&self) -> Vec<u8> {
+        let mut out = vec![self.tag as u8];
+        let circuit = self.circuit.into_iter().flat_map(CircuitSpec::fields);
+        for (_, value) in circuit.chain(self.analysis.fields()) {
+            value.write(&mut out);
+        }
+        out
+    }
+
+    /// The circuit, built or parsed on the first call.
+    fn shared(&self, circuit: CircuitSpec<'_>) -> &Result<Arc<Built>, ServiceError> {
+        self.built.get_or_init(|| {
+            if let Some(builds) = self.builds {
+                builds.fetch_add(1, Ordering::Relaxed);
+            }
+            circuit.build().map(Arc::new)
+        })
+    }
+
+    fn built(&self, circuit: CircuitSpec<'_>) -> Result<&Built, ServiceError> {
+        self.shared(circuit).as_deref().map_err(Clone::clone)
+    }
+
+    /// Runs this job, already validated, under a [`Units`] hook: `before`
+    /// runs ahead of every unit of work and an error from it ends the run
+    /// with that error; a stream resumes from the hook's checkpoint when
+    /// [`StreamState::resumable`] accepts it and reports each finished
+    /// chunk. The hook can stop a run but never alters its result. The
+    /// circuit is the one validation, pricing or the key already built,
+    /// else built here.
+    pub(crate) fn run_with(
+        &self,
+        ws: &mut EngineWorkspace,
+        units: &mut dyn Units,
+    ) -> Result<JobOutput, ServiceError> {
+        let checkpoint = match self.analysis {
             Analysis::DcBatch(_) => None,
             // A checkpoint names the job it belongs to, so the key is
             // derived only when there is one to check.
-            Analysis::TranStream(_) => units.resume().map(|ckpt| (job.job_key(), ckpt)),
+            Analysis::TranStream(_) => units.resume().map(|ckpt| (self.job_key(), ckpt)),
             _ => {
                 units.before(0, 1)?;
                 None
             }
         };
-        let (circuit, analysis) = (job.circuit, job.analysis);
-        let line = match (circuit.map(|c| job.into_built(c)).transpose()?, analysis) {
+        let (circuit, analysis) = (self.circuit, self.analysis);
+        let line = match (circuit.map(|c| self.built(c)).transpose()?, analysis) {
             (Some(Built::Line(line)), _) => line,
-            (Some(Built::Netlist(circuit)), _) => return run_netlist(&circuit, ws),
+            (Some(Built::Netlist(circuit)), _) => return run_netlist(circuit, ws),
             (None, Analysis::Sweep(sweep)) => return run_sweep(sweep),
             (None, _) => unreachable!("only a sweep runs on no circuit"),
         };
@@ -612,306 +969,6 @@ impl JobSpec {
             }
             Analysis::Sweep(_) => unreachable!("a sweep runs on no circuit"),
         }
-    }
-
-    /// The spec split into its circuit and analysis, the circuit not yet
-    /// built.
-    pub(crate) fn prepare(&self) -> Prepared<'_> {
-        let line = |stages: &usize, bias_ua: &f64, input_ua: Option<&f64>| {
-            Some(CircuitSpec::Line(LineSpec {
-                stages: *stages,
-                bias_ua: *bias_ua,
-                input_ua: input_ua.copied(),
-            }))
-        };
-        let tran = |steps: &usize, dt_ns: &f64, clock_hz: &f64| TranSpec {
-            steps: *steps,
-            dt_ns: *dt_ns,
-            clock_hz: *clock_hz,
-        };
-        let (tag, circuit, analysis) = match self {
-            JobSpec::DelayLineDc {
-                stages,
-                bias_ua,
-                input_ua,
-            } => (1, line(stages, bias_ua, Some(input_ua)), Analysis::Dc),
-            JobSpec::DelayLineTran {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-            } => (
-                2,
-                line(stages, bias_ua, Some(input_ua)),
-                Analysis::Tran(tran(steps, dt_ns, clock_hz)),
-            ),
-            JobSpec::DelayLineAc {
-                stages,
-                bias_ua,
-                input_ua,
-                f_lo_hz,
-                f_hi_hz,
-                points,
-            } => (
-                3,
-                line(stages, bias_ua, Some(input_ua)),
-                Analysis::Ac(AcSpec {
-                    f_lo_hz: *f_lo_hz,
-                    f_hi_hz: *f_hi_hz,
-                    points: *points,
-                }),
-            ),
-            JobSpec::SndrSweep {
-                full_scale_ua,
-                levels_db,
-            } => (
-                4,
-                None,
-                Analysis::Sweep(SweepSpec {
-                    full_scale_ua: *full_scale_ua,
-                    levels_db,
-                }),
-            ),
-            JobSpec::DelayLineDcBatch {
-                stages,
-                bias_ua,
-                inputs_ua,
-            } => (5, line(stages, bias_ua, None), Analysis::DcBatch(inputs_ua)),
-            JobSpec::Netlist { netlist } => (6, Some(CircuitSpec::Netlist(netlist)), Analysis::Dc),
-            JobSpec::TranStream {
-                stages,
-                bias_ua,
-                input_ua,
-                steps,
-                dt_ns,
-                clock_hz,
-                chunk_steps,
-                seg_len,
-            } => (
-                7,
-                line(stages, bias_ua, Some(input_ua)),
-                Analysis::TranStream(StreamSpec {
-                    tran: tran(steps, dt_ns, clock_hz),
-                    chunk_steps: *chunk_steps,
-                    seg_len: *seg_len,
-                }),
-            ),
-        };
-        Prepared {
-            tag,
-            circuit,
-            analysis,
-            built: OnceCell::new(),
-        }
-    }
-}
-
-/// The circuit half of a spec.
-#[derive(Clone, Copy)]
-enum CircuitSpec<'a> {
-    /// The paper's SI delay line from the cell generator.
-    Line(LineSpec),
-    /// Netlist dialect-v1 source text, parsed canonically.
-    Netlist(&'a str),
-}
-
-/// The delay line's knobs.
-#[derive(Clone, Copy)]
-struct LineSpec {
-    stages: usize,
-    bias_ua: f64,
-    /// `None` for a batch: its line is built at zero input and the
-    /// analysis retunes the source per scenario.
-    input_ua: Option<f64>,
-}
-
-/// The analysis half of a spec.
-#[derive(Clone, Copy)]
-enum Analysis<'a> {
-    Dc,
-    /// One DC operating point per input current, µA.
-    DcBatch(&'a [f64]),
-    Tran(TranSpec),
-    Ac(AcSpec),
-    /// A chunked transient feeding a Welch spectrum.
-    TranStream(StreamSpec),
-    /// The one analysis that runs on no circuit.
-    Sweep(SweepSpec<'a>),
-}
-
-/// A fixed-step clocked transient.
-#[derive(Clone, Copy)]
-struct TranSpec {
-    steps: usize,
-    dt_ns: f64,
-    clock_hz: f64,
-}
-
-/// Small-signal transimpedance over `points` log-spaced frequencies.
-#[derive(Clone, Copy)]
-struct AcSpec {
-    f_lo_hz: f64,
-    f_hi_hz: f64,
-    points: usize,
-}
-
-/// A transient run in chunks of `chunk_steps`, its output stage feeding a
-/// Welch estimator of segment length `seg_len`.
-#[derive(Clone, Copy)]
-struct StreamSpec {
-    tran: TranSpec,
-    chunk_steps: usize,
-    seg_len: usize,
-}
-
-/// The ideal modulator's SNDR-vs-level sweep.
-#[derive(Clone, Copy)]
-struct SweepSpec<'a> {
-    full_scale_ua: f64,
-    levels_db: &'a [f64],
-}
-
-/// A spec parameter as it appears on the wire.
-#[derive(Clone, Copy)]
-enum Value<'a> {
-    Count(usize),
-    Number(f64),
-    Numbers(&'a [f64]),
-    Text(&'a str),
-}
-
-/// A spec's circuit, built.
-enum Built {
-    /// The generator's delay line with its named nodes.
-    Line(DelayLine),
-    /// A canonically parsed netlist.
-    Netlist(Circuit),
-}
-
-/// A [`JobSpec`] split into what it simulates and how. The circuit is
-/// built (delay line) or canonically parsed (netlist) on first use and
-/// then shared by validation, pricing, the job key, the structure
-/// fingerprint and the run.
-pub(crate) struct Prepared<'a> {
-    /// The kind's fixed first word of its job key, 1–7.
-    tag: u64,
-    /// `None` only for the SNDR sweep, which runs no circuit.
-    circuit: Option<CircuitSpec<'a>>,
-    analysis: Analysis<'a>,
-    built: OnceCell<Result<Built, ServiceError>>,
-}
-
-impl Prepared<'_> {
-    /// See [`JobSpec::validate`].
-    pub(crate) fn validate(&self) -> Result<(), ServiceError> {
-        match self.circuit {
-            Some(CircuitSpec::Line(line)) => {
-                if line.stages == 0 || line.stages > 4096 {
-                    return invalid("stages must be in 1..=4096");
-                }
-                if !(line.bias_ua > 0.0) {
-                    return invalid("bias_ua must be positive");
-                }
-            }
-            // The strict parse *is* the validation: any malformed card,
-            // bad value, or unbuildable circuit comes back as a typed
-            // line/column error. Unlike the canned kinds, this maps to
-            // NetlistRejected (HTTP 422), not InvalidSpec — the request
-            // shape was fine, the circuit was not.
-            Some(netlist @ CircuitSpec::Netlist(_))
-                if self.built(netlist)?.circuit().elements().is_empty() =>
-            {
-                return Err(ServiceError::NetlistRejected(
-                    "netlist defines no elements".to_string(),
-                ));
-            }
-            _ => {}
-        }
-        self.analysis.validate()
-    }
-
-    /// See [`JobSpec::admission_cost`].
-    pub(crate) fn admission_cost(&self) -> Result<Option<CircuitCost>, ServiceError> {
-        match self.circuit {
-            Some(netlist @ CircuitSpec::Netlist(_)) => {
-                Ok(Some(price_circuit(self.built(netlist)?.circuit())))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// See [`JobSpec::job_key`]: the kind's tag, the built circuit's
-    /// fingerprints, then the analysis parameters in wire order.
-    pub(crate) fn job_key(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.mix_u64(self.tag);
-        if let Some(circuit) = self.circuit {
-            match self.built(circuit) {
-                // The canonical parse makes a netlist's key
-                // text-representation independent: permuting cards or
-                // editing comments lands in the same cache slot, and the
-                // run executes the same canonical circuit, so sharing the
-                // slot is sound.
-                Ok(built) => {
-                    h.mix_u64(built.circuit().structure_fingerprint());
-                    h.mix_u64(built.circuit().value_fingerprint());
-                }
-                // Invalid specs still need a stable (never-cached) key:
-                // the line's knobs, or the netlist's raw bytes.
-                Err(_) => circuit.fields().for_each(|(_, value)| value.mix(&mut h)),
-            }
-        }
-        for (_, value) in self.analysis.fields() {
-            value.mix(&mut h);
-        }
-        h.finish()
-    }
-
-    /// See [`JobSpec::structure_fingerprint`].
-    pub(crate) fn structure_fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        match self.circuit.map(|c| (c, self.built(c))) {
-            Some((_, Ok(built))) => h.mix_u64(built.canonical_structure()),
-            // No circuit behind a sweep: all sweeps share one "structure".
-            None => h.mix_u64(self.tag),
-            Some((CircuitSpec::Line(line), Err(_))) => {
-                h.mix_u64(self.tag);
-                h.mix_u64(line.stages as u64);
-            }
-            Some((CircuitSpec::Netlist(text), Err(_))) => {
-                h.mix_u64(self.tag);
-                Value::Text(text).mix(&mut h);
-            }
-        }
-        h.finish()
-    }
-
-    /// The spec's exact identity as bytes: the kind tag, then every
-    /// circuit and analysis field in wire order, each a type byte and its
-    /// raw data. Unlike the wire JSON this is injective: `-0.0` and `0.0`,
-    /// or two NaN payloads, stay distinct.
-    fn canonical_bytes(&self) -> Vec<u8> {
-        let mut out = vec![self.tag as u8];
-        let circuit = self.circuit.into_iter().flat_map(CircuitSpec::fields);
-        for (_, value) in circuit.chain(self.analysis.fields()) {
-            value.write(&mut out);
-        }
-        out
-    }
-
-    /// The circuit, built or parsed on the first call.
-    fn built(&self, circuit: CircuitSpec<'_>) -> Result<&Built, ServiceError> {
-        self.built
-            .get_or_init(|| circuit.build())
-            .as_ref()
-            .map_err(Clone::clone)
-    }
-
-    /// The circuit, built or parsed unless an earlier call already did.
-    fn into_built(self, circuit: CircuitSpec<'_>) -> Result<Built, ServiceError> {
-        self.built.into_inner().unwrap_or_else(|| circuit.build())
     }
 }
 
@@ -1357,8 +1414,8 @@ fn analysis_error(e: si_analog::AnalogError) -> ServiceError {
 /// next chunk boundary — the end-of-chunk MNA solution and the Welch
 /// accumulator's running state.
 #[derive(Debug)]
-pub struct StreamState {
-    line: DelayLine,
+pub struct StreamState<'a> {
+    line: &'a DelayLine,
     params: TranParams,
     steps: usize,
     chunk_steps: usize,
@@ -1367,20 +1424,20 @@ pub struct StreamState {
     chunks_done: usize,
 }
 
-impl StreamState {
+impl<'a> StreamState<'a> {
     /// Opens a run: from `checkpoint` when [`StreamState::resumable`]
     /// accepts it for the job keyed by its first half, else fresh — the
     /// DC initial condition solved, an empty Welch accumulator armed and
     /// chunk 0 not yet run.
     fn open(
-        line: DelayLine,
+        line: &'a DelayLine,
         stream: StreamSpec,
         checkpoint: Option<(u64, JobOutput)>,
         ws: &mut EngineWorkspace,
-    ) -> Result<StreamState, ServiceError> {
+    ) -> Result<Self, ServiceError> {
         let params = stream.tran.params().map_err(analysis_error)?;
         let resumed =
-            checkpoint.and_then(|(key, ckpt)| StreamState::resumable(&line, stream, key, &ckpt));
+            checkpoint.and_then(|(key, ckpt)| StreamState::resumable(line, stream, key, &ckpt));
         let (solution, acc, chunks_done) = match resumed {
             Some(parts) => parts,
             None => (
@@ -1745,7 +1802,7 @@ mod tests {
             self.checkpoint.take()
         }
 
-        fn after_chunk(&mut self, state: &StreamState) {
+        fn after_chunk(&mut self, state: &StreamState<'_>) {
             self.last = Some(state.to_checkpoint(self.key));
         }
     }
@@ -1755,12 +1812,12 @@ mod tests {
         let spec = batch_spec(&[0.5, 1.0, 1.5]);
         let mut ws = EngineWorkspace::new();
         let mut probe = Probe::default();
-        let out = spec.run_with(&mut ws, &mut probe).unwrap();
+        let out = spec.prepare().run_with(&mut ws, &mut probe).unwrap();
         assert_eq!(probe.seen, vec![(0, 3), (1, 3), (2, 3)]);
         assert_eq!(out, spec.run(&mut EngineWorkspace::new()).unwrap());
         // A single-shot job is one unit.
         let mut single = Probe::default();
-        dc_spec().run_with(&mut ws, &mut single).unwrap();
+        dc_spec().prepare().run_with(&mut ws, &mut single).unwrap();
         assert_eq!(single.seen, vec![(0, 1)]);
         // A stop between scenarios ends the batch with the hook's own
         // error, and no later scenario runs.
@@ -1768,7 +1825,7 @@ mod tests {
             stop_at: Some(1),
             ..Probe::default()
         };
-        let err = spec.run_with(&mut ws, &mut stop).unwrap_err();
+        let err = spec.prepare().run_with(&mut ws, &mut stop).unwrap_err();
         assert_eq!(err, ServiceError::Canceled);
         assert_eq!(stop.seen, vec![(0, 3), (1, 3)]);
     }
@@ -1954,7 +2011,7 @@ V1 in 0 3.3
         // The hook fires once per chunk, in order.
         let mut probe = Probe::default();
         let mut ws3 = EngineWorkspace::new();
-        let c = spec.run_with(&mut ws3, &mut probe).unwrap();
+        let c = spec.prepare().run_with(&mut ws3, &mut probe).unwrap();
         assert_eq!(probe.seen, (0..8).map(|i| (i, 8)).collect::<Vec<_>>());
         assert_eq!(c, a);
     }
@@ -1968,6 +2025,7 @@ V1 in 0 3.3
             ..Probe::default()
         };
         let err = spec
+            .prepare()
             .run_with(&mut EngineWorkspace::new(), &mut probe)
             .unwrap_err();
         assert_eq!(err, ServiceError::Canceled);
@@ -1982,6 +2040,7 @@ V1 in 0 3.3
             ..Probe::default()
         };
         let out = spec
+            .prepare()
             .run_with(&mut EngineWorkspace::new(), &mut probe)
             .unwrap();
         (out, probe.seen[0].0)

@@ -442,7 +442,7 @@ impl Router {
     /// between sweeps while replicas recover.
     fn forward_job(&self, body: &str) -> (u16, String) {
         let spec = match decode_job(body) {
-            Ok((_, spec)) => spec,
+            Ok((spec, _)) => spec,
             Err(err) => return (err.http_status(), error_body(&err)),
         };
         let (fp, key) = self.keys.route(&spec);
@@ -610,17 +610,19 @@ impl Router {
 /// The router's routes: the probes answer on the loop thread; forwards,
 /// lookups, and `/metrics` (which scrapes every replica) block.
 impl Handler for Router {
-    fn inline(&self, request: &Request, _http: &HttpStats) -> Option<Response> {
+    type Deferred = Request;
+
+    fn inline(&self, request: Request, _http: &HttpStats) -> Result<Response, Request> {
         match (request.method.as_str(), request.path.as_str()) {
             ("GET", "/healthz" | "/readyz") => {
                 let (status, body) = self.handle(&request.method, &request.path, "");
-                Some(Response::json(status, body))
+                Ok(Response::json(status, body))
             }
-            _ => None,
+            _ => Err(request),
         }
     }
 
-    fn blocking(&self, request: &Request, http: &HttpStats) -> Response {
+    fn blocking(&self, request: Request, http: &HttpStats) -> Response {
         if request.method == "GET" && request.path == "/metrics" {
             return Response::json(200, metrics_with_http(self.metrics(), http));
         }

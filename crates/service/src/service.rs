@@ -50,7 +50,7 @@ use crate::cache::{CacheOutcome, CacheTier, LeadGuard, ResultCache};
 use crate::disk::{DiskTier, DiskTierConfig};
 use crate::error::ServiceError;
 use crate::fault::{FaultInjector, FaultKind, FaultStats};
-use crate::jobspec::{JobOutput, JobSpec, KeyMemo, StreamState, Units};
+use crate::jobspec::{JobOutput, JobSpec, KeyMemo, Prepared, StreamState, Units};
 use crate::json::{self, Json};
 use crate::lock_recover;
 use crate::pool::{PoolConfig, WorkerPool};
@@ -118,6 +118,9 @@ struct ServiceCounters {
     /// Warm pulls that did not land: peer miss, transport error, or
     /// bytes that failed validation on ingest.
     warm_failed: AtomicU64,
+    /// Delay-line builds plus canonical netlist parses: at most one per
+    /// submission, however many attempts it takes.
+    circuit_builds: AtomicU64,
 }
 
 /// Streaming-job state shared between the service front and the worker
@@ -388,12 +391,18 @@ impl SiService {
         // Anchor the deadline ONCE, not per attempt: re-arming it inside
         // each retry let a transiently failing job hold the caller for
         // (retries + 1) × deadline of wall clock instead of one deadline.
-        let deadline_at = deadline
-            .or(self.default_deadline)
-            .map(|d| Instant::now() + d);
+        let deadline_at = match deadline.or(self.default_deadline) {
+            Some(d) => Some(Instant::now().checked_add(d).ok_or_else(|| {
+                ServiceError::InvalidSpec("the deadline is out of range".to_string())
+            })?),
+            None => None,
+        };
+        // One build (delay line) or canonical parse (netlist) serves the
+        // validation, the price, the key and the run of every attempt.
+        let job = spec.prepare().counting(&self.counters.circuit_builds);
         let mut attempt = 0u32;
         loop {
-            match self.submit_once(spec, deadline_at) {
+            match self.submit_once(spec, &job, deadline_at) {
                 Err(err) if err.is_retryable() => match self.retry.delay(attempt) {
                     Some(delay) => {
                         self.counters.retries.fetch_add(1, Ordering::Relaxed);
@@ -409,7 +418,7 @@ impl SiService {
                         if spec.is_stream() {
                             // A stream that dies for good must not leave
                             // its last progress entry behind.
-                            let key = self.keys.job_key(spec);
+                            let key = self.keys.key_of(&job);
                             lock_recover(&self.stream.progress).remove(&key);
                         }
                         return Err(err);
@@ -428,16 +437,18 @@ impl SiService {
     /// from a plain submission.
     ///
     /// The HTTP front end uses this to answer hits inline on its event
-    /// loop instead of paying a handler-thread dispatch. Anything that
-    /// could block or burn real CPU stays on the submission path: disk
-    /// probes, solves, flight coalescing, and every `Netlist` spec whose
-    /// exact text the key memo does not already hold (its admission
-    /// gauntlet parses the full text).
+    /// loop instead of paying a handler-thread dispatch. Every kind is
+    /// answered by lookup only: the key memo, then the memory tier. It
+    /// never builds a circuit or parses a netlist, so anything that could
+    /// block or burn real CPU stays on the submission path: disk probes,
+    /// solves, flight coalescing, and every spec the key memo does not
+    /// hold (never admitted, or since evicted). Such a spec is served on
+    /// the blocking path with the same bytes and counters.
     ///
-    /// A netlist the memo holds is served here without that gauntlet:
-    /// only `submit_once` records a netlist in the memo, and only after
-    /// admitting it, and admission is a pure function of the text and
-    /// the service's fixed budget, so the same text would pass again
+    /// A spec the memo holds is served here without the admission
+    /// gauntlet: only `submit_once` records a spec in the memo, and only
+    /// after admitting it, and admission is a pure function of the spec
+    /// and the service's fixed budget, so the same spec would pass again
     /// with the same key.
     #[must_use]
     pub fn serve_cached(&self, spec: &JobSpec) -> Option<Arc<JobOutput>> {
@@ -446,99 +457,46 @@ impl SiService {
 
     /// [`SiService::serve_cached`], also returning the job key.
     pub(crate) fn serve_hit(&self, spec: &JobSpec) -> Option<(u64, Arc<JobOutput>)> {
-        let netlist = matches!(spec, JobSpec::Netlist { .. });
-        let key = if netlist {
-            self.keys.peek(spec)?
-        } else {
-            self.keys.job_key(spec)
-        };
+        let key = self.keys.peek(spec)?;
         let out = self.cache.memory_hit(key)?;
-        if netlist {
-            self.counters
-                .netlist_submitted
-                .fetch_add(1, Ordering::Relaxed);
+        let c = &self.counters;
+        if matches!(spec, JobSpec::Netlist { .. }) {
+            c.netlist_submitted.fetch_add(1, Ordering::Relaxed);
         }
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        let scenarios = spec.scenario_count() as u64;
-        if scenarios > 1 {
-            self.counters
-                .batch_submitted
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .batch_scenarios
-                .fetch_add(scenarios, Ordering::Relaxed);
-        }
-        lock_recover(&self.seen).insert(key, spec.kind());
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        self.count_submitted(spec, key);
+        c.completed.fetch_add(1, Ordering::Relaxed);
         Some((key, out))
     }
 
-    /// One submission attempt: cache lookup, then the leader path.
-    /// `deadline_at` is the absolute end-to-end deadline anchored by
-    /// [`SiService::submit_blocking`].
+    /// One submission attempt of `spec`, prepared as `job`: cache lookup,
+    /// then the leader path. `deadline_at` is the absolute end-to-end
+    /// deadline anchored by [`SiService::submit_blocking`].
     fn submit_once(
         &self,
         spec: &JobSpec,
+        job: &Prepared<'_>,
         deadline_at: Option<Instant>,
     ) -> Result<(u64, Arc<JobOutput>, bool), ServiceError> {
-        // User netlists run an admission gauntlet before anything else:
-        // byte cap (before the text is even parsed), strict parse (inside
-        // validate), then the priced budget — node/device counts, matrix
-        // dimension, and structural nonzeros — so an over-budget
-        // submission costs a parse and a pattern walk, never a
-        // factorization or a Newton iteration.
-        if let JobSpec::Netlist { netlist } = spec {
-            self.counters
-                .netlist_submitted
-                .fetch_add(1, Ordering::Relaxed);
-            if let Err(err) = self.budget.admit_bytes(netlist.len()) {
-                self.counters
-                    .netlist_rejected_budget
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(err);
+        let c = &self.counters;
+        if matches!(spec, JobSpec::Netlist { .. }) {
+            c.netlist_submitted.fetch_add(1, Ordering::Relaxed);
+        }
+        // A spec the memo holds was admitted before, and admission is a
+        // pure function of the spec and the fixed budget: its key is a
+        // lookup, as on the event loop. The memo records a spec only
+        // once it is admitted (below, after the gauntlet).
+        let key = match self.keys.peek(spec) {
+            Some(key) => key,
+            None => {
+                self.admit(spec, job)?;
+                self.keys.key_of(job)
             }
-        }
-        // One build (delay line) or canonical parse (netlist) serves the
-        // validation, the price and, unless the memo holds it, the key
-        // below.
-        let job = spec.prepare();
-        if let Err(err) = job.validate() {
-            if matches!(err, ServiceError::NetlistRejected(_)) {
-                self.counters
-                    .netlist_rejected_parse
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            return Err(err);
-        }
-        if let Some(cost) = job.admission_cost()? {
-            if let Err(err) = self.budget.admit(&cost) {
-                self.counters
-                    .netlist_rejected_budget
-                    .fetch_add(1, Ordering::Relaxed);
-                return Err(err);
-            }
-        }
-        self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-        // A batch is admitted, priced, and cached as ONE job; these
-        // counters record how many scenarios rode along.
-        let scenarios = spec.scenario_count() as u64;
-        if scenarios > 1 {
-            self.counters
-                .batch_submitted
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .batch_scenarios
-                .fetch_add(scenarios, Ordering::Relaxed);
-        }
-        // The one place this service records a netlist in its key memo:
-        // after the gauntlet above, which `serve_hit` relies on to answer
-        // a memoized netlist inline without running it again.
-        let key = self.keys.key_of(&job);
-        lock_recover(&self.seen).insert(key, spec.kind());
+        };
+        self.count_submitted(spec, key);
 
         let guard = match self.cache.get_or_lead(key) {
             CacheOutcome::Hit(out) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                c.completed.fetch_add(1, Ordering::Relaxed);
                 return Ok((key, out, true));
             }
             CacheOutcome::Follow(waiter) => {
@@ -546,14 +504,60 @@ impl SiService {
             }
             CacheOutcome::Lead(guard) => guard,
         };
-        self.lead(spec, key, guard, deadline_at)
+        self.lead(job, key, guard, deadline_at)
+    }
+
+    /// The admission gauntlet: a netlist's byte cap (before the text is
+    /// even parsed), validation (a netlist's strict parse), then a
+    /// netlist's priced budget — node/device counts, matrix dimension,
+    /// and structural nonzeros — so an over-budget submission costs a
+    /// parse and a pattern walk, never a factorization or a Newton
+    /// iteration.
+    fn admit(&self, spec: &JobSpec, job: &Prepared<'_>) -> Result<(), ServiceError> {
+        let c = &self.counters;
+        let rejected = |counter: &AtomicU64, err| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            Err(err)
+        };
+        if let JobSpec::Netlist { netlist } = spec {
+            if let Err(err) = self.budget.admit_bytes(netlist.len()) {
+                return rejected(&c.netlist_rejected_budget, err);
+            }
+        }
+        match job.validate() {
+            Err(err @ ServiceError::NetlistRejected(_)) => {
+                return rejected(&c.netlist_rejected_parse, err)
+            }
+            Err(err) => return Err(err),
+            Ok(()) => {}
+        }
+        if let Some(cost) = job.admission_cost()? {
+            if let Err(err) = self.budget.admit(&cost) {
+                return rejected(&c.netlist_rejected_budget, err);
+            }
+        }
+        Ok(())
+    }
+
+    /// Counts an admitted submission of `spec` under `key`. A batch is
+    /// admitted, priced, and cached as ONE job; its counters record how
+    /// many scenarios rode along.
+    fn count_submitted(&self, spec: &JobSpec, key: u64) {
+        let c = &self.counters;
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        let scenarios = spec.scenario_count() as u64;
+        if scenarios > 1 {
+            c.batch_submitted.fetch_add(1, Ordering::Relaxed);
+            c.batch_scenarios.fetch_add(scenarios, Ordering::Relaxed);
+        }
+        lock_recover(&self.seen).insert(key, spec.kind());
     }
 
     /// Leader path: enqueue the solve, then wait on the flight like any
     /// follower, under the caller's deadline.
     fn lead(
         &self,
-        spec: &JobSpec,
+        job: &Prepared<'_>,
         key: u64,
         guard: LeadGuard,
         deadline_at: Option<Instant>,
@@ -572,7 +576,7 @@ impl SiService {
         // admission fails and the (never-run) task is dropped.
         let guard_slot: Arc<Mutex<Option<LeadGuard>>> = Arc::new(Mutex::new(Some(guard)));
         let task = {
-            let spec = spec.clone();
+            let job = job.admit();
             let cancel = Arc::clone(&cancel);
             let cache = Arc::clone(&self.cache);
             let guard_slot = Arc::clone(&guard_slot);
@@ -584,7 +588,7 @@ impl SiService {
                 // Bound after the guard, so an unwind drops it first: the
                 // entry is gone before the guard's backstop publishes.
                 let cleanup = cleanup;
-                let shared = spec.is_stream().then_some(stream.as_ref());
+                let shared = job.spec.is_stream().then_some(stream.as_ref());
                 let mut executor = Executor {
                     key,
                     stream: shared,
@@ -594,7 +598,7 @@ impl SiService {
                     deadline_at,
                     first: true,
                 };
-                let result = spec.run_with(ws, &mut executor).map(Arc::new);
+                let result = job.run_with(ws, &mut executor).map(Arc::new);
                 // A panic leaves a stream's progress in place on purpose:
                 // a poller sees the last chunk reached while the retry
                 // warms up.
@@ -690,137 +694,81 @@ impl SiService {
             (cache.hits + cache.coalesced + cache.disk_hits) as f64 / lookups as f64
         };
         let faults = self.fault_stats();
-        let num = |v: u64| Json::Number(v as f64);
+        let load = |v: &AtomicU64| v.load(Ordering::Relaxed) as f64;
+        let section = |pairs: &[(&str, f64)]| {
+            Json::Object(
+                pairs
+                    .iter()
+                    .map(|&(k, v)| (k.to_string(), Json::Number(v)))
+                    .collect(),
+            )
+        };
+        let (c, stream) = (&self.counters, &self.stream);
         Json::Object(vec![
             (
                 "service".to_string(),
-                Json::Object(vec![
-                    (
-                        "submitted".to_string(),
-                        num(self.counters.submitted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "completed".to_string(),
-                        num(self.counters.completed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "failed".to_string(),
-                        num(self.counters.failed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "deadline_exceeded".to_string(),
-                        num(self.counters.deadline_exceeded.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "canceled".to_string(),
-                        num(self.counters.canceled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "retries".to_string(),
-                        num(self.counters.retries.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "retries_exhausted".to_string(),
-                        num(self.counters.retries_exhausted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "batch_submitted".to_string(),
-                        num(self.counters.batch_submitted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "batch_scenarios".to_string(),
-                        num(self.counters.batch_scenarios.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "netlist_submitted".to_string(),
-                        num(self.counters.netlist_submitted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "netlist_rejected_parse".to_string(),
-                        num(self.counters.netlist_rejected_parse.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "netlist_rejected_budget".to_string(),
-                        num(self
-                            .counters
-                            .netlist_rejected_budget
-                            .load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "warm_pulled".to_string(),
-                        num(self.counters.warm_pulled.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "warm_failed".to_string(),
-                        num(self.counters.warm_failed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "stream_chunks".to_string(),
-                        num(self.stream.chunks.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "stream_checkpoints".to_string(),
-                        num(self.stream.checkpoints.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "stream_resumed".to_string(),
-                        num(self.stream.resumed.load(Ordering::Relaxed)),
-                    ),
+                section(&[
+                    ("submitted", load(&c.submitted)),
+                    ("completed", load(&c.completed)),
+                    ("failed", load(&c.failed)),
+                    ("deadline_exceeded", load(&c.deadline_exceeded)),
+                    ("canceled", load(&c.canceled)),
+                    ("retries", load(&c.retries)),
+                    ("retries_exhausted", load(&c.retries_exhausted)),
+                    ("batch_submitted", load(&c.batch_submitted)),
+                    ("batch_scenarios", load(&c.batch_scenarios)),
+                    ("netlist_submitted", load(&c.netlist_submitted)),
+                    ("netlist_rejected_parse", load(&c.netlist_rejected_parse)),
+                    ("netlist_rejected_budget", load(&c.netlist_rejected_budget)),
+                    ("warm_pulled", load(&c.warm_pulled)),
+                    ("warm_failed", load(&c.warm_failed)),
+                    ("stream_chunks", load(&stream.chunks)),
+                    ("stream_checkpoints", load(&stream.checkpoints)),
+                    ("stream_resumed", load(&stream.resumed)),
+                    ("circuit_builds", load(&c.circuit_builds)),
                 ]),
             ),
             (
                 "cache".to_string(),
-                Json::Object(vec![
-                    ("hits".to_string(), num(cache.hits)),
-                    ("misses".to_string(), num(cache.misses)),
-                    ("coalesced".to_string(), num(cache.coalesced)),
-                    ("entries".to_string(), num(cache.entries)),
-                    ("hit_ratio".to_string(), Json::Number(hit_ratio)),
-                    (
-                        "abandoned_flights".to_string(),
-                        num(cache.abandoned_flights),
-                    ),
-                    (
-                        "poison_recoveries".to_string(),
-                        num(cache.poison_recoveries),
-                    ),
-                    ("disk_hits".to_string(), num(cache.disk_hits)),
-                    ("disk_misses".to_string(), num(cache.disk_misses)),
-                    ("disk_writes".to_string(), num(cache.disk_writes)),
-                    ("disk_evictions".to_string(), num(cache.disk_evictions)),
-                    ("corrupt_evicted".to_string(), num(cache.corrupt_evicted)),
-                    ("disk_entries".to_string(), num(cache.disk_entries)),
-                    ("disk_bytes".to_string(), num(cache.disk_bytes)),
+                section(&[
+                    ("hits", cache.hits as f64),
+                    ("misses", cache.misses as f64),
+                    ("coalesced", cache.coalesced as f64),
+                    ("entries", cache.entries as f64),
+                    ("hit_ratio", hit_ratio),
+                    ("abandoned_flights", cache.abandoned_flights as f64),
+                    ("poison_recoveries", cache.poison_recoveries as f64),
+                    ("disk_hits", cache.disk_hits as f64),
+                    ("disk_misses", cache.disk_misses as f64),
+                    ("disk_writes", cache.disk_writes as f64),
+                    ("disk_evictions", cache.disk_evictions as f64),
+                    ("corrupt_evicted", cache.corrupt_evicted as f64),
+                    ("disk_entries", cache.disk_entries as f64),
+                    ("disk_bytes", cache.disk_bytes as f64),
                 ]),
             ),
             (
                 "pool".to_string(),
-                Json::Object(vec![
-                    ("workers".to_string(), num(self.pool.workers() as u64)),
-                    (
-                        "queue_capacity".to_string(),
-                        num(self.pool.queue_capacity() as u64),
-                    ),
-                    ("submitted".to_string(), num(pool.submitted)),
-                    ("executed".to_string(), num(pool.executed)),
-                    ("rejected".to_string(), num(pool.rejected)),
-                    ("in_flight".to_string(), num(pool.in_flight)),
-                    ("panics_caught".to_string(), num(pool.panics_caught)),
+                section(&[
+                    ("workers", self.pool.workers() as f64),
+                    ("queue_capacity", self.pool.queue_capacity() as f64),
+                    ("submitted", pool.submitted as f64),
+                    ("executed", pool.executed as f64),
+                    ("rejected", pool.rejected as f64),
+                    ("in_flight", pool.in_flight as f64),
+                    ("panics_caught", pool.panics_caught as f64),
                 ]),
             ),
             (
                 "faults".to_string(),
-                Json::Object(vec![
-                    ("injected".to_string(), num(faults.injected)),
-                    ("panics".to_string(), num(faults.panics)),
-                    ("stalls".to_string(), num(faults.stalls)),
-                    ("transients".to_string(), num(faults.transients)),
-                    ("panic_mid_chunk".to_string(), num(faults.panic_mid_chunks)),
-                    (
-                        "dropped_connections".to_string(),
-                        num(faults.dropped_connections),
-                    ),
-                    ("survived".to_string(), num(faults.survived)),
+                section(&[
+                    ("injected", faults.injected as f64),
+                    ("panics", faults.panics as f64),
+                    ("stalls", faults.stalls as f64),
+                    ("transients", faults.transients as f64),
+                    ("panic_mid_chunk", faults.panic_mid_chunks as f64),
+                    ("dropped_connections", faults.dropped_connections as f64),
+                    ("survived", faults.survived as f64),
                 ]),
             ),
             ("engine".to_string(), self.engine_stats().to_json()),
@@ -844,23 +792,15 @@ impl SiService {
     }
 
     fn finish<T>(&self, result: Result<T, ServiceError>) -> Result<T, ServiceError> {
-        match &result {
-            Ok(_) => {
-                self.counters.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServiceError::DeadlineExceeded) => {
-                self.counters
-                    .deadline_exceeded
-                    .fetch_add(1, Ordering::Relaxed);
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(ServiceError::Canceled) => {
-                self.counters.canceled.fetch_add(1, Ordering::Relaxed);
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                self.counters.failed.fetch_add(1, Ordering::Relaxed);
-            }
+        let c = &self.counters;
+        let counts: &[&AtomicU64] = match &result {
+            Ok(_) => &[&c.completed],
+            Err(ServiceError::DeadlineExceeded) => &[&c.deadline_exceeded, &c.failed],
+            Err(ServiceError::Canceled) => &[&c.canceled, &c.failed],
+            Err(_) => &[&c.failed],
+        };
+        for counter in counts {
+            counter.fetch_add(1, Ordering::Relaxed);
         }
         result
     }
@@ -932,7 +872,7 @@ impl Units for Executor<'_> {
         Some(Arc::unwrap_or_clone(checkpoint))
     }
 
-    fn after_chunk(&mut self, state: &StreamState) {
+    fn after_chunk(&mut self, state: &StreamState<'_>) {
         let Some(shared) = self.stream else { return };
         shared.chunks.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = self.disk {
@@ -1261,11 +1201,21 @@ mod tests {
         assert!(!cached);
         assert_eq!(svc.fault_stats().transients, 1);
         let m = svc.metrics();
-        assert_eq!(
-            m.get("service").unwrap().get("retries").unwrap().as_f64(),
-            Some(1.0)
-        );
+        let service = m.get("service").unwrap();
+        assert_eq!(service.get("retries").unwrap().as_f64(), Some(1.0));
+        // Both attempts ran the one circuit the submission built.
+        assert_eq!(service.get("circuit_builds").unwrap().as_f64(), Some(1.0));
         assert_eq!(svc.cancel_flags_len(), 0, "cancel flags leaked");
+    }
+
+    /// A deadline no `Instant` can hold is a bad spec, not a panic.
+    #[test]
+    fn unrepresentable_deadline_is_invalid_spec() {
+        let svc = SiService::new(ServiceConfig::default());
+        let err = svc
+            .submit_blocking(&dc_spec(1.0), Some(Duration::MAX))
+            .unwrap_err();
+        assert!(matches!(err, ServiceError::InvalidSpec(_)), "got {err:?}");
     }
 
     /// Regression (ISSUE 5): a worker panicking mid-job must not wedge the
@@ -1372,6 +1322,12 @@ mod tests {
             Some(1.0)
         );
         assert_eq!(svc.cancel_flags_len(), 0, "cancel flags leaked");
+        // The key memo keys the resubmission without a build, so its
+        // leader builds the circuit it hands the worker: one per
+        // submission, none on the worker.
+        svc.submit_blocking(&dc_spec(6.0), None).unwrap_err();
+        let service = svc.metrics().get("service").cloned().unwrap();
+        assert_eq!(service.get("circuit_builds").unwrap().as_f64(), Some(2.0));
     }
 
     /// Regression (ISSUE 5): admission failure drops the unrun task, whose
@@ -1968,7 +1924,7 @@ mod tests {
         };
         let mut ws = si_analog::engine::EngineWorkspace::new();
         let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            spec.run_with(&mut ws, &mut entered)
+            spec.prepare().run_with(&mut ws, &mut entered)
         }));
         (entered.units, ended.ok(), injector.stats())
     }

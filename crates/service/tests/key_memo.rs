@@ -15,10 +15,11 @@
 //! - **Wire writer** — `job_response_string`, which those paths serve,
 //!   writes the bytes of `job_response_body(..).to_string_compact()`
 //!   for any output;
-//! - **Netlist hits** — a netlist whose exact text the service already
-//!   admitted is answered inline, with the bytes and counters of a
-//!   blocking hit; a rejected text is never memoized, so it meets the
-//!   admission gauntlet every time.
+//! - **Hits** — a spec of any kind the service already admitted is
+//!   answered inline, with the bytes and counters of a blocking hit and
+//!   no circuit build, while its cold POST built once; a rejected netlist
+//!   text is never memoized, so it meets the admission gauntlet every
+//!   time.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -370,6 +371,17 @@ fn moved_by(deltas: &[(&str, f64)]) -> Vec<(String, f64)> {
     deltas.iter().map(|&(k, v)| (k.to_string(), v)).collect()
 }
 
+/// The `service.circuit_builds` a `/metrics` delta moved.
+fn builds(deltas: &[(String, f64)]) -> f64 {
+    deltas
+        .iter()
+        .find(|(name, _)| name == "service.circuit_builds")
+        .map_or(0.0, |&(_, delta)| delta)
+}
+
+/// For every kind: a cold POST builds or parses its circuit once (a sweep
+/// has none), and a repeat POST, `serve_cached` and `submit_blocking`
+/// answer the same bytes with the same counters and no build.
 #[test]
 fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
     let service = Arc::new(SiService::new(ServiceConfig {
@@ -390,12 +402,49 @@ fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
             .request_text("POST", "/v1/jobs", Some(&body))
             .expect("request")
     };
+
+    for spec in seven_kinds() {
+        let kind = spec.kind();
+        let miss = expected_body(&spec, false);
+        let cold = moved(&client, || assert_eq!(post(&spec), (200, miss)));
+        let want = if kind == "sndr_sweep" { 0.0 } else { 1.0 };
+        assert_eq!(builds(&cold), want, "{kind} cold POST");
+        assert!(memo.holds(&spec), "{kind}");
+        let hit = expected_body(&spec, true);
+        let served = |out: &JobOutput| {
+            job_response_body(&SiService::job_id(&spec), kind, true, out).to_string_compact()
+        };
+        let scenarios = spec.scenario_count() as f64;
+        let mut one_hit = vec![("service.submitted", 1.0), ("service.completed", 1.0)];
+        if scenarios > 1.0 {
+            one_hit.extend([
+                ("service.batch_submitted", 1.0),
+                ("service.batch_scenarios", scenarios),
+            ]);
+        }
+        if kind == "netlist" {
+            one_hit.push(("service.netlist_submitted", 1.0));
+        }
+        one_hit.push(("cache.hits", 1.0));
+        let one_hit = moved_by(&one_hit);
+        let repeat = moved(&client, || assert_eq!(post(&spec), (200, hit.clone())));
+        let inline = moved(&client, || {
+            let out = service.serve_cached(&spec).expect("served inline");
+            assert_eq!(served(&out), hit);
+        });
+        let blocking = moved(&client, || {
+            let (out, cached) = service.submit_blocking(&spec, None).expect("hit");
+            assert!(cached);
+            assert_eq!(served(&out), hit);
+        });
+        assert_eq!(repeat, one_hit, "{kind} repeat POST");
+        assert_eq!(inline, one_hit, "{kind} serve_cached");
+        assert_eq!(blocking, one_hit, "{kind} submit_blocking");
+    }
+
     let divider = JobSpec::Netlist {
         netlist: DIVIDER.to_string(),
     };
-
-    assert_eq!(post(&divider), (200, expected_body(&divider, false)));
-    assert!(memo.holds(&divider));
     let hit = expected_body(&divider, true);
     let one_hit = moved_by(&[
         ("service.submitted", 1.0),
@@ -403,44 +452,25 @@ fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
         ("service.netlist_submitted", 1.0),
         ("cache.hits", 1.0),
     ]);
-    let repeat = moved(&client, || assert_eq!(post(&divider), (200, hit.clone())));
-    let inline = moved(&client, || {
-        let out = service.serve_cached(&divider).expect("served inline");
-        assert_eq!(
-            job_response_body(&SiService::job_id(&divider), "netlist", true, &out)
-                .to_string_compact(),
-            hit
-        );
-    });
-    let blocking = moved(&client, || {
-        let (out, cached) = service.submit_blocking(&divider, None).expect("hit");
-        assert!(cached);
-        assert_eq!(
-            job_response_body(&SiService::job_id(&divider), "netlist", true, &out)
-                .to_string_compact(),
-            hit
-        );
-    });
-    assert_eq!(repeat, one_hit, "repeat POST");
-    assert_eq!(inline, one_hit, "serve_cached");
-    assert_eq!(blocking, one_hit, "submit_blocking");
     let path = format!("/v1/jobs/{}", SiService::job_id(&divider));
     assert_eq!(call(&client, "GET", &path, None), hit);
 
     // Rejected texts: one that does not parse, one over the priced budget
     // (five nodes), and a comment-padded twin of the cached divider over
     // the byte cap — the last would be answered from the cache if its
-    // text were ever memoized. Each meets the gauntlet both times.
+    // text were ever memoized. Each meets the gauntlet both times, and
+    // only the byte cap refuses a text before parsing it.
     let rejected = [
-        ("R1 a 0 oops\n", 422, "service.netlist_rejected_parse"),
+        ("R1 a 0 oops\n", 422, "service.netlist_rejected_parse", 2.0),
         (
             "V1 a 0 1\nR1 a b 1k\nR2 b c 1k\nR3 c d 1k\nR4 d 0 1k\n",
             413,
             "service.netlist_rejected_budget",
+            2.0,
         ),
-        ("", 413, "service.netlist_rejected_budget"),
+        ("", 413, "service.netlist_rejected_budget", 0.0),
     ];
-    for (text, status, counter) in rejected {
+    for (text, status, counter, parses) in rejected {
         let netlist = if text.is_empty() {
             format!("*{}\n{DIVIDER}", "x".repeat(64))
         } else {
@@ -454,16 +484,18 @@ fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
                 assert!(service.serve_cached(&spec).is_none());
             }
         });
+        assert_eq!(twice.len(), 2 + usize::from(parses > 0.0), "{spec:?}");
         assert_eq!(
-            twice,
-            moved_by(&[("service.netlist_submitted", 2.0), (counter, 2.0)]),
-            "{spec:?}"
+            twice[..2],
+            moved_by(&[("service.netlist_submitted", 2.0), (counter, 2.0)])
         );
+        assert_eq!(builds(&twice), parses, "{spec:?}");
     }
 
     // A comment-edited canonical twin is not in the memo: probing it
     // counts nothing, and its POST takes the blocking path to the same
-    // cached answer under the same id.
+    // cached answer under the same id, with a hit's counters plus the
+    // parse that keys it.
     let twin = JobSpec::Netlist {
         netlist: format!("* edited\n{DIVIDER}"),
     };
@@ -471,7 +503,9 @@ fn netlist_inline_hits_are_indistinguishable_from_blocking_hits() {
     assert!(!memo.holds(&twin));
     assert!(moved(&client, || assert!(service.serve_cached(&twin).is_none())).is_empty());
     let twin_hit = moved(&client, || assert_eq!(post(&twin), (200, hit.clone())));
-    assert_eq!(twin_hit, one_hit, "twin POST");
+    let mut parsed_hit = one_hit.clone();
+    parsed_hit.insert(3, ("service.circuit_builds".to_string(), 1.0));
+    assert_eq!(twin_hit, parsed_hit, "twin POST");
     assert!(memo.holds(&twin));
     assert_eq!(call(&client, "GET", &path, None), hit);
 }

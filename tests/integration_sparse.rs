@@ -12,24 +12,17 @@ use si_analog::device::switch::TwoPhaseClock;
 use si_analog::device::Waveform;
 use si_analog::engine::EngineWorkspace;
 use si_analog::netlist::Circuit;
-use si_analog::solver::{BackendMode, BackendPolicy};
+use si_analog::solver::BackendMode;
 use si_analog::tran::{self, TranParams};
 use si_analog::units::Seconds;
-
-fn forced(mode: BackendMode) -> BackendPolicy {
-    BackendPolicy {
-        mode,
-        ..BackendPolicy::default()
-    }
-}
 
 fn dc_both_ways(circuit: &Circuit, guess: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let solver = DcSolver::new().with_initial_guess(guess.to_vec());
     let mut dense_ws = EngineWorkspace::for_circuit(circuit);
-    dense_ws.set_backend_policy(forced(BackendMode::ForceDense));
+    dense_ws.set_backend_policy(BackendMode::ForceDense);
     let dense = solver.solve_with(circuit, &mut dense_ws).unwrap();
     let mut sparse_ws = EngineWorkspace::for_circuit(circuit);
-    sparse_ws.set_backend_policy(forced(BackendMode::ForceSparse));
+    sparse_ws.set_backend_policy(BackendMode::ForceSparse);
     let sparse = solver.solve_with(circuit, &mut sparse_ws).unwrap();
     (dense.raw().to_vec(), sparse.raw().to_vec())
 }
@@ -82,13 +75,13 @@ fn class_ab_ac_response_agrees_between_backends() {
     let freqs = si_analog::ac::log_frequencies(1e3, 1e9, 31).unwrap();
 
     let mut dense_ws = EngineWorkspace::for_circuit(circuit);
-    dense_ws.set_backend_policy(forced(BackendMode::ForceDense));
+    dense_ws.set_backend_policy(BackendMode::ForceDense);
     let dense = ac
         .response_with(circuit, &op, &stimulus, &probe, &freqs, &mut dense_ws)
         .unwrap();
 
     let mut sparse_ws = EngineWorkspace::for_circuit(circuit);
-    sparse_ws.set_backend_policy(forced(BackendMode::ForceSparse));
+    sparse_ws.set_backend_policy(BackendMode::ForceSparse);
     sparse_ws.enable_stats();
     let sparse = ac
         .response_with(circuit, &op, &stimulus, &probe, &freqs, &mut sparse_ws)
@@ -136,7 +129,7 @@ fn delay_line_dc_and_transient_run_entirely_sparse_with_one_symbolic_analysis() 
     let mut ws = EngineWorkspace::for_circuit(&circuit);
     ws.enable_stats();
     assert_eq!(
-        ws.backend_policy().mode,
+        ws.backend_policy(),
         BackendMode::Auto,
         "the default policy, not a forced one"
     );
@@ -187,7 +180,7 @@ fn panel_solves_on_delay_line_are_bit_identical_to_sequential() {
 
     let line = si_cell_chain(48).unwrap();
     let mut ws = EngineWorkspace::for_circuit(&line.circuit);
-    ws.set_backend_policy(forced(BackendMode::ForceSparse));
+    ws.set_backend_policy(BackendMode::ForceSparse);
     ws.enable_stats();
     // Factor once at the operating point; its engine keeps the factors.
     DcSolver::new()
@@ -233,7 +226,7 @@ fn sweeping_source_values_keeps_the_symbolic_cache_warm() {
     let line = si_cell_chain(48).unwrap();
     let mut circuit = line.circuit.clone();
     let mut ws = EngineWorkspace::for_circuit(&circuit);
-    ws.set_backend_policy(forced(BackendMode::ForceSparse));
+    ws.set_backend_policy(BackendMode::ForceSparse);
     ws.enable_stats();
     let solver = DcSolver::new().with_initial_guess(line.initial_guess.clone());
 
