@@ -4,17 +4,23 @@
 //! frequency assembles the complex MNA system with `jωC` stamps for
 //! capacitors (and, optionally, for the MOS gate capacitances the level-1
 //! DC model omits) and solves for the phasor response to a unit stimulus.
+//! The complex system supplies only its values: the positions come from
+//! the one stamp walk in [`crate::mna`] that the real DC/transient system
+//! and the sparse pattern share, and switches follow the same
+//! [`crate::mna::StampContext`] phase rule. The stimulus and probe are
+//! resolved to MNA unknowns once, before any frequency.
 //!
 //! This is what puts numbers on the settling story: the grounded-gate
 //! amplifier's loop bandwidth — and therefore the memory cell's settling
 //! time constant, the `time_constants` parameter of the behavioral model —
 //! falls out of [`AcAnalysis::response`] on the Fig. 1 netlist.
 
+use crate::device::passive::Capacitor;
+use crate::device::{ClockPhase, MosParams};
 use crate::engine::EngineWorkspace;
-use crate::mna::Solution;
-use crate::netlist::{Circuit, ElementKind, NodeId};
+use crate::mna::{node_row, stamp_walk, Solution, StampContext, Stamper};
+use crate::netlist::{Circuit, MosTerminals, NodeId};
 use crate::solver::Target;
-use crate::units::Volts;
 use crate::AnalogError;
 use si_dsp::Complex;
 
@@ -82,11 +88,101 @@ impl Default for AcAnalysis {
     }
 }
 
+impl AcStimulus {
+    /// The unknown the unit stimulus drives.
+    fn unknown(&self, circuit: &Circuit) -> Result<usize, AnalogError> {
+        match self {
+            AcStimulus::CurrentInto(node) => node_row(*node).ok_or(AnalogError::InvalidParameter {
+                name: "stimulus",
+                constraint: "cannot inject into ground",
+            }),
+            AcStimulus::VoltageOf(name) => branch_unknown(circuit, name),
+        }
+    }
+}
+
+impl AcProbe {
+    /// The unknown this probe reads; `None` for ground, which reads zero.
+    /// Resolved once per analysis, before any frequency, so an unknown
+    /// element is refused even on an empty grid or a source-free circuit.
+    pub(crate) fn unknown(&self, circuit: &Circuit) -> Result<Option<usize>, AnalogError> {
+        match self {
+            AcProbe::NodeVoltage(node) => Ok(node_row(*node)),
+            AcProbe::BranchCurrent(name) => branch_unknown(circuit, name).map(Some),
+        }
+    }
+}
+
+/// The unknown of the named voltage source's branch current.
+fn branch_unknown(circuit: &Circuit, name: &str) -> Result<usize, AnalogError> {
+    Ok(circuit.node_count() - 1 + circuit.branch_of(name)?)
+}
+
+/// The complex AC reading: small-signal values linearized at `ctx`'s
+/// operating point, stamped at angular frequency `omega`.
+struct AcStamper<'c, 'a, 't> {
+    ctx: StampContext<'a>,
+    device_caps: bool,
+    omega: f64,
+    a: &'c mut Target<'t, Complex>,
+}
+
+impl Stamper for AcStamper<'_, '_, '_> {
+    type S = Complex;
+
+    #[inline]
+    fn add(&mut self, i: usize, j: usize, v: Complex) {
+        self.a.stamp(i, j, v);
+    }
+
+    #[inline]
+    fn real(g: f64) -> Complex {
+        Complex::from_real(g)
+    }
+
+    fn closed(&self, phase: ClockPhase) -> bool {
+        self.ctx.phase_is_high(phase)
+    }
+
+    #[inline]
+    fn capacitor(&mut self, _: NodeId, _: NodeId, device: &Capacitor) -> Option<Complex> {
+        Some(Complex::new(0.0, self.omega * device.c.0))
+    }
+
+    #[inline]
+    fn mosfet(&mut self, t: &MosTerminals, params: &MosParams) -> [f64; 3] {
+        let (_, eval) = self.ctx.mos_bias(t, params);
+        [eval.gm, eval.gds, eval.gmb]
+    }
+
+    #[inline]
+    fn gate_caps(&self, params: &MosParams) -> Option<(Complex, Complex)> {
+        let wc = self.omega * params.cgs();
+        self.device_caps
+            .then(|| (Complex::new(0.0, wc), Complex::new(0.0, wc / 5.0)))
+    }
+
+    fn gmin(&self) -> Option<Complex> {
+        Some(Complex::from_real(self.ctx.gmin))
+    }
+}
+
 impl AcAnalysis {
+    /// The DC stamping context at operating point `op_voltages` with this
+    /// analysis's switch phases and gmin.
+    pub(crate) fn context<'a>(&self, op_voltages: &'a [f64]) -> StampContext<'a> {
+        StampContext {
+            phi1_high: self.phi1_high,
+            phi2_high: self.phi2_high,
+            gmin: self.gmin,
+            ..StampContext::dc(op_voltages)
+        }
+    }
+
     /// Assembles the complex MNA matrix at angular frequency `omega`,
-    /// linearized at `op`, into a caller-held backend target (reset and
-    /// zeroed in place — no allocation when the capacity suffices). Fills
-    /// the matrix only — the RHS depends on the stimulus.
+    /// linearized at `op_voltages`, into a caller-held backend target
+    /// (reset and zeroed in place — no allocation when the capacity
+    /// suffices). Fills the matrix only — the RHS depends on the stimulus.
     pub(crate) fn assemble_into(
         &self,
         circuit: &Circuit,
@@ -98,174 +194,15 @@ impl AcAnalysis {
         if dim == 0 {
             return Err(AnalogError::EmptyCircuit);
         }
-        let n_nodes = circuit.node_count();
         a.reset(dim);
-        let a = &mut *a;
-        let row = |n: NodeId| -> Option<usize> {
-            if n.is_ground() {
-                None
-            } else {
-                Some(n.index() - 1)
-            }
+        let mut stamper = AcStamper {
+            ctx: self.context(op_voltages),
+            device_caps: self.include_device_caps,
+            omega,
+            a,
         };
-        let stamp_adm = |a: &mut Target<'_, Complex>, na: NodeId, nb: NodeId, y: Complex| {
-            if let Some(i) = row(na) {
-                a.stamp(i, i, y);
-                if let Some(j) = row(nb) {
-                    a.stamp(i, j, -y);
-                }
-            }
-            if let Some(j) = row(nb) {
-                a.stamp(j, j, y);
-                if let Some(i) = row(na) {
-                    a.stamp(j, i, -y);
-                }
-            }
-        };
-
-        for element in circuit.elements() {
-            match element.kind() {
-                ElementKind::Resistor {
-                    a: na,
-                    b: nb,
-                    device,
-                } => {
-                    stamp_adm(a, *na, *nb, Complex::from_real(device.conductance().0));
-                }
-                ElementKind::Capacitor {
-                    a: na,
-                    b: nb,
-                    device,
-                } => {
-                    stamp_adm(a, *na, *nb, Complex::new(0.0, omega * device.c.0));
-                }
-                ElementKind::Switch {
-                    a: na,
-                    b: nb,
-                    device,
-                } => {
-                    let on = match device.phase {
-                        crate::device::ClockPhase::Phi1 => self.phi1_high,
-                        crate::device::ClockPhase::Phi2 => self.phi2_high,
-                        crate::device::ClockPhase::AlwaysOn => true,
-                        crate::device::ClockPhase::AlwaysOff => false,
-                    };
-                    let r = if on { device.ron } else { device.roff };
-                    stamp_adm(a, *na, *nb, Complex::from_real(1.0 / r.0));
-                }
-                ElementKind::CurrentSource { .. } => {
-                    // Independent sources are zeroed in AC (stimulus comes
-                    // through the RHS).
-                }
-                ElementKind::VoltageSource {
-                    pos, neg, branch, ..
-                } => {
-                    let k = n_nodes - 1 + *branch;
-                    if let Some(i) = row(*pos) {
-                        a.stamp(i, k, Complex::ONE);
-                        a.stamp(k, i, Complex::ONE);
-                    }
-                    if let Some(j) = row(*neg) {
-                        a.stamp(j, k, -Complex::ONE);
-                        a.stamp(k, j, -Complex::ONE);
-                    }
-                }
-                ElementKind::Mosfet { terminals, params } => {
-                    let vd = op_voltages[terminals.drain.index()];
-                    let vg = op_voltages[terminals.gate.index()];
-                    let vs = op_voltages[terminals.source.index()];
-                    let vb = op_voltages[terminals.bulk.index()];
-                    let eval = params.evaluate(Volts(vg - vs), Volts(vd - vs), Volts(vb - vs));
-                    let (gm, gds, gmb) = (eval.gm, eval.gds, eval.gmb);
-                    let gsum = gm + gds + gmb;
-                    if let Some(d) = row(terminals.drain) {
-                        a.stamp(d, d, Complex::from_real(gds));
-                        if let Some(g) = row(terminals.gate) {
-                            a.stamp(d, g, Complex::from_real(gm));
-                        }
-                        if let Some(s) = row(terminals.source) {
-                            a.stamp(d, s, Complex::from_real(-gsum));
-                        }
-                        if let Some(bk) = row(terminals.bulk) {
-                            a.stamp(d, bk, Complex::from_real(gmb));
-                        }
-                    }
-                    if let Some(s) = row(terminals.source) {
-                        a.stamp(s, s, Complex::from_real(gsum));
-                        if let Some(g) = row(terminals.gate) {
-                            a.stamp(s, g, Complex::from_real(-gm));
-                        }
-                        if let Some(d) = row(terminals.drain) {
-                            a.stamp(s, d, Complex::from_real(-gds));
-                        }
-                        if let Some(bk) = row(terminals.bulk) {
-                            a.stamp(s, bk, Complex::from_real(-gmb));
-                        }
-                    }
-                    if self.include_device_caps {
-                        let cgs = params.cgs();
-                        stamp_adm(
-                            a,
-                            terminals.gate,
-                            terminals.source,
-                            Complex::new(0.0, omega * cgs),
-                        );
-                        stamp_adm(
-                            a,
-                            terminals.gate,
-                            terminals.drain,
-                            Complex::new(0.0, omega * cgs / 5.0),
-                        );
-                    }
-                }
-            }
-        }
-        for i in 0..(n_nodes - 1) {
-            a.stamp(i, i, Complex::from_real(self.gmin));
-        }
+        stamp_walk(circuit, &mut stamper);
         Ok(())
-    }
-
-    fn rhs(&self, circuit: &Circuit, stimulus: &AcStimulus) -> Result<Vec<Complex>, AnalogError> {
-        let dim = circuit.mna_dimension();
-        let mut b = vec![Complex::ZERO; dim];
-        match stimulus {
-            AcStimulus::CurrentInto(node) => {
-                if node.is_ground() {
-                    return Err(AnalogError::InvalidParameter {
-                        name: "stimulus",
-                        constraint: "cannot inject into ground",
-                    });
-                }
-                b[node.index() - 1] = Complex::ONE;
-            }
-            AcStimulus::VoltageOf(name) => {
-                let branch = circuit.branch_of(name)?;
-                b[circuit.node_count() - 1 + branch] = Complex::ONE;
-            }
-        }
-        Ok(b)
-    }
-
-    fn read(
-        &self,
-        circuit: &Circuit,
-        probe: &AcProbe,
-        x: &[Complex],
-    ) -> Result<Complex, AnalogError> {
-        Ok(match probe {
-            AcProbe::NodeVoltage(node) => {
-                if node.is_ground() {
-                    Complex::ZERO
-                } else {
-                    x[node.index() - 1]
-                }
-            }
-            AcProbe::BranchCurrent(name) => {
-                let branch = circuit.branch_of(name)?;
-                x[circuit.node_count() - 1 + branch]
-            }
-        })
     }
 
     /// The phasor response at `probe` to a unit `stimulus`, evaluated at
@@ -303,7 +240,8 @@ impl AcAnalysis {
         ws: &mut EngineWorkspace,
     ) -> Result<Vec<Complex>, AnalogError> {
         let voltages = op.node_voltages();
-        let b = self.rhs(circuit, stimulus)?;
+        let stimulus = stimulus.unknown(circuit)?;
+        let probe = probe.unknown(circuit)?;
         let mut out = Vec::with_capacity(freqs_hz.len());
         for &f in freqs_hz {
             if !(f >= 0.0) || !f.is_finite() {
@@ -316,9 +254,8 @@ impl AcAnalysis {
             ws.complex_factorize(circuit, |target| {
                 self.assemble_into(circuit, &voltages, omega, target)
             })?;
-            let x = ws.complex_solve(&b)?;
-            let value = self.read(circuit, probe, x)?;
-            out.push(value);
+            let x = ws.complex_solve(|b| b[stimulus] = Complex::ONE)?;
+            out.push(probe.map_or(Complex::ZERO, |k| x[k]));
         }
         Ok(out)
     }
@@ -366,7 +303,7 @@ pub fn bandwidth_3db(freqs_hz: &[f64], response: &[Complex]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::dc::DcSolver;
-    use crate::units::{Amps, Farads, Ohms};
+    use crate::units::{Amps, Farads, Ohms, Volts};
 
     fn rc_circuit() -> (Circuit, NodeId) {
         let mut c = Circuit::new();
@@ -497,6 +434,18 @@ mod tests {
                 &[f64::NAN],
             )
             .is_err());
+        // An unknown probe is refused before any frequency is solved.
+        let nope = ac.response(
+            &c,
+            &op,
+            &AcStimulus::CurrentInto(n),
+            &AcProbe::BranchCurrent("NOPE".into()),
+            &[],
+        );
+        assert!(
+            matches!(nope, Err(AnalogError::UnknownElement { .. })),
+            "{nope:?}"
+        );
         assert!(log_frequencies(0.0, 1.0, 10).is_err());
         assert!(log_frequencies(10.0, 1.0, 10).is_err());
         assert!(log_frequencies(1.0, 10.0, 1).is_err());

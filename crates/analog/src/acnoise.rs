@@ -3,18 +3,18 @@
 //!
 //! Every MOSFET contributes a white drain-current noise source of PSD
 //! `4·k·T·γ·g_m` (γ = 2/3 in saturation) between drain and source; every
-//! resistor contributes `4·k·T/R`. For each device the AC system is solved
-//! with a unit injection across that device and the probe's response
-//! accumulates as `Σ Sᵢ·|Hᵢ(f)|²`. Integrating the output PSD over
-//! frequency yields the rms noise — the netlist-level derivation of the
-//! number the paper (and `si_core::noise`) obtains from the `kT/C`
-//! shortcut.
+//! resistor contributes `4·k·T/R`. The AC system is assembled and factored
+//! once per frequency; for each device it is solved with a unit injection
+//! across that device, and the probe's response (its unknown resolved
+//! once, before any frequency) accumulates as `Σ Sᵢ·|Hᵢ(f)|²`. Integrating
+//! the output PSD over frequency yields the rms noise — the netlist-level
+//! derivation of the number the paper (and `si_core::noise`) obtains from
+//! the `kT/C` shortcut.
 
 use crate::ac::{AcAnalysis, AcProbe};
 use crate::engine::EngineWorkspace;
-use crate::mna::Solution;
+use crate::mna::{node_row, Solution};
 use crate::netlist::{Circuit, ElementKind, NodeId};
-use crate::units::Volts;
 use crate::AnalogError;
 use crate::BOLTZMANN;
 use si_dsp::Complex;
@@ -89,6 +89,7 @@ impl NoiseAnalysis {
     fn collect_sources(&self, circuit: &Circuit, op: &[f64]) -> Vec<NoiseSource> {
         let mut sources = Vec::new();
         let four_kt = 4.0 * BOLTZMANN * self.temperature;
+        let ctx = self.ac.context(op);
         for element in circuit.elements() {
             match element.kind() {
                 ElementKind::Resistor { a, b, device } => {
@@ -100,11 +101,7 @@ impl NoiseAnalysis {
                     });
                 }
                 ElementKind::Mosfet { terminals, params } => {
-                    let eval = params.evaluate(
-                        Volts(op[terminals.gate.index()] - op[terminals.source.index()]),
-                        Volts(op[terminals.drain.index()] - op[terminals.source.index()]),
-                        Volts(op[terminals.bulk.index()] - op[terminals.source.index()]),
-                    );
+                    let (_, eval) = ctx.mos_bias(terminals, params);
                     let gm = eval.gm.abs().max(eval.gds.abs());
                     if gm > 0.0 {
                         sources.push(NoiseSource {
@@ -161,9 +158,8 @@ impl NoiseAnalysis {
     ) -> Result<NoiseResult, AnalogError> {
         let freqs = crate::ac::log_frequencies(f_lo, f_hi, points)?;
         let voltages = op.node_voltages();
+        let probe = probe.unknown(circuit)?;
         let sources = self.collect_sources(circuit, &voltages);
-        let dim = circuit.mna_dimension();
-        let n_nodes = circuit.node_count();
 
         let mut psd = vec![0.0; freqs.len()];
         let mut per_source = vec![vec![0.0; freqs.len()]; sources.len()];
@@ -174,28 +170,15 @@ impl NoiseAnalysis {
                 self.ac.assemble_into(circuit, &voltages, omega, target)
             })?;
             for (si, src) in sources.iter().enumerate() {
-                ws.crhs.clear();
-                ws.crhs.resize(dim, Complex::ZERO);
-                if !src.to.is_ground() {
-                    ws.crhs[src.to.index() - 1] += Complex::ONE;
-                }
-                if !src.from.is_ground() {
-                    ws.crhs[src.from.index() - 1] -= Complex::ONE;
-                }
-                let x = ws.complex_solve_own_rhs()?;
-                let h = match probe {
-                    AcProbe::NodeVoltage(node) => {
-                        if node.is_ground() {
-                            Complex::ZERO
-                        } else {
-                            x[node.index() - 1]
-                        }
+                let x = ws.complex_solve(|b| {
+                    if let Some(to) = node_row(src.to) {
+                        b[to] += Complex::ONE;
                     }
-                    AcProbe::BranchCurrent(name) => {
-                        let branch = circuit.branch_of(name)?;
-                        x[n_nodes - 1 + branch]
+                    if let Some(from) = node_row(src.from) {
+                        b[from] -= Complex::ONE;
                     }
-                };
+                })?;
+                let h = probe.map_or(Complex::ZERO, |k| x[k]);
                 let contribution = src.psd * h.norm_sqr();
                 psd[fi] += contribution;
                 per_source[si][fi] = contribution;
@@ -346,6 +329,25 @@ mod tests {
             (5e-9..150e-9).contains(&i_n),
             "cell noise current {} A outside the tens-of-nA class",
             i_n
+        );
+    }
+
+    #[test]
+    fn unknown_probe_is_refused_without_noise_sources() {
+        // No resistor and no MOSFET: no source ever reads the probe.
+        let ckt = crate::parse::parse_netlist("V1 n 0 1\nC1 n 0 1p\n").unwrap();
+        let op = DcSolver::new().solve(&ckt).unwrap();
+        let result = NoiseAnalysis::default().output_noise(
+            &ckt,
+            &op,
+            &AcProbe::BranchCurrent("NOPE".into()),
+            1e3,
+            1e6,
+            10,
+        );
+        assert!(
+            matches!(result, Err(AnalogError::UnknownElement { .. })),
+            "{result:?}"
         );
     }
 }

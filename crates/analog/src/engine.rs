@@ -107,11 +107,11 @@ pub struct EngineWorkspace {
     /// Voltage-source branch currents of the latest Newton state.
     pub(crate) branches: Vec<f64>,
     /// Complex linear solver for AC/noise analyses.
-    pub(crate) complex: Solver<Complex>,
+    complex: Solver<Complex>,
     /// Complex right-hand side.
-    pub(crate) crhs: Vec<Complex>,
+    crhs: Vec<Complex>,
     /// Complex solution vector.
-    pub(crate) cx: Vec<Complex>,
+    cx: Vec<Complex>,
     /// Backend-selection policy applied to every solve driven through
     /// this workspace.
     policy: BackendMode,
@@ -398,10 +398,9 @@ impl EngineWorkspace {
 
     /// Runs `assemble` against the policy-selected complex backend and
     /// factors the result, leaving the factors ready for
-    /// [`Self::complex_solve`] / [`Self::complex_solve_own_rhs`]. The AC
-    /// and noise front-ends use this once per frequency point; the
-    /// workspace-owned backend buffers mean no complex matrix is cloned
-    /// per point.
+    /// [`Self::complex_solve`]. The AC and noise front-ends use this once
+    /// per frequency point; the workspace-owned backend buffers mean no
+    /// complex matrix is cloned per point.
     ///
     /// # Errors
     ///
@@ -424,26 +423,21 @@ impl EngineWorkspace {
         Ok(())
     }
 
-    /// Solves the factored complex system for `b`, leaving the solution in
-    /// the workspace's `cx` buffer and returning it.
+    /// Solves the factored complex system for a right-hand side built by
+    /// `fill` (which receives a zeroed vector of the system dimension),
+    /// the complex twin of [`Self::solve_factored`]. Returns the solution
+    /// slice, valid until the next workspace use.
     ///
     /// # Errors
     ///
     /// Propagates solve errors; must follow [`Self::complex_factorize`].
-    pub(crate) fn complex_solve(&mut self, b: &[Complex]) -> Result<&[Complex], AnalogError> {
-        self.complex.solve(b, &mut self.cx)?;
-        self.probe_event(EngineStats::complex_back_substitution);
-        Ok(&self.cx)
-    }
-
-    /// Solves the factored complex system for the right-hand side the
-    /// caller staged in the workspace's own `crhs` buffer (the noise
-    /// pattern: one factorization, one right-hand side per source).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solve errors; must follow [`Self::complex_factorize`].
-    pub(crate) fn complex_solve_own_rhs(&mut self) -> Result<&[Complex], AnalogError> {
+    pub(crate) fn complex_solve(
+        &mut self,
+        fill: impl FnOnce(&mut [Complex]),
+    ) -> Result<&[Complex], AnalogError> {
+        self.crhs.clear();
+        self.crhs.resize(self.complex.dim(), Complex::ZERO);
+        fill(&mut self.crhs);
         self.complex.solve(&self.crhs, &mut self.cx)?;
         self.probe_event(EngineStats::complex_back_substitution);
         Ok(&self.cx)

@@ -57,10 +57,11 @@ pub enum ActiveBackend {
     Sparse,
 }
 
-/// Assembly destination for an MNA system: the stamping code is written
-/// once against this enum ([`crate::mna::assemble_into_target`] for the
-/// real system, the AC front-end for the complex one), and static dispatch
-/// keeps each arm a plain stamp into its backend's storage.
+/// Assembly destination for an MNA system: the one stamp walk in
+/// [`crate::mna`] writes through this enum (from
+/// [`crate::mna::assemble_into_target`] for the real system, the AC
+/// front-end for the complex one), and static dispatch keeps each arm a
+/// plain stamp into its backend's storage.
 #[derive(Debug)]
 pub enum Target<'a, S: Scalar> {
     /// Stamp into a dense matrix.

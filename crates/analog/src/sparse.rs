@@ -208,9 +208,10 @@ impl<S: Scalar> CscMatrix<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `(i, j)` is not a structural nonzero: the assembly pattern
-    /// is built as a superset of every position any analysis stamps, so a
-    /// miss is a programming error, exactly like a dense out-of-range stamp.
+    /// Panics if `(i, j)` is not a structural nonzero. The assembly
+    /// pattern ([`crate::mna::mna_pattern`]) comes from the same stamp walk
+    /// as every assembly, with every optional stamp on, so a miss is a
+    /// programming error, exactly like a dense out-of-range stamp.
     pub fn stamp(&mut self, i: usize, j: usize, value: S) {
         let slot = self
             .pattern

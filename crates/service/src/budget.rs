@@ -118,7 +118,7 @@ impl AdmissionBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use si_analog::cells::si_cell_chain;
+    use si_analog::cells::{si_cell_chain, ClassAbCellDesign};
 
     #[test]
     fn default_budget_admits_canned_workloads() {
@@ -126,8 +126,12 @@ mod tests {
         let cost = price_circuit(&line.circuit);
         assert_eq!(cost.nodes, 65);
         assert_eq!(cost.mna_dim, 64);
-        assert!(cost.nonzeros > 0);
+        // The pattern's nonzero count is the admission price: pinned so a
+        // layout change that would move a 413 decision fails here.
+        assert_eq!(cost.nonzeros, 190);
         AdmissionBudget::default().admit(&cost).unwrap();
+        let cell = ClassAbCellDesign::default().build().unwrap();
+        assert_eq!(mna_pattern(&cell.cell.circuit).nnz(), 75);
     }
 
     #[test]
