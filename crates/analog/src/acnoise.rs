@@ -146,7 +146,7 @@ impl NoiseAnalysis {
     ///
     /// Same as [`NoiseAnalysis::output_noise`].
     #[allow(clippy::too_many_arguments)]
-    pub fn output_noise_with(
+    pub(crate) fn output_noise_with(
         &self,
         circuit: &Circuit,
         op: &Solution,

@@ -678,7 +678,7 @@ impl CmffNetwork {
     /// # Errors
     ///
     /// Propagates solver errors.
-    pub fn output_currents(&self) -> Result<(Amps, Amps), AnalogError> {
+    pub(crate) fn output_currents(&self) -> Result<(Amps, Amps), AnalogError> {
         let sol = crate::dc::DcSolver::new()
             .with_initial_guess(self.initial_guess.clone())
             .solve(&self.circuit)?;

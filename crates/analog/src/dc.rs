@@ -68,7 +68,7 @@ impl DcSolver {
 
     /// Sets the DC clock-phase state seen by φ1/φ2 switches.
     #[must_use]
-    pub fn with_phases(mut self, phi1_high: bool, phi2_high: bool) -> Self {
+    pub(crate) fn with_phases(mut self, phi1_high: bool, phi2_high: bool) -> Self {
         self.phi1_high = phi1_high;
         self.phi2_high = phi2_high;
         self
@@ -233,7 +233,7 @@ pub fn sweep_current_source<T>(
 /// # Errors
 ///
 /// As [`sweep_current_source`].
-pub fn sweep_current_source_with<T>(
+pub(crate) fn sweep_current_source_with<T>(
     circuit: &Circuit,
     source_name: &str,
     values: &[crate::units::Amps],

@@ -103,7 +103,7 @@ impl MosParams {
 
     /// A PMOS in the generic 0.8 µm process with the given W/L in µm.
     #[must_use]
-    pub fn pmos_08um(w_um: f64, l_um: f64) -> Self {
+    pub(crate) fn pmos_08um(w_um: f64, l_um: f64) -> Self {
         MosParams {
             polarity: MosPolarity::Pmos,
             vt0: Volts(-0.9),
@@ -117,13 +117,6 @@ impl MosParams {
         }
     }
 
-    /// Overrides channel-length modulation, returning `self` for chaining.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> Self {
-        self.lambda = lambda;
-        self
-    }
-
     /// The gain factor `β = KP·W/L` in A/V².
     #[must_use]
     pub fn beta(&self) -> f64 {
@@ -135,21 +128,6 @@ impl MosParams {
     #[must_use]
     pub fn cgs(&self) -> f64 {
         2.0 / 3.0 * self.w_um * self.l_um * self.cox_per_um2
-    }
-
-    /// The gate overdrive needed to conduct `id` in saturation:
-    /// `V_ov = sqrt(2·id/β)`. This is the `(Vgs − VT)` that enters the
-    /// paper's Eqs. (1)–(2).
-    #[must_use]
-    pub fn saturation_overdrive(&self, id: crate::units::Amps) -> Volts {
-        Volts((2.0 * id.0.abs() / self.beta()).sqrt())
-    }
-
-    /// The saturation transconductance at drain current `id`:
-    /// `gm = sqrt(2·β·id)`.
-    #[must_use]
-    pub fn gm_at(&self, id: crate::units::Amps) -> crate::units::Siemens {
-        crate::units::Siemens((2.0 * self.beta() * id.0.abs()).sqrt())
     }
 
     /// Evaluates the device at the given terminal voltages (circuit
@@ -247,6 +225,31 @@ pub struct MosEval {
     pub region: Region,
     /// Whether drain and source were internally swapped (`vds` reversed).
     pub swapped: bool,
+}
+
+#[cfg(test)]
+impl MosParams {
+    /// Overrides channel-length modulation, returning `self` for chaining.
+    #[must_use]
+    pub(crate) fn with_lambda(mut self, lambda: f64) -> Self {
+        self.lambda = lambda;
+        self
+    }
+
+    /// The gate overdrive needed to conduct `id` in saturation:
+    /// `V_ov = sqrt(2·id/β)`. This is the `(Vgs − VT)` that enters the
+    /// paper's Eqs. (1)–(2).
+    #[must_use]
+    pub(crate) fn saturation_overdrive(&self, id: crate::units::Amps) -> Volts {
+        Volts((2.0 * id.0.abs() / self.beta()).sqrt())
+    }
+
+    /// The saturation transconductance at drain current `id`:
+    /// `gm = sqrt(2·β·id)`.
+    #[must_use]
+    pub(crate) fn gm_at(&self, id: crate::units::Amps) -> crate::units::Siemens {
+        crate::units::Siemens((2.0 * self.beta() * id.0.abs()).sqrt())
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub struct Resistor {
 impl Resistor {
     /// The stamped conductance.
     #[must_use]
-    pub fn conductance(&self) -> Siemens {
+    pub(crate) fn conductance(&self) -> Siemens {
         self.r.to_siemens()
     }
 }
@@ -33,7 +33,7 @@ pub struct Capacitor {
 /// the capacitor is replaced by a conductance `C/h` in parallel with a
 /// current source `C/h·v_prev` (flowing from − to + terminal).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CapCompanion {
+pub(crate) struct CapCompanion {
     /// Equivalent conductance `C/h`.
     pub geq: Siemens,
     /// Equivalent history current `C/h · v_prev`.
@@ -49,7 +49,7 @@ impl Capacitor {
     /// Panics if `h` is not positive (the transient engine validates its
     /// step before calling this).
     #[must_use]
-    pub fn companion(&self, h: f64, v_prev: Volts) -> CapCompanion {
+    pub(crate) fn companion(&self, h: f64, v_prev: Volts) -> CapCompanion {
         assert!(h > 0.0, "time step must be positive, got {h}");
         let geq = self.c.0 / h;
         CapCompanion {

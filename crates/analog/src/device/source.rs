@@ -98,7 +98,7 @@ impl Waveform {
 
     /// The DC (t = 0⁻) value used by operating-point analysis.
     #[must_use]
-    pub fn dc_value(&self) -> f64 {
+    pub(crate) fn dc_value(&self) -> f64 {
         match self {
             Waveform::Dc(v) => *v,
             Waveform::Sine { offset, .. } => *offset,

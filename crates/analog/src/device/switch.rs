@@ -79,7 +79,7 @@ impl TwoPhaseClock {
 
     /// The clock period.
     #[must_use]
-    pub fn period(&self) -> Seconds {
+    pub(crate) fn period(&self) -> Seconds {
         self.period
     }
 
@@ -101,17 +101,9 @@ impl TwoPhaseClock {
         }
     }
 
-    /// The time at the middle of the `n`-th φ1 interval — a safe sampling
-    /// instant for reading signals settled during φ1.
-    #[must_use]
-    pub fn phi1_midpoint(&self, n: usize) -> Seconds {
-        let active = 0.5 * (1.0 - self.dead_fraction);
-        Seconds((n as f64 + active / 2.0) * self.period.0)
-    }
-
     /// The time at the middle of the `n`-th φ2 interval.
     #[must_use]
-    pub fn phi2_midpoint(&self, n: usize) -> Seconds {
+    pub(crate) fn phi2_midpoint(&self, n: usize) -> Seconds {
         let active = 0.5 * (1.0 - self.dead_fraction);
         Seconds((n as f64 + 0.5 + active / 2.0) * self.period.0)
     }
@@ -131,21 +123,11 @@ pub struct Switch {
 impl Switch {
     /// A switch with typical values: 100 Ω on, 1 GΩ off.
     #[must_use]
-    pub fn on_phase(phase: ClockPhase) -> Self {
+    pub(crate) fn on_phase(phase: ClockPhase) -> Self {
         Switch {
             ron: Ohms(100.0),
             roff: Ohms(1e9),
             phase,
-        }
-    }
-
-    /// The resistance presented at time `t` under `clock`.
-    #[must_use]
-    pub fn resistance_at(&self, clock: &TwoPhaseClock, t: Seconds) -> Ohms {
-        if clock.is_high(self.phase, t) {
-            self.ron
-        } else {
-            self.roff
         }
     }
 }
@@ -198,7 +180,6 @@ mod tests {
     fn midpoints_land_inside_their_phases() {
         let clk = TwoPhaseClock::new(Seconds(1e-6), 0.1).unwrap();
         for n in 0..5 {
-            assert!(clk.is_high(ClockPhase::Phi1, clk.phi1_midpoint(n)));
             assert!(clk.is_high(ClockPhase::Phi2, clk.phi2_midpoint(n)));
         }
     }
@@ -208,13 +189,5 @@ mod tests {
         let clk = TwoPhaseClock::new(Seconds(1.0), 0.0).unwrap();
         assert!(clk.is_high(ClockPhase::AlwaysOn, Seconds(0.77)));
         assert!(!clk.is_high(ClockPhase::AlwaysOff, Seconds(0.77)));
-    }
-
-    #[test]
-    fn switch_resistance_follows_phase() {
-        let clk = TwoPhaseClock::new(Seconds(1.0), 0.1).unwrap();
-        let sw = Switch::on_phase(ClockPhase::Phi1);
-        assert_eq!(sw.resistance_at(&clk, Seconds(0.1)), sw.ron);
-        assert_eq!(sw.resistance_at(&clk, Seconds(0.6)), sw.roff);
     }
 }

@@ -25,7 +25,7 @@
 //! short-lived workspace and a `*_with` variant that takes the caller's
 //! ([`crate::dc::DcSolver::solve_with`], [`crate::tran::run_with`],
 //! [`crate::ac::AcAnalysis::response_with`],
-//! [`crate::acnoise::NoiseAnalysis::output_noise_with`],
+//! `crate::acnoise::NoiseAnalysis::output_noise_with`,
 //! [`crate::smallsignal::SmallSignal::port_conductance_with`]); callers
 //! use those functions directly.
 //!
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 
 /// Convergence controls for the damped Newton loop.
 #[derive(Debug, Clone, Copy)]
-pub struct NewtonSettings {
+pub(crate) struct NewtonSettings {
     /// Iteration budget.
     pub max_iterations: usize,
     /// Convergence tolerance on node-voltage updates, in volts.
@@ -67,7 +67,7 @@ pub struct NewtonSettings {
 /// [`StampContext`] holds except the voltage guess and gmin, which the
 /// Newton loop supplies itself.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct StampSpec<'a> {
+pub(crate) struct StampSpec<'a> {
     /// Simulation time; `None` for DC (sources at their DC value).
     pub time: Option<Seconds>,
     /// The two-phase clock driving switches, if any.
@@ -220,7 +220,7 @@ impl EngineWorkspace {
 
     /// Voltage-source branch currents left by the last Newton solve.
     #[must_use]
-    pub fn branch_currents(&self) -> &[f64] {
+    pub(crate) fn branch_currents(&self) -> &[f64] {
         &self.branches
     }
 
@@ -247,7 +247,7 @@ impl EngineWorkspace {
     /// Returns [`AnalogError::NoConvergence`] when the budget is exhausted
     /// or an update goes non-finite, [`AnalogError::SingularMatrix`] from
     /// factorization, or assembly errors.
-    pub fn newton(
+    pub(crate) fn newton(
         &mut self,
         circuit: &Circuit,
         spec: &StampSpec<'_>,
@@ -358,7 +358,7 @@ impl EngineWorkspace {
 
     /// Assembles and factors the real MNA system linearized at
     /// `ctx.node_voltages`, leaving the LU factors in the workspace for
-    /// repeated [`Self::solve_factored`] calls (the small-signal pattern:
+    /// repeated `Self::solve_factored` calls (the small-signal pattern:
     /// one factorization, many right-hand sides).
     ///
     /// # Errors
@@ -386,7 +386,10 @@ impl EngineWorkspace {
     /// # Errors
     ///
     /// Propagates solve errors. Must be called after [`Self::factorize`].
-    pub fn solve_factored(&mut self, fill: impl FnOnce(&mut [f64])) -> Result<&[f64], AnalogError> {
+    pub(crate) fn solve_factored(
+        &mut self,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> Result<&[f64], AnalogError> {
         let dim = self.real.dim();
         self.rhs.clear();
         self.rhs.resize(dim, 0.0);
@@ -710,6 +713,80 @@ mod tests {
         ws.newton(&big, &spec, &settings, 1e-12, &start_big)
             .unwrap();
         assert_eq!(ws.node_voltages(), &first[..]);
+    }
+
+    #[test]
+    fn sparse_workspace_alternating_same_size_topologies_matches_fresh_solves() {
+        // Two circuits with six unknowns each but different sparsity
+        // patterns: a resistor chain and a star around a hub node. A
+        // structure cache keyed on the unknown count alone would replay
+        // one circuit's symbolic analysis on the other.
+        let chain = {
+            let mut c = Circuit::new();
+            let mut prev = Circuit::GROUND;
+            for k in 0..6 {
+                let n = c.node(&format!("n{k}"));
+                c.resistor(&format!("R{k}"), prev, n, Ohms(1e3 + 100.0 * k as f64))
+                    .unwrap();
+                prev = n;
+            }
+            c.current_source("I", Circuit::GROUND, prev, Amps(1e-3))
+                .unwrap();
+            c
+        };
+        let star = {
+            let mut c = Circuit::new();
+            let hub = c.node("hub");
+            c.resistor("Rh", hub, Circuit::GROUND, Ohms(500.0)).unwrap();
+            for k in 0..5 {
+                let n = c.node(&format!("s{k}"));
+                c.resistor(&format!("R{k}"), hub, n, Ohms(2e3 + 300.0 * k as f64))
+                    .unwrap();
+                c.current_source(
+                    &format!("I{k}"),
+                    Circuit::GROUND,
+                    n,
+                    Amps(1e-4 * (k + 1) as f64),
+                )
+                .unwrap();
+            }
+            c
+        };
+        assert_eq!(chain.mna_dimension(), star.mna_dimension());
+        let settings = NewtonSettings {
+            max_iterations: 10,
+            vtol: 1e-9,
+            max_step: 5.0,
+        };
+        let spec = StampSpec {
+            phi1_high: true,
+            ..StampSpec::default()
+        };
+        let solve = |ws: &mut EngineWorkspace, c: &Circuit| -> Vec<u64> {
+            ws.newton(c, &spec, &settings, 1e-12, &vec![0.0; c.node_count()])
+                .unwrap();
+            ws.node_voltages().iter().map(|v| v.to_bits()).collect()
+        };
+        let fresh = |c: &Circuit| {
+            let mut ws = EngineWorkspace::new();
+            ws.set_backend_policy(BackendMode::ForceSparse);
+            solve(&mut ws, c)
+        };
+        let (want_chain, want_star) = (fresh(&chain), fresh(&star));
+        let mut shared = EngineWorkspace::new();
+        shared.set_backend_policy(BackendMode::ForceSparse);
+        for round in 0..3 {
+            assert_eq!(
+                solve(&mut shared, &chain),
+                want_chain,
+                "chain, round {round}"
+            );
+            assert_eq!(solve(&mut shared, &star), want_star, "star, round {round}");
+        }
+        assert_eq!(
+            shared.real_solver().active(),
+            crate::solver::ActiveBackend::Sparse
+        );
     }
 
     #[test]

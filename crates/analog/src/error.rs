@@ -71,8 +71,7 @@ pub enum AnalogError {
         /// Human-readable description of what went wrong.
         message: String,
     },
-    /// A drive request (e.g. [`crate::parse::parse_with_drive`]) named a
-    /// current source the netlist does not define.
+    /// A drive request named a current source the netlist does not define.
     UnknownDriveSource {
         /// The requested source name.
         source: String,

@@ -95,7 +95,7 @@ impl HeadroomBudget {
     ///
     /// Returns [`AnalogError::InvalidParameter`] for a negative `mi` or an
     /// invalid budget.
-    pub fn vdd_min_bias_branch(&self, mi: f64) -> Result<Volts, AnalogError> {
+    pub(crate) fn vdd_min_bias_branch(&self, mi: f64) -> Result<Volts, AnalogError> {
         self.validate()?;
         check_mi(mi)?;
         let swing = ((1.0 + mi).sqrt() + 1.0) * self.vov_memory.0;
@@ -111,7 +111,7 @@ impl HeadroomBudget {
     ///
     /// Returns [`AnalogError::InvalidParameter`] for a negative `mi` or an
     /// invalid budget.
-    pub fn vdd_min_memory_branch(&self, mi: f64) -> Result<Volts, AnalogError> {
+    pub(crate) fn vdd_min_memory_branch(&self, mi: f64) -> Result<Volts, AnalogError> {
         self.validate()?;
         check_mi(mi)?;
         let peak_ov = (1.0 + mi).sqrt() * self.vov_memory.0;
@@ -122,7 +122,7 @@ impl HeadroomBudget {
     ///
     /// # Errors
     ///
-    /// See [`HeadroomBudget::vdd_min_bias_branch`].
+    /// See `HeadroomBudget::vdd_min_bias_branch`.
     pub fn vdd_min(&self, mi: f64) -> Result<Volts, AnalogError> {
         Ok(self
             .vdd_min_bias_branch(mi)?
@@ -133,7 +133,7 @@ impl HeadroomBudget {
     ///
     /// # Errors
     ///
-    /// See [`HeadroomBudget::vdd_min_bias_branch`].
+    /// See `HeadroomBudget::vdd_min_bias_branch`.
     pub fn is_feasible(&self, vdd: Volts, mi: f64) -> Result<bool, AnalogError> {
         Ok(self.vdd_min(mi)?.0 <= vdd.0)
     }

@@ -19,7 +19,7 @@
 //! * [`dc`] — damped Newton–Raphson operating-point solver with gmin
 //!   stepping,
 //! * [`tran`] — backward-Euler transient analysis honoring two-phase clocks,
-//! * [`smallsignal`] — linearized port-conductance and transfer analyses,
+//! * [`smallsignal`] — linearized port conductance,
 //! * [`cells`] — netlist builders for the paper's circuits (Fig. 1 class-AB
 //!   cell, GGA, Fig. 2 CMFF mirrors, class-A baseline),
 //! * [`headroom`] — the supply-voltage feasibility conditions of Eqs. (1)–(2),
@@ -86,15 +86,13 @@ pub const BOLTZMANN: f64 = 1.380_649e-23;
 /// Reference temperature for noise calculations, in kelvin.
 pub const ROOM_TEMPERATURE: f64 = 300.0;
 
-/// Thermal voltage `kT/q` at [`ROOM_TEMPERATURE`], in volts.
-pub const THERMAL_VOLTAGE: f64 = BOLTZMANN * ROOM_TEMPERATURE / 1.602_176_634e-19;
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn thermal_voltage_is_about_26_mv() {
-        assert!((THERMAL_VOLTAGE - 0.02585).abs() < 1e-4);
+        let thermal_voltage = BOLTZMANN * ROOM_TEMPERATURE / 1.602_176_634e-19;
+        assert!((thermal_voltage - 0.02585).abs() < 1e-4);
     }
 }

@@ -62,7 +62,7 @@ impl<S: Scalar> Matrix<S> {
 
     /// Reshapes to `rows × cols` with every entry zero, reusing the existing
     /// allocation when it is large enough.
-    pub fn resize_zeroed(&mut self, rows: usize, cols: usize) {
+    pub(crate) fn resize_zeroed(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
         self.data.clear();
@@ -101,8 +101,8 @@ impl<S: Scalar> Matrix<S> {
     }
 
     /// Solves `A·x = b` by factoring a copy of `self`: the allocating
-    /// convenience over [`Self::factor_in_place`] and
-    /// [`Self::lu_solve_into`], for tests and benchmarks.
+    /// convenience over `Self::factor_in_place` and
+    /// `Self::lu_solve_into`, for tests and benchmarks.
     ///
     /// # Errors
     ///
@@ -127,7 +127,7 @@ impl<S: Scalar> Matrix<S> {
     ///
     /// Returns [`AnalogError::SingularMatrix`] when no usable pivot exists,
     /// or [`AnalogError::InvalidParameter`] if the matrix is not square.
-    pub fn factor_in_place(&mut self, perm: &mut Vec<usize>) -> Result<(), AnalogError> {
+    pub(crate) fn factor_in_place(&mut self, perm: &mut Vec<usize>) -> Result<(), AnalogError> {
         if self.rows != self.cols {
             return Err(AnalogError::InvalidParameter {
                 name: "a",
@@ -180,7 +180,7 @@ impl<S: Scalar> Matrix<S> {
     /// # Errors
     ///
     /// Returns [`AnalogError::InvalidParameter`] on a dimension mismatch.
-    pub fn lu_solve_into(
+    pub(crate) fn lu_solve_into(
         &self,
         perm: &[usize],
         b: &[S],

@@ -6,7 +6,7 @@
 //!
 //! `stamp_walk` is the one place that decides which matrix positions each
 //! element occupies and in which order. A `Stamper` supplies the values
-//! and receives the stamps, for three readings: [`assemble_into_target`]
+//! and receives the stamps, for three readings: `assemble_into_target`
 //! (real DC/transient: MOSFETs as their Norton companion at the current
 //! guess, capacitors as their backward-Euler companion under a
 //! [`CapStep`] and open at DC, plus the right-hand side); the complex
@@ -129,7 +129,7 @@ impl Solution {
     /// The current through voltage-source branch `branch` (flowing from the
     /// source's positive terminal through it to the negative terminal).
     #[must_use]
-    pub fn branch_current(&self, branch: usize) -> Amps {
+    pub(crate) fn branch_current(&self, branch: usize) -> Amps {
         Amps(self.x[self.node_count - 1 + branch])
     }
 
@@ -385,7 +385,7 @@ impl Stamper for RealStamper<'_, '_, '_> {
 ///
 /// Returns [`AnalogError::EmptyCircuit`] for a circuit with no unknowns, or
 /// [`AnalogError::InvalidParameter`] if the guess length is wrong.
-pub fn assemble_into_target(
+pub(crate) fn assemble_into_target(
     circuit: &Circuit,
     ctx: &StampContext<'_>,
     a: &mut Target<'_, f64>,

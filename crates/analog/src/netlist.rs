@@ -2,7 +2,7 @@
 //!
 //! A [`Circuit`] is a flat netlist. Nodes are created by name with
 //! [`Circuit::node`]; node 0 is always ground. Elements are added through
-//! typed methods ([`Circuit::resistor`], [`Circuit::mosfet`], …) that
+//! typed methods ([`Circuit::resistor`], `Circuit::mosfet`, …) that
 //! validate parameters and reject duplicate names.
 
 use std::collections::HashMap;
@@ -27,7 +27,7 @@ impl NodeId {
 
     /// Whether this is the ground node.
     #[must_use]
-    pub fn is_ground(self) -> bool {
+    pub(crate) fn is_ground(self) -> bool {
         self.0 == 0
     }
 }
@@ -416,7 +416,7 @@ impl Circuit {
     ///
     /// Panics if the node does not belong to this circuit.
     #[must_use]
-    pub fn node_name(&self, node: NodeId) -> &str {
+    pub(crate) fn node_name(&self, node: NodeId) -> &str {
         &self.node_names[node.0]
     }
 
@@ -431,7 +431,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns [`AnalogError::UnknownElement`] if no element has that name.
-    pub fn element(&self, name: &str) -> Result<&Element, AnalogError> {
+    pub(crate) fn element(&self, name: &str) -> Result<&Element, AnalogError> {
         let id = self
             .element_lookup
             .get(name)
@@ -595,7 +595,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns the node/name errors of [`Circuit::resistor`].
-    pub fn current_source_wave(
+    pub(crate) fn current_source_wave(
         &mut self,
         name: &str,
         from: NodeId,
@@ -656,7 +656,7 @@ impl Circuit {
     /// # Errors
     ///
     /// Returns the node/name errors of [`Circuit::resistor`].
-    pub fn ammeter(
+    pub(crate) fn ammeter(
         &mut self,
         name: &str,
         pos: NodeId,
@@ -671,7 +671,7 @@ impl Circuit {
     ///
     /// Returns [`AnalogError::InvalidElement`] for non-positive geometry,
     /// plus the node/name errors of [`Circuit::resistor`].
-    pub fn mosfet(
+    pub(crate) fn mosfet(
         &mut self,
         name: &str,
         terminals: MosTerminals,

@@ -33,6 +33,7 @@ pub struct DeviceOp {
 ///
 /// ```
 /// use si_analog::dc::DcSolver;
+/// use si_analog::device::Region;
 /// use si_analog::op_report::OpReport;
 /// use si_analog::parse::parse_netlist;
 ///
@@ -40,7 +41,8 @@ pub struct DeviceOp {
 /// let ckt = parse_netlist("I1 0 d 50u\nM1 d d 0 0 NMOS W=20u L=2u\n")?;
 /// let op = DcSolver::new().solve(&ckt)?;
 /// let report = OpReport::of(&ckt, &op);
-/// assert!(report.all_saturated()); // diode-connected ⇒ saturated
+/// // Diode-connected ⇒ saturated.
+/// assert!(report.devices.iter().all(|d| d.region == Region::Saturation));
 /// # Ok(())
 /// # }
 /// ```
@@ -78,35 +80,6 @@ impl OpReport {
         OpReport { devices }
     }
 
-    /// Devices that are **not** in saturation (the paper's audit condition;
-    /// cutoff devices are included since a cut-off memory device is equally
-    /// fatal to cell operation).
-    #[must_use]
-    pub fn violations(&self) -> Vec<&DeviceOp> {
-        self.devices
-            .iter()
-            .filter(|d| d.region != Region::Saturation)
-            .collect()
-    }
-
-    /// Whether every device sits in saturation.
-    #[must_use]
-    pub fn all_saturated(&self) -> bool {
-        self.violations().is_empty()
-    }
-
-    /// The smallest saturation margin across saturated devices — how close
-    /// the bias is to losing a cascode. Returns `None` if no device is
-    /// saturated.
-    #[must_use]
-    pub fn worst_margin(&self) -> Option<Volts> {
-        self.devices
-            .iter()
-            .filter(|d| d.region == Region::Saturation)
-            .map(|d| d.saturation_margin)
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-    }
-
     /// Renders an aligned text table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -142,6 +115,38 @@ fn saturation_margin(params: &MosParams, vgs: Volts, vds: Volts, vt: Volts) -> V
         return Volts(0.0);
     }
     Volts(s * vds.0 - vov)
+}
+
+#[cfg(test)]
+impl OpReport {
+    /// Devices that are **not** in saturation (the paper's audit condition;
+    /// cutoff devices are included since a cut-off memory device is equally
+    /// fatal to cell operation).
+    #[must_use]
+    pub(crate) fn violations(&self) -> Vec<&DeviceOp> {
+        self.devices
+            .iter()
+            .filter(|d| d.region != Region::Saturation)
+            .collect()
+    }
+
+    /// Whether every device sits in saturation.
+    #[must_use]
+    pub(crate) fn all_saturated(&self) -> bool {
+        self.violations().is_empty()
+    }
+
+    /// The smallest saturation margin across saturated devices — how close
+    /// the bias is to losing a cascode. Returns `None` if no device is
+    /// saturated.
+    #[must_use]
+    pub(crate) fn worst_margin(&self) -> Option<Volts> {
+        self.devices
+            .iter()
+            .filter(|d| d.region == Region::Saturation)
+            .map(|d| d.saturation_margin)
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+    }
 }
 
 #[cfg(test)]

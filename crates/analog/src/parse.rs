@@ -46,7 +46,7 @@
 //! Parsing never panics: every malformed input is a typed [`ParseError`]
 //! carrying the 1-based line and column of the offending token. The
 //! convenience wrapper [`parse_netlist`] folds that into
-//! [`AnalogError::Parse`]; [`parse_netlist_v1`] exposes the typed error,
+//! [`AnalogError::Parse`]; `parse_netlist_v1` exposes the typed error,
 //! and [`parse_netlist_canonical`] additionally reorders cards into a
 //! canonical form so that card-permuted submissions of the same circuit
 //! produce *identical* [`Circuit`] objects (same fingerprints, same MNA
@@ -57,7 +57,7 @@ use crate::device::mos::{MosParams, MosPolarity};
 use crate::device::switch::{ClockPhase, Switch};
 use crate::device::Waveform;
 use crate::netlist::{Circuit, ElementKind, MosTerminals, NodeId};
-use crate::units::{Amps, Farads, Ohms};
+use crate::units::{Farads, Ohms};
 use crate::AnalogError;
 use std::cmp::Ordering;
 use std::error::Error;
@@ -65,7 +65,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// The netlist dialect version this parser speaks.
-pub const DIALECT_VERSION: u32 = 1;
+pub(crate) const DIALECT_VERSION: u32 = 1;
 
 /// Why a numeric token failed to parse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -776,7 +776,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit, AnalogError> {
 /// # Errors
 ///
 /// Returns [`ParseError`] for any malformed input.
-pub fn parse_netlist_v1(text: &str) -> Result<Circuit, ParseError> {
+pub(crate) fn parse_netlist_v1(text: &str) -> Result<Circuit, ParseError> {
     let ir = parse_ir(text)?;
     let order: Vec<usize> = (0..ir.cards.len()).collect();
     build(&ir, &order)
@@ -809,36 +809,6 @@ pub fn parse_netlist_canonical(text: &str) -> Result<Circuit, ParseError> {
             .then_with(|| x.cmp(&y))
     });
     build(&ir, &order)
-}
-
-/// Convenience: parse, then update a named DC current source — handy for
-/// text-defined testbenches driven from sweeps.
-///
-/// # Errors
-///
-/// Returns [`AnalogError::UnknownDriveSource`] naming the requested source
-/// if the netlist does not define it, [`AnalogError::InvalidElement`] if
-/// the name refers to an element that is not a current source, and parse
-/// errors otherwise.
-pub fn parse_with_drive(text: &str, source: &str, value: Amps) -> Result<Circuit, AnalogError> {
-    let mut circuit = parse_netlist(text)?;
-    match circuit.element(source) {
-        Err(_) => {
-            return Err(AnalogError::UnknownDriveSource {
-                source: source.to_string(),
-            })
-        }
-        Ok(el) => {
-            if !matches!(el.kind(), ElementKind::CurrentSource { .. }) {
-                return Err(AnalogError::InvalidElement {
-                    element: source.to_string(),
-                    constraint: "drive target is not a current source",
-                });
-            }
-        }
-    }
-    crate::dc::set_current_source(&mut circuit, source, value)?;
-    Ok(circuit)
 }
 
 // ---------------------------------------------------------------------------
@@ -1003,10 +973,46 @@ pub fn to_netlist(circuit: &Circuit) -> Result<String, AnalogError> {
 }
 
 #[cfg(test)]
+/// Convenience: parse, then update a named DC current source — handy for
+/// text-defined testbenches driven from sweeps.
+///
+/// # Errors
+///
+/// Returns [`AnalogError::UnknownDriveSource`] naming the requested source
+/// if the netlist does not define it, [`AnalogError::InvalidElement`] if
+/// the name refers to an element that is not a current source, and parse
+/// errors otherwise.
+pub(crate) fn parse_with_drive(
+    text: &str,
+    source: &str,
+    value: crate::units::Amps,
+) -> Result<Circuit, AnalogError> {
+    let mut circuit = parse_netlist(text)?;
+    match circuit.element(source) {
+        Err(_) => {
+            return Err(AnalogError::UnknownDriveSource {
+                source: source.to_string(),
+            })
+        }
+        Ok(el) => {
+            if !matches!(el.kind(), ElementKind::CurrentSource { .. }) {
+                return Err(AnalogError::InvalidElement {
+                    element: source.to_string(),
+                    constraint: "drive target is not a current source",
+                });
+            }
+        }
+    }
+    crate::dc::set_current_source(&mut circuit, source, value)?;
+    Ok(circuit)
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cells::si_cell_chain;
     use crate::dc::DcSolver;
+    use crate::units::Amps;
 
     #[test]
     fn value_suffixes() {

@@ -35,27 +35,6 @@ impl Default for SmallSignal {
 }
 
 impl SmallSignal {
-    /// Linearizes the circuit at `op` and leaves the factored system in
-    /// the workspace, ready for repeated right-hand sides.
-    fn linearize_into(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        ws: &mut EngineWorkspace,
-    ) -> Result<(), AnalogError> {
-        let voltages = op.node_voltages();
-        let ctx = StampContext {
-            node_voltages: &voltages,
-            time: None,
-            clock: None,
-            phi1_high: self.phi1_high,
-            phi2_high: self.phi2_high,
-            gmin: self.gmin,
-            cap_step: None,
-        };
-        ws.factorize(circuit, &ctx)
-    }
-
     /// The small-signal conductance looking into `node` (to ground): inject
     /// a 1 A test current, read the node's voltage response `ΔV`, return
     /// `1/ΔV`.
@@ -96,144 +75,22 @@ impl SmallSignal {
                 constraint: "cannot measure conductance into ground",
             });
         }
-        self.linearize_into(circuit, op, ws)?;
+        // Linearize at `op`: the factored Jacobian, with the test
+        // injection as the only right-hand side.
+        let voltages = op.node_voltages();
+        let ctx = StampContext {
+            node_voltages: &voltages,
+            time: None,
+            clock: None,
+            phi1_high: self.phi1_high,
+            phi2_high: self.phi2_high,
+            gmin: self.gmin,
+            cap_step: None,
+        };
+        ws.factorize(circuit, &ctx)?;
         let idx = node.index() - 1;
         let x = ws.solve_factored(|rhs| rhs[idx] = 1.0)?;
         Ok(Siemens(1.0 / x[idx]))
-    }
-
-    /// The small-signal transresistance from a current injected into
-    /// `input` to the voltage at `output`: `ΔV(output) / ΔI(input)` in ohms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::InvalidParameter`] when `input` is ground.
-    pub fn transresistance(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        input: NodeId,
-        output: NodeId,
-    ) -> Result<crate::units::Ohms, AnalogError> {
-        let mut ws = EngineWorkspace::for_circuit(circuit);
-        self.transresistance_with(circuit, op, input, output, &mut ws)
-    }
-
-    /// Workspace-reusing variant of [`SmallSignal::transresistance`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SmallSignal::transresistance`].
-    pub fn transresistance_with(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        input: NodeId,
-        output: NodeId,
-        ws: &mut EngineWorkspace,
-    ) -> Result<crate::units::Ohms, AnalogError> {
-        if input.is_ground() {
-            return Err(AnalogError::InvalidParameter {
-                name: "input",
-                constraint: "cannot inject into ground",
-            });
-        }
-        self.linearize_into(circuit, op, ws)?;
-        let idx = input.index() - 1;
-        let x = ws.solve_factored(|rhs| rhs[idx] = 1.0)?;
-        let dv = if output.is_ground() {
-            0.0
-        } else {
-            x[output.index() - 1]
-        };
-        Ok(crate::units::Ohms(dv))
-    }
-
-    /// The small-signal current gain from a current injected into `input`
-    /// to the current through the named ammeter (0 V voltage source).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::UnknownElement`] if `ammeter` is not a voltage
-    /// source, or [`AnalogError::InvalidParameter`] when `input` is ground.
-    pub fn current_gain(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        input: NodeId,
-        ammeter: &str,
-    ) -> Result<f64, AnalogError> {
-        let mut ws = EngineWorkspace::for_circuit(circuit);
-        self.current_gain_with(circuit, op, input, ammeter, &mut ws)
-    }
-
-    /// Workspace-reusing variant of [`SmallSignal::current_gain`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SmallSignal::current_gain`].
-    pub fn current_gain_with(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        input: NodeId,
-        ammeter: &str,
-        ws: &mut EngineWorkspace,
-    ) -> Result<f64, AnalogError> {
-        if input.is_ground() {
-            return Err(AnalogError::InvalidParameter {
-                name: "input",
-                constraint: "cannot inject into ground",
-            });
-        }
-        let branch = circuit.branch_of(ammeter)?;
-        self.linearize_into(circuit, op, ws)?;
-        let idx = input.index() - 1;
-        let x = ws.solve_factored(|rhs| rhs[idx] = 1.0)?;
-        Ok(x[circuit.node_count() - 1 + branch])
-    }
-
-    /// The small-signal voltage at `node` in response to wiggling the named
-    /// voltage source by 1 V (all other sources zeroed).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AnalogError::UnknownElement`] if `source` is not a voltage
-    /// source.
-    pub fn voltage_gain(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        source: &str,
-        node: NodeId,
-    ) -> Result<f64, AnalogError> {
-        let mut ws = EngineWorkspace::for_circuit(circuit);
-        self.voltage_gain_with(circuit, op, source, node, &mut ws)
-    }
-
-    /// Workspace-reusing variant of [`SmallSignal::voltage_gain`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SmallSignal::voltage_gain`].
-    pub fn voltage_gain_with(
-        &self,
-        circuit: &Circuit,
-        op: &Solution,
-        source: &str,
-        node: NodeId,
-        ws: &mut EngineWorkspace,
-    ) -> Result<f64, AnalogError> {
-        let branch = circuit.branch_of(source)?;
-        self.linearize_into(circuit, op, ws)?;
-        let idx = circuit.node_count() - 1 + branch;
-        let x = ws.solve_factored(|rhs| rhs[idx] = 1.0)?;
-        let dv = if node.is_ground() {
-            0.0
-        } else {
-            x[node.index() - 1]
-        };
-        Ok(dv)
     }
 }
 
@@ -249,58 +106,6 @@ pub fn port_conductance(
     node: NodeId,
 ) -> Result<Siemens, AnalogError> {
     SmallSignal::default().port_conductance(circuit, op, node)
-}
-
-/// The small-signal voltage across two nodes per ampere injected
-/// differentially (into `pos`, out of `neg`).
-///
-/// # Errors
-///
-/// Returns assembly/factorization errors; either node may be ground.
-pub fn differential_port_resistance(
-    circuit: &Circuit,
-    op: &Solution,
-    pos: NodeId,
-    neg: NodeId,
-    options: &SmallSignal,
-) -> Result<crate::units::Ohms, AnalogError> {
-    let mut ws = EngineWorkspace::for_circuit(circuit);
-    differential_port_resistance_with(circuit, op, pos, neg, options, &mut ws)
-}
-
-/// Workspace-reusing variant of [`differential_port_resistance`].
-///
-/// # Errors
-///
-/// Same as [`differential_port_resistance`].
-pub fn differential_port_resistance_with(
-    circuit: &Circuit,
-    op: &Solution,
-    pos: NodeId,
-    neg: NodeId,
-    options: &SmallSignal,
-    ws: &mut EngineWorkspace,
-) -> Result<crate::units::Ohms, AnalogError> {
-    options.linearize_into(circuit, op, ws)?;
-    let x = ws.solve_factored(|rhs| {
-        if !pos.is_ground() {
-            rhs[pos.index() - 1] = 1.0;
-        }
-        if !neg.is_ground() {
-            rhs[neg.index() - 1] = -1.0;
-        }
-    })?;
-    let vp = if pos.is_ground() {
-        0.0
-    } else {
-        x[pos.index() - 1]
-    };
-    let vn = if neg.is_ground() {
-        0.0
-    } else {
-        x[neg.index() - 1]
-    };
-    Ok(crate::units::Ohms(vp - vn))
 }
 
 #[cfg(test)]
@@ -478,82 +283,5 @@ mod tests {
             .unwrap();
         let op = DcSolver::new().solve(&c).unwrap();
         assert!(port_conductance(&c, &op, Circuit::GROUND).is_err());
-    }
-
-    #[test]
-    fn current_gain_through_ammeter() {
-        // Injected current into a node with a single path to ground through
-        // an ammeter has gain −1 (flows pos→neg through the meter).
-        let mut c = Circuit::new();
-        let n = c.node("n");
-        c.ammeter("Am", n, Circuit::GROUND).unwrap();
-        c.current_source("I0", Circuit::GROUND, n, Amps(0.0))
-            .unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        let gain = SmallSignal::default()
-            .current_gain(&c, &op, n, "Am")
-            .unwrap();
-        assert!((gain - 1.0).abs() < 1e-9, "gain {gain}");
-    }
-
-    #[test]
-    fn voltage_gain_of_divider() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let mid = c.node("mid");
-        c.voltage_source("Vs", a, Circuit::GROUND, Volts(1.0))
-            .unwrap();
-        c.resistor("R1", a, mid, Ohms(1e3)).unwrap();
-        c.resistor("R2", mid, Circuit::GROUND, Ohms(3e3)).unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        let g = SmallSignal::default()
-            .voltage_gain(&c, &op, "Vs", mid)
-            .unwrap();
-        assert!((g - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn differential_port_resistance_of_series_resistors() {
-        // Two nodes joined by R2, each tied to ground through R1: the
-        // differential resistance between them is R2 ∥ (R1 + R1).
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        let b = c.node("b");
-        c.resistor("R1a", a, Circuit::GROUND, Ohms(1e3)).unwrap();
-        c.resistor("R1b", b, Circuit::GROUND, Ohms(1e3)).unwrap();
-        c.resistor("R2", a, b, Ohms(2e3)).unwrap();
-        c.current_source("I0", Circuit::GROUND, a, Amps(0.0))
-            .unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        let r = differential_port_resistance(&c, &op, a, b, &SmallSignal::default()).unwrap();
-        let expected = 1.0 / (1.0 / 2e3 + 1.0 / 2e3); // 2k ∥ 2k = 1k
-        assert!((r.0 - expected).abs() < 1.0, "r {} vs {expected}", r.0);
-    }
-
-    #[test]
-    fn differential_port_resistance_with_one_grounded_node() {
-        let mut c = Circuit::new();
-        let a = c.node("a");
-        c.resistor("R", a, Circuit::GROUND, Ohms(5e3)).unwrap();
-        c.current_source("I0", Circuit::GROUND, a, Amps(0.0))
-            .unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        let r = differential_port_resistance(&c, &op, a, Circuit::GROUND, &SmallSignal::default())
-            .unwrap();
-        assert!((r.0 - 5e3).abs() < 1.0);
-    }
-
-    #[test]
-    fn transresistance_into_resistor() {
-        let mut c = Circuit::new();
-        let n = c.node("n");
-        c.resistor("R", n, Circuit::GROUND, Ohms(5e3)).unwrap();
-        c.current_source("I0", Circuit::GROUND, n, Amps(0.0))
-            .unwrap();
-        let op = DcSolver::new().solve(&c).unwrap();
-        let r = SmallSignal::default()
-            .transresistance(&c, &op, n, n)
-            .unwrap();
-        assert!((r.0 - 5e3).abs() < 1.0);
     }
 }

@@ -13,7 +13,7 @@
 //! sweep point, or frequency point replays it numerically.
 //!
 //! The cutover is governed by [`BackendMode`]: automatic by dimension
-//! ([`DENSE_DIM_CUTOFF`]) and structural density ([`MAX_SPARSE_DENSITY`]),
+//! (`DENSE_DIM_CUTOFF`) and structural density (`MAX_SPARSE_DENSITY`),
 //! or forced either way (benchmarks and equivalence tests force both and
 //! compare).
 
@@ -41,15 +41,15 @@ pub enum BackendMode {
 /// dense — below roughly this size the dense kernel's tight loops beat
 /// any sparse bookkeeping, and every single-cell paper circuit falls
 /// here.
-pub const DENSE_DIM_CUTOFF: usize = 32;
+pub(crate) const DENSE_DIM_CUTOFF: usize = 32;
 
 /// In [`BackendMode::Auto`], larger systems go sparse only when the
 /// structural density (nonzeros over n²) is at or below this value.
-pub const MAX_SPARSE_DENSITY: f64 = 0.25;
+pub(crate) const MAX_SPARSE_DENSITY: f64 = 0.25;
 
 /// Which backend a solver last factored with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActiveBackend {
+pub(crate) enum ActiveBackend {
     /// Dense LU.
     #[default]
     Dense,
@@ -59,7 +59,7 @@ pub enum ActiveBackend {
 
 /// Assembly destination for an MNA system: the one stamp walk in
 /// [`crate::mna`] writes through this enum (from
-/// [`crate::mna::assemble_into_target`] for the real system, the AC
+/// `crate::mna::assemble_into_target` for the real system, the AC
 /// front-end for the complex one), and static dispatch keeps each arm a
 /// plain stamp into its backend's storage.
 #[derive(Debug)]
@@ -96,7 +96,7 @@ impl<S: Scalar> Target<'_, S> {
 /// solvers so the engine (which owns the collector) can report it without
 /// the backend layer holding a collector reference.
 #[derive(Debug, Clone, Copy)]
-pub struct FactorEvent {
+pub(crate) struct FactorEvent {
     /// Which backend factored.
     pub kind: BackendKind,
     /// Whether the sparse backend replayed cached structure (always false
@@ -175,19 +175,13 @@ impl<S: Scalar> Solver<S> {
 
     /// The dimension of the last assembled system.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Which backend the last factorization used.
-    #[must_use]
-    pub fn active(&self) -> ActiveBackend {
-        self.active
     }
 
     /// Pre-sizes the dense buffers for a `dim`-unknown system so the first
     /// solve allocates nothing once it starts iterating.
-    pub fn reserve(&mut self, dim: usize) {
+    pub(crate) fn reserve(&mut self, dim: usize) {
         self.dense.resize_zeroed(dim, dim);
         self.dense_perm.reserve(dim);
     }
@@ -217,7 +211,7 @@ impl<S: Scalar> Solver<S> {
     /// # Errors
     ///
     /// Propagates assembly and factorization errors.
-    pub fn assemble_and_factor<F>(
+    pub(crate) fn assemble_and_factor<F>(
         &mut self,
         circuit: &Circuit,
         mode: BackendMode,
@@ -267,7 +261,7 @@ impl<S: Scalar> Solver<S> {
     /// # Errors
     ///
     /// Propagates solve errors; must follow a successful
-    /// [`Self::assemble_and_factor`].
+    /// `Self::assemble_and_factor`.
     pub fn solve(&self, b: &[S], x: &mut Vec<S>) -> Result<(), AnalogError> {
         match self.active {
             ActiveBackend::Dense => self.dense.lu_solve_into(&self.dense_perm, b, x),
@@ -277,7 +271,7 @@ impl<S: Scalar> Solver<S> {
 
     /// Solves the factored system for a whole panel of right-hand sides —
     /// the batched counterpart of [`Self::solve`]. The sparse arm streams
-    /// the factors once per block ([`crate::sparse::PANEL_BLOCK`]); the
+    /// the factors once per block (`crate::sparse::PANEL_BLOCK`); the
     /// dense arm solves column by column with the same dense kernel, so
     /// either way each scenario's solution is bit-identical to a
     /// sequential [`Self::solve`] of that column.
@@ -285,7 +279,7 @@ impl<S: Scalar> Solver<S> {
     /// # Errors
     ///
     /// Propagates solve errors; must follow a successful
-    /// [`Self::assemble_and_factor`].
+    /// `Self::assemble_and_factor`.
     pub fn solve_panel(&self, b: &RhsPanel<S>, x: &mut RhsPanel<S>) -> Result<(), AnalogError> {
         match self.active {
             ActiveBackend::Dense => {
@@ -300,6 +294,15 @@ impl<S: Scalar> Solver<S> {
             }
             ActiveBackend::Sparse => self.sparse_state().lu.solve_panel_into(b, x),
         }
+    }
+}
+
+#[cfg(test)]
+impl<S: Scalar> Solver<S> {
+    /// Which backend the last factorization used.
+    #[must_use]
+    pub(crate) fn active(&self) -> ActiveBackend {
+        self.active
     }
 }
 

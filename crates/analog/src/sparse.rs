@@ -13,7 +13,7 @@
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls) LU factorization with
 //!   partial pivoting. The first factorization performs the symbolic
 //!   analysis (depth-first reachability per column, recording the fill-in
-//!   pattern and pivot order); every later [`SparseLu::refactorize`]
+//!   pattern and pivot order); every later `SparseLu::refactorize`
 //!   *replays* that structure numerically, skipping graph traversal and
 //!   allocation entirely. Replay falls back to a full factorization when a
 //!   frozen pivot degrades, so cached structure never costs robustness.
@@ -132,12 +132,6 @@ impl SparsityPattern {
         SparsityPattern { n, col_ptr, rows }
     }
 
-    /// The matrix dimension.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Number of structural nonzeros.
     #[must_use]
     pub fn nnz(&self) -> usize {
@@ -162,7 +156,7 @@ impl SparsityPattern {
     /// The value-slot index of position `(row, col)`, if it is in the
     /// pattern.
     #[must_use]
-    pub fn index_of(&self, row: usize, col: usize) -> Option<usize> {
+    pub(crate) fn index_of(&self, row: usize, col: usize) -> Option<usize> {
         let start = self.col_ptr[col];
         let slice = &self.rows[start..self.col_ptr[col + 1]];
         slice.binary_search(&row).ok().map(|k| start + k)
@@ -189,13 +183,13 @@ impl<S: Scalar> CscMatrix<S> {
 
     /// The matrix dimension.
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.pattern.n
     }
 
     /// The structural pattern.
     #[must_use]
-    pub fn pattern(&self) -> &SparsityPattern {
+    pub(crate) fn pattern(&self) -> &SparsityPattern {
         &self.pattern
     }
 
@@ -253,7 +247,7 @@ impl<S: Scalar> CscMatrix<S> {
 /// How many right-hand sides a panel solve processes per pass over the
 /// factors. Each pass streams `L` and `U` once while the block's columns
 /// stay cache-resident, which is where the batched speedup comes from.
-pub const PANEL_BLOCK: usize = 8;
+pub(crate) const PANEL_BLOCK: usize = 8;
 
 /// A panel of right-hand sides (or solutions) in structure-of-arrays
 /// form: scenario `s` occupies the contiguous slice `[s·n, (s+1)·n)`.
@@ -306,7 +300,7 @@ impl<S: Scalar> RhsPanel<S> {
 
     /// Rows per scenario (the matrix dimension).
     #[must_use]
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n
     }
 
@@ -331,7 +325,7 @@ impl<S: Scalar> RhsPanel<S> {
     /// # Panics
     ///
     /// Panics when `s` is out of range.
-    pub fn col_mut(&mut self, s: usize) -> &mut [S] {
+    pub(crate) fn col_mut(&mut self, s: usize) -> &mut [S] {
         &mut self.data[s * self.n..(s + 1) * self.n]
     }
 
@@ -378,7 +372,7 @@ impl<S: Scalar> Factor<S> {
 /// over the partially built `L` discovers the fill-in pattern, a sparse
 /// triangular solve computes the numeric column, and the largest remaining
 /// entry is chosen as pivot. The resulting pivot order and `L`/`U`
-/// patterns are retained; [`SparseLu::refactorize`] then updates only the
+/// patterns are retained; `SparseLu::refactorize` then updates only the
 /// numeric values for a matrix with the same pattern — no graph traversal,
 /// no allocation — which is the per-Newton-iteration / per-timestep /
 /// per-frequency fast path.
@@ -420,16 +414,10 @@ impl<S: Scalar> SparseLu<S> {
         SparseLu::default()
     }
 
-    /// Whether a cached symbolic structure is available for replay.
-    #[must_use]
-    pub fn has_symbolic(&self) -> bool {
-        self.has_symbolic
-    }
-
     /// Nonzeros in the computed factors (`L` strictly below the diagonal
     /// plus all of `U`), the fill-in telemetry number.
     #[must_use]
-    pub fn factor_nnz(&self) -> usize {
+    pub(crate) fn factor_nnz(&self) -> usize {
         if !self.has_symbolic {
             return 0;
         }
@@ -574,7 +562,7 @@ impl<S: Scalar> SparseLu<S> {
     ///
     /// Returns [`AnalogError::SingularMatrix`] if even the fallback cannot
     /// factor the matrix.
-    pub fn refactorize(&mut self, a: &CscMatrix<S>) -> Result<bool, AnalogError> {
+    pub(crate) fn refactorize(&mut self, a: &CscMatrix<S>) -> Result<bool, AnalogError> {
         if !self.has_symbolic || self.n != a.dim() {
             self.factorize(a)?;
             return Ok(false);
@@ -699,7 +687,7 @@ impl<S: Scalar> SparseLu<S> {
     }
 
     /// Solves `A·X = B` for a whole panel of right-hand sides with one
-    /// factorization, streaming the factors once per [`PANEL_BLOCK`]
+    /// factorization, streaming the factors once per `PANEL_BLOCK`
     /// scenarios instead of once per scenario.
     ///
     /// Per scenario the arithmetic — operand values and evaluation order —
@@ -840,6 +828,24 @@ impl<S: Scalar> SparseLu<S> {
         }
         self.reach.clear();
         self.has_symbolic = false;
+    }
+}
+
+#[cfg(test)]
+impl SparsityPattern {
+    /// The matrix dimension.
+    #[must_use]
+    pub(crate) fn dim(&self) -> usize {
+        self.n
+    }
+}
+
+#[cfg(test)]
+impl<S: Scalar> SparseLu<S> {
+    /// Whether a cached symbolic structure is available for replay.
+    #[must_use]
+    pub(crate) fn has_symbolic(&self) -> bool {
+        self.has_symbolic
     }
 }
 

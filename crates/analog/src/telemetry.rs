@@ -29,7 +29,7 @@ use std::time::Duration;
 /// What kind of Newton solve the engine is starting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum SolveKind {
+pub(crate) enum SolveKind {
     /// A DC operating-point solve (including each gmin-ladder rung).
     Dc,
     /// One backward-Euler transient time step.
@@ -59,7 +59,7 @@ pub enum BackendKind {
 /// How a Newton solve ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
-pub enum SolveOutcome {
+pub(crate) enum SolveOutcome {
     /// The update norm dropped below the tolerance.
     Converged,
     /// The iteration budget ran out.
@@ -313,7 +313,7 @@ impl EngineStats {
 /// count, so collecting never changes a result.
 impl EngineStats {
     /// A Newton solve is starting.
-    pub fn solve_begin(&mut self, kind: SolveKind) {
+    pub(crate) fn solve_begin(&mut self, kind: SolveKind) {
         self.solves += 1;
         match kind {
             SolveKind::Dc => self.dc_solves += 1,
@@ -322,13 +322,18 @@ impl EngineStats {
     }
 
     /// One Newton iteration finished with voltage-update norm `delta`.
-    pub fn newton_iteration(&mut self, _delta: f64) {
+    pub(crate) fn newton_iteration(&mut self, _delta: f64) {
         self.newton_iterations += 1;
     }
 
     /// The Newton solve ended after `iterations` iterations taking
     /// `elapsed` wall-clock time (zero when timing is unavailable).
-    pub fn solve_end(&mut self, outcome: SolveOutcome, iterations: usize, elapsed: Duration) {
+    pub(crate) fn solve_end(
+        &mut self,
+        outcome: SolveOutcome,
+        iterations: usize,
+        elapsed: Duration,
+    ) {
         self.max_newton_iterations = self.max_newton_iterations.max(iterations as u64);
         self.solve_time += elapsed;
         if outcome != SolveOutcome::Converged {
@@ -337,40 +342,40 @@ impl EngineStats {
     }
 
     /// The DC solver moved to gmin ladder level `gmin` (siemens).
-    pub fn gmin_level(&mut self, gmin: f64) {
+    pub(crate) fn gmin_level(&mut self, gmin: f64) {
         self.gmin_steps += 1;
         self.min_gmin = self.min_gmin.min(gmin);
     }
 
     /// A real-matrix LU factorization completed (first factorization of a
     /// solve, or a standalone small-signal linearization).
-    pub fn factorization(&mut self) {
+    pub(crate) fn factorization(&mut self) {
         self.factorizations += 1;
     }
 
     /// A real-matrix LU re-factorization completed (Newton iterations
     /// after the first restamp and refactor the same system).
-    pub fn refactorization(&mut self) {
+    pub(crate) fn refactorization(&mut self) {
         self.refactorizations += 1;
     }
 
     /// A real-matrix back-substitution completed.
-    pub fn back_substitution(&mut self) {
+    pub(crate) fn back_substitution(&mut self) {
         self.back_substitutions += 1;
     }
 
     /// A complex-matrix LU factorization completed (AC / noise).
-    pub fn complex_factorization(&mut self) {
+    pub(crate) fn complex_factorization(&mut self) {
         self.complex_factorizations += 1;
     }
 
     /// A complex-matrix back-substitution completed (AC / noise).
-    pub fn complex_back_substitution(&mut self) {
+    pub(crate) fn complex_back_substitution(&mut self) {
         self.complex_back_substitutions += 1;
     }
 
     /// A non-finite Newton iterate was rejected.
-    pub fn non_finite(&mut self) {
+    pub(crate) fn non_finite(&mut self) {
         self.non_finite_rejections += 1;
     }
 
@@ -380,7 +385,7 @@ impl EngineStats {
     /// [`EngineStats::factorization`] / [`EngineStats::refactorization`] /
     /// [`EngineStats::complex_factorization`] events, which keep their original
     /// engine-level meaning (first-vs-later Newton iteration).
-    pub fn backend_factorization(&mut self, backend: BackendKind, refactor: bool) {
+    pub(crate) fn backend_factorization(&mut self, backend: BackendKind, refactor: bool) {
         match (backend, refactor) {
             (BackendKind::DenseReal, _) => self.dense_real_factorizations += 1,
             (BackendKind::DenseComplex, _) => self.dense_complex_factorizations += 1,
@@ -394,7 +399,7 @@ impl EngineStats {
     /// The sparse backend consulted its symbolic-structure cache: `hit`
     /// means the cached pivot order and fill pattern were replayed, a miss
     /// means a full symbolic + numeric factorization ran.
-    pub fn symbolic_cache(&mut self, hit: bool) {
+    pub(crate) fn symbolic_cache(&mut self, hit: bool) {
         if hit {
             self.symbolic_cache_hits += 1;
         } else {
@@ -404,21 +409,21 @@ impl EngineStats {
 
     /// Structure of the system just factored: structural nonzeros of the
     /// assembled matrix and nonzeros of its triangular factors (fill-in).
-    pub fn matrix_structure(&mut self, nonzeros: u64, factor_nonzeros: u64) {
+    pub(crate) fn matrix_structure(&mut self, nonzeros: u64, factor_nonzeros: u64) {
         self.max_matrix_nonzeros = self.max_matrix_nonzeros.max(nonzeros);
         self.max_factor_nonzeros = self.max_factor_nonzeros.max(factor_nonzeros);
     }
 
     /// A batched scenario run ([`crate::engine::BatchRun`]) started,
     /// covering `scenarios` scenarios over one topology.
-    pub fn batch_run(&mut self, scenarios: u64) {
+    pub(crate) fn batch_run(&mut self, scenarios: u64) {
         self.batch_runs += 1;
         self.batch_scenarios += scenarios;
     }
 
     /// A batch scenario's Newton solve was warm-started from an already
     /// converged neighbour's solution instead of the cold start.
-    pub fn warm_start(&mut self) {
+    pub(crate) fn warm_start(&mut self) {
         self.warm_starts += 1;
     }
 

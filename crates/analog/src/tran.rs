@@ -11,7 +11,7 @@ use crate::device::switch::TwoPhaseClock;
 use crate::engine::{EngineWorkspace, NewtonSettings, StampSpec};
 use crate::mna::{CapStep, Solution};
 use crate::netlist::{Circuit, NodeId};
-use crate::units::{Amps, Seconds, Volts};
+use crate::units::{Amps, Seconds};
 use crate::AnalogError;
 
 /// Transient-analysis configuration.
@@ -128,16 +128,9 @@ impl TranResult {
 
     /// Iterates one node's voltage over every recorded step, borrowing the
     /// result (no waveform allocation).
-    pub fn voltage_iter(&self, node: NodeId) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn voltage_iter(&self, node: NodeId) -> impl Iterator<Item = f64> + '_ {
         let (n, idx) = (self.n_nodes, node.index());
         (0..self.len()).map(move |s| self.node_voltages[s * n + idx])
-    }
-
-    /// Iterates one branch's current over every recorded step, borrowing
-    /// the result (no waveform allocation).
-    pub fn current_iter(&self, branch: usize) -> impl Iterator<Item = f64> + '_ {
-        let n = self.n_branches;
-        (0..self.len()).map(move |s| self.branch_currents[s * n + branch])
     }
 
     /// The waveform of one node's voltage, as an owned vector.
@@ -148,7 +141,7 @@ impl TranResult {
 
     /// The index of the recorded point nearest to time `t`.
     #[must_use]
-    pub fn index_at(&self, t: Seconds) -> usize {
+    pub(crate) fn index_at(&self, t: Seconds) -> usize {
         match self.times.binary_search_by(|probe| probe.total_cmp(&t.0)) {
             Ok(i) => i,
             Err(i) => {
@@ -165,15 +158,9 @@ impl TranResult {
         }
     }
 
-    /// The node voltage nearest to time `t`.
-    #[must_use]
-    pub fn voltage_at(&self, node: NodeId, t: Seconds) -> Volts {
-        Volts(self.voltage_slice(self.index_at(t))[node.index()])
-    }
-
     /// The branch current nearest to time `t`.
     #[must_use]
-    pub fn current_at(&self, branch: usize, t: Seconds) -> Amps {
+    pub(crate) fn current_at(&self, branch: usize, t: Seconds) -> Amps {
         Amps(self.current_slice(self.index_at(t))[branch])
     }
 
@@ -384,7 +371,12 @@ mod tests {
     use super::*;
     use crate::device::switch::{ClockPhase, Switch};
     use crate::device::Waveform;
-    use crate::units::{Farads, Ohms};
+    use crate::units::{Farads, Ohms, Volts};
+
+    /// The node voltage at the recorded point nearest to time `t`.
+    fn voltage_at(result: &TranResult, node: NodeId, t: Seconds) -> f64 {
+        result.voltage_slice(result.index_at(t))[node.index()]
+    }
 
     #[test]
     fn params_validate() {
@@ -412,7 +404,7 @@ mod tests {
         let params = TranParams::new(Seconds(5e-3), Seconds(1e-6)).unwrap();
         let result = run(&c, &params).unwrap();
         for &t in &[0.5e-3, 1e-3, 3e-3] {
-            let v = result.voltage_at(b, Seconds(t)).0;
+            let v = voltage_at(&result, b, Seconds(t));
             let expected = 1.0 - (-t / 1e-3f64).exp();
             assert!(
                 (v - expected).abs() < 5e-3,
@@ -440,7 +432,7 @@ mod tests {
         c.resistor("R1", a, Circuit::GROUND, Ohms(1e3)).unwrap();
         let params = TranParams::new(Seconds(1e-3), Seconds(1e-6)).unwrap();
         let result = run(&c, &params).unwrap();
-        let v = result.voltage_at(a, Seconds(0.25e-3)).0;
+        let v = voltage_at(&result, a, Seconds(0.25e-3));
         assert!((v - 1.0).abs() < 1e-3, "peak {v}");
     }
 
@@ -472,10 +464,10 @@ mod tests {
             .with_clock(clock);
         let result = run(&c, &params).unwrap();
         // By mid-φ2 of period 0 the hold node should carry the sample.
-        let held = result.voltage_at(cap, clock.phi2_midpoint(0)).0;
+        let held = voltage_at(&result, cap, clock.phi2_midpoint(0));
         assert!((held - 2.0).abs() < 1e-3, "held {held}");
         // And it stays held across the next period boundary's dead time.
-        let held2 = result.voltage_at(cap, clock.phi2_midpoint(1)).0;
+        let held2 = voltage_at(&result, cap, clock.phi2_midpoint(1));
         assert!((held2 - 2.0).abs() < 1e-3);
     }
 

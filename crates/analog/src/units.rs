@@ -168,14 +168,6 @@ unit!(
     "W"
 );
 
-impl Volts {
-    /// Ohm's law: `V / R = I`.
-    #[must_use]
-    pub fn over(self, r: Ohms) -> Amps {
-        Amps(self.0 / r.0)
-    }
-}
-
 impl Mul<Amps> for Volts {
     /// Electrical power `P = V·I`.
     type Output = Watts;
@@ -227,32 +219,8 @@ impl Div<Amps> for Volts {
 impl Ohms {
     /// The reciprocal conductance.
     #[must_use]
-    pub fn to_siemens(self) -> Siemens {
+    pub(crate) fn to_siemens(self) -> Siemens {
         Siemens(1.0 / self.0)
-    }
-}
-
-impl Siemens {
-    /// The reciprocal resistance.
-    #[must_use]
-    pub fn to_ohms(self) -> Ohms {
-        Ohms(1.0 / self.0)
-    }
-}
-
-impl Hertz {
-    /// The period `1/f`.
-    #[must_use]
-    pub fn period(self) -> Seconds {
-        Seconds(1.0 / self.0)
-    }
-}
-
-impl Seconds {
-    /// The frequency `1/T`.
-    #[must_use]
-    pub fn to_hertz(self) -> Hertz {
-        Hertz(1.0 / self.0)
     }
 }
 
@@ -279,15 +247,11 @@ mod tests {
         assert_eq!(Amps(2.0) * Ohms(3.0), Volts(6.0));
         assert_eq!(Amps(1.0) / Volts(2.0), Siemens(0.5));
         assert_eq!(Volts(6.0) / Amps(2.0), Ohms(3.0));
-        assert_eq!(Volts(6.0).over(Ohms(2.0)), Amps(3.0));
     }
 
     #[test]
     fn reciprocal_conversions() {
         assert_eq!(Ohms(4.0).to_siemens(), Siemens(0.25));
-        assert_eq!(Siemens(0.25).to_ohms(), Ohms(4.0));
-        assert_eq!(Hertz(1e6).period(), Seconds(1e-6));
-        assert_eq!(Seconds(1e-3).to_hertz(), Hertz(1e3));
     }
 
     #[test]

@@ -32,8 +32,11 @@
 //! the whole memory tier with it), and a fresh instance on the same cache
 //! directory replays the hot workload. The working set must come back from
 //! disk, not be re-solved: the gate is restart throughput within 2x of
-//! warm, at least one disk hit, and disk-served results bit-identical to
-//! fresh solves on a brand-new workspace.
+//! warm, at least one disk hit, disk-served results bit-identical to
+//! fresh solves on a brand-new workspace, and a replay that solves
+//! nothing and builds one circuit per distinct spec. In the cold and hot
+//! phases of every run, the circuit builds equal the responses not
+//! served from cache.
 //!
 //! `--netlist` swaps the canned transient workload for user-submitted
 //! `netlist` jobs (ISSUE 7): every submission carries dialect-v1 text
@@ -82,9 +85,10 @@
 //! own disk tiers — once uninterrupted, once with a single injected
 //! mid-chunk worker panic. The retry resumes from the last checkpoint, so
 //! the gates are: both spectra bit-identical to an in-process reference,
-//! at least one checkpoint resume in the faulted service's metrics, and
-//! resumed wall time under 1.5x the uninterrupted run (resume must not
-//! degenerate into a full rerun).
+//! at least one checkpoint resume in the faulted service's metrics,
+//! exactly 16 chunk solves in the faulted run (no chunk solved twice),
+//! and resumed wall time under 1.5x the uninterrupted run (resume must
+//! not degenerate into a full rerun).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -189,11 +193,32 @@ struct PhaseResult {
     cached: u64,
     overloaded: u64,
     errors: u64,
+    /// Growth of the service's `circuit_builds` counter over the phase.
+    builds: u64,
+}
+
+impl PhaseResult {
+    /// Responses that were solved rather than served from cache.
+    fn solved(&self) -> u64 {
+        self.latencies.len() as u64 - self.cached
+    }
+}
+
+/// The service's `circuit_builds` counter: one per circuit a submission
+/// builds (or netlist it parses) for its key, admission and solve.
+fn circuit_builds(service: &SiService) -> u64 {
+    metric(&service.metrics(), "service", "circuit_builds") as u64
 }
 
 /// Submits `specs` once each over `clients` threads ([`gate::fan_out`])
-/// and collects latencies and outcomes.
-fn run_phase(target: &Target, specs: &[JobSpec], clients: usize) -> PhaseResult {
+/// to `service` (behind `target`) and collects latencies and outcomes.
+fn run_phase(
+    service: &SiService,
+    target: &Target,
+    specs: &[JobSpec],
+    clients: usize,
+) -> PhaseResult {
+    let builds_before = circuit_builds(service);
     let start = Instant::now();
     let results = gate::fan_out(specs.len(), clients, |_, k| {
         let submitted = Instant::now();
@@ -206,6 +231,7 @@ fn run_phase(target: &Target, specs: &[JobSpec], clients: usize) -> PhaseResult 
         cached: 0,
         overloaded: 0,
         errors: 0,
+        builds: circuit_builds(service) - builds_before,
     };
     for (latency, result) in results {
         match result {
@@ -583,6 +609,20 @@ fn run_stream(args: &Args) {
             "resumed run took {overhead:.2}x the uninterrupted run (bar: < 1.5x)"
         ));
     }
+    // The count behind the wall-clock bar. The injector never fires
+    // before a stream's first chunk, so the first attempt solves and
+    // checkpoints chunk 0, then panics entering chunk 1 (the plan's one
+    // fault). The retry resumes from that checkpoint and solves chunks
+    // 1..=15. That is 1 + 15 = 16 chunk solves, the job's own chunk count
+    // (65,536 steps / 4,096 per chunk): no chunk is solved twice. A
+    // rerun from scratch would read 17.
+    const RESUMED_CHUNK_SOLVES: f64 = 16.0;
+    if stream_chunks != RESUMED_CHUNK_SOLVES {
+        failures.push(format!(
+            "faulted run solved {stream_chunks} chunks; a checkpoint resume solves exactly \
+             {RESUMED_CHUNK_SOLVES}"
+        ));
+    }
 
     let mut report = RunReport::new("si_loadgen_stream");
     report.note(
@@ -658,7 +698,7 @@ fn main() {
 
     // Cold: every spec distinct → all misses, all real solves.
     let cold_specs: Vec<JobSpec> = (0..args.cold).map(|k| job(&args, k)).collect();
-    let cold = run_phase(&target, &cold_specs, args.clients);
+    let cold = run_phase(&service, &target, &cold_specs, args.clients);
 
     // Hot: 90 % duplicates drawn from the cold working set (already
     // cached), 10 % fresh. The duplicate index cycles deterministically.
@@ -671,7 +711,7 @@ fn main() {
             }
         })
         .collect();
-    let hot = run_phase(&target, &hot_specs, args.clients);
+    let hot = run_phase(&service, &target, &hot_specs, args.clients);
 
     // Batch phase (ISSUE 6): the same scenario set as N single DC jobs
     // versus one batch job. Distinct input currents give every single job
@@ -686,13 +726,13 @@ fn main() {
                 input_ua,
             })
             .collect();
-        let singles = run_phase(&target, &single_specs, args.clients);
+        let singles = run_phase(&service, &target, &single_specs, args.clients);
         let batch_spec = JobSpec::DelayLineDcBatch {
             stages: args.stages,
             bias_ua: 20.0,
             inputs_ua: inputs,
         };
-        let batch = run_phase(&target, std::slice::from_ref(&batch_spec), 1);
+        let batch = run_phase(&service, &target, std::slice::from_ref(&batch_spec), 1);
         (singles, batch)
     });
 
@@ -711,7 +751,7 @@ fn main() {
         let restarted = Arc::new(SiService::new(config(cache_dir.clone())));
         let (restarted_target, restarted_server) = front(&restarted);
         server = restarted_server;
-        let phase = run_phase(&restarted_target, &hot_specs, args.clients);
+        let phase = run_phase(&restarted, &restarted_target, &hot_specs, args.clients);
         // Zero correctness drift: every disk-served working-set result
         // must equal a fresh solve on a brand-new workspace, bit for bit.
         let served: Vec<_> = cold_specs
@@ -818,6 +858,37 @@ fn main() {
         if *bit_mismatches > 0 {
             failures.push(format!(
                 "{bit_mismatches} disk-served results differ bitwise from a fresh solve"
+            ));
+        }
+    }
+    // Counts beside the wall-clock bars. In the cold and hot phases every
+    // response not marked cached built (and solved) exactly one circuit
+    // and a cached one built none, so a hot duplicate does no solver work.
+    for (name, phase) in [("cold", &cold), ("hot", &hot)] {
+        report.metric(format!("{name}_circuit_builds"), phase.builds as f64);
+        if phase.builds != phase.solved() {
+            failures.push(format!(
+                "{name} phase built {} circuits for {} responses not served from cache",
+                phase.builds,
+                phase.solved()
+            ));
+        }
+    }
+    // The restart replay solves nothing: every result comes back from
+    // disk or memory. A job key hashes the built circuit's fingerprints,
+    // so the fresh instance still builds each distinct spec once, on its
+    // first sight, to derive the key; repeats reuse the memoized key.
+    if let Some((_, phase, _)) = &restart_cmp {
+        let distinct: std::collections::HashSet<u64> =
+            hot_specs.iter().map(JobSpec::job_key).collect();
+        report.metric("restart_circuit_builds", phase.builds as f64);
+        if phase.solved() != 0 || phase.builds != distinct.len() as u64 {
+            failures.push(format!(
+                "restart phase solved {} jobs and built {} circuits; a replay from disk \
+                 solves none and builds one per distinct spec ({})",
+                phase.solved(),
+                phase.builds,
+                distinct.len()
             ));
         }
     }

@@ -54,7 +54,7 @@ impl FlagValues<'_> {
 /// # Errors
 ///
 /// The first error `apply` returns, or `unknown flag "<flag>"`.
-pub fn parse_flags<A: Default>(
+pub(crate) fn parse_flags<A: Default>(
     args: impl IntoIterator<Item = String>,
     mut apply: impl FnMut(&mut A, &str, &mut FlagValues<'_>) -> Result<bool, String>,
 ) -> Result<A, String> {
@@ -68,7 +68,7 @@ pub fn parse_flags<A: Default>(
     Ok(parsed)
 }
 
-/// [`parse_flags`] over the process arguments; a bad or unknown flag
+/// `parse_flags` over the process arguments; a bad or unknown flag
 /// prints the error and exits with code 2.
 pub fn parse_args_or_exit<A: Default>(
     apply: impl FnMut(&mut A, &str, &mut FlagValues<'_>) -> Result<bool, String>,
@@ -136,13 +136,8 @@ pub fn shard_forwards(router_metrics: &Json) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// The `values` array of a `/v1/jobs` response body; `None` when the
-/// body is not a job response.
-#[must_use]
-pub fn response_values(payload: &str) -> Option<Vec<f64>> {
-    values_of(&json::parse(payload).ok()?)
-}
-
+/// The `values` array of a `/v1/jobs` response; `None` when it is not a
+/// job response.
 fn values_of(response: &Json) -> Option<Vec<f64>> {
     response
         .get("values")?
@@ -466,12 +461,11 @@ mod tests {
 
     #[test]
     fn response_values_reads_only_job_responses() {
-        let body = r#"{"id":"a","cached":false,"values":[1.5,-0.0,2]}"#;
-        let values = response_values(body).unwrap();
+        let values_in = |body: &str| values_of(&json::parse(body).unwrap());
+        let values = values_in(r#"{"id":"a","cached":false,"values":[1.5,-0.0,2]}"#).unwrap();
         assert!(same_bits(&values, &[1.5, -0.0, 2.0]));
-        assert_eq!(response_values(r#"{"values":[1,"x"]}"#), None);
-        assert_eq!(response_values(r#"{"error":"overloaded"}"#), None);
-        assert_eq!(response_values("not json"), None);
+        assert_eq!(values_in(r#"{"values":[1,"x"]}"#), None);
+        assert_eq!(values_in(r#"{"error":"overloaded"}"#), None);
     }
 
     #[test]

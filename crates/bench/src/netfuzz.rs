@@ -4,16 +4,16 @@
 //! Three generators, all pure functions of a seed so every failure is
 //! replayable from its case number alone:
 //!
-//! * [`generate_valid`] — grammar-aware: emits a random circuit that is
+//! * `generate_valid` — grammar-aware: emits a random circuit that is
 //!   guaranteed to tokenize, parse, and *build* (unique names, positive
 //!   values, known models). Solvability is deliberately not guaranteed —
 //!   floating subcircuits and source loops are part of the point.
-//! * [`mutate`] — takes valid text and applies 1–3 grammar-aware
+//! * `mutate` — takes valid text and applies 1–3 grammar-aware
 //!   mutations: token corruption, arity damage, duplicate names, bogus
 //!   directives, truncation, line shuffling, comment noise. Some
 //!   mutations preserve validity on purpose, so the corpus straddles the
 //!   accept/reject boundary instead of living far on one side.
-//! * [`raw_bytes`] — structureless character soup (including control
+//! * `raw_bytes` — structureless character soup (including control
 //!   characters and non-ASCII) for the no-assumptions floor.
 //!
 //! [`NASTY_CORPUS`] is the fixed regression corpus: every input that has
@@ -25,7 +25,7 @@
 /// copy (the service crate keeps its own private) so fuzz schedules never
 /// change out from under a recorded seed.
 #[derive(Debug, Clone)]
-pub struct Splitmix64 {
+pub(crate) struct Splitmix64 {
     state: u64,
 }
 
@@ -55,7 +55,7 @@ impl Splitmix64 {
     }
 
     /// Picks one element of a non-empty slice.
-    pub fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+    pub(crate) fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
         xs[self.below(xs.len())]
     }
 }
@@ -122,7 +122,7 @@ pub const NASTY_CORPUS: &[&str] = &[
 /// includes ground. No `.end` terminator, so callers can append more
 /// cards (see [`poison`]).
 #[must_use]
-pub fn generate_valid(seed: u64) -> String {
+pub(crate) fn generate_valid(seed: u64) -> String {
     let mut rng = Splitmix64::new(seed);
     let nodes = ["0", "n1", "n2", "n3", "vdd", "out"];
     let mut text = String::new();
@@ -165,7 +165,7 @@ pub fn generate_valid(seed: u64) -> String {
 /// damage (bad values, arity, duplicate names), so mutants probe both
 /// sides of the accept boundary.
 #[must_use]
-pub fn mutate(text: &str, seed: u64) -> String {
+pub(crate) fn mutate(text: &str, seed: u64) -> String {
     let mut rng = Splitmix64::new(seed);
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
     let rounds = 1 + rng.below(3);
@@ -265,7 +265,7 @@ pub fn mutate(text: &str, seed: u64) -> String {
 /// Structureless character soup: printable ASCII, separators, control
 /// characters, and the occasional non-ASCII code point.
 #[must_use]
-pub fn raw_bytes(seed: u64) -> String {
+pub(crate) fn raw_bytes(seed: u64) -> String {
     let mut rng = Splitmix64::new(seed);
     let len = rng.below(220);
     let mut s = String::with_capacity(len);

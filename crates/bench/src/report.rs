@@ -33,11 +33,6 @@ impl Report {
         self
     }
 
-    /// Adds a row with a formatted measured number.
-    pub fn row_db(&mut self, quantity: &str, paper: &str, measured_db: f64) -> &mut Self {
-        self.row(quantity, paper, &format!("{measured_db:.1} dB"))
-    }
-
     /// Renders the report as an aligned text table.
     #[must_use]
     pub fn render(&self) -> String {
@@ -117,7 +112,7 @@ mod tests {
     fn report_renders_aligned_rows() {
         let mut r = Report::new("Table 1");
         r.row("THD", "-50 dB", "-51.2 dB");
-        r.row_db("SNR", "50 dB", 49.7);
+        r.row("SNR", "50 dB", "49.7 dB");
         let text = r.render();
         assert!(text.contains("== Table 1 =="));
         assert!(text.contains("THD"));

@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 /// Version stamped into every serialized report; bump on breaking schema
 /// changes so downstream report readers can dispatch.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// One labeled record of a sweep (an input level, a supply point, a trial).
 #[derive(Debug, Clone, PartialEq)]
@@ -183,7 +183,7 @@ impl RunReport {
     /// the value columns of the first point (all points are expected to
     /// share one shape; missing values render empty).
     #[must_use]
-    pub fn points_csv(&self) -> String {
+    pub(crate) fn points_csv(&self) -> String {
         let mut s = String::from("label");
         let columns: Vec<&str> = self
             .points

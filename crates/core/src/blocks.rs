@@ -86,12 +86,6 @@ impl<C: MemoryCell> DelayLine<C> {
         })
     }
 
-    /// The delay in full clock periods (`cells / 2`).
-    #[must_use]
-    pub fn delay_periods(&self) -> usize {
-        self.cells.len() / 2
-    }
-
     /// Processes one sample: returns the input from `delay_periods()`
     /// samples ago, as transformed by the cascade of cell error models.
     pub fn process(&mut self, input: Diff) -> Diff {
@@ -343,7 +337,6 @@ mod tests {
         for k in 1..4 {
             assert!((out[k].dm() - input[k - 1].dm()).abs() < 1e-15);
         }
-        assert_eq!(line.delay_periods(), 1);
     }
 
     #[test]
@@ -356,7 +349,6 @@ mod tests {
         for k in 2..5 {
             assert!((out[k].dm() - input[k - 2].dm()).abs() < 1e-15);
         }
-        assert_eq!(line.delay_periods(), 2);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl Cmff {
     pub fn paper_08um() -> Self {
         Cmff::new(5e-3).expect("constant mismatch is valid")
     }
-
-    /// The residual (uncancelled) common-mode gain.
-    #[must_use]
-    pub fn residual_gain(&self) -> f64 {
-        self.residual
-    }
 }
 
 impl CommonModeControl for Cmff {
@@ -137,7 +131,7 @@ impl Cmfb {
     ///
     /// Returns [`SiError::InvalidParameter`] if gain or damping are outside
     /// (0, 1] or the nonlinearity is not finite.
-    pub fn with_damping(
+    pub(crate) fn with_damping(
         loop_gain: f64,
         damping: f64,
         sense_nonlinearity: f64,
@@ -226,7 +220,6 @@ mod tests {
         let mut cmff = Cmff::new(0.01).unwrap();
         let out = cmff.process(Diff::from_common(10e-6));
         assert!((out.cm() - 0.1e-6).abs() < 1e-18);
-        assert_eq!(cmff.residual_gain(), 0.01);
     }
 
     #[test]

@@ -224,20 +224,6 @@ impl SiBiquad {
         SiBiquad::new(g, kq, g, params, seed)
     }
 
-    /// The exact z-domain low-pass transfer function realized by ideal
-    /// cells with these coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for coefficients accepted by [`SiBiquad::new`].
-    pub fn transfer_function(&self) -> Result<si_dsp_free::TransferFunction, SiError> {
-        let g_times_kf = self.int2.gain() * self.kf;
-        Ok(si_dsp_free::TransferFunction {
-            num: vec![0.0, 0.0, self.int2.gain()],
-            den: vec![1.0, self.kq - 2.0, 1.0 - self.kq + g_times_kf],
-        })
-    }
-
     /// Processes one sample; returns the low-pass output `v2`.
     pub fn process(&mut self, input: Diff) -> Diff {
         let v1 = self.int1.output();
@@ -252,20 +238,6 @@ impl SiBiquad {
     pub fn reset(&mut self) {
         self.int1.reset();
         self.int2.reset();
-    }
-}
-
-/// A minimal transfer-function carrier so `si-core` stays independent of
-/// the DSP crate at the type level; tests convert it into
-/// `si_dsp::zdomain::TransferFunction` for verification.
-pub mod si_dsp_free {
-    /// Numerator/denominator coefficients in ascending powers of `z⁻¹`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct TransferFunction {
-        /// Numerator coefficients.
-        pub num: Vec<f64>,
-        /// Denominator coefficients.
-        pub den: Vec<f64>,
     }
 }
 
@@ -352,16 +324,20 @@ mod tests {
     #[test]
     fn biquad_impulse_response_matches_z_model() {
         let mut bq = SiBiquad::new(0.2, 0.3, 0.2, &ideal(), 1).unwrap();
-        let tf = bq.transfer_function().unwrap();
+        // The exact z-domain low-pass realized by ideal cells with these
+        // coefficients, numerator and denominator in powers of z⁻¹.
+        let g = bq.int2.gain();
+        let num = [0.0, 0.0, g];
+        let den = [1.0, bq.kq - 2.0, 1.0 - bq.kq + g * bq.kf];
         // Direct-form reference from the published coefficients.
         let n = 64;
         let mut y_ref: Vec<f64> = Vec::with_capacity(n);
         // Recursive difference equation: indexed history is the point.
         #[allow(clippy::needless_range_loop)]
         for t in 0..n {
-            let x_term = tf.num.get(t).copied().unwrap_or(0.0);
+            let x_term = num.get(t).copied().unwrap_or(0.0);
             let mut acc = x_term;
-            for (k, &ak) in tf.den.iter().enumerate().skip(1) {
+            for (k, &ak) in den.iter().enumerate().skip(1) {
                 if t >= k {
                     acc -= ak * y_ref[t - k];
                 }

@@ -296,7 +296,7 @@ impl ClassAbParams {
 
     /// The effective transmission error after GGA boost.
     #[must_use]
-    pub fn effective_gain_error(&self) -> f64 {
+    pub(crate) fn effective_gain_error(&self) -> f64 {
         if self.gga_gain.is_infinite() {
             0.0
         } else {

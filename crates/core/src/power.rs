@@ -132,7 +132,7 @@ impl SystemPower {
 
     /// Adds an arbitrary labelled item.
     #[must_use]
-    pub fn with_item(mut self, label: &str, current: Amps) -> Self {
+    pub(crate) fn with_item(mut self, label: &str, current: Amps) -> Self {
         self.items.push(PowerItem {
             label: label.to_string(),
             current,

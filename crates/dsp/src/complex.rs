@@ -64,15 +64,6 @@ impl Complex {
         }
     }
 
-    /// Creates a complex number from polar magnitude and angle.
-    #[must_use]
-    pub fn from_polar(magnitude: f64, angle: f64) -> Self {
-        Complex {
-            re: magnitude * angle.cos(),
-            im: magnitude * angle.sin(),
-        }
-    }
-
     /// The complex conjugate.
     #[inline]
     #[must_use]
@@ -111,7 +102,7 @@ impl Complex {
     /// semantics for real floats.
     #[inline]
     #[must_use]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.norm_sqr();
         Complex {
             re: self.re / d,
@@ -308,7 +299,7 @@ mod tests {
 
     #[test]
     fn polar_round_trips() {
-        let z = Complex::from_polar(2.0, 1.2);
+        let z = Complex::cis(1.2) * 2.0;
         assert!((z.abs() - 2.0).abs() < 1e-14);
         assert!((z.arg() - 1.2).abs() < 1e-14);
     }

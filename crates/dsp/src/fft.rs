@@ -98,7 +98,7 @@ impl FftPlan {
     ///
     /// Returns [`DspError::LengthMismatch`] if `data.len()` differs from the
     /// plan length.
-    pub fn inverse(&self, data: &mut [Complex]) -> Result<(), DspError> {
+    pub(crate) fn inverse(&self, data: &mut [Complex]) -> Result<(), DspError> {
         self.check_len(data)?;
         self.permute(data);
         self.butterflies(data, true);

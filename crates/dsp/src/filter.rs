@@ -15,7 +15,7 @@ use crate::DspError;
 /// use si_dsp::filter::FirFilter;
 ///
 /// # fn main() -> Result<(), si_dsp::DspError> {
-/// let mut ma = FirFilter::moving_average(4)?;
+/// let mut ma = FirFilter::new(vec![0.25; 4])?; // 4-tap moving average
 /// let y: Vec<f64> = [4.0, 4.0, 4.0, 4.0].iter().map(|&x| ma.process(x)).collect();
 /// assert!((y[3] - 4.0).abs() < 1e-12); // settled to the input mean
 /// # Ok(())
@@ -44,61 +44,6 @@ impl FirFilter {
             delay: vec![0.0; len],
             pos: 0,
         })
-    }
-
-    /// An `n`-tap moving-average (boxcar) filter with unity DC gain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `n` is zero.
-    pub fn moving_average(n: usize) -> Result<Self, DspError> {
-        if n == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "n",
-                constraint: "tap count must be positive",
-            });
-        }
-        FirFilter::new(vec![1.0 / n as f64; n])
-    }
-
-    /// A windowed-sinc low-pass with cutoff `fc` (normalized to fs = 1) and
-    /// `taps` coefficients, Hann-windowed, unity DC gain.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `taps` is zero or `fc` is
-    /// outside `(0, 0.5)`.
-    pub fn low_pass(fc: f64, taps: usize) -> Result<Self, DspError> {
-        if taps == 0 {
-            return Err(DspError::InvalidParameter {
-                name: "taps",
-                constraint: "tap count must be positive",
-            });
-        }
-        if !(0.0..0.5).contains(&fc) || fc == 0.0 {
-            return Err(DspError::InvalidParameter {
-                name: "fc",
-                constraint: "cutoff must lie in (0, 0.5)",
-            });
-        }
-        let m = (taps - 1) as f64 / 2.0;
-        let mut h: Vec<f64> = (0..taps)
-            .map(|i| {
-                let t = i as f64 - m;
-                let sinc = if t.abs() < 1e-12 {
-                    2.0 * fc
-                } else {
-                    (2.0 * std::f64::consts::PI * fc * t).sin() / (std::f64::consts::PI * t)
-                };
-                let w = 0.5 - 0.5 * (2.0 * std::f64::consts::PI * i as f64 / taps as f64).cos();
-                sinc * w
-            })
-            .collect();
-        let sum: f64 = h.iter().sum();
-        for c in &mut h {
-            *c /= sum;
-        }
-        FirFilter::new(h)
     }
 
     /// Processes one sample.
@@ -244,18 +189,6 @@ impl CicDecimator {
     }
 }
 
-/// Decimates a ΔΣ bitstream (±1 samples) with a sinc^(order) CIC at ratio
-/// `osr`, returning the baseband waveform. Convenience wrapper used by the
-/// measurement pipelines.
-///
-/// # Errors
-///
-/// Propagates [`CicDecimator::new`] errors.
-pub fn decimate_bitstream(bits: &[f64], order: usize, osr: usize) -> Result<Vec<f64>, DspError> {
-    let mut cic = CicDecimator::new(order, osr)?;
-    Ok(cic.process_block(bits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,10 +197,6 @@ mod tests {
     #[test]
     fn fir_rejects_empty() {
         assert!(FirFilter::new(vec![]).is_err());
-        assert!(FirFilter::moving_average(0).is_err());
-        assert!(FirFilter::low_pass(0.0, 8).is_err());
-        assert!(FirFilter::low_pass(0.3, 0).is_err());
-        assert!(FirFilter::low_pass(0.6, 8).is_err());
     }
 
     #[test]
@@ -280,33 +209,8 @@ mod tests {
     }
 
     #[test]
-    fn fir_dc_gain_of_low_pass_is_unity() {
-        let mut f = FirFilter::low_pass(0.1, 63).unwrap();
-        let out = f.process_block(&vec![1.0; 200]);
-        assert!((out.last().unwrap() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn low_pass_attenuates_high_frequency() {
-        let n = 1024;
-        let mut f = FirFilter::low_pass(0.05, 101).unwrap();
-        let hf: Vec<f64> = SineWave::coherent(1.0, 400, n).unwrap().take(n).collect();
-        let out = f.process_block(&hf);
-        let rms_out = (out[200..].iter().map(|x| x * x).sum::<f64>() / 824.0).sqrt();
-        assert!(rms_out < 0.01, "hf rms {rms_out}");
-        f.reset();
-        let lf: Vec<f64> = SineWave::coherent(1.0, 10, n).unwrap().take(n).collect();
-        let out = f.process_block(&lf);
-        let rms_out = (out[200..].iter().map(|x| x * x).sum::<f64>() / 824.0).sqrt();
-        assert!(
-            (rms_out - 1.0 / 2f64.sqrt()).abs() < 0.02,
-            "lf rms {rms_out}"
-        );
-    }
-
-    #[test]
     fn fir_reset_clears_state() {
-        let mut f = FirFilter::moving_average(4).unwrap();
+        let mut f = FirFilter::new(vec![0.25; 4]).unwrap();
         f.process_block(&[9.0, 9.0, 9.0, 9.0]);
         f.reset();
         assert!((f.process(0.0)).abs() < 1e-15);
@@ -345,7 +249,7 @@ mod tests {
         let n = 1 << 15;
         let osr = 64;
         let input: Vec<f64> = SineWave::coherent(1.0, 8, n).unwrap().take(n).collect();
-        let out = decimate_bitstream(&input, 3, osr).unwrap();
+        let out = CicDecimator::new(3, osr).unwrap().process_block(&input);
         let settled = &out[8..];
         let peak = settled.iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert!((peak - 1.0).abs() < 0.02, "peak {peak}");
@@ -357,7 +261,7 @@ mod tests {
         let input: Vec<f64> = (0..4096)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let out = decimate_bitstream(&input, 3, 64).unwrap();
+        let out = CicDecimator::new(3, 64).unwrap().process_block(&input);
         let peak = out[4..].iter().fold(0.0f64, |m, &x| m.max(x.abs()));
         assert!(peak < 1e-10, "peak {peak}");
     }

@@ -32,7 +32,7 @@ impl BandLimits {
 
     /// The full Nyquist band for sample rate `fs`.
     #[must_use]
-    pub fn nyquist(fs: f64) -> Self {
+    pub(crate) fn nyquist(fs: f64) -> Self {
         BandLimits {
             low_hz: 0.0,
             high_hz: fs / 2.0,
@@ -163,18 +163,6 @@ impl HarmonicAnalysis {
         self.signal_power
     }
 
-    /// Powers of the accounted harmonics, starting with HD2 (linear).
-    #[must_use]
-    pub fn harmonic_powers(&self) -> &[f64] {
-        &self.harmonic_powers
-    }
-
-    /// Integrated in-band noise power, excluding signal and harmonics.
-    #[must_use]
-    pub fn noise_power(&self) -> f64 {
-        self.noise_power
-    }
-
     /// Total harmonic distortion: harmonic power relative to the signal, in
     /// dB (negative for clean signals; the paper quotes −50…−62 dB).
     #[must_use]
@@ -197,17 +185,6 @@ impl HarmonicAnalysis {
         power_db(self.signal_power / (self.noise_power + harm))
     }
 
-    /// Spurious-free dynamic range in dB: signal power over the largest
-    /// single harmonic.
-    #[must_use]
-    pub fn sfdr_db(&self) -> f64 {
-        let worst = self
-            .harmonic_powers
-            .iter()
-            .fold(0.0f64, |acc, &p| acc.max(p));
-        power_db(self.signal_power / worst)
-    }
-
     /// Effective number of bits from the SINAD: `(SINAD − 1.76) / 6.02`.
     #[must_use]
     pub fn enob(&self) -> f64 {
@@ -218,7 +195,7 @@ impl HarmonicAnalysis {
 /// Folds a harmonic's bin index back into the one-sided spectrum of an
 /// `n`-point FFT, modelling aliasing in the sampled system.
 #[must_use]
-pub fn fold_bin(bin: usize, n: usize) -> usize {
+pub(crate) fn fold_bin(bin: usize, n: usize) -> usize {
     let m = bin % n;
     if m <= n / 2 {
         m
@@ -282,12 +259,6 @@ pub fn dynamic_range_db(levels_db: &[f64], sndr_db: &[f64]) -> Result<f64, DspEr
 #[must_use]
 pub fn db_to_bits(dr_db: f64) -> f64 {
     (dr_db - 1.76) / 6.02
-}
-
-/// Converts effective bits to dynamic range in dB.
-#[must_use]
-pub fn bits_to_db(bits: f64) -> f64 {
-    bits * 6.02 + 1.76
 }
 
 /// The theoretical peak SQNR of an ideal order-`l` ΔΣ modulator with a
@@ -410,7 +381,6 @@ mod tests {
         let a = HarmonicAnalysis::of(&spectrum_of(&samples), 5).unwrap();
         assert!(a.sinad_db() < a.snr_db());
         assert!(a.sinad_db() < -a.thd_db());
-        assert!(a.sfdr_db() > 0.0);
         let enob_expected = (a.sinad_db() - 1.76) / 6.02;
         assert!((a.enob() - enob_expected).abs() < 1e-12);
     }
@@ -461,8 +431,8 @@ mod tests {
 
     #[test]
     fn bits_round_trip() {
-        let dr = 63.0;
-        assert!((bits_to_db(db_to_bits(dr)) - dr).abs() < 1e-12);
+        let bits = 10.0;
+        assert!((db_to_bits(bits * 6.02 + 1.76) - bits).abs() < 1e-12);
         assert!((db_to_bits(64.97) - 10.5).abs() < 0.01);
     }
 

@@ -82,13 +82,6 @@ impl SineWave {
         SineWave::new(amplitude, cycles as f64, record_len as f64)
     }
 
-    /// Sets the starting phase in radians, returning `self` for chaining.
-    #[must_use]
-    pub fn with_phase(mut self, phase: f64) -> Self {
-        self.phase = phase;
-        self
-    }
-
     /// The amplitude this generator was built with.
     #[must_use]
     pub fn amplitude(&self) -> f64 {
@@ -274,16 +267,6 @@ mod tests {
         for i in 0..100 {
             assert!((samples[i] - samples[i + 100]).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn with_phase_offsets_start() {
-        let s: Vec<f64> = SineWave::new(1.0, 1.0, 100.0)
-            .unwrap()
-            .with_phase(std::f64::consts::FRAC_PI_2)
-            .take(1)
-            .collect();
-        assert!((s[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,8 +22,8 @@ use crate::{power_db, DspError};
 /// # fn main() -> Result<(), si_dsp::DspError> {
 /// let samples: Vec<f64> = SineWave::coherent(1.0, 64, 4096)?.take(4096).collect();
 /// let spec = Spectrum::periodogram(&samples, Window::Blackman)?;
-/// let (bin, _) = spec.peak_bin();
-/// assert_eq!(bin, 64);
+/// // A unit-amplitude sine carries power 1/2, all of it around bin 64.
+/// assert!((spec.tone_power(64) - 0.5).abs() < 1e-6);
 /// # Ok(())
 /// # }
 /// ```
@@ -74,38 +74,6 @@ impl Spectrum {
         })
     }
 
-    /// Averages several periodograms of equal length (Bartlett averaging),
-    /// reducing the variance of the noise floor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty slice and
-    /// [`DspError::LengthMismatch`] if the spectra disagree in length.
-    pub fn average(spectra: &[Spectrum]) -> Result<Self, DspError> {
-        let first = spectra.first().ok_or(DspError::EmptyInput)?;
-        let mut acc = vec![0.0; first.power.len()];
-        for s in spectra {
-            if s.power.len() != first.power.len() {
-                return Err(DspError::LengthMismatch {
-                    expected: first.power.len(),
-                    actual: s.power.len(),
-                });
-            }
-            for (a, p) in acc.iter_mut().zip(&s.power) {
-                *a += p;
-            }
-        }
-        let k = spectra.len() as f64;
-        for a in &mut acc {
-            *a /= k;
-        }
-        Ok(Spectrum {
-            power: acc,
-            fft_len: first.fft_len,
-            window: first.window,
-        })
-    }
-
     /// Assembles a spectrum from already-averaged bin powers — the seam
     /// the streaming Welch accumulator uses to finish without retaining
     /// every per-segment periodogram.
@@ -131,7 +99,7 @@ impl Spectrum {
 
     /// The FFT length `N` the spectrum was computed from.
     #[must_use]
-    pub fn fft_len(&self) -> usize {
+    pub(crate) fn fft_len(&self) -> usize {
         self.fft_len
     }
 
@@ -179,16 +147,9 @@ impl Spectrum {
 
     /// The bin index closest to frequency `f` at sample rate `fs`.
     #[must_use]
-    pub fn frequency_bin(&self, f: f64, fs: f64) -> usize {
+    pub(crate) fn frequency_bin(&self, f: f64, fs: f64) -> usize {
         let raw = (f * self.fft_len as f64 / fs).round();
         (raw.max(0.0) as usize).min(self.power.len().saturating_sub(1))
-    }
-
-    /// The bin with the largest power, excluding DC leakage (the first
-    /// `spread` bins where `spread` comes from the window).
-    #[must_use]
-    pub fn peak_bin(&self) -> (usize, f64) {
-        self.peak_bin_in(0, self.power.len().saturating_sub(1))
     }
 
     /// The largest bin within `[lo, hi]` (clamped), still excluding DC
@@ -196,7 +157,7 @@ impl Spectrum {
     /// noise-shaped spectra (ΔΣ bitstreams), where out-of-band shaped noise
     /// towers over a small in-band tone.
     #[must_use]
-    pub fn peak_bin_in(&self, lo: usize, hi: usize) -> (usize, f64) {
+    pub(crate) fn peak_bin_in(&self, lo: usize, hi: usize) -> (usize, f64) {
         let skip = self.window.spread_bins() + 1;
         let last = self.power.len().saturating_sub(1);
         let lo = lo.max(skip).min(last);
@@ -228,7 +189,7 @@ impl Spectrum {
     /// given tone bins (and their window spread) excluded. Used for noise
     /// integration in SNR measurements.
     #[must_use]
-    pub fn band_power_excluding(
+    pub(crate) fn band_power_excluding(
         &self,
         fs: f64,
         f_lo: f64,
@@ -250,6 +211,41 @@ impl Spectrum {
         // Window widens each noise bin by the noise-equivalent bandwidth;
         // divide it out so integrated noise power is calibrated.
         total / self.window.noise_bandwidth_bins()
+    }
+}
+
+#[cfg(test)]
+impl Spectrum {
+    /// Averages several periodograms of equal length (Bartlett averaging):
+    /// the reference the Welch tests compare against.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DspError::EmptyInput`] for an empty slice and
+    /// [`DspError::LengthMismatch`] if the spectra disagree in length.
+    pub(crate) fn average(spectra: &[Spectrum]) -> Result<Self, DspError> {
+        let first = spectra.first().ok_or(DspError::EmptyInput)?;
+        let mut acc = vec![0.0; first.power.len()];
+        for s in spectra {
+            if s.power.len() != first.power.len() {
+                return Err(DspError::LengthMismatch {
+                    expected: first.power.len(),
+                    actual: s.power.len(),
+                });
+            }
+            for (a, p) in acc.iter_mut().zip(&s.power) {
+                *a += p;
+            }
+        }
+        let k = spectra.len() as f64;
+        for a in &mut acc {
+            *a /= k;
+        }
+        Ok(Spectrum {
+            power: acc,
+            fft_len: first.fft_len,
+            window: first.window,
+        })
     }
 }
 
@@ -280,7 +276,7 @@ mod tests {
         let samples = coherent_sine(amplitude, 513, n);
         for w in Window::ALL {
             let spec = Spectrum::periodogram(&samples, w).unwrap();
-            let (bin, _) = spec.peak_bin();
+            let (bin, _) = spec.peak_bin_in(0, spec.len() - 1);
             assert_eq!(bin, 513, "window {w}");
             let tone = spec.tone_power(bin);
             let expected = amplitude * amplitude / 2.0;

@@ -16,13 +16,12 @@ use crate::DspError;
 /// # Dropped tail
 ///
 /// The segmentation covers exactly `(segments + 1) · seg_len / 2` samples,
-/// where `seg_len` is the power of two reported by [`welch_segment_len`];
+/// where `seg_len` is the largest power of two for which that prefix fits;
 /// any trailing samples beyond that are **dropped, never zero-padded**.
 /// Because `seg_len` halves just below a power-of-two boundary, a signal
 /// one sample short of such a boundary can lose up to half a window of
-/// data — callers streaming chunks should size records with
-/// [`welch_segment_len`] (or use [`WelchAccumulator`], which carries the
-/// tail across pushes instead of dropping it per call).
+/// data — callers streaming chunks should use [`WelchAccumulator`], which
+/// carries the tail across pushes instead of dropping it per call.
 ///
 /// # Errors
 ///
@@ -51,7 +50,7 @@ pub fn welch(signal: &[f64], segments: usize, window: Window) -> Result<Spectrum
 /// [`welch`] — the drop is worst just below a power-of-two boundary,
 /// where `L` halves.
 #[must_use]
-pub fn welch_segment_len(len: usize, segments: usize) -> Option<usize> {
+pub(crate) fn welch_segment_len(len: usize, segments: usize) -> Option<usize> {
     if segments == 0 {
         return None;
     }

@@ -48,7 +48,7 @@ impl Window {
     ///
     /// Panics if `i >= n`.
     #[must_use]
-    pub fn coefficient(self, i: usize, n: usize) -> f64 {
+    pub(crate) fn coefficient(self, i: usize, n: usize) -> f64 {
         assert!(i < n, "window index {i} out of range for length {n}");
         if n == 1 {
             return 1.0;
@@ -117,7 +117,7 @@ impl Window {
     /// Broadband noise power integrated from a windowed periodogram must be
     /// divided by this to be calibrated against tone power.
     #[must_use]
-    pub fn noise_bandwidth_bins(self) -> f64 {
+    pub(crate) fn noise_bandwidth_bins(self) -> f64 {
         // Closed forms: NENBW = Σa_k² ·? — use the cosine-coefficient identity:
         // for w(x) = Σ a_k cos(kx), mean(w²) = a_0² + Σ_{k≥1} a_k²/2.
         let coeffs: &[f64] = match self {
@@ -134,7 +134,7 @@ impl Window {
     /// How many bins on each side of a coherent tone contain significant
     /// leakage and must be attributed to the tone during harmonic analysis.
     #[must_use]
-    pub fn spread_bins(self) -> usize {
+    pub(crate) fn spread_bins(self) -> usize {
         match self {
             Window::Rectangular => 1,
             Window::Hann | Window::Hamming => 2,

@@ -3,7 +3,7 @@
 //! Used to verify Eq. (3) of the paper: both modulator topologies must
 //! realize `Y(z) = z⁻² X(z) + (1 − z⁻¹)² E(z)`. [`TransferFunction`]
 //! represents a ratio of polynomials in `z⁻¹`, supports the algebra needed
-//! to compose block diagrams (add, multiply, feedback), evaluation on the
+//! to compose block diagrams (sum and product), evaluation on the
 //! unit circle, and impulse responses for cross-checking simulations.
 
 use crate::{Complex, DspError};
@@ -44,14 +44,8 @@ impl Polynomial {
 
     /// Coefficients in ascending powers of `z⁻¹`.
     #[must_use]
-    pub fn coeffs(&self) -> &[f64] {
+    pub(crate) fn coeffs(&self) -> &[f64] {
         &self.coeffs
-    }
-
-    /// Polynomial degree (0 for constants, including the zero polynomial).
-    #[must_use]
-    pub fn degree(&self) -> usize {
-        self.coeffs.len() - 1
     }
 
     /// Whether this is the zero polynomial.
@@ -124,13 +118,13 @@ impl Polynomial {
 /// A rational transfer function `B(z⁻¹) / A(z⁻¹)`.
 ///
 /// ```
-/// use si_dsp::zdomain::TransferFunction;
+/// use si_dsp::zdomain::{Polynomial, TransferFunction};
 ///
 /// # fn main() -> Result<(), si_dsp::DspError> {
 /// // A delaying integrator H(z) = z⁻¹ / (1 − z⁻¹).
-/// let h = TransferFunction::delaying_integrator();
-/// let dc = h.eval_at_frequency(1e-9)?; // ~DC: gain diverges
-/// assert!(dc.abs() > 1e6);
+/// let h = TransferFunction::new(Polynomial::delay(1), Polynomial::new(vec![1.0, -1.0]))?;
+/// let dc_db = h.magnitude_db(1e-9)?; // ~DC: gain diverges
+/// assert!(dc_db > 120.0);
 /// # Ok(())
 /// # }
 /// ```
@@ -154,15 +148,6 @@ impl TransferFunction {
         Ok(TransferFunction { num, den })
     }
 
-    /// The identity system `H(z) = 1`.
-    #[must_use]
-    pub fn unity() -> Self {
-        TransferFunction {
-            num: Polynomial::constant(1.0),
-            den: Polynomial::constant(1.0),
-        }
-    }
-
     /// The constant gain `k`.
     #[must_use]
     pub fn gain(k: f64) -> Self {
@@ -181,49 +166,18 @@ impl TransferFunction {
         }
     }
 
-    /// The delaying (forward-Euler) integrator `z⁻¹ / (1 − z⁻¹)`, which is
-    /// what an SI integrator with delay in the loop realizes.
-    #[must_use]
-    pub fn delaying_integrator() -> Self {
-        TransferFunction {
-            num: Polynomial::delay(1),
-            den: Polynomial::new(vec![1.0, -1.0]),
-        }
-    }
-
-    /// The non-delaying integrator `1 / (1 − z⁻¹)`.
-    #[must_use]
-    pub fn integrator() -> Self {
-        TransferFunction {
-            num: Polynomial::constant(1.0),
-            den: Polynomial::new(vec![1.0, -1.0]),
-        }
-    }
-
     /// The first difference `1 − z⁻¹`.
     #[must_use]
-    pub fn differentiator() -> Self {
+    pub(crate) fn differentiator() -> Self {
         TransferFunction {
             num: Polynomial::new(vec![1.0, -1.0]),
             den: Polynomial::constant(1.0),
         }
     }
 
-    /// Numerator polynomial.
-    #[must_use]
-    pub fn numerator(&self) -> &Polynomial {
-        &self.num
-    }
-
-    /// Denominator polynomial.
-    #[must_use]
-    pub fn denominator(&self) -> &Polynomial {
-        &self.den
-    }
-
     /// Series connection `self · other`.
     #[must_use]
-    pub fn cascade(&self, other: &TransferFunction) -> TransferFunction {
+    pub(crate) fn cascade(&self, other: &TransferFunction) -> TransferFunction {
         TransferFunction {
             num: self.num.mul(&other.num),
             den: self.den.mul(&other.den),
@@ -248,28 +202,13 @@ impl TransferFunction {
         }
     }
 
-    /// Negative-feedback closure: `self / (1 + self·loop_gain)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::DegenerateTransferFunction`] if the closed-loop
-    /// denominator is degenerate.
-    pub fn feedback(&self, loop_gain: &TransferFunction) -> Result<TransferFunction, DspError> {
-        let num = self.num.mul(&loop_gain.den);
-        let den = self
-            .den
-            .mul(&loop_gain.den)
-            .add(&self.num.mul(&loop_gain.num));
-        TransferFunction::new(num, den)
-    }
-
     /// Evaluates `H(z)` at `z = e^{2πi f}` for a normalized frequency `f`
     /// (cycles per sample).
     ///
     /// # Errors
     ///
     /// Returns [`DspError::InvalidParameter`] if `f` is not finite.
-    pub fn eval_at_frequency(&self, f: f64) -> Result<Complex, DspError> {
+    pub(crate) fn eval_at_frequency(&self, f: f64) -> Result<Complex, DspError> {
         if !f.is_finite() {
             return Err(DspError::InvalidParameter {
                 name: "f",
@@ -284,7 +223,7 @@ impl TransferFunction {
     ///
     /// # Errors
     ///
-    /// Propagates [`TransferFunction::eval_at_frequency`] errors.
+    /// Returns [`DspError::InvalidParameter`] if `f` is not finite.
     pub fn magnitude_db(&self, f: f64) -> Result<f64, DspError> {
         Ok(crate::amplitude_db(self.eval_at_frequency(f)?.abs()))
     }
@@ -337,58 +276,57 @@ impl LinearModel {
             ntf: TransferFunction::differentiator().cascade(&TransferFunction::differentiator()),
         }
     }
-
-    /// Derives the linear model of the classic two-integrator loop of
-    /// Fig. 3(a): both integrators delaying, unity feedback around each
-    /// stage, gains `g1`, `g2` with DAC scalings chosen to restore the
-    /// textbook NTF. Returns the model for ideal coefficients.
-    ///
-    /// # Errors
-    ///
-    /// Propagates degenerate-denominator errors from the feedback algebra.
-    pub fn derive_two_integrator_loop() -> Result<Self, DspError> {
-        // Loop: x →(+)→ I1 →(+)→ I2 → quantizer → y, with y fed back to both
-        // summers. With delaying integrators H(z) = z⁻¹/(1−z⁻¹), the choice
-        // of feedback coefficients (1 for the first summer, 2 for the second)
-        // realizes Y = z⁻²X + (1−z⁻¹)²E.
-        let i = TransferFunction::delaying_integrator();
-        // Forward path from x to quantizer input: L0 = I1·I2.
-        let l0 = i.cascade(&i);
-        // Loop gain from y back to quantizer input:
-        // L1 = I1·I2·b1 + I2·b2 with b1 = 1, b2 = 2.
-        let l1 = i.cascade(&i).parallel(&i.scale(2.0));
-        // Y = (L0·X + E) / (1 + L1)
-        let one_plus_l1 = TransferFunction::unity().parallel(&l1);
-        let stf = l0.cascade(&one_plus_l1.invert()?);
-        let ntf = one_plus_l1.invert()?;
-        Ok(LinearModel { stf, ntf })
-    }
-}
-
-impl TransferFunction {
-    /// The reciprocal transfer function `1/H`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::DegenerateTransferFunction`] if the numerator's
-    /// constant term is zero (the inverse would be non-causal).
-    pub fn invert(&self) -> Result<TransferFunction, DspError> {
-        TransferFunction::new(self.den.clone(), self.num.clone())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The identity system `H(z) = 1`.
+    fn unity() -> TransferFunction {
+        TransferFunction::gain(1.0)
+    }
+
+    /// The delaying (forward-Euler) integrator `z⁻¹ / (1 − z⁻¹)`, which is
+    /// what an SI integrator with delay in the loop realizes.
+    fn delaying_integrator() -> TransferFunction {
+        TransferFunction::new(Polynomial::delay(1), Polynomial::new(vec![1.0, -1.0])).unwrap()
+    }
+
+    /// The reciprocal transfer function `1/H`; an error when `H`'s
+    /// numerator has no constant term (the inverse would be non-causal).
+    fn invert(h: &TransferFunction) -> Result<TransferFunction, DspError> {
+        TransferFunction::new(h.den.clone(), h.num.clone())
+    }
+
+    /// Derives the linear model of the classic two-integrator loop of
+    /// Fig. 3(a): both integrators delaying, unity feedback around each
+    /// stage, DAC scalings chosen to restore the textbook NTF.
+    fn derive_two_integrator_loop() -> Result<LinearModel, DspError> {
+        // Loop: x →(+)→ I1 →(+)→ I2 → quantizer → y, with y fed back to both
+        // summers. With delaying integrators H(z) = z⁻¹/(1−z⁻¹), the choice
+        // of feedback coefficients (1 for the first summer, 2 for the second)
+        // realizes Y = z⁻²X + (1−z⁻¹)²E.
+        let i = delaying_integrator();
+        // Forward path from x to quantizer input: L0 = I1·I2.
+        let l0 = i.cascade(&i);
+        // Loop gain from y back to quantizer input:
+        // L1 = I1·I2·b1 + I2·b2 with b1 = 1, b2 = 2.
+        let l1 = i.cascade(&i).parallel(&i.scale(2.0));
+        // Y = (L0·X + E) / (1 + L1)
+        let one_plus_l1 = unity().parallel(&l1);
+        let stf = l0.cascade(&invert(&one_plus_l1)?);
+        let ntf = invert(&one_plus_l1)?;
+        Ok(LinearModel { stf, ntf })
+    }
+
     #[test]
     fn polynomial_construction_trims_zeros() {
         let p = Polynomial::new(vec![1.0, 2.0, 0.0, 0.0]);
         assert_eq!(p.coeffs(), &[1.0, 2.0]);
-        assert_eq!(p.degree(), 1);
         let z = Polynomial::new(vec![]);
         assert!(z.is_zero());
-        assert_eq!(z.degree(), 0);
+        assert_eq!(z.coeffs(), &[0.0]);
     }
 
     #[test]
@@ -425,10 +363,8 @@ mod tests {
 
     #[test]
     fn integrator_impulse_response_is_step() {
-        let h = TransferFunction::delaying_integrator();
+        let h = delaying_integrator();
         assert_eq!(h.impulse_response(5), vec![0.0, 1.0, 1.0, 1.0, 1.0]);
-        let h = TransferFunction::integrator();
-        assert_eq!(h.impulse_response(4), vec![1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
@@ -453,14 +389,14 @@ mod tests {
     fn feedback_of_integrator_gives_low_pass() {
         // I/(1+I) with I = z⁻¹/(1−z⁻¹) gives z⁻¹ (a pure delay): the classic
         // unity-feedback first-order loop.
-        let i = TransferFunction::delaying_integrator();
-        let closed = i.feedback(&TransferFunction::unity()).unwrap();
+        let i = delaying_integrator();
+        let closed = i.cascade(&invert(&unity().parallel(&i)).unwrap());
         assert!(closed.approx_eq(&TransferFunction::delay(1), 1e-12));
     }
 
     #[test]
     fn paper_eq3_model_from_loop_derivation() {
-        let derived = LinearModel::derive_two_integrator_loop().unwrap();
+        let derived = derive_two_integrator_loop().unwrap();
         let target = LinearModel::paper_second_order();
         assert!(
             derived.stf.approx_eq(&target.stf, 1e-9),
@@ -492,22 +428,22 @@ mod tests {
 
     #[test]
     fn invert_round_trips() {
-        let h = TransferFunction::delaying_integrator();
+        let h = delaying_integrator();
         // H · H⁻¹ = 1. Note H's numerator constant term is zero, so inversion
         // must fail — check the error, then test a valid inversion.
-        assert!(h.invert().is_err());
+        assert!(invert(&h).is_err());
         let g = TransferFunction::new(
             Polynomial::new(vec![1.0, 0.5]),
             Polynomial::new(vec![1.0, -0.25]),
         )
         .unwrap();
-        let gi = g.invert().unwrap();
-        assert!(g.cascade(&gi).approx_eq(&TransferFunction::unity(), 1e-12));
+        let gi = invert(&g).unwrap();
+        assert!(g.cascade(&gi).approx_eq(&unity(), 1e-12));
     }
 
     #[test]
     fn magnitude_rejects_non_finite_frequency() {
-        let h = TransferFunction::unity();
+        let h = unity();
         assert!(h.magnitude_db(f64::NAN).is_err());
     }
 

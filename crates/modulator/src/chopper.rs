@@ -51,16 +51,6 @@ impl ChopSequence {
         s
     }
 
-    /// Peeks the current sign without advancing.
-    #[must_use]
-    pub fn current(&self) -> i8 {
-        if self.state {
-            -1
-        } else {
-            1
-        }
-    }
-
     /// Restarts at +1.
     pub fn reset(&mut self) {
         self.state = false;
@@ -74,7 +64,7 @@ impl ChopSequence {
 /// integrator but re-clocked so the net sign per period is inverting —
 /// which a single extra cell pass (each SI cell inverts) provides for free.
 #[derive(Debug)]
-pub struct MirroredIntegrator<C: MemoryCell> {
+pub(crate) struct MirroredIntegrator<C: MemoryCell> {
     cell_a: C,
     cell_b: C,
     cm: Box<dyn CommonModeControl + Send>,
@@ -109,12 +99,6 @@ impl<C: MemoryCell> MirroredIntegrator<C> {
             gain,
             state: Diff::ZERO,
         })
-    }
-
-    /// The scaling gain `g`.
-    #[must_use]
-    pub fn gain(&self) -> f64 {
-        self.gain
     }
 
     /// The value the integrator currently drives out (its held state).
@@ -178,7 +162,7 @@ mod tests {
         let signs: Vec<i8> = (0..6).map(|_| s.next_sign()).collect();
         assert_eq!(signs, vec![1, -1, 1, -1, 1, -1]);
         s.reset();
-        assert_eq!(s.current(), 1);
+        assert_eq!(s.next_sign(), 1);
     }
 
     #[test]
@@ -234,7 +218,6 @@ mod tests {
         mi.reset();
         let again = mi.process(Diff::from_differential(1e-6));
         assert_eq!(first, again);
-        assert_eq!(mi.gain(), 2.0);
     }
 
     #[test]

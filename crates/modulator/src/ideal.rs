@@ -47,12 +47,6 @@ impl IdealModulator {
         })
     }
 
-    /// The topology coefficients.
-    #[must_use]
-    pub fn topology(&self) -> SecondOrderTopology {
-        self.topology
-    }
-
     /// The current integrator states `(v1, v2)` — exposed so experiments
     /// can verify the paper's claim that the scaled loop keeps its states
     /// "slightly larger than twice the full-scale input range".

@@ -64,13 +64,6 @@ impl MeasurementConfig {
         }
     }
 
-    /// The exact coherent stimulus frequency after bin snapping.
-    #[must_use]
-    pub fn coherent_signal_hz(&self) -> f64 {
-        let cycles = coherent_cycles(self.signal_hz, self.clock_hz, self.record_len);
-        cycles as f64 * self.clock_hz / self.record_len as f64
-    }
-
     fn validate(&self) -> Result<(), ModulatorError> {
         if self.record_len == 0 || !self.record_len.is_power_of_two() {
             return Err(ModulatorError::InvalidParameter {
@@ -193,7 +186,7 @@ fn record_bits<M: Modulator + ?Sized>(
 /// # Errors
 ///
 /// Propagates DSP errors.
-pub fn analyze_bits(
+pub(crate) fn analyze_bits(
     bits: &[i8],
     config: &MeasurementConfig,
     cycles: usize,
@@ -232,13 +225,6 @@ mod tests {
         let mut c = MeasurementConfig::quick();
         c.amplitude = f64::NAN;
         assert!(measure(&mut m, &c).is_err());
-    }
-
-    #[test]
-    fn coherent_frequency_is_near_target() {
-        let c = MeasurementConfig::paper_fig5();
-        let f = c.coherent_signal_hz();
-        assert!((f - 2e3).abs() < c.clock_hz / c.record_len as f64);
     }
 
     #[test]

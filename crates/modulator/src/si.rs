@@ -334,7 +334,7 @@ impl ChopperSiModulator {
 
     /// One step returning the **pre-output-chopper** bit (what Fig. 6(a)
     /// plots): the loop's decision in the chopped domain.
-    pub fn step_raw(&mut self, input: Diff) -> i8 {
+    pub(crate) fn step_raw(&mut self, input: Diff) -> i8 {
         // Chopped-domain quantizer decision from the current state; the
         // sign function commutes with the ±1 chopping, so this is exactly
         // the chopped version of the plain loop's decision.

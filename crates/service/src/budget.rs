@@ -62,7 +62,7 @@ pub struct CircuitCost {
 /// Prices a parsed circuit. Walks the sparsity pattern but performs no
 /// factorization.
 #[must_use]
-pub fn price_circuit(circuit: &Circuit) -> CircuitCost {
+pub(crate) fn price_circuit(circuit: &Circuit) -> CircuitCost {
     CircuitCost {
         nodes: circuit.node_count(),
         devices: circuit.elements().len(),
@@ -78,7 +78,7 @@ impl AdmissionBudget {
     ///
     /// Returns [`ServiceError::BudgetExceeded`] with resource
     /// `netlist_bytes` when the text is too large.
-    pub fn admit_bytes(&self, len: usize) -> Result<(), ServiceError> {
+    pub(crate) fn admit_bytes(&self, len: usize) -> Result<(), ServiceError> {
         if len > self.max_netlist_bytes {
             return Err(ServiceError::BudgetExceeded {
                 resource: "netlist_bytes",
@@ -95,7 +95,7 @@ impl AdmissionBudget {
     ///
     /// Returns [`ServiceError::BudgetExceeded`] naming the first resource
     /// over budget (checked in order: nodes, devices, mna_dim, nonzeros).
-    pub fn admit(&self, cost: &CircuitCost) -> Result<(), ServiceError> {
+    pub(crate) fn admit(&self, cost: &CircuitCost) -> Result<(), ServiceError> {
         let checks: [(&'static str, usize, usize); 4] = [
             ("nodes", cost.nodes, self.max_nodes),
             ("devices", cost.devices, self.max_devices),

@@ -18,7 +18,7 @@
 //! (the *leader*) computes; the rest (*followers*) wait on the flight and
 //! receive the leader's result — the "single-flight" discipline that
 //! keeps a thundering herd of identical jobs from multiplying solver
-//! work. Leader and followers wait the same way: each holds a [`Waiter`]
+//! work. Leader and followers wait the same way: each holds a `Waiter`
 //! on the flight and blocks on its condvar until the result is published
 //! or the caller's own deadline passes. The in-flight table is sharded
 //! separately from storage, so a disk probe never holds a flight lock. A
@@ -37,8 +37,8 @@
 //!
 //! Two independent mechanisms make a panicking leader survivable:
 //!
-//! 1. [`LeadGuard`] owns a handle back to the cache. If the leader
-//!    unwinds without calling [`ResultCache::complete`], the guard's
+//! 1. `LeadGuard` owns a handle back to the cache. If the leader
+//!    unwinds without calling `ResultCache::complete`, the guard's
 //!    `Drop` completes the flight with [`ServiceError::Internal`], so
 //!    followers are *released with a typed error* — never stranded, and
 //!    never handed a poisoned mutex.
@@ -47,7 +47,7 @@
 //!    slots hold only `Arc`s and plain enums whose invariants are
 //!    re-established by the completing write, so a poisoned lock carries
 //!    no torn state worth propagating; recoveries are counted in
-//!    [`CacheStats::poison_recoveries`] so chaos runs can assert they
+//!    `CacheStats::poison_recoveries` so chaos runs can assert they
 //!    stay observable.
 //!
 //! Process-kill crash safety — a `SIGKILL` mid-disk-write — is the disk
@@ -71,7 +71,7 @@ type JobResult = Result<Arc<JobOutput>, ServiceError>;
 /// the one implementation.
 ///
 /// A tier is a plain store: no single-flight, no error caching, no TTLs
-/// — those live in [`ResultCache`]. Implementations must be cheap to
+/// — those live in `ResultCache`. Implementations must be cheap to
 /// probe on a miss and must never serve a value they cannot vouch for
 /// (the disk tier quarantines anything failing its checksum instead of
 /// returning it).
@@ -118,7 +118,7 @@ struct Flight {
 
 /// What [`ResultCache::get_or_lead`] tells the caller to do.
 #[derive(Debug)]
-pub enum CacheOutcome {
+pub(crate) enum CacheOutcome {
     /// The result was already cached (in memory, or promoted from disk).
     Hit(Arc<JobOutput>),
     /// Another thread is computing this key: wait on its flight.
@@ -134,7 +134,7 @@ pub enum CacheOutcome {
 /// [`ServiceError::Internal`] so waiters wake with a typed error
 /// instead of waiting forever.
 #[derive(Debug)]
-pub struct LeadGuard {
+pub(crate) struct LeadGuard {
     key: u64,
     flight: Arc<Flight>,
     cache: Arc<CacheInner>,
@@ -144,14 +144,14 @@ pub struct LeadGuard {
 /// A wait on one key's flight, held by its followers and, through
 /// [`LeadGuard::waiter`], by its leader.
 #[derive(Debug)]
-pub struct Waiter {
+pub(crate) struct Waiter {
     flight: Arc<Flight>,
     cache: Arc<CacheInner>,
 }
 
 /// Monotonic counters describing cache behavior since startup.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
+pub(crate) struct CacheStats {
     /// Lookups answered from the in-memory tier.
     pub hits: u64,
     /// Lookups that became leaders (the job actually ran).
@@ -255,7 +255,7 @@ impl CacheInner {
 
 /// A sharded, single-flight, content-addressed cache of job results.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     inner: Arc<CacheInner>,
 }
 
@@ -274,7 +274,7 @@ impl ResultCache {
 
     /// A cache with the persistent disk tier under the memory tier.
     #[must_use]
-    pub fn with_disk(disk: Arc<DiskTier>) -> Self {
+    pub(crate) fn with_disk(disk: Arc<DiskTier>) -> Self {
         ResultCache::build(Some(disk))
     }
 
@@ -298,7 +298,7 @@ impl ResultCache {
 
     /// The persistent tier, when one is configured.
     #[must_use]
-    pub fn disk_tier(&self) -> Option<&Arc<DiskTier>> {
+    pub(crate) fn disk_tier(&self) -> Option<&Arc<DiskTier>> {
         self.inner.disk.as_ref()
     }
 
@@ -306,7 +306,7 @@ impl ResultCache {
     /// the leader and must call [`ResultCache::complete`]. Blocks
     /// (briefly) if another thread is already computing the key. A disk
     /// hit is promoted to memory before returning.
-    pub fn get_or_lead(&self, key: u64) -> CacheOutcome {
+    pub(crate) fn get_or_lead(&self, key: u64) -> CacheOutcome {
         let inner = &self.inner;
         if let Some(out) = inner.memory_load(key) {
             inner.hits.fetch_add(1, Ordering::Relaxed);
@@ -350,7 +350,7 @@ impl ResultCache {
     /// Publishes the leader's result: successes are written to memory and
     /// disk, failures free the key. Either way, all followers wake with a
     /// clone of `result`.
-    pub fn complete(&self, mut guard: LeadGuard, result: JobResult) {
+    pub(crate) fn complete(&self, mut guard: LeadGuard, result: JobResult) {
         guard.completed = true;
         self.inner.publish(guard.key, result, true);
     }
@@ -360,7 +360,7 @@ impl ResultCache {
     /// decide whether a request can be answered inline on the event
     /// loop; a miss falls back to a full submission, which does its own
     /// counting (so a probe-then-submit sequence counts exactly once).
-    pub fn memory_hit(&self, key: u64) -> Option<Arc<JobOutput>> {
+    pub(crate) fn memory_hit(&self, key: u64) -> Option<Arc<JobOutput>> {
         let out = self.inner.memory_load(key)?;
         self.inner.hits.fetch_add(1, Ordering::Relaxed);
         Some(out)
@@ -370,7 +370,7 @@ impl ResultCache {
     /// or on disk, without counting a cache-level hit or joining an in-flight
     /// computation. A disk hit is still promoted to memory. Used by
     /// `GET /v1/jobs/:id`, which must not block or become a leader.
-    pub fn peek(&self, key: u64) -> Option<Arc<JobOutput>> {
+    pub(crate) fn peek(&self, key: u64) -> Option<Arc<JobOutput>> {
         let inner = &self.inner;
         if let Some(out) = inner.memory_load(key) {
             return Some(out);
@@ -415,31 +415,13 @@ impl ResultCache {
             disk_bytes: disk.bytes,
         }
     }
-
-    /// Test/chaos hook: poisons the mutex of `key`'s memory shard by
-    /// panicking a throwaway thread while it holds the lock. Regression
-    /// tests use this to prove lookups recover instead of propagating the
-    /// panic.
-    #[doc(hidden)]
-    pub fn poison_shard_for_test(&self, key: u64) {
-        let shard = self.inner.memory_shard(key);
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let _guard = shard
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                panic!("deliberate poison for test");
-            });
-            assert!(handle.join().is_err(), "poison thread must panic");
-        });
-    }
 }
 
 impl LeadGuard {
     /// A wait on this guard's own flight: the leader waits for the result
     /// it hands to a worker the same way its followers do.
     #[must_use]
-    pub fn waiter(&self) -> Waiter {
+    pub(crate) fn waiter(&self) -> Waiter {
         Waiter {
             flight: Arc::clone(&self.flight),
             cache: Arc::clone(&self.cache),
@@ -676,7 +658,17 @@ mod tests {
             CacheOutcome::Lead(g) => cache.complete(g, Ok(output(7.0))),
             other => panic!("expected Lead, got {other:?}"),
         }
-        cache.poison_shard_for_test(21);
+        // Poison the shard's mutex: a throwaway thread panics holding it.
+        let shard = cache.inner.memory_shard(21);
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(|| {
+                let _guard = shard
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                panic!("deliberate poison for test");
+            });
+            assert!(handle.join().is_err(), "poison thread must panic");
+        });
         // Data survives the poison: hit still served, peek still works,
         // stats still readable, new keys on the shard still lead.
         match cache.get_or_lead(21) {

@@ -257,7 +257,7 @@ impl DiskTier {
     /// This is the transfer format of the replica-warming protocol: the
     /// bytes round-trip unchanged into a peer's [`DiskTier::ingest`].
     #[must_use]
-    pub fn read_validated(&self, key: u64) -> Option<Vec<u8>> {
+    pub(crate) fn read_validated(&self, key: u64) -> Option<Vec<u8>> {
         let bytes = match fs::read(self.path_for(key)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -279,7 +279,7 @@ impl DiskTier {
     /// complete, checksummed format-v1 entry for exactly this `key`;
     /// anything else is dropped without touching the directory. Returns
     /// whether the entry landed.
-    pub fn ingest(&self, key: u64, bytes: &[u8]) -> bool {
+    pub(crate) fn ingest(&self, key: u64, bytes: &[u8]) -> bool {
         if decode(key, bytes).is_none() {
             return false;
         }

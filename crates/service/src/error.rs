@@ -110,7 +110,7 @@ impl ServiceError {
     /// `Retry-After` header); permanent failures keep their 4xx/5xx
     /// classes.
     #[must_use]
-    pub fn http_status(&self) -> u16 {
+    pub(crate) fn http_status(&self) -> u16 {
         match self {
             ServiceError::Overloaded { .. } => 503,
             ServiceError::DeadlineExceeded => 504,
@@ -193,12 +193,12 @@ impl ServiceError {
     /// re-enqueue overloaded work — that would defeat admission control —
     /// so [`crate::service::SiService`] only auto-retries the first two.
     #[must_use]
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         matches!(self, ServiceError::Transient(_) | ServiceError::Internal(_))
     }
 
     /// Whether a *client* should back off and resubmit: everything
-    /// [`ServiceError::is_retryable`] covers plus load-shed rejections and
+    /// `ServiceError::is_retryable` covers plus load-shed rejections and
     /// requests the front end timed out before receiving.
     #[must_use]
     pub fn is_client_retryable(&self) -> bool {

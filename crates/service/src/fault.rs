@@ -133,7 +133,7 @@ impl FaultPlan {
     /// The fault (if any) scheduled for event `index`, ignoring the
     /// `max_faults` cap — the pure decision function.
     #[must_use]
-    pub fn decide(&self, index: u64) -> Option<FaultKind> {
+    pub(crate) fn decide(&self, index: u64) -> Option<FaultKind> {
         let roll = splitmix64(self.seed ^ index.wrapping_mul(0x2545_f491_4f6c_dd1d)) % 1000;
         let mut edge = self.panic_pm;
         if roll < edge {
@@ -232,7 +232,7 @@ impl FaultInjector {
 
     /// Whether the injector is still injecting.
     #[must_use]
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.armed.load(Ordering::SeqCst)
     }
 

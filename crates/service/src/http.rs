@@ -254,22 +254,22 @@ mod poll_sys {
     use std::os::raw::{c_int, c_short};
 
     #[repr(C)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: c_int,
         pub events: c_short,
         pub revents: c_short,
     }
 
-    pub const POLLIN: c_short = 0x001;
-    pub const POLLOUT: c_short = 0x004;
+    pub(crate) const POLLIN: c_short = 0x001;
+    pub(crate) const POLLOUT: c_short = 0x004;
 
     #[cfg(target_os = "linux")]
-    pub type NFds = std::os::raw::c_ulong;
+    pub(crate) type NFds = std::os::raw::c_ulong;
     #[cfg(not(target_os = "linux"))]
-    pub type NFds = std::os::raw::c_uint;
+    pub(crate) type NFds = std::os::raw::c_uint;
 
     extern "C" {
-        pub fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+        pub(crate) fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
     }
 }
 

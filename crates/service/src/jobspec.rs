@@ -292,7 +292,7 @@ impl JobSpec {
     /// Whether this spec runs as a streaming job: chunked execution,
     /// per-chunk checkpoints, resumable after a crash.
     #[must_use]
-    pub fn is_stream(&self) -> bool {
+    pub(crate) fn is_stream(&self) -> bool {
         matches!(self, JobSpec::TranStream { .. })
     }
 
@@ -1414,7 +1414,7 @@ fn analysis_error(e: si_analog::AnalogError) -> ServiceError {
 /// next chunk boundary — the end-of-chunk MNA solution and the Welch
 /// accumulator's running state.
 #[derive(Debug)]
-pub struct StreamState<'a> {
+pub(crate) struct StreamState<'a> {
     line: &'a DelayLine,
     params: TranParams,
     steps: usize,
@@ -1575,12 +1575,6 @@ impl<'a> StreamState<'a> {
         })
     }
 
-    /// Chunks completed so far.
-    #[must_use]
-    pub fn chunks_done(&self) -> usize {
-        self.chunks_done
-    }
-
     /// Total chunks the run needs.
     #[must_use]
     pub fn chunks_total(&self) -> usize {
@@ -1592,7 +1586,7 @@ impl<'a> StreamState<'a> {
     /// disk format as `.sic` result entries. `job_key` is folded in so a
     /// checkpoint can never resume a different job.
     #[must_use]
-    pub fn to_checkpoint(&self, job_key: u64) -> JobOutput {
+    pub(crate) fn to_checkpoint(&self, job_key: u64) -> JobOutput {
         let mut values = self.solution.raw().to_vec();
         let state_len = values.len();
         values.extend_from_slice(self.acc.power_sum());

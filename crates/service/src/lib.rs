@@ -10,13 +10,13 @@
 //!   parameters ([`jobspec::JobSpec::job_key`]). Ask the same question
 //!   twice, pay for one solve.
 //! - **Single-flight deduplication** — concurrent identical jobs coalesce
-//!   onto one computation ([`cache::ResultCache`]).
+//!   onto one computation (`cache::ResultCache`).
 //! - **Tiered persistence** — results live in a sharded memory tier and,
 //!   when a cache directory is configured, a crash-safe checksummed disk
 //!   tier that survives process restarts ([`disk::DiskTier`]).
 //! - **Bounded admission** — a fixed worker pool behind a fixed-depth
 //!   queue sheds load with a typed [`error::ServiceError::Overloaded`]
-//!   instead of queueing without bound ([`pool::WorkerPool`]).
+//!   instead of queueing without bound (`pool::WorkerPool`).
 //! - **A std-only wire** — hand-rolled HTTP/1.1 and JSON ([`http`],
 //!   [`json`]), because the build environment vendors no network or serde
 //!   crates.
@@ -59,7 +59,7 @@ pub mod retry;
 pub mod router;
 pub mod service;
 
-pub use budget::{price_circuit, AdmissionBudget, CircuitCost};
+pub use budget::{AdmissionBudget, CircuitCost};
 pub use cache::{CacheTier, TierStats};
 pub use disk::{DiskTier, DiskTierConfig};
 pub use error::ServiceError;

@@ -5,7 +5,7 @@
 //! symbolic cache, and telemetry collector — the service-shaped version
 //! of the engine's "workspace reuse" discipline. The queue between the
 //! acceptor and the workers is a `sync_channel` of fixed depth: when it
-//! is full, [`WorkerPool::try_submit`] fails *immediately* with
+//! is full, `WorkerPool::try_submit` fails *immediately* with
 //! [`ServiceError::Overloaded`] instead of queueing unboundedly — load
 //! shedding at admission, where it is cheap, rather than at timeout,
 //! where it is not.
@@ -19,7 +19,7 @@
 //!
 //! Shutdown is graceful by construction: dropping the sender ends the
 //! channel, each worker drains what was already admitted, publishes its
-//! final telemetry snapshot, and exits; [`WorkerPool::shutdown`] joins
+//! final telemetry snapshot, and exits; `WorkerPool::shutdown` joins
 //! them all.
 //!
 //! Workers are **panic-proof**: each task runs under `catch_unwind`, so a
@@ -45,11 +45,11 @@ use crate::error::ServiceError;
 use crate::lock_recover;
 
 /// A unit of work: runs on a worker's workspace.
-pub type Task = Box<dyn FnOnce(&mut EngineWorkspace) + Send>;
+pub(crate) type Task = Box<dyn FnOnce(&mut EngineWorkspace) + Send>;
 
 /// Pool sizing.
 #[derive(Debug, Clone, Copy)]
-pub struct PoolConfig {
+pub(crate) struct PoolConfig {
     /// Number of worker threads (each with its own workspace).
     pub workers: usize,
     /// Maximum number of admitted-but-unstarted jobs.
@@ -67,7 +67,7 @@ impl Default for PoolConfig {
 
 /// Live pool counters.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct PoolStats {
+pub(crate) struct PoolStats {
     /// Jobs accepted into the queue since startup.
     pub submitted: u64,
     /// Jobs a worker finished running.
@@ -85,7 +85,7 @@ pub struct PoolStats {
 /// Shutdown state lives behind mutexes so a shared (`Arc`-held) pool can
 /// still be drained by any handle — the HTTP server and a signal handler
 /// both see the same pool without a `&mut`.
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     sender: Mutex<Option<SyncSender<Task>>>,
     handles: Mutex<Vec<thread::JoinHandle<()>>>,
     stats_slots: Vec<Arc<Mutex<EngineStats>>>,
@@ -142,7 +142,7 @@ impl WorkerPool {
     ///
     /// [`ServiceError::Overloaded`] when the queue is full,
     /// [`ServiceError::ShuttingDown`] after [`WorkerPool::shutdown`].
-    pub fn try_submit(&self, task: Task) -> Result<(), ServiceError> {
+    pub(crate) fn try_submit(&self, task: Task) -> Result<(), ServiceError> {
         // Clone the sender out so the solve-length send never holds the
         // shutdown lock.
         let sender = {
@@ -177,7 +177,7 @@ impl WorkerPool {
     /// [`WorkerPool::shutdown`] has taken the sender. The `/readyz`
     /// readiness probe reports this without burning a queue slot.
     #[must_use]
-    pub fn is_admitting(&self) -> bool {
+    pub(crate) fn is_admitting(&self) -> bool {
         lock_recover(&self.sender).is_some()
     }
 
@@ -202,7 +202,7 @@ impl WorkerPool {
 
     /// Engine telemetry merged across every worker's workspace — the
     /// scheduling-independent totals (see [`EngineStats::merge`]).
-    pub fn merged_engine_stats(&self) -> EngineStats {
+    pub(crate) fn merged_engine_stats(&self) -> EngineStats {
         let mut total = EngineStats::new();
         for slot in &self.stats_slots {
             let snap = lock_recover(slot);

@@ -81,7 +81,7 @@ impl RetryPolicy {
 
     /// The same policy with per-client seeded jitter enabled.
     #[must_use]
-    pub fn with_jitter_seed(self, seed: u64) -> Self {
+    pub(crate) fn with_jitter_seed(self, seed: u64) -> Self {
         RetryPolicy {
             jitter_seed: Some(seed),
             ..self
@@ -111,19 +111,15 @@ impl RetryPolicy {
         let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
         Some(nominal.mul_f64(0.5 + 0.5 * unit))
     }
+}
 
-    /// The whole schedule, for policy tables and tests.
-    #[must_use]
-    pub fn schedule(&self) -> Vec<Duration> {
+#[cfg(test)]
+impl RetryPolicy {
+    /// The whole schedule.
+    fn schedule(&self) -> Vec<Duration> {
         (0..self.max_retries)
             .filter_map(|k| self.delay(k))
             .collect()
-    }
-
-    /// Worst-case total time spent sleeping if every retry fires.
-    #[must_use]
-    pub fn total_backoff(&self) -> Duration {
-        self.schedule().iter().sum()
     }
 }
 
@@ -150,7 +146,6 @@ mod tests {
                 Duration::from_millis(120), // capped, not 160
             ]
         );
-        assert_eq!(p.total_backoff(), Duration::from_millis(270));
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct RouterConfig {
     /// keep-alive connections kept per replica.
     pub max_in_flight: usize,
     /// Backoff schedule between failover sweeps when no replica could
-    /// take a job. Seed its jitter ([`RetryPolicy::with_jitter_seed`])
+    /// take a job. Seed its jitter (`RetryPolicy::with_jitter_seed`)
     /// so concurrent clients don't stampede a recovering replica.
     pub retry: RetryPolicy,
     /// Pull moved cache entries to their new owner on ring changes.
@@ -248,7 +248,7 @@ impl Router {
 
     /// Probes every replica's `/readyz` once and rebuilds the ring if
     /// any readiness changed. Returns whether membership changed.
-    pub fn probe_once(&self) -> bool {
+    pub(crate) fn probe_once(&self) -> bool {
         let mut changed = false;
         for replica in &self.replicas {
             let ready_now = matches!(replica.probe.request("GET", "/readyz", None), Ok((200, _)));

@@ -1,8 +1,8 @@
 //! The service core: cache-aware job submission, deadlines, cancellation,
 //! and the `/metrics` aggregation.
 //!
-//! [`SiService`] glues the [`ResultCache`] in front of the
-//! [`WorkerPool`]:
+//! [`SiService`] glues the `ResultCache` in front of the
+//! `WorkerPool`:
 //!
 //! 1. A submission is first content-addressed. Cache hits return without
 //!    touching the pool; concurrent duplicates coalesce onto the one
@@ -31,7 +31,7 @@
 //!
 //! The submission path survives a worker panicking mid-job: the pool
 //! catches the unwind (the worker thread lives on), the
-//! [`LeadGuard`] drop backstop releases the leader and its followers
+//! `LeadGuard` drop backstop releases the leader and its followers
 //! with [`ServiceError::Internal`], and a cancellation-flag drop guard
 //! inside the task closure prevents the `cancel_flags` map from leaking
 //! entries for unwound leaders. Transient failures — Newton budget
@@ -265,7 +265,7 @@ impl SiService {
     /// `(pulled, failed)`; a peer miss, a transport error, or bytes that
     /// fail checksum validation all count as failed — warming is
     /// best-effort and a failed pull just means the job re-solves here.
-    pub fn warm_from_peer(&self, peer: &str, keys: &[u64]) -> (u64, u64) {
+    pub(crate) fn warm_from_peer(&self, peer: &str, keys: &[u64]) -> (u64, u64) {
         // Memory-only replicas have nowhere durable to put entries, and
         // an unresolvable peer has nothing to give.
         let target = self.disk_cache().cloned().and_then(|disk| {
@@ -345,7 +345,7 @@ impl SiService {
     /// uppercase). Job ids, cache keys and disk entry names all read
     /// through here.
     #[must_use]
-    pub fn parse_job_id(id: &str) -> Option<u64> {
+    pub(crate) fn parse_job_id(id: &str) -> Option<u64> {
         if id.len() != 16 || !id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
             return None;
         }
@@ -357,7 +357,7 @@ impl SiService {
     /// overrides the service default; `None` with no default waits
     /// indefinitely.
     ///
-    /// Transient failures ([`ServiceError::is_retryable`]: Newton budget
+    /// Transient failures (`ServiceError::is_retryable`: Newton budget
     /// exhaustion, a worker crash) are retried with the configured
     /// deterministic capped backoff before being surfaced. The deadline
     /// is an end-to-end budget for this call: it is anchored once, before
@@ -630,18 +630,6 @@ impl SiService {
             cancel.store(true, Ordering::Relaxed);
         }
         self.finish(result.map(|out| (key, out, false)))
-    }
-
-    /// Requests cancellation of an in-flight job. Returns `true` if the
-    /// job was in flight (the flag was set), `false` if unknown or done.
-    pub fn cancel(&self, key: u64) -> bool {
-        match lock_recover(&self.cancel_flags).get(&key) {
-            Some(flag) => {
-                flag.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Looks up a previously submitted job by key: its kind tag and, if
