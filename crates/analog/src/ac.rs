@@ -30,8 +30,6 @@ use si_dsp::Complex;
 pub enum AcStimulus {
     /// A 1 A AC current injected into a node (returned from ground).
     CurrentInto(NodeId),
-    /// A 1 V AC excitation on the named voltage source.
-    VoltageOf(String),
 }
 
 /// What is read out.
@@ -90,13 +88,12 @@ impl Default for AcAnalysis {
 
 impl AcStimulus {
     /// The unknown the unit stimulus drives.
-    fn unknown(&self, circuit: &Circuit) -> Result<usize, AnalogError> {
+    fn unknown(&self) -> Result<usize, AnalogError> {
         match self {
             AcStimulus::CurrentInto(node) => node_row(*node).ok_or(AnalogError::InvalidParameter {
                 name: "stimulus",
                 constraint: "cannot inject into ground",
             }),
-            AcStimulus::VoltageOf(name) => branch_unknown(circuit, name),
         }
     }
 }
@@ -240,7 +237,7 @@ impl AcAnalysis {
         ws: &mut EngineWorkspace,
     ) -> Result<Vec<Complex>, AnalogError> {
         let voltages = op.node_voltages();
-        let stimulus = stimulus.unknown(circuit)?;
+        let stimulus = stimulus.unknown()?;
         let probe = probe.unknown(circuit)?;
         let mut out = Vec::with_capacity(freqs_hz.len());
         for &f in freqs_hz {
@@ -359,25 +356,27 @@ mod tests {
     }
 
     #[test]
-    fn voltage_stimulus_and_branch_probe() {
-        // Series V source → R → ground; branch current = V/R at all f.
+    fn branch_probe_reads_ammeter_current() {
+        // 1 A into a → R → 0 V ammeter to ground: the ammeter carries
+        // all of it at every frequency, less the gmin shunt at a (2e-9).
         let mut c = Circuit::new();
         let a = c.node("a");
-        c.voltage_source("Vs", a, Circuit::GROUND, Volts(0.0))
+        let b = c.node("b");
+        c.resistor("R", a, b, Ohms(2e3)).unwrap();
+        c.voltage_source("Vs", b, Circuit::GROUND, Volts(0.0))
             .unwrap();
-        c.resistor("R", a, Circuit::GROUND, Ohms(2e3)).unwrap();
         let op = DcSolver::new().solve(&c).unwrap();
         let resp = AcAnalysis::default()
             .response(
                 &c,
                 &op,
-                &AcStimulus::VoltageOf("Vs".into()),
+                &AcStimulus::CurrentInto(a),
                 &AcProbe::BranchCurrent("Vs".into()),
                 &[1e3, 1e6],
             )
             .unwrap();
         for r in resp {
-            assert!((r.abs() - 0.5e-3).abs() < 1e-9, "|I| {}", r.abs());
+            assert!((r.abs() - 1.0).abs() < 1e-8, "|I| {}", r.abs());
         }
     }
 

@@ -71,11 +71,6 @@ pub enum AnalogError {
         /// Human-readable description of what went wrong.
         message: String,
     },
-    /// A drive request named a current source the netlist does not define.
-    UnknownDriveSource {
-        /// The requested source name.
-        source: String,
-    },
 }
 
 impl fmt::Display for AnalogError {
@@ -115,9 +110,6 @@ impl fmt::Display for AnalogError {
                 column,
                 message,
             } => write!(f, "netlist parse error at line {line}, column {column}: {message}"),
-            AnalogError::UnknownDriveSource { source } => {
-                write!(f, "netlist defines no current source named `{source}`")
-            }
         }
     }
 }
@@ -160,9 +152,6 @@ mod tests {
                 line: 3,
                 column: 8,
                 message: "bad resistance value `5kk`: trailing characters after the number".into(),
-            },
-            AnalogError::UnknownDriveSource {
-                source: "Iin".into(),
             },
         ]
     }
@@ -261,15 +250,6 @@ mod tests {
             msg,
             "netlist parse error at line 2, column 9: bad resistance value `oops`: not a number"
         );
-    }
-
-    #[test]
-    fn display_unknown_drive_source_names_source() {
-        let msg = AnalogError::UnknownDriveSource {
-            source: "Iin".into(),
-        }
-        .to_string();
-        assert_eq!(msg, "netlist defines no current source named `Iin`");
     }
 
     #[test]

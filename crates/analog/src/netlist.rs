@@ -6,6 +6,7 @@
 //! validate parameters and reject duplicate names.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::device::mos::MosParams;
 use crate::device::passive::{Capacitor, Resistor};
@@ -196,6 +197,9 @@ pub struct Circuit {
     elements: Vec<Element>,
     element_lookup: HashMap<String, ElementId>,
     vsource_count: usize,
+    /// [`Circuit::structure_fingerprint`], computed on first use and
+    /// reset by every structural mutation (a new node, a new element).
+    structure: OnceLock<u64>,
 }
 
 impl Circuit {
@@ -211,6 +215,7 @@ impl Circuit {
             elements: Vec::new(),
             element_lookup: HashMap::new(),
             vsource_count: 0,
+            structure: OnceLock::new(),
         };
         c.node_names.push("0".to_string());
         c.node_lookup.insert("0".to_string(), NodeId(0));
@@ -230,6 +235,7 @@ impl Circuit {
         let id = NodeId(self.node_names.len());
         self.node_names.push(canonical.to_string());
         self.node_lookup.insert(canonical.to_string(), id);
+        self.structure.take();
         id
     }
 
@@ -261,8 +267,15 @@ impl Circuit {
     /// [`Fnv1a`] rather than [`std::hash::DefaultHasher`] because the latter
     /// is randomized per process and this fingerprint keys a cache that
     /// must behave identically run to run.
+    ///
+    /// The hash is computed once and cached until the structure changes,
+    /// so the solver can check it on every Newton iteration for free.
     #[must_use]
     pub fn structure_fingerprint(&self) -> u64 {
+        *self.structure.get_or_init(|| self.hash_structure())
+    }
+
+    fn hash_structure(&self) -> u64 {
         let mut h = Fnv1a::new();
         let mut mix = |v: u64| h.mix_u64(v);
         mix(self.node_count() as u64);
@@ -509,6 +522,7 @@ impl Circuit {
             kind,
         });
         self.element_lookup.insert(name.to_string(), id);
+        self.structure.take();
         Ok(id)
     }
 
@@ -734,6 +748,56 @@ mod tests {
         assert_eq!(hash(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(hash(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(hash(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// The cached structure fingerprint follows every structural edit: a
+    /// new node and a new element each reset it, so it always equals a
+    /// fresh build's. A value-only edit keeps the cached value.
+    #[test]
+    fn cached_structure_fingerprint_follows_structural_edits() {
+        let build = |extra_node: bool, extra_element: bool| {
+            let mut c = Circuit::new();
+            let a = c.node("a");
+            c.current_source("I1", Circuit::GROUND, a, Amps(1e-3))
+                .unwrap();
+            c.resistor("R1", a, Circuit::GROUND, Ohms(1e3)).unwrap();
+            if extra_node {
+                let b = c.node("b");
+                if extra_element {
+                    c.resistor("R2", a, b, Ohms(2e3)).unwrap();
+                }
+            }
+            c
+        };
+        let mut c = build(false, false);
+        let before = c.structure_fingerprint();
+        let b = c.node("b");
+        assert_eq!(
+            c.structure_fingerprint(),
+            build(true, false).structure_fingerprint()
+        );
+        assert_ne!(c.structure_fingerprint(), before, "a new node is structure");
+        let with_node = c.structure_fingerprint();
+        let a = c.node("a");
+        c.resistor("R2", a, b, Ohms(2e3)).unwrap();
+        assert_eq!(
+            c.structure_fingerprint(),
+            build(true, true).structure_fingerprint()
+        );
+        assert_ne!(
+            c.structure_fingerprint(),
+            with_node,
+            "a new element is structure"
+        );
+
+        let cached = c.structure_fingerprint();
+        c.update_current_source("I1", Waveform::Dc(2e-3)).unwrap();
+        assert_eq!(
+            c.structure.get(),
+            Some(&cached),
+            "a value edit kept the cache"
+        );
+        assert_eq!(cached, c.hash_structure());
     }
 
     #[test]

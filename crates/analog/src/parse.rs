@@ -973,41 +973,6 @@ pub fn to_netlist(circuit: &Circuit) -> Result<String, AnalogError> {
 }
 
 #[cfg(test)]
-/// Convenience: parse, then update a named DC current source — handy for
-/// text-defined testbenches driven from sweeps.
-///
-/// # Errors
-///
-/// Returns [`AnalogError::UnknownDriveSource`] naming the requested source
-/// if the netlist does not define it, [`AnalogError::InvalidElement`] if
-/// the name refers to an element that is not a current source, and parse
-/// errors otherwise.
-pub(crate) fn parse_with_drive(
-    text: &str,
-    source: &str,
-    value: crate::units::Amps,
-) -> Result<Circuit, AnalogError> {
-    let mut circuit = parse_netlist(text)?;
-    match circuit.element(source) {
-        Err(_) => {
-            return Err(AnalogError::UnknownDriveSource {
-                source: source.to_string(),
-            })
-        }
-        Ok(el) => {
-            if !matches!(el.kind(), ElementKind::CurrentSource { .. }) {
-                return Err(AnalogError::InvalidElement {
-                    element: source.to_string(),
-                    constraint: "drive target is not a current source",
-                });
-            }
-        }
-    }
-    crate::dc::set_current_source(&mut circuit, source, value)?;
-    Ok(circuit)
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::cells::si_cell_chain;
@@ -1200,33 +1165,6 @@ mod tests {
         // Two 1k resistors to ground from 1 V → 2 mA through the source.
         let i = op.branch_current(0);
         assert!((i.0 + 2e-3).abs() < 1e-9, "i {}", i.0);
-    }
-
-    #[test]
-    fn parse_with_drive_updates_source() {
-        let ckt = parse_with_drive("I1 0 n 0\nR1 n 0 1k\n", "I1", Amps(1e-3)).unwrap();
-        let op = DcSolver::new().solve(&ckt).unwrap();
-        let mut c2 = ckt.clone();
-        let n = c2.node("n");
-        assert!((op.voltage(n).0 - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn parse_with_drive_names_missing_source() {
-        let err = parse_with_drive("I1 0 n 0\nR1 n 0 1k\n", "Imissing", Amps(1e-3)).unwrap_err();
-        assert_eq!(
-            err,
-            AnalogError::UnknownDriveSource {
-                source: "Imissing".into()
-            }
-        );
-        // An element that exists but is not a current source is a distinct
-        // failure naming the constraint.
-        let err = parse_with_drive("I1 0 n 0\nR1 n 0 1k\n", "R1", Amps(1e-3)).unwrap_err();
-        assert!(matches!(
-            err,
-            AnalogError::InvalidElement { ref element, .. } if element == "R1"
-        ));
     }
 
     #[test]

@@ -6,11 +6,21 @@
 //! *under* the in-memory sharded map (see [`crate::cache`] for the
 //! lookup/promotion order) and is built around three invariants:
 //!
-//! 1. **Crash-safe writes.** An entry is serialized to a `.tmp-` file,
-//!    fsynced, and atomically renamed into place. A process killed at any
-//!    instant leaves either the complete old state or the complete new
-//!    state at the final path — never a torn entry. Leftover `.tmp-`
-//!    files from a kill-mid-write are swept (and counted) at startup.
+//! 1. **Crash-consistent writes, self-healing after power loss.** An
+//!    entry is serialized to a `.tmp-` file and atomically renamed into
+//!    place; nothing is fsynced. A process killed at any instant
+//!    (`SIGKILL` included) leaves either the complete old state or the
+//!    complete new state at the final path — never a torn entry — because
+//!    written data already sits in the kernel's page cache. Leftover
+//!    `.tmp-` files from a kill-mid-write are swept (and counted) at
+//!    startup. A power loss can lose what the page cache had not yet
+//!    written back: a renamed file may read back zero-length, truncated,
+//!    zero-filled, or with the contents of an earlier write. The
+//!    validation of invariant 2 quarantines every invalid outcome, and an
+//!    earlier valid write of the same content key holds the same result
+//!    (a stream checkpoint's holds an earlier chunk's state, which the
+//!    stream resumes from), so an entry may be lost (costing a re-solve)
+//!    but a bad entry is never served.
 //! 2. **Checksummed, versioned format.** Every file carries a magic tag,
 //!    a format version, its own key, and a trailing FNV-1a checksum over
 //!    the payload. A file that fails any of these checks — foreign bytes,
@@ -41,8 +51,7 @@
 //! `si_loadgen --restart` asserts exactly this.
 
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -133,7 +142,7 @@ impl Index {
     }
 }
 
-/// A content-addressed, crash-safe, byte-budgeted persistent cache tier.
+/// A content-addressed, crash-consistent, byte-budgeted persistent cache tier.
 #[derive(Debug)]
 pub struct DiskTier {
     dir: PathBuf,
@@ -286,20 +295,16 @@ impl DiskTier {
         self.write_atomic(key, bytes)
     }
 
-    /// write → fsync → rename: a kill at any instant leaves either no
-    /// entry (tmp swept at next startup) or the complete entry.
+    /// write → rename, no fsync: a kill at any instant leaves either no
+    /// entry (tmp swept at next startup) or the complete entry. After a
+    /// power loss the renamed file may hold any of the outcomes listed in
+    /// the module doc; validation on read rejects the invalid ones.
     fn write_atomic(&self, key: u64, buf: &[u8]) -> bool {
         let seq = self.write_seq.fetch_add(1, Ordering::Relaxed);
         let pid = std::process::id();
         let tmp = self.dir.join(format!(".tmp-{key:016x}-{pid}-{seq}"));
         let final_path = self.path_for(key);
-        let written = (|| -> std::io::Result<()> {
-            let mut f = File::create(&tmp)?;
-            f.write_all(buf)?;
-            f.sync_all()?;
-            fs::rename(&tmp, &final_path)?;
-            Ok(())
-        })();
+        let written = fs::write(&tmp, buf).and_then(|()| fs::rename(&tmp, &final_path));
         match written {
             Ok(()) => {
                 self.writes.fetch_add(1, Ordering::Relaxed);
@@ -661,6 +666,104 @@ mod tests {
         tier.plant_torn_entry_for_test(5, &out);
         assert!(tier.load(5).is_none());
         assert_eq!(tier.stats().corrupt_evicted, 4);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What a power loss can leave at a renamed entry's final path when
+    /// its data never fully reached the disk: nothing (zero-length), a
+    /// prefix (truncated mid-payload), or the right size but no contents
+    /// (zero-filled). `valid` is the entry that was written.
+    fn invalid_power_loss_outcomes(valid: &[u8]) -> [(&'static str, Vec<u8>); 3] {
+        [
+            ("zero-length", Vec::new()),
+            ("truncated mid-payload", valid[..valid.len() / 2].to_vec()),
+            ("zero-filled", vec![0; valid.len()]),
+        ]
+    }
+
+    /// Every invalid power-loss outcome is refused by both read paths —
+    /// `load` (the service) and `read_validated` (a peer) — quarantined
+    /// and counted in `corrupt_evicted`.
+    #[test]
+    fn invalid_power_loss_outcomes_are_quarantined_on_every_read_path() {
+        let dir = tmpdir("power-loss-tier");
+        let tier = DiskTier::open(DiskTierConfig::at(&dir)).unwrap();
+        let out = output(8, 5.0);
+        tier.store(31, &out);
+        let path = tier.path_for(31);
+        let valid = fs::read(&path).unwrap();
+        for (outcome, bytes) in invalid_power_loss_outcomes(&valid) {
+            fs::write(&path, &bytes).unwrap();
+            assert!(tier.load(31).is_none(), "{outcome} served by load");
+            assert!(!path.exists(), "{outcome}: not deleted by load");
+            fs::write(&path, &bytes).unwrap();
+            assert!(
+                tier.read_validated(31).is_none(),
+                "{outcome} served to a peer"
+            );
+            assert!(!path.exists(), "{outcome}: not deleted by read_validated");
+        }
+        assert_eq!(tier.stats().corrupt_evicted, 6);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The durability model end to end: after each power-loss outcome at
+    /// a stored result's final path, a restarted service either re-solves
+    /// (invalid file: quarantined, counted, never served) or serves the
+    /// stale entry (the content key's earlier valid write) — and its
+    /// answer is bit-identical to the first solve either way.
+    #[test]
+    fn power_loss_outcomes_cost_a_re_solve_never_a_wrong_answer() {
+        use crate::jobspec::JobSpec;
+        use crate::service::ServiceConfig;
+
+        let dir = tmpdir("power-loss-service");
+        let service = || {
+            SiService::new(ServiceConfig {
+                workers: 1,
+                queue_capacity: 4,
+                cache_dir: Some(dir.clone()),
+                ..ServiceConfig::default()
+            })
+        };
+        let spec = JobSpec::DelayLineDc {
+            stages: 3,
+            bias_ua: 20.0,
+            input_ua: 1.5,
+        };
+        let (first, cached) = service().submit_blocking(&spec, None).unwrap();
+        assert!(!cached);
+        let path = dir.join(format!("{:016x}.sic", spec.job_key()));
+        // Each re-solve below rewrites the file, so these bytes are the
+        // earlier write that a lost rename would leave behind.
+        let earlier_write = fs::read(&path).unwrap();
+        let outcomes = invalid_power_loss_outcomes(&earlier_write)
+            .map(|(outcome, bytes)| (outcome, bytes, false))
+            .into_iter()
+            .chain([("stale earlier write", earlier_write.clone(), true)]);
+        for (outcome, bytes, valid) in outcomes {
+            fs::write(&path, &bytes).unwrap();
+            // A restart: the memory tier is empty, so the file decides.
+            let svc = service();
+            let (again, cached) = svc.submit_blocking(&spec, None).unwrap();
+            assert_eq!(cached, valid, "{outcome}: served from disk?");
+            assert_eq!(again.metrics, first.metrics, "{outcome}");
+            let bits = |o: &JobOutput| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&again), bits(&first), "{outcome}: not bit-identical");
+            let m = svc.metrics();
+            let corrupt = m.get("cache").unwrap().get("corrupt_evicted").unwrap();
+            assert_eq!(
+                corrupt.as_f64(),
+                Some(if valid { 0.0 } else { 1.0 }),
+                "{outcome}"
+            );
+            svc.shutdown();
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                earlier_write,
+                "{outcome}: entry not healed"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -10,12 +10,13 @@
 //! shedding at admission, where it is cheap, rather than at timeout,
 //! where it is not.
 //!
-//! Worker threads are also where results become durable: the task
+//! Worker threads are also where results are persisted: the task
 //! closure calls the cache's `complete` — which writes through to the
 //! persistent disk tier when one is configured — on the worker, before
 //! any waiter on the flight wakes. Persistence costs worker time, never the
 //! listener's event loop, and any result a caller has observed is
-//! already on disk.
+//! already in its cache file, where a killed process cannot lose it (a
+//! power loss can; see [`crate::disk`]).
 //!
 //! Shutdown is graceful by construction: dropping the sender ends the
 //! channel, each worker drains what was already admitted, publishes its

@@ -865,10 +865,13 @@ impl Units for Executor<'_> {
         shared.chunks.fetch_add(1, Ordering::Relaxed);
         if let Some(disk) = self.disk {
             // Checkpoints ride the disk tier's `.sic` discipline:
-            // checksummed, written via atomic rename, quarantined on
-            // corruption — a SIGKILL mid-write costs one chunk, never a
-            // wrong resume. A completed run's checkpoint is left to LRU
-            // eviction; resuming from it is a no-op finish.
+            // checksummed, written via atomic rename without an fsync,
+            // quarantined on corruption. A SIGKILL mid-write costs one
+            // chunk. After a power loss the file may be invalid (the run
+            // starts over) or an earlier chunk's valid checkpoint (the run
+            // resumes from there) — never a wrong resume. A completed
+            // run's checkpoint is left to LRU eviction; resuming from it
+            // is a no-op finish.
             let checkpoint = Arc::new(state.to_checkpoint(self.key));
             disk.store(JobSpec::checkpoint_key(self.key), &checkpoint);
             shared.checkpoints.fetch_add(1, Ordering::Relaxed);
@@ -1800,6 +1803,114 @@ mod tests {
         );
         svc.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A mid-chunk plan that lets a stream's first attempt finish and
+    /// checkpoint exactly `chunks` chunks, then panics before the next.
+    /// A stream draws before every chunk but its first, so the panic is
+    /// draw `chunks - 1`; the seed is the first whose draws fall that way.
+    fn panic_after_chunks(chunks: u64) -> crate::fault::FaultPlan {
+        (0..)
+            .map(|seed| crate::fault::FaultPlan {
+                panic_mid_chunk_pm: 500,
+                ..crate::fault::FaultPlan::mid_chunk(seed, 1)
+            })
+            .find(|plan| (0..chunks).all(|n| plan.decide(n).is_some() == (n == chunks - 1)))
+            .expect("some seed panics on exactly that draw")
+    }
+
+    /// Runs [`stream_spec`] once over `dir` without retries, under
+    /// [`panic_after_chunks`]`(chunks)`: the attempt fails and leaves the
+    /// checkpoint of `chunks` chunks on disk. Returns the service (its
+    /// injector spent) and the checkpoint's path.
+    fn stream_killed_after(dir: &std::path::Path, chunks: u64) -> (SiService, std::path::PathBuf) {
+        let svc = SiService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+            cache_dir: Some(dir.to_path_buf()),
+            retry: RetryPolicy::none(),
+            ..ServiceConfig::default()
+        });
+        svc.install_fault_injector(Arc::new(FaultInjector::new(panic_after_chunks(chunks))));
+        let spec = stream_spec();
+        assert!(
+            svc.submit_blocking(&spec, None).is_err(),
+            "the attempt must die"
+        );
+        let checkpoint = JobSpec::checkpoint_key(spec.job_key());
+        (svc, dir.join(format!("{checkpoint:016x}.sic")))
+    }
+
+    /// The power-loss model for stream checkpoints, on the panic-mid-chunk
+    /// harness: between a killed attempt and the next, chunk k's
+    /// checkpoint is replaced by what a power loss can leave — a
+    /// zero-length, truncated or zero-filled file (quarantined, the stream
+    /// reruns from chunk 0) or chunk k−1's valid checkpoint, the leftover
+    /// of a lost rename (the stream resumes from k−1). Every case ends
+    /// bit-identical to an uninterrupted run.
+    #[test]
+    fn damaged_stream_checkpoint_resumes_or_reruns_bit_identically() {
+        const K: u64 = 3;
+        // `stream_spec`'s 900 steps in chunks of 128.
+        const CHUNKS: f64 = 8.0;
+        let spec = stream_spec();
+        let reference = spec
+            .run(&mut si_analog::engine::EngineWorkspace::new())
+            .unwrap();
+        let stale = {
+            let dir = stream_tmpdir("checkpoint-stale");
+            let (svc, path) = stream_killed_after(&dir, K - 1);
+            let bytes = std::fs::read(path).unwrap();
+            svc.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        };
+        // (outcome, the chunk the stream resumes from)
+        let cases = [
+            ("zero-length", None),
+            ("truncated", None),
+            ("zero-filled", None),
+            ("stale chunk k-1", Some(K - 1)),
+        ];
+        for (outcome, resumed_from) in cases {
+            let dir = stream_tmpdir("checkpoint-damaged");
+            let (svc, path) = stream_killed_after(&dir, K);
+            let valid = std::fs::read(&path).unwrap();
+            let damaged = match outcome {
+                "zero-length" => Vec::new(),
+                "truncated" => valid[..valid.len() / 2].to_vec(),
+                "zero-filled" => vec![0; valid.len()],
+                _ => stale.clone(),
+            };
+            std::fs::write(&path, damaged).unwrap();
+            let (out, cached) = svc.submit_blocking(&spec, None).unwrap();
+            assert!(!cached, "{outcome}");
+            let bits = |o: &JobOutput| o.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&reference), "{outcome}: not bit-identical");
+            assert_eq!(out.metrics, reference.metrics, "{outcome}");
+            let m = svc.metrics();
+            let counter = |section: &str, name: &str| {
+                m.get(section).unwrap().get(name).unwrap().as_f64().unwrap()
+            };
+            let rerun_from = resumed_from.unwrap_or(0) as f64;
+            assert_eq!(
+                counter("service", "stream_resumed"),
+                if resumed_from.is_some() { 1.0 } else { 0.0 },
+                "{outcome}"
+            );
+            assert_eq!(
+                counter("service", "stream_chunks"),
+                K as f64 + CHUNKS - rerun_from,
+                "{outcome}: chunks solved"
+            );
+            assert_eq!(
+                counter("cache", "corrupt_evicted"),
+                if resumed_from.is_some() { 0.0 } else { 1.0 },
+                "{outcome}"
+            );
+            svc.shutdown();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     /// Progress of an in-flight stream is observable from another thread
