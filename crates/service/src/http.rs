@@ -14,11 +14,20 @@
 //!   thread runs a blocking route) → **Writing** (drain the response)
 //!   → back to Reading on keep-alive,
 //! - `Handler::inline` answers cheap routes on the loop thread;
-//!   whatever it declines runs through `Handler::blocking` on a
-//!   handler thread, so only in-flight blocking requests occupy a thread.
-//!   `inline` hands `blocking` its `Handler::Deferred`: the service's
-//!   decoded `POST /v1/jobs` spec and deadline (decoded once, on the
-//!   loop) or `POST /v1/warm` body; the router's request, unchanged,
+//!   whatever it declines runs through `Handler::blocking` on a pooled
+//!   handler thread. `inline` hands `blocking` its `Handler::Deferred`:
+//!   the service's decoded `POST /v1/jobs` spec and deadline (decoded
+//!   once, on the loop) or `POST /v1/warm` body; the router's request,
+//!   unchanged,
+//! - the handler pool starts a thread only when none is parked. A
+//!   thread that finishes parks on the pool's idle stack *before* it
+//!   hands its response back, and the loop takes the most recently
+//!   parked thread first, so a closed-loop client's next request finds
+//!   the same warm thread. There is no queue: a blocking request that
+//!   finds the stack empty gets a new thread at once, so the pool holds
+//!   at most as many threads as there were `Waiting` connections at
+//!   once. Stopping the loop closes the pool: parked threads exit at
+//!   once, busy ones after they hand back their response,
 //! - a wake pipe lets handler threads hand finished responses back to
 //!   the loop without waiting out a poll tick.
 //!
@@ -75,7 +84,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -161,6 +170,12 @@ pub struct HttpStats {
     /// Gauge: answered connections draining the peer's unread bytes
     /// before the socket is dropped; never above `max_connections`.
     pub closing_connections: AtomicU64,
+    /// Handler threads started. A thread that finishes a blocking
+    /// request parks for the next one, so a steady closed-loop client
+    /// holds this flat.
+    pub handler_threads_spawned: AtomicU64,
+    /// Gauge: handler threads parked, waiting for a blocking request.
+    pub handler_threads_idle: AtomicU64,
 }
 
 impl HttpStats {
@@ -182,6 +197,14 @@ impl HttpStats {
             (
                 "closing_connections".to_string(),
                 num(&self.closing_connections),
+            ),
+            (
+                "handler_threads_spawned".to_string(),
+                num(&self.handler_threads_spawned),
+            ),
+            (
+                "handler_threads_idle".to_string(),
+                num(&self.handler_threads_idle),
             ),
         ])
     }
@@ -234,8 +257,8 @@ impl Response {
 
 /// The routes behind an event loop. `inline` runs on the loop thread
 /// and must not block; it answers, or returns `Err` with what it decoded
-/// to hand the request to `blocking`, which runs on a handler thread of
-/// its own. `http` is the loop's own counters, for the `"http"` section
+/// to hand the request to `blocking`, which runs on a pooled handler
+/// thread. `http` is the loop's own counters, for the `"http"` section
 /// of `/metrics`.
 pub(crate) trait Handler: Send + Sync + 'static {
     /// What `inline` hands `blocking` for a request it declines.
@@ -447,11 +470,65 @@ enum Disposition {
 }
 
 /// Everything the event loop and its handler threads share.
-struct LoopCtx<H> {
+struct LoopCtx<H: Handler> {
     handler: Arc<H>,
     stats: Arc<HttpStats>,
     config: HttpConfig,
     completions: Arc<Completions>,
+    idle: Mutex<Idle<H::Deferred>>,
+}
+
+/// A blocking request on its way to a handler thread.
+struct Task<D> {
+    token: usize,
+    work: D,
+    keep_alive: bool,
+}
+
+/// The handler pool's idle stack: one channel per parked thread, the
+/// most recently parked last.
+struct Idle<D> {
+    parked: Vec<mpsc::Sender<Task<D>>>,
+    /// Set when the loop stops; from then on no thread parks.
+    closed: bool,
+}
+
+impl<H: Handler> LoopCtx<H> {
+    /// Parks the calling handler thread on `mailbox`; `false` once the
+    /// pool is closed, when the thread should exit instead.
+    fn park(&self, mailbox: mpsc::Sender<Task<H::Deferred>>) -> bool {
+        let mut idle = lock_recover(&self.idle);
+        if idle.closed {
+            return false;
+        }
+        idle.parked.push(mailbox);
+        self.set_idle_gauge(&idle);
+        true
+    }
+
+    /// The most recently parked handler thread's mailbox, if any.
+    fn unpark(&self) -> Option<mpsc::Sender<Task<H::Deferred>>> {
+        let mut idle = lock_recover(&self.idle);
+        let mailbox = idle.parked.pop();
+        self.set_idle_gauge(&idle);
+        mailbox
+    }
+
+    /// Closes the pool: dropping the mailboxes ends every parked
+    /// thread's wait, and a busy thread exits once it hands back its
+    /// completion.
+    fn close_pool(&self) {
+        let mut idle = lock_recover(&self.idle);
+        idle.closed = true;
+        idle.parked.clear();
+        self.set_idle_gauge(&idle);
+    }
+
+    fn set_idle_gauge(&self, idle: &Idle<H::Deferred>) {
+        self.stats
+            .handler_threads_idle
+            .store(idle.parked.len() as u64, Ordering::Relaxed);
+    }
 }
 
 /// A running event loop: the bound listener, its thread, and its
@@ -482,16 +559,23 @@ impl EventLoop {
             queue: Mutex::new(Vec::new()),
             waker: Waker::new()?,
         });
-        let ctx = LoopCtx {
+        let ctx = Arc::new(LoopCtx {
             handler,
             stats: Arc::clone(&stats),
             config,
             completions: Arc::clone(&completions),
-        };
+            idle: Mutex::new(Idle {
+                parked: Vec::new(),
+                closed: false,
+            }),
+        });
         let loop_stop = Arc::clone(&stop);
         let loop_thread = thread::Builder::new()
             .name("si-http-loop".to_string())
-            .spawn(move || event_loop(&listener, &loop_stop, &ctx))?;
+            .spawn(move || {
+                event_loop(&listener, &loop_stop, &ctx);
+                ctx.close_pool();
+            })?;
         Ok(EventLoop {
             addr: local,
             stop,
@@ -501,7 +585,8 @@ impl EventLoop {
         })
     }
 
-    /// Stops and joins the loop thread; idempotent.
+    /// Stops and joins the loop thread, which closes the handler pool on
+    /// its way out; idempotent.
     pub(crate) fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         self.completions.waker.wake();
@@ -662,7 +747,7 @@ fn poll_wait(
     }
 }
 
-fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &LoopCtx<H>) {
+fn event_loop<H: Handler>(listener: &TcpListener, stop: &AtomicBool, ctx: &Arc<LoopCtx<H>>) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     // While `accept` is failing: until when, and how many slots were
     // occupied then (one fewer means a descriptor came free).
@@ -742,7 +827,7 @@ fn next_timeout_ms(conns: &[Option<Conn>]) -> i32 {
 /// Accepts the whole backlog. Returns `false` when `accept` failed with
 /// anything but `WouldBlock` (typically out of descriptors), so the
 /// caller backs off instead of polling a listener it cannot drain.
-fn accept_ready<H>(
+fn accept_ready<H: Handler>(
     listener: &TcpListener,
     conns: &mut Vec<Option<Conn>>,
     ctx: &LoopCtx<H>,
@@ -787,7 +872,11 @@ fn accept_ready<H>(
 
 /// Reads whatever the socket holds, then advances the state machine (a
 /// closing connection's bytes are read only to be discarded).
-fn handle_readable<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposition {
+fn handle_readable<H: Handler>(
+    conn: &mut Conn,
+    token: usize,
+    ctx: &Arc<LoopCtx<H>>,
+) -> Disposition {
     let mut chunk = [0u8; 8192];
     let reading = matches!(conn.state, ConnState::Reading);
     loop {
@@ -815,7 +904,7 @@ fn handle_readable<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) 
 
 /// Advances a connection's state machine as far as it will go without
 /// blocking: parse → dispatch → write → (keep-alive) parse again.
-fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposition {
+fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &Arc<LoopCtx<H>>) -> Disposition {
     loop {
         match conn.state {
             ConnState::Waiting => return Disposition::Keep,
@@ -847,11 +936,18 @@ fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposi
                     let keep_alive = request.keep_alive;
                     match ctx.handler.inline(request, &ctx.stats) {
                         Ok(response) => conn.start_write(&response, keep_alive, &ctx.config),
-                        Err(deferred) => {
+                        Err(work) => {
                             // The blocking route: park the connection and
                             // let a handler thread answer.
                             conn.state = ConnState::Waiting;
-                            spawn_blocking(token, deferred, keep_alive, ctx);
+                            dispatch(
+                                Task {
+                                    token,
+                                    work,
+                                    keep_alive,
+                                },
+                                ctx,
+                            );
                             return Disposition::Keep;
                         }
                     }
@@ -880,7 +976,12 @@ fn drive<H: Handler>(conn: &mut Conn, token: usize, ctx: &LoopCtx<H>) -> Disposi
 /// most `max_connections` connections linger; past that a closing socket
 /// is dropped at once, so a client that never closes cannot pin
 /// descriptors beyond twice the cap.
-fn settle<H>(conns: &mut [Option<Conn>], token: usize, disposition: Disposition, ctx: &LoopCtx<H>) {
+fn settle<H: Handler>(
+    conns: &mut [Option<Conn>],
+    token: usize,
+    disposition: Disposition,
+    ctx: &LoopCtx<H>,
+) {
     match disposition {
         Disposition::Keep => {}
         Disposition::Linger => {
@@ -906,7 +1007,7 @@ fn settle<H>(conns: &mut [Option<Conn>], token: usize, disposition: Disposition,
 /// an idle keep-alive connection is closed silently, so a pooled client
 /// never reads an unsolicited `408` as the answer to its next request.
 /// Waiting connections are exempt: the handler's own deadlines govern.
-fn sweep_deadlines<H: Handler>(conns: &mut [Option<Conn>], ctx: &LoopCtx<H>) {
+fn sweep_deadlines<H: Handler>(conns: &mut [Option<Conn>], ctx: &Arc<LoopCtx<H>>) {
     let now = Instant::now();
     for token in 0..conns.len() {
         let Some(conn) = conns[token].as_mut() else {
@@ -1065,35 +1166,71 @@ fn try_parse(buf: &[u8], max_body_bytes: usize) -> Parse {
     }
 }
 
-/// Runs [`Handler::blocking`] on its own thread and hands the response
-/// back through the completion queue. A panicking handler answers `500`
-/// instead of leaving the connection parked forever.
-fn spawn_blocking<H: Handler>(token: usize, work: H::Deferred, keep_alive: bool, ctx: &LoopCtx<H>) {
-    let handler = Arc::clone(&ctx.handler);
-    let stats = Arc::clone(&ctx.stats);
-    let completions = Arc::clone(&ctx.completions);
+/// Hands `task` to the most recently parked handler thread, or to a
+/// new one when none is parked. Every blocking request gets a thread at
+/// once, so none waits behind another; the pool never holds more
+/// threads than there were `Waiting` connections at once.
+fn dispatch<H: Handler>(mut task: Task<H::Deferred>, ctx: &Arc<LoopCtx<H>>) {
+    while let Some(mailbox) = ctx.unpark() {
+        match mailbox.send(task) {
+            Ok(()) => return,
+            // That thread is gone; the task comes back for the next.
+            Err(mpsc::SendError(back)) => task = back,
+        }
+    }
+    let token = task.token;
+    let thread_ctx = Arc::clone(ctx);
+    // Detached: `stop` must not wait out a running solve or forward.
+    // Closing the pool ends every thread instead (`close_pool`).
     let spawned = thread::Builder::new()
         .name("si-http-handler".to_string())
-        .spawn(move || {
-            let response =
-                std::panic::catch_unwind(AssertUnwindSafe(|| handler.blocking(work, &stats)))
-                    .unwrap_or_else(|_| {
-                        let err = ServiceError::Internal("request handler panicked".to_string());
-                        Response::error(&err)
-                    });
-            completions.push(Completion {
-                token,
-                response,
-                keep_alive,
-            });
-        });
-    if spawned.is_err() {
+        .spawn(move || handler_thread(task, &thread_ctx));
+    if spawned.is_ok() {
+        ctx.stats
+            .handler_threads_spawned
+            .fetch_add(1, Ordering::Relaxed);
+    } else {
         let err = ServiceError::Internal("could not spawn a request handler".to_string());
         ctx.completions.push(Completion {
             token,
             response: Response::error(&err),
             keep_alive: false,
         });
+    }
+}
+
+/// A pooled handler thread: answers `task` with [`Handler::blocking`]
+/// (a panic answers `500`), parks, and answers whatever the loop sends
+/// next, until the pool closes.
+fn handler_thread<H: Handler>(mut task: Task<H::Deferred>, ctx: &LoopCtx<H>) {
+    loop {
+        let Task {
+            token,
+            work,
+            keep_alive,
+        } = task;
+        let response =
+            std::panic::catch_unwind(AssertUnwindSafe(|| ctx.handler.blocking(work, &ctx.stats)))
+                .unwrap_or_else(|_| {
+                    let err = ServiceError::Internal("request handler panicked".to_string());
+                    Response::error(&err)
+                });
+        // Park before handing the answer back: a closed-loop client's
+        // next request then always finds this same warm thread.
+        let (mailbox, next) = mpsc::channel();
+        let parked = ctx.park(mailbox);
+        ctx.completions.push(Completion {
+            token,
+            response,
+            keep_alive,
+        });
+        if !parked {
+            return;
+        }
+        match next.recv() {
+            Ok(next) => task = next,
+            Err(_) => return, // the pool closed while this thread was parked
+        }
     }
 }
 
@@ -2627,6 +2764,180 @@ mod tests {
         peer_srv.shutdown();
         let _ = std::fs::remove_dir_all(&peer_dir);
         let _ = std::fs::remove_dir_all(&repl_dir);
+    }
+
+    /// Polls `done` every 2 ms for up to 10 s.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn spawned(stats: &HttpStats) -> u64 {
+        stats.handler_threads_spawned.load(Ordering::Relaxed)
+    }
+
+    fn idle(stats: &HttpStats) -> u64 {
+        stats.handler_threads_idle.load(Ordering::Relaxed)
+    }
+
+    /// A closed-loop client on one keep-alive connection keeps one warm
+    /// handler thread: every answer parks its thread before the loop
+    /// sees it, so the next request always finds that thread.
+    #[test]
+    fn sequential_blocking_requests_reuse_one_handler_thread() {
+        for front in fronts(HttpConfig::default()) {
+            let name = front.name();
+            let client = HttpClient::new(front.addr()).keep_alive(1);
+            for i in 0..200 {
+                // A new spec each time: a service miss, and a router forward.
+                let spec = format!(
+                    r#"{{"kind":"delay_line_dc","stages":3,"bias_ua":20,"input_ua":{}}}"#,
+                    1.0 + f64::from(i) / 256.0
+                );
+                let (status, body) = client
+                    .request_text("POST", "/v1/jobs", Some(&spec))
+                    .expect("request");
+                assert_eq!(status, 200, "{name}: {body}");
+                assert!(body.contains(r#""cached":false"#), "{name}: {body}");
+            }
+            let stats = front.stats();
+            assert_eq!(stats.accepted.load(Ordering::Relaxed), 1, "{name}");
+            assert_eq!(spawned(stats), 1, "{name}");
+            assert_eq!(idle(stats), 1, "{name}");
+        }
+    }
+
+    /// A test front end whose every route blocks: `/panic` panics,
+    /// `/meet` waits (up to 10 s) until four `/meet` requests are inside
+    /// `blocking` together, `/hold` waits for [`Blocker::release`], and
+    /// anything else answers `200`.
+    #[derive(Default)]
+    struct Blocker {
+        state: Mutex<BlockerState>,
+        changed: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct BlockerState {
+        met: usize,
+        holding: usize,
+        released: bool,
+    }
+
+    impl Blocker {
+        fn holding(&self) -> usize {
+            lock_recover(&self.state).holding
+        }
+
+        fn release(&self) {
+            lock_recover(&self.state).released = true;
+            self.changed.notify_all();
+        }
+    }
+
+    impl Handler for Blocker {
+        type Deferred = Request;
+
+        fn inline(&self, request: Request, _http: &HttpStats) -> Result<Response, Request> {
+            Err(request)
+        }
+
+        fn blocking(&self, request: Request, _http: &HttpStats) -> Response {
+            if request.path == "/panic" {
+                panic!("test handler panics");
+            }
+            let wait = Duration::from_secs(10);
+            let mut state = lock_recover(&self.state);
+            match request.path.as_str() {
+                "/meet" => {
+                    state.met += 1;
+                    let round = state.met.div_ceil(4) * 4;
+                    self.changed.notify_all();
+                    let (state, waited) = self
+                        .changed
+                        .wait_timeout_while(state, wait, |s| s.met < round)
+                        .unwrap();
+                    drop(state);
+                    if waited.timed_out() {
+                        return Response::json(504, "{}");
+                    }
+                }
+                "/hold" => {
+                    state.holding += 1;
+                    let _ = self
+                        .changed
+                        .wait_timeout_while(state, 3 * wait, |s| !s.released)
+                        .unwrap();
+                }
+                _ => {}
+            }
+            Response::json(200, "{}")
+        }
+    }
+
+    fn start_blocker() -> (Arc<Blocker>, EventLoop) {
+        let handler = Arc::new(Blocker::default());
+        let front = EventLoop::start("127.0.0.1:0", Arc::clone(&handler), HttpConfig::default())
+            .expect("bind test front end");
+        (handler, front)
+    }
+
+    #[test]
+    fn panicking_handler_answers_500_and_its_thread_serves_on() {
+        let (_handler, front) = start_blocker();
+        let client = HttpClient::new(front.addr).keep_alive(1);
+        let (status, body) = client.request_text("GET", "/panic", None).unwrap();
+        assert_eq!(status, 500, "{body}");
+        assert!(body.contains("request handler panicked"), "{body}");
+        let (status, _) = client.request_text("GET", "/ok", None).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(front.stats.accepted.load(Ordering::Relaxed), 1);
+        assert_eq!(spawned(&front.stats), 1);
+    }
+
+    /// No head-of-line wait: four blocking requests are inside
+    /// `blocking` together, each on a thread of its own, and a second
+    /// round of four reuses those four threads.
+    #[test]
+    fn concurrent_blocking_requests_each_get_a_thread() {
+        let (_handler, front) = start_blocker();
+        let addr = front.addr;
+        for round in 1..=2 {
+            let clients: Vec<_> = (0..4)
+                .map(|_| thread::spawn(move || call(addr, "GET", "/meet", None).0))
+                .collect();
+            for client in clients {
+                assert_eq!(client.join().unwrap(), 200, "round {round}");
+            }
+            assert_eq!(spawned(&front.stats), 4, "round {round}");
+            assert_eq!(idle(&front.stats), 4, "round {round}");
+        }
+    }
+
+    /// Stopping the loop closes the pool: the parked thread exits at
+    /// once, and a thread still busy at the stop exits after it finishes
+    /// instead of parking. Once both are gone nothing holds the handler.
+    #[test]
+    fn stop_closes_the_handler_pool() {
+        let (handler, mut front) = start_blocker();
+        let addr = front.addr;
+        let held = thread::spawn(move || HttpClient::new(addr).request("GET", "/hold", None));
+        eventually("the held request", || handler.holding() == 1);
+        assert_eq!(call(addr, "GET", "/ok", None).0, 200);
+        assert_eq!((spawned(&front.stats), idle(&front.stats)), (2, 1));
+
+        front.stop();
+        eventually("the parked thread to leave", || idle(&front.stats) == 0);
+        handler.release();
+        // The loop is gone, so the held request ends without an answer.
+        let _ = held.join().unwrap();
+        eventually("every handler thread to exit", || {
+            Arc::strong_count(&handler) == 1
+        });
+        assert_eq!(idle(&front.stats), 0, "a late thread parked");
     }
 
     /// Regression (ISSUE 5): `shutdown()` returns promptly — the wake

@@ -43,7 +43,9 @@
 //! - **One front end** — [`RouterServer`] runs the hardened event loop
 //!   of [`crate::http`] with [`Router`] as its `Handler`: `/healthz`
 //!   and `/readyz` answer on the loop thread, everything else (forwards,
-//!   lookups, metrics scrapes) on a handler thread.
+//!   lookups, metrics scrapes) on the loop's pooled handler threads. A
+//!   handler thread parks after each request and the next forward
+//!   reuses it, so a forward starts no thread.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};

@@ -20,7 +20,10 @@
 //!   router gets the replica's `202` progress answer;
 //! - **Connection reuse** — a pooled replica connection the replica
 //!   closed while idle is replaced silently: no reroute, no ring change,
-//!   no replica timeout.
+//!   no replica timeout;
+//! - **No thread per forward** — a closed-loop client keeps the router
+//!   on one pooled handler thread, and a replica answering hits inline
+//!   on none.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -500,5 +503,45 @@ fn stale_pooled_connection_is_replaced_without_reroute() {
             .load(std::sync::atomic::Ordering::Relaxed),
         0
     );
+    router.shutdown();
+}
+
+/// A closed-loop hot client on one keep-alive connection: each forward
+/// reuses the router's one parked handler thread, and the replica, whose
+/// answers are all memory-tier hits served on its loop, starts none.
+#[test]
+fn closed_loop_hot_client_holds_one_router_handler_thread() {
+    let r = replica(1, None);
+    let spec = JobSpec::from_json(&json::parse(&dc_spec(3)).unwrap()).unwrap();
+    r.service
+        .submit_blocking(&spec, None)
+        .expect("warm the replica in process");
+    let mut router = router_over(&[r.server.local_addr()], false);
+    let front = router.local_addr();
+    wait_for("replica in the ring", || ready_replicas(front) == 1.0);
+
+    let client = HttpClient::new(front).keep_alive(1);
+    for _ in 0..300 {
+        let (status, body) = client
+            .request_text("POST", "/v1/jobs", Some(&dc_spec(3)))
+            .unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(r#""cached":true"#), "{body}");
+    }
+    // Scraped on the same connection, so on the same thread.
+    let (status, body) = client.request_text("GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    let spawned = json::parse(&body)
+        .unwrap()
+        .get("http")
+        .and_then(|h| h.get("handler_threads_spawned"))
+        .and_then(Json::as_f64);
+    assert_eq!(spawned, Some(1.0), "router");
+    let replica_spawned = r
+        .server
+        .http_stats()
+        .handler_threads_spawned
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert_eq!(replica_spawned, 0, "replica");
     router.shutdown();
 }

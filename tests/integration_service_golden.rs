@@ -142,6 +142,8 @@ fn post_and_metrics_match_golden_snapshots() {
         "timeouts",
         "dropped_mid_request",
         "responses",
+        "handler_threads_spawned",
+        "handler_threads_idle",
     ] {
         assert!(
             http.get(key).and_then(Json::as_f64).is_some(),
